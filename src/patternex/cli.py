@@ -1,7 +1,8 @@
 """Command-line harness: compute tables, verify claims, run constructions.
 
 Exit codes are a stable contract: 0 success, 2 invalid input, 3 capacity
-limit, 4 failed postcondition re-check.  All outputs are deterministic
+limit, 4 failed postcondition re-check, 5 a checked claim failed (verify
+writes every report file first).  All outputs are deterministic
 given the inputs, the seed, and the budget; nothing embeds timestamps.
 """
 
@@ -175,7 +176,7 @@ def cmd_verify(args) -> int:
     for check in report.checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.claim} ({len(check.instances)} instances)")
     print(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    return 0
+    return 0 if report.passed else 5
 
 
 # ---------------------------------------------------------------------------

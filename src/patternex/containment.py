@@ -129,34 +129,18 @@ def represents(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
     return pattern.ones <= host.ones
 
 
-def _least_increasing(k: int, n: int, pin: tuple[int, int] | None) -> tuple[int, ...] | None:
-    """Lexicographically least increasing k-subset of [n], optionally pinning
-    position p to value v."""
-    if k > n:
-        return None
-    if pin is None:
-        return tuple(range(1, k + 1))
-    p, v = pin
-    if v < p or k - p > n - v:
-        return None
-    return tuple(range(1, p)) + (v,) + tuple(range(v + 1, v + 1 + k - p))
-
-
 def _matrix_embedding_search(
     host_extents: tuple[int, ...],
     host_ones,
     pat_extents: tuple[int, ...],
     pat_ones,
-    pins: dict[int, tuple[int, int]] | None = None,
 ) -> tuple[tuple[int, ...], ...] | None:
     """Raw backtracking engine over per-axis index choices.
 
-    ``pins`` optionally forces, per 0-based axis, pattern index p to host
-    index v (both 1-based).  Axes are assigned in order 1..d and each
-    axis iterates its combinations lexicographically, so the first
-    success is the lexicographically least embedding.  A partial choice
-    is pruned as soon as some pattern 1-entry has no consistent host
-    1-entry left.
+    Axes are assigned in order 1..d and each axis iterates its
+    combinations lexicographically, so the first success is the
+    lexicographically least embedding.  A partial choice is pruned as
+    soon as some pattern 1-entry has no consistent host 1-entry left.
     """
     d = len(host_extents)
     if len(pat_extents) != d:
@@ -165,15 +149,7 @@ def _matrix_embedding_search(
         return None
     pattern = sorted(pat_ones)
     if not pattern:
-        selections = []
-        for axis in range(d):
-            sel = _least_increasing(
-                pat_extents[axis], host_extents[axis], pins.get(axis) if pins else None
-            )
-            if sel is None:
-                return None
-            selections.append(sel)
-        return tuple(selections)
+        return tuple(tuple(range(1, k + 1)) for k in pat_extents)
     host = sorted(host_ones)
     if len(host) < len(pattern):
         return None
@@ -182,10 +158,7 @@ def _matrix_embedding_search(
         if axis == d:
             return tuple(chosen)
         k, n = pat_extents[axis], host_extents[axis]
-        pin = pins.get(axis) if pins else None
         for sel in combinations(range(1, n + 1), k):
-            if pin is not None and sel[pin[0] - 1] != pin[1]:
-                continue
             filtered = []
             for entry, cand in zip(pattern, candidates):
                 want = sel[entry[axis] - 1]
@@ -330,15 +303,6 @@ def hypergraph_contains(
         (edge, host_edges[idx]) for edge, idx in zip(pat_edges, assignment)
     )
     return HypergraphEmbedding(f, pairs)
-
-
-def order_isomorphic(a: OrderedHypergraph, b: OrderedHypergraph) -> bool:
-    """True when the unique increasing bijection maps b's edges exactly onto a's.
-
-    With vertex sets fixed to [n], the unique increasing bijection is the
-    identity, so this is equality of vertex counts and edge sets.
-    """
-    return a.n == b.n and a.edges == b.edges
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto its stable exit codes: invalid input is 2,
-capacity limits are 3, failed re-checks are 4.
+capacity limits are 3, failed re-checks are 4.  Exit code 5, a checked
+claim that failed in ``patternex verify``, is a result, not an error.
 """
 
 

@@ -24,6 +24,7 @@ from itertools import combinations, product
 
 from .containment import (
     _hyper_embedding_search,
+    # unused here; perfbench/tracing.py rebinds it by name in this module
     _matrix_embedding_search,
     hypergraph_contains,
     matrix_contains,
@@ -132,110 +133,70 @@ def table_to_csv(table: ExtremalTable) -> str:
 # matrix solvers
 
 
-def _solve_max_weight_2d(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
-    """Branch-and-bound over the n x n cells in row-major order.
+def _solve_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
+    """Branch-and-bound over the n^d cells in lexicographic order.
 
-    The incremental containment check is anchored: in row-major decision
-    order every new copy of the pattern must use the newly set cell as
-    the image of the pattern's lexicographically greatest 1-entry, so the
-    check pins that entry and scans precomputed column selections with a
-    greedy row-subsequence match.
+    Each axis-1 slice of the host is kept as a bitmask over the flattened
+    axes 2..d.  The incremental containment check is anchored, and the
+    anchor is exact: a copy of the pattern absent before the newly set
+    cell must use it, every other 1-entry set so far is lexicographically
+    smaller, and an embedding preserves lexicographic order, so the new
+    cell is the image of the pattern's lexicographically greatest 1-entry.
+    The check therefore scans only the precomputed placements of axes
+    2..d whose anchor image is the new cell's bit, and matches the earlier
+    pattern slices to earlier host slices with a greedy subsequence scan,
+    which finds a match whenever one exists.
     """
-    k1, k2 = pattern.extents
+    d = pattern.d
+    k1 = pattern.extents[0]
     pat_ones = pattern.sorted_ones()
-    anchor = pat_ones[-1] if pat_ones else None
+    width = n ** (d - 1)
 
-    bucket: dict[int, list[list[int]]] = {c: [] for c in range(1, n + 1)}
-    if anchor is not None and k2 <= n and k1 <= n:
-        ar, ac = anchor
-        cols_by_row: list[list[int]] = [[] for _ in range(k1 + 1)]
-        for i, j in pat_ones:
-            cols_by_row[i].append(j)
-        for colset in combinations(range(1, n + 1), k2):
-            masks = []
-            for i in range(1, ar + 1):
-                m = 0
-                for j in cols_by_row[i]:
-                    m |= 1 << (colset[j - 1] - 1)
-                masks.append(m)
-            bucket[colset[ac - 1]].append(masks)
+    # bucket[b]: per placement of axes 2..d putting the anchor on bit b,
+    # the masks of pattern slices 1..a1 (the anchor's slice last)
+    bucket: list[list[list[int]]] = [[] for _ in range(width)]
+    if pat_ones and max(pattern.extents) <= n:
+        a1 = pat_ones[-1][0]
+        placements = [[0] * len(pat_ones)]  # bit of each pattern 1-entry
+        for axis in range(1, d):
+            scale = n ** (d - 1 - axis)
+            placements = [
+                [b + sel[one[axis] - 1] * scale for b, one in zip(bits, pat_ones)]
+                for bits in placements
+                for sel in combinations(range(n), pattern.extents[axis])
+            ]
+        for bits in placements:
+            masks = [0] * a1
+            for one, b in zip(pat_ones, bits):
+                masks[one[0] - 1] |= 1 << b
+            bucket[bits[-1]].append(masks)
+    else:
+        a1 = n + 1  # the pattern never fits: no slice can hold the anchor
+    last = n - k1 + a1  # pattern slices after the anchor's must fit after r
 
-    def anchored(r: int, c: int, rowbits: list[int]) -> bool:
-        if anchor is None:
+    def anchored(r: int, key: int) -> bool:
+        if r < a1 or r > last:
             return False
-        ar, ac = anchor
-        if r < ar or c < ac or n - r < k1 - ar:
-            return False
-        for masks in bucket[c]:
-            need = masks[ar - 1]
-            if rowbits[r] & need != need:
+        for masks in bucket[key]:
+            need = masks[-1]
+            if slices[r] & need != need:
                 continue
             hr = 1
-            ok = True
-            for i in range(ar - 1):
+            for i in range(a1 - 1):
                 m = masks[i]
-                while hr < r and (rowbits[hr] & m) != m:
+                while hr < r and (slices[hr] & m) != m:
                     hr += 1
                 if hr >= r:
-                    ok = False
                     break
                 hr += 1
-            if ok:
+            else:
                 return True
         return False
 
-    cells = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
-    total = len(cells)
-    rowbits = [0] * (n + 1)
-    ones: list[tuple[int, int]] = []
-    best_value = -1
-    best_ones: frozenset = frozenset()
-
-    def dfs(idx: int, weight: int) -> None:
-        nonlocal best_value, best_ones
-        if weight + (total - idx) <= best_value:
-            return
-        if idx == total:
-            best_value = weight
-            best_ones = frozenset(ones)
-            return
-        r, c = cells[idx]
-        bit = 1 << (c - 1)
-        rowbits[r] |= bit
-        if not anchored(r, c, rowbits):
-            ones.append((r, c))
-            dfs(idx + 1, weight + 1)
-            ones.pop()
-        rowbits[r] &= ~bit
-        dfs(idx + 1, weight)
-
-    dfs(0, 0)
-    return best_value, best_ones
-
-
-def _solve_max_weight_generic(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
-    """Dimension-generic variant sharing the anchored-pin idea, for d-matrices."""
-    d = pattern.d
-    extents = (n,) * d
-    pat_ones = pattern.sorted_ones()
-    anchor = pat_ones[-1] if pat_ones else None
-
-    def anchored(cell: tuple[int, ...], ones_set: set) -> bool:
-        if anchor is None:
-            return False
-        for ax in range(d):
-            if cell[ax] < anchor[ax] or n - cell[ax] < pattern.extents[ax] - anchor[ax]:
-                return False
-        pins = {ax: (anchor[ax], cell[ax]) for ax in range(d)}
-        return (
-            _matrix_embedding_search(extents, ones_set, pattern.extents, pat_ones, pins)
-            is not None
-        )
-
     cells = list(product(range(1, n + 1), repeat=d))
     total = len(cells)
-    ones_set: set = set()
-    ones: list = []
+    slices = [0] * (n + 1)
+    ones: list[tuple[int, ...]] = []
     best_value = -1
     best_ones: frozenset = frozenset()
 
@@ -248,12 +209,15 @@ def _solve_max_weight_generic(pattern: BinaryMatrix, n: int) -> tuple[int, froze
             best_ones = frozenset(ones)
             return
         cell = cells[idx]
-        ones_set.add(cell)
-        if not anchored(cell, ones_set):
+        r = cell[0]
+        key = idx % width
+        bit = 1 << key
+        slices[r] |= bit
+        if not anchored(r, key):
             ones.append(cell)
             dfs(idx + 1, weight + 1)
             ones.pop()
-        ones_set.discard(cell)
+        slices[r] &= ~bit
         dfs(idx + 1, weight)
 
     dfs(0, 0)
@@ -271,12 +235,25 @@ def _certify_matrix(value: int, witness: BinaryMatrix, pattern: BinaryMatrix) ->
 
 
 def _reject_if_unavoidable(pattern: BinaryMatrix, n: int) -> None:
-    zero = BinaryMatrix((n,) * pattern.d, frozenset())
-    if matrix_contains(zero, pattern) is not None:
+    if not pattern.ones and all(k <= n for k in pattern.extents):
         raise InputError(
             "pattern weight 0: every matrix of this size contains it, "
             "the extremal value is undefined"
         )
+
+
+def _solve_matrix_extremal(
+    pattern: BinaryMatrix, n: int, max_cells: int
+) -> SearchCertificate:
+    d = pattern.d
+    if n < 1:
+        raise InputError(f"n must be positive, got {n}")
+    if n**d > max_cells:
+        shape = "x".join([str(n)] * d)
+        raise CapacityError(f"{shape} exceeds the configured cell limit {max_cells}")
+    _reject_if_unavoidable(pattern, n)
+    value, ones = _solve_max_weight(pattern, n)
+    return _certify_matrix(value, BinaryMatrix((n,) * d, ones), pattern)
 
 
 def ex_matrix(
@@ -285,13 +262,7 @@ def ex_matrix(
     """Maximum 1-entries of an n x n matrix avoiding the 2-dimensional pattern."""
     if pattern.d != 2:
         raise InputError(f"ex_matrix needs a 2-dimensional pattern, got d={pattern.d}")
-    if n < 1:
-        raise InputError(f"n must be positive, got {n}")
-    if n * n > max_cells:
-        raise CapacityError(f"{n}x{n} exceeds the configured cell limit {max_cells}")
-    _reject_if_unavoidable(pattern, n)
-    value, ones = _solve_max_weight_2d(pattern, n)
-    return _certify_matrix(value, BinaryMatrix((n, n), ones), pattern)
+    return _solve_matrix_extremal(pattern, n, max_cells)
 
 
 def f_multi(
@@ -300,13 +271,7 @@ def f_multi(
     """Maximum 1-entries of a side-length-n d-matrix avoiding the pattern."""
     if d != pattern.d:
         raise InputError(f"d={d} does not match pattern dimension {pattern.d}")
-    if n < 1:
-        raise InputError(f"n must be positive, got {n}")
-    if n**d > max_cells:
-        raise CapacityError(f"side {n} in dimension {d} exceeds the cell limit {max_cells}")
-    _reject_if_unavoidable(pattern, n)
-    value, ones = _solve_max_weight_generic(pattern, n)
-    return _certify_matrix(value, BinaryMatrix((n,) * d, ones), pattern)
+    return _solve_matrix_extremal(pattern, n, max_cells)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -206,22 +205,6 @@ def permutation_matrix(perm: Sequence[int]) -> BinaryMatrix:
     return d_permutation_matrix(PermutationSpec(len(perm), (tuple(perm),)))
 
 
-def j_tuple_matrix(perm: Sequence[int], j: int) -> BinaryMatrix:
-    """k x kj matrix: each 1 of the permutation matrix becomes a 1 x j block.
-
-    Row i carries 1s exactly in columns (perm(i)-1)*j+1 .. perm(i)*j.
-    """
-    if j < 1:
-        raise InputError(f"block width must be >= 1, got {j}")
-    k = len(perm)
-    if sorted(perm) != list(range(1, k + 1)):
-        raise InputError(f"{tuple(perm)} is not a permutation of [{k}]")
-    ones = {
-        (i, (perm[i - 1] - 1) * j + c) for i in range(1, k + 1) for c in range(1, j + 1)
-    }
-    return BinaryMatrix((k, k * j), frozenset(ones))
-
-
 def associated_hypergraph(matrix: BinaryMatrix) -> tuple[OrderedHypergraph, PartsSpec]:
     """The d-partite d-uniform hypergraph whose edges encode the 1-entries.
 
@@ -303,74 +286,3 @@ def is_d_permutation_hypergraph(hypergraph: OrderedHypergraph) -> int | None:
         return None
     assert is_d_partite(hypergraph, parts)
     return k
-
-
-def cross_section(matrix: BinaryMatrix, axis: int, value: int) -> set[Coord]:
-    """All 1-entry coordinates whose axis-th component equals value."""
-    if not 1 <= axis <= matrix.d:
-        raise InputError(f"axis {axis} out of range for d={matrix.d}")
-    if not 1 <= value <= matrix.extents[axis - 1]:
-        raise InputError(f"index {value} out of range on axis {axis}")
-    return {c for c in matrix.ones if c[axis - 1] == value}
-
-
-def row(matrix: BinaryMatrix, axis: int, fixed: Sequence[int]) -> set[Coord]:
-    """1-entries along one axis with the other d-1 components fixed.
-
-    ``fixed`` lists the components for axes 1..d excluding ``axis``, in
-    axis order.
-    """
-    if not 1 <= axis <= matrix.d:
-        raise InputError(f"axis {axis} out of range for d={matrix.d}")
-    if len(fixed) != matrix.d - 1:
-        raise InputError(f"expected {matrix.d - 1} fixed components, got {len(fixed)}")
-    template = list(fixed)
-    template.insert(axis - 1, 0)
-    for ax, (c, n) in enumerate(zip(template, matrix.extents), start=1):
-        if ax != axis and not 1 <= c <= n:
-            raise InputError(f"fixed component {c} out of range on axis {ax}")
-    return {
-        c
-        for c in matrix.ones
-        if all(c[i] == template[i] for i in range(matrix.d) if i != axis - 1)
-    }
-
-
-def distance_vector(a: Sequence[int], b: Sequence[int]) -> Coord:
-    """Componentwise difference b - a."""
-    if len(a) != len(b):
-        raise InputError(f"mismatched tuple lengths {len(a)} and {len(b)}")
-    return tuple(y - x for x, y in zip(a, b))
-
-
-def _pair_vector_counts(matrix: BinaryMatrix) -> Counter:
-    counts: Counter = Counter()
-    entries = matrix.sorted_ones()
-    for a in entries:
-        for b in entries:
-            if a != b:
-                counts[distance_vector(a, b)] += 1
-    return counts
-
-
-def is_r_repeated(matrix: BinaryMatrix, vector: Sequence[int], r: int) -> bool:
-    """True when at least r ordered pairs of distinct 1-entries realize the vector."""
-    if r < 1:
-        raise InputError(f"repetition count must be >= 1, got {r}")
-    if len(vector) != matrix.d:
-        raise InputError(f"vector length {len(vector)} does not match d={matrix.d}")
-    target = tuple(vector)
-    count = 0
-    for a in matrix.ones:
-        b = tuple(x + y for x, y in zip(a, target))
-        if b != a and b in matrix.ones:
-            count += 1
-            if count >= r:
-                return True
-    return False
-
-
-def max_repetition(matrix: BinaryMatrix) -> int:
-    """Largest pair count achieved by any nonzero distance vector (0 if < 2 ones)."""
-    counts = _pair_vector_counts(matrix)
-    return max(counts.values(), default=0)

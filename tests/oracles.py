@@ -67,6 +67,27 @@ def brute_max_weight(pattern: BinaryMatrix, extents: tuple[int, ...]) -> int | N
     return best
 
 
+def brute_canonical_witness(
+    pattern: BinaryMatrix, extents: tuple[int, ...]
+) -> BinaryMatrix | None:
+    """The avoider of maximum weight whose row-major 0/1 vector is greatest.
+
+    This is the witness the include-first search reaches first among the
+    optimal ones.  Vectors are visited in decreasing lexicographic order,
+    so the first avoider of each new maximum weight is the greatest one.
+    Returns None when no avoider exists.
+    """
+    cells = list(product(*(range(1, n + 1) for n in extents)))
+    best = None
+    for bits in product((1, 0), repeat=len(cells)):
+        if best is not None and sum(bits) <= best.weight:
+            continue
+        m = BinaryMatrix(extents, frozenset(c for c, b in zip(cells, bits) if b))
+        if not brute_matrix_contains(m, pattern):
+            best = m
+    return best
+
+
 def subsets_of_edges(n: int, max_size: int | None = None):
     cap = n if max_size is None else min(max_size, n)
     candidates = []

@@ -169,7 +169,7 @@ class TestVerify:
         )
         monkeypatch.setattr("patternex.cli.run_checks", lambda *a, **k: failing)
         out = tmp_path / "rep"
-        assert main(["verify", "--claims", "Lemma3", "--out", str(out)]) == 0
+        assert main(["verify", "--claims", "Lemma3", "--out", str(out)]) == 5
         written = out / "counterexamples" / "Lemma3_0_host.txt"
         assert written.read_text() == "2\n1 2\n"
         data = json.loads((out / "report.json").read_text())

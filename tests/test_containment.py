@@ -16,7 +16,6 @@ from patternex import (
     make_hypergraph,
     make_matrix,
     matrix_contains,
-    order_isomorphic,
     permutation_matrix,
     represents,
     submatrix,
@@ -172,27 +171,6 @@ class TestHypergraphContains:
     def test_transitive(self, a, b, c):
         if hypergraph_contains(a, b) is not None and hypergraph_contains(b, c) is not None:
             assert hypergraph_contains(a, c) is not None
-
-
-class TestOrderIsomorphic:
-    def test_equality(self):
-        h = make_hypergraph(3, [(1, 2)])
-        assert order_isomorphic(h, h)
-
-    def test_shifted_copy_compacts_to_the_same_object(self):
-        h = make_hypergraph(4, [(1, 3), (2, 4)])
-        shifted_vertices = [v + 5 for v in range(1, 5)]
-        relabel = {v: i + 1 for i, v in enumerate(sorted(shifted_vertices))}
-        compacted = make_hypergraph(
-            len(shifted_vertices),
-            [tuple(relabel[v + 5] for v in e) for e in h.sorted_edges()],
-        )
-        assert order_isomorphic(h, compacted)
-
-    def test_different_edges(self):
-        assert not order_isomorphic(
-            make_hypergraph(3, [(1, 2)]), make_hypergraph(3, [(1, 3)])
-        )
 
 
 def _all_bipartite(part_size):

@@ -28,6 +28,7 @@ from patternex import (
 
 from oracles import (
     all_matrices,
+    brute_canonical_witness,
     brute_count_avoiders,
     brute_gex,
     brute_hyper_extremal,
@@ -61,9 +62,10 @@ class TestExMatrix:
             ex_matrix(make_matrix([2, 2], []), 3)
 
     def test_oversized_pattern_gives_full_matrix(self):
-        big = make_matrix([4, 4], [(4, 1)])
-        cert = ex_matrix(big, 2)
-        assert cert.value == 4
+        # a weight-0 pattern that does not fit is avoided, not an error
+        for big in (make_matrix([4, 4], [(4, 1)]), make_matrix([3, 3], [])):
+            cert = ex_matrix(big, 2)
+            assert cert.value == 4
 
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
@@ -85,10 +87,10 @@ class TestExMatrix:
             if 1 <= m.weight <= 3
         ]
         for pattern in patterns:
-            square = make_matrix(
-                (pattern.extents[0], pattern.extents[1]), pattern.sorted_ones()
-            )
-            assert ex_matrix(square, n).value == brute_max_weight(square, (n, n))
+            cert = ex_matrix(pattern, n)
+            expected = brute_canonical_witness(pattern, (n, n))
+            assert cert.value == expected.weight
+            assert cert.witness == expected
 
     def test_monotone_in_n(self):
         values = [ex_matrix(IDENTITY2, n).value for n in range(1, 6)]
@@ -114,14 +116,20 @@ class TestFMulti:
         with pytest.raises(InputError):
             f_multi(IDENTITY2, 3, 2)
 
-    def test_reduces_to_ex_matrix_for_d2(self):
-        # independent engines must agree on value and canonical witness
-        for pattern in (IDENTITY2, ALL_ONES_2, make_matrix([2, 2], [(1, 2), (2, 1)])):
-            for n in (1, 2, 3):
-                via_f = f_multi(pattern, 2, n)
-                via_ex = ex_matrix(pattern, n)
-                assert via_f.value == via_ex.value
-                assert via_f.witness == via_ex.witness
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_oracle_witness_3d(self, n):
+        # all 2x2x2 patterns of weight <= 2 and a few ragged ones of weight <= 3
+        patterns = [
+            m
+            for extents, top in [((2, 2, 2), 2), ((1, 2, 2), 3), ((2, 1, 3), 3)]
+            for m in all_matrices(extents)
+            if 1 <= m.weight <= top
+        ]
+        for pattern in patterns:
+            cert = f_multi(pattern, 3, n)
+            expected = brute_canonical_witness(pattern, (n, n, n))
+            assert cert.value == expected.weight
+            assert cert.witness == expected
 
     def test_diagonal_3d_side2(self):
         diag = make_matrix([2, 2, 2], [(1, 1, 1), (2, 2, 2)])

@@ -13,18 +13,11 @@ from patternex import (
     PermutationSpec,
     associated_hypergraph,
     associated_matrix,
-    cross_section,
     d_permutation_matrix,
-    distance_vector,
     is_d_partite,
     is_d_permutation_hypergraph,
-    is_r_repeated,
-    j_tuple_matrix,
     make_hypergraph,
     make_matrix,
-    max_repetition,
-    permutation_matrix,
-    row,
 )
 
 
@@ -121,29 +114,7 @@ class TestPermutationMatrices:
         m = d_permutation_matrix(spec)
         for axis in range(1, m.d + 1):
             for value in range(1, spec.k + 1):
-                assert len(cross_section(m, axis, value)) == 1
-
-
-class TestJTupleMatrix:
-    def test_identity_j2(self):
-        m = j_tuple_matrix((1, 2), 2)
-        assert m.ones == {(1, 1), (1, 2), (2, 3), (2, 4)}
-        assert m.extents == (2, 4)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.permutations(range(1, 5)))
-    def test_j1_equals_permutation_matrix(self, perm):
-        assert j_tuple_matrix(perm, 1) == permutation_matrix(perm)
-
-    def test_reversal_j3(self):
-        m = j_tuple_matrix((2, 1), 3)
-        assert row(m, 2, (1,)) == {(1, 4), (1, 5), (1, 6)}
-        assert row(m, 2, (2,)) == {(2, 1), (2, 2), (2, 3)}
-        assert m.weight == 6
-
-    def test_j_below_one_rejected(self):
-        with pytest.raises(InputError):
-            j_tuple_matrix((1, 2), 0)
+                assert sum(1 for c in m.ones if c[axis - 1] == value) == 1
 
 
 class TestAssociation:
@@ -186,62 +157,6 @@ class TestAssociation:
         h, _ = associated_hypergraph(m)
         assert h.weight == m.d * m.weight
         assert h.edge_count == m.weight
-
-
-class TestSections:
-    def test_cross_section(self):
-        identity = make_matrix([2, 2], [(1, 1), (2, 2)])
-        assert cross_section(identity, 1, 2) == {(2, 2)}
-        assert cross_section(make_matrix([2, 2], []), 1, 1) == set()
-        diag = d_permutation_matrix(PermutationSpec(2, ((1, 2), (1, 2))))
-        assert cross_section(diag, 3, 1) == {(1, 1, 1)}
-
-    def test_cross_section_range_errors(self):
-        identity = make_matrix([2, 2], [(1, 1), (2, 2)])
-        with pytest.raises(InputError):
-            cross_section(identity, 3, 1)
-        with pytest.raises(InputError):
-            cross_section(identity, 1, 3)
-
-    def test_row(self):
-        identity = make_matrix([2, 2], [(1, 1), (2, 2)])
-        assert row(identity, 2, (1,)) == {(1, 1)}
-        assert row(identity, 1, (2,)) == {(2, 2)}
-        assert row(make_matrix([2, 2], []), 1, (1,)) == set()
-
-
-class TestDistanceVectors:
-    def test_examples(self):
-        assert distance_vector((1, 1), (2, 2)) == (1, 1)
-        assert distance_vector((3, 1), (3, 1)) == (0, 0)
-        assert distance_vector((3, 1), (1, 4)) == (-2, 3)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(st.integers(1, 9), min_size=2, max_size=4),
-        st.lists(st.integers(1, 9), min_size=2, max_size=4),
-    )
-    def test_antisymmetry(self, a, b):
-        if len(a) == len(b):
-            forward = distance_vector(a, b)
-            assert distance_vector(b, a) == tuple(-x for x in forward)
-
-    def test_repetition_count_identity_3(self):
-        identity = permutation_matrix((1, 2, 3))
-        assert is_r_repeated(identity, (1, 1), 2)
-        assert not is_r_repeated(identity, (1, 1), 3)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.permutations(range(1, 5)), st.integers(-3, 3))
-    def test_same_row_vector_never_repeats(self, perm, c):
-        if c != 0:
-            assert not is_r_repeated(permutation_matrix(perm), (0, c), 1)
-
-    def test_max_repetition_identity_4(self):
-        # brute expectation: vector (1,1) realized by 3 consecutive pairs
-        identity = permutation_matrix((1, 2, 3, 4))
-        assert max_repetition(identity) == 3
-        assert max_repetition(make_matrix([2, 2], [])) == 0
 
 
 class TestPartiteness:
