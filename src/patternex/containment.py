@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import ConsistencyError, InputError
@@ -292,13 +293,11 @@ def hypergraph_contains(
     tie-break).
     """
     pat_edges = pattern.sorted_edges()
-    found = _hyper_embedding_search(
-        host.n, host.sorted_edges(), pattern.n, pat_edges
-    )
+    host_edges = host.sorted_edges()
+    found = _hyper_embedding_search(host.n, host_edges, pattern.n, pat_edges)
     if found is None:
         return None
     f, assignment = found
-    host_edges = host.sorted_edges()
     pairs = tuple(
         (edge, host_edges[idx]) for edge, idx in zip(pat_edges, assignment)
     )
@@ -316,6 +315,24 @@ def _uniform_edge_size(*hypergraphs: OrderedHypergraph) -> int | None:
     return sizes.pop() if sizes else None
 
 
+@lru_cache(maxsize=1024)
+def _partite_matrix(h: OrderedHypergraph, d: int) -> BinaryMatrix:
+    """Validate h as d-partite with d equal parts and return its associated matrix.
+
+    Memoised per (graph, d): both are immutable, so the cached matrix can
+    be shared.  Exceptions are not cached, so invalid input raises on
+    every call.  The helpers are looked up as module globals at call
+    time, so a rebinding of ``is_d_partite`` or ``associated_matrix``
+    still sees every uncached call.
+    """
+    if h.n % d != 0 or h.n == 0:
+        raise InputError(f"vertex count {h.n} is not d*size for d={d}")
+    parts = PartsSpec.equal(d, h.n // d)
+    if not is_d_partite(h, parts):
+        raise InputError("input is not d-partite with equal parts")
+    return associated_matrix(h, parts)
+
+
 def klazar_marcus_check(
     host: OrderedHypergraph, pattern: OrderedHypergraph, d: int | None = None
 ) -> bool:
@@ -327,6 +344,13 @@ def klazar_marcus_check(
     only the matrix-to-hypergraph direction survives: host ([6],{{1,4}})
     with parts of 3 order-contains pattern ([4],{{1,4}}) with parts of 2
     via f=(1,2,3,4), yet the associated matrices do not contain.)
+
+    Each distinct graph is validated and associated once per process, so
+    a sweep over all pairs pays that work once per graph, not per pair.
+    The memo is an LRU cache of 1024 entries: more than 512 because the
+    exhaustive sweep at part size 3 cycles through all 512 graphs for
+    each host, and a smaller LRU cache would evict every entry before
+    its next use.
 
     Evaluates both routes and raises ConsistencyError if they disagree;
     otherwise returns the shared boolean.
@@ -344,16 +368,10 @@ def klazar_marcus_check(
         return True
     if inferred is not None and inferred != d:
         raise InputError(f"edge size {inferred} does not match d={d}")
-    matrices = []
-    for h in (host, pattern):
-        if h.n % d != 0 or h.n == 0:
-            raise InputError(f"vertex count {h.n} is not d*size for d={d}")
-        parts = PartsSpec.equal(d, h.n // d)
-        if not is_d_partite(h, parts):
-            raise InputError("input is not d-partite with equal parts")
-        matrices.append(associated_matrix(h, parts))
+    host_m = _partite_matrix(host, d)
+    pattern_m = _partite_matrix(pattern, d)
     hyper_side = hypergraph_contains(host, pattern) is not None
-    matrix_side = matrix_contains(matrices[0], matrices[1]) is not None
+    matrix_side = matrix_contains(host_m, pattern_m) is not None
     if hyper_side != matrix_side:
         raise ConsistencyError(
             "hypergraph containment and associated-matrix containment disagree: "

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from patternex import BinaryMatrix, OrderedHypergraph
+from patternex import BinaryMatrix, OrderedHypergraph, PartsSpec
 
 
 def brute_matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
@@ -44,6 +44,41 @@ def brute_hypergraph_contains(host: OrderedHypergraph, pattern: OrderedHypergrap
                 {f[v - 1] for v in e} <= set(h) for e, h in zip(pat_edges, image)
             ):
                 return True
+    return False
+
+
+def brute_part_respecting_contains(
+    host: OrderedHypergraph,
+    host_parts: PartsSpec,
+    pattern: OrderedHypergraph,
+    pattern_parts: PartsSpec,
+) -> bool:
+    """Order containment whose vertex map sends part i of the pattern into
+    part i of the host, increasingly within each part.
+
+    Every such vertex map is tried; for each, every choice of host edges
+    f(e) <= g(e) is tried and accepted when the choice is injective.
+    """
+    if host_parts.d != pattern_parts.d:
+        return False
+    part_maps = [
+        combinations(range(h_lo + 1, h_hi + 1), p_hi - p_lo)
+        for h_lo, h_hi, p_lo, p_hi in zip(
+            host_parts.boundaries,
+            host_parts.boundaries[1:],
+            pattern_parts.boundaries,
+            pattern_parts.boundaries[1:],
+        )
+    ]
+    host_edges = host.sorted_edges()
+    for pieces in product(*part_maps):
+        f = sum(pieces, ())
+        candidates = [
+            [h for h in host_edges if {f[v - 1] for v in e} <= set(h)]
+            for e in pattern.sorted_edges()
+        ]
+        if any(len(set(image)) == len(image) for image in product(*candidates)):
+            return True
     return False
 
 

@@ -22,8 +22,14 @@ from patternex import (
     verify_hypergraph_embedding,
     verify_matrix_embedding,
 )
+from patternex import containment
+from patternex.verify import check_association_equivalence
 
-from oracles import brute_hypergraph_contains, brute_matrix_contains
+from oracles import (
+    brute_hypergraph_contains,
+    brute_matrix_contains,
+    brute_part_respecting_contains,
+)
 from test_structures import matrices
 
 
@@ -197,11 +203,14 @@ class TestKlazarMarcus:
         assert klazar_marcus_check(host, pattern, 2) is False
 
     def test_never_raises_exhaustive_small(self):
+        # with equal vertex counts the vertex map is forced to be the
+        # identity, so both routes reduce to edge inclusion
         for n in (1, 2):
             graphs = _all_bipartite(n)
             for host in graphs:
                 for pattern in graphs:
-                    klazar_marcus_check(host, pattern, 2)
+                    expected = pattern.edges <= host.edges
+                    assert klazar_marcus_check(host, pattern, 2) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(bipartite_graphs(max_part=3), bipartite_graphs(max_part=3))
@@ -244,3 +253,50 @@ class TestKlazarMarcus:
             6, frozenset(rng.sample(crossing, rng.randint(0, 8)))
         )
         klazar_marcus_check(host, pattern, 3)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [make_hypergraph(4, [(1, 2)]), make_hypergraph(3, [(1, 3)])],
+        ids=["not_partite", "odd_vertex_count"],
+    )
+    def test_invalid_input_raises_on_every_call(self, bad):
+        for _ in range(2):
+            with pytest.raises(InputError):
+                klazar_marcus_check(bad, bad, 2)
+
+    def test_each_graph_is_associated_once_per_sweep(self, monkeypatch):
+        # counts association work only: the two containment searches are
+        # stubbed out, test_09 checks the sweep's answers
+        calls = 0
+        original = containment.associated_matrix
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        containment._partite_matrix.cache_clear()
+        monkeypatch.setattr(containment, "associated_matrix", counting)
+        monkeypatch.setattr(containment, "hypergraph_contains", lambda host, pattern: None)
+        monkeypatch.setattr(containment, "matrix_contains", lambda host, pattern: None)
+        try:
+            check_association_equivalence(n_max=3)
+        finally:
+            containment._partite_matrix.cache_clear()
+        # 2 + 16 + 512 distinct graphs over 4 + 256 + 262144 pairs
+        assert calls == 530
+
+
+@pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 3)])
+def test_unequal_parts_matrix_containment_is_part_respecting(k, n):
+    # the regime where the Klazar-Marcus equivalence with plain order
+    # containment fails: pattern parts of size k, host parts of size n > k
+    pattern_parts, host_parts = PartsSpec.equal(2, k), PartsSpec.equal(2, n)
+    hosts = [(h, associated_matrix(h, host_parts)) for h in _all_bipartite(n)]
+    for pattern in _all_bipartite(k):
+        pattern_m = associated_matrix(pattern, pattern_parts)
+        for host, host_m in hosts:
+            assert (matrix_contains(host_m, pattern_m) is not None) == (
+                brute_part_respecting_contains(host, host_parts, pattern, pattern_parts)
+            )
+
