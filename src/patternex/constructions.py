@@ -14,11 +14,12 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from .containment import (
     HypergraphEmbedding,
     MatrixEmbedding,
+    _matrix_embedding_search,
     hypergraph_contains,
     matrix_contains,
     verify_hypergraph_embedding,
@@ -396,21 +397,18 @@ def random_avoider(
     """Sample a random d-matrix and repair it into a guaranteed avoider.
 
     Entries are 1 independently with probability p (seeded, one trial
-    uses seed XOR trial index).  The repair sweep scans submatrix index
-    tuples in lexicographic order and, whenever the selected submatrix
-    represents the pattern, clears the 1-entry at the lexicographically
-    greatest coordinate of that copy.  Scanning resumes without
-    restarting; a final full containment check guarantees the output
-    avoids the pattern for every seed.
+    uses seed XOR trial index).  While the containment engine finds a
+    copy, the image of the pattern's greatest 1-entry in the least copy
+    is cleared: the deletions of one lexicographic sweep over the
+    submatrix windows, as a passed window never holds a copy again.  One
+    engine call tries windows / C(n, k_1) placements of axes 2..d.
     """
     if not 0 <= trial < config.trials:
         raise InputError(f"trial {trial} outside 0..{config.trials - 1}")
     pattern = config.pattern
     n = config.side
     d = pattern.d
-    windows = 1
-    for k in pattern.extents:
-        windows *= math.comb(n, k)
+    windows = math.prod(math.comb(n, k) for k in pattern.extents)
     if windows > max_windows:
         raise CapacityError(
             f"{windows} submatrix windows exceed the configured limit {max_windows}"
@@ -421,28 +419,21 @@ def random_avoider(
         cell for cell in product(range(1, n + 1), repeat=d) if rng.random() < config.p
     }
     initial = len(ones)
-    deletions = 0
-    pat_ones = sorted(pattern.ones)
-    if windows and all(k <= n for k in pattern.extents):
-        axis_choices = [
-            list(combinations(range(1, n + 1), k)) for k in pattern.extents
-        ]
-        for selection in product(*axis_choices):
-            mapped = [
-                tuple(selection[ax][b[ax] - 1] for ax in range(d)) for b in pat_ones
-            ]
-            if all(cell in ones for cell in mapped):
-                ones.discard(max(mapped))
-                deletions += 1
+    anchor = max(pattern.ones)
+    while (
+        found := _matrix_embedding_search((n,) * d, ones, pattern.extents, pattern.ones)
+    ) is not None:
+        cell = tuple(sel[c - 1] for sel, c in zip(found, anchor))
+        if cell not in ones:
+            raise PostconditionError(f"the engine's pattern copy uses the 0-entry {cell}")
+        ones.remove(cell)
     result = BinaryMatrix((n,) * d, frozenset(ones))
-    if matrix_contains(result, pattern) is not None:
-        raise PostconditionError("repair sweep left a pattern copy behind")
     stats = TrialStats(
         trial=trial,
         seed=seed,
         p=config.p,
         initial_weight=initial,
-        deletions=deletions,
+        deletions=initial - result.weight,
         final_weight=result.weight,
         analytic_target=analytic_expected_weight(pattern, n, config.p),
     )

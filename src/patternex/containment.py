@@ -5,10 +5,12 @@ bare boolean, so downstream code can re-verify witnesses instead of
 trusting search.  Tie-breaking is lexicographic everywhere: repeated runs
 return identical embeddings.
 
-The checkers are exhaustive backtracking searches.  Pattern containment
-is NP-hard in general; the contract is correctness at desk scale
-(pattern weight up to ~8, host side up to ~12 for d=2), not polynomial
-time.
+Matrix containment is one slice-bitmask engine, shared by the extremal
+solver and the random repair; a call costs a greedy row scan for each of
+the prod C(n_i, k_i) placements of axes 2..d.  Hypergraph containment is
+exhaustive backtracking.  Containment is NP-hard in general; the contract
+is correctness at desk scale (pattern weight up to ~8, host side up to
+~12 for d=2), not polynomial time.
 """
 
 from __future__ import annotations
@@ -130,50 +132,71 @@ def represents(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
     return pattern.ones <= host.ones
 
 
+def _placements(pat_ones: list, pat_extents: tuple, tail_extents: tuple) -> list:
+    """Each choice ``sels`` of 0-based index lists on axes 2..d, in lexicographic
+    order, with the bit of each pattern 1-entry in a row-major host slice."""
+    placements = [((), [0] * len(pat_ones))]
+    for axis, n in enumerate(tail_extents, start=1):
+        placements = [
+            (sels + (sel,), [b * n + sel[one[axis] - 1] for b, one in zip(bits, pat_ones)])
+            for sels, bits in placements
+            for sel in combinations(range(n), pat_extents[axis])
+        ]
+    return placements
+
+
+def _fit_rows(slices: list[int], masks: list[int], hi: int) -> list[int] | None:
+    """The least increasing 1-based rows below ``hi`` whose slices cover the
+    masks, or None; greedy first fit finds them whenever they exist."""
+    rows = []
+    r = 1
+    for m in masks:
+        while r < hi and slices[r] & m != m:
+            r += 1
+        if r >= hi:
+            return None
+        rows.append(r)
+        r += 1
+    return rows
+
+
 def _matrix_embedding_search(
     host_extents: tuple[int, ...],
     host_ones,
     pat_extents: tuple[int, ...],
     pat_ones,
 ) -> tuple[tuple[int, ...], ...] | None:
-    """Raw backtracking engine over per-axis index choices.
-
-    Axes are assigned in order 1..d and each axis iterates its
-    combinations lexicographically, so the first success is the
-    lexicographically least embedding.  A partial choice is pruned as
-    soon as some pattern 1-entry has no consistent host 1-entry left.
-    """
-    d = len(host_extents)
-    if len(pat_extents) != d:
+    """The least embedding, axis 1 first: the least (greedy rows, placement)
+    pair, as greedy rows are the least for their placement.  Cost: every
+    placement of axes 2..d, prod C(n_i, k_i), on every call, no early exit."""
+    if len(pat_extents) != len(host_extents):
         return None
     if any(pk > hk for pk, hk in zip(pat_extents, host_extents)):
         return None
-    pattern = sorted(pat_ones)
-    if not pattern:
+    pat_ones = sorted(pat_ones)
+    if not pat_ones:
         return tuple(tuple(range(1, k + 1)) for k in pat_extents)
-    host = sorted(host_ones)
-    if len(host) < len(pattern):
+    if len(host_ones) < len(pat_ones):
         return None
-
-    def descend(axis: int, chosen: list, candidates: list) -> tuple | None:
-        if axis == d:
-            return tuple(chosen)
-        k, n = pat_extents[axis], host_extents[axis]
-        for sel in combinations(range(1, n + 1), k):
-            filtered = []
-            for entry, cand in zip(pattern, candidates):
-                want = sel[entry[axis] - 1]
-                kept = [a for a in cand if a[axis] == want]
-                if not kept:
-                    break
-                filtered.append(kept)
-            else:
-                found = descend(axis + 1, chosen + [sel], filtered)
-                if found is not None:
-                    return found
+    tail = host_extents[1:]
+    slices = [0] * (host_extents[0] + 1)
+    for cell in host_ones:
+        bit = 0
+        for c, n in zip(cell[1:], tail):
+            bit = bit * n + c - 1
+        slices[cell[0]] |= 1 << bit
+    fits = []
+    for sels, bits in _placements(pat_ones, pat_extents, tail):
+        masks = [0] * pat_extents[0]
+        for one, b in zip(pat_ones, bits):
+            masks[one[0] - 1] |= 1 << b
+        rows = _fit_rows(slices, masks, len(slices))
+        if rows is not None:
+            fits.append((rows, sels))
+    if not fits:
         return None
-
-    return descend(0, [], [host] * len(pattern))
+    rows, sels = min(fits)
+    return (tuple(rows),) + tuple(tuple(i + 1 for i in sel) for sel in sels)
 
 
 def matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> MatrixEmbedding | None:
@@ -366,6 +389,8 @@ def klazar_marcus_check(
     if d is None:
         # both edgeless on the same vertices: trivially order-isomorphic
         return True
+    if d < 2:
+        raise InputError(f"the equivalence needs d >= 2 parts, got d={d}")
     if inferred is not None and inferred != d:
         raise InputError(f"edge size {inferred} does not match d={d}")
     host_m = _partite_matrix(host, d)

@@ -23,9 +23,11 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .containment import (
+    _fit_rows,
     _hyper_embedding_search,
     # unused here; perfbench/tracing.py rebinds it by name in this module
     _matrix_embedding_search,
+    _placements,
     hypergraph_contains,
     matrix_contains,
 )
@@ -142,10 +144,9 @@ def _solve_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
     cell must use it, every other 1-entry set so far is lexicographically
     smaller, and an embedding preserves lexicographic order, so the new
     cell is the image of the pattern's lexicographically greatest 1-entry.
-    The check therefore scans only the precomputed placements of axes
-    2..d whose anchor image is the new cell's bit, and matches the earlier
-    pattern slices to earlier host slices with a greedy subsequence scan,
-    which finds a match whenever one exists.
+    The check runs the matrix containment engine on only the placements
+    (built once per solve) whose anchor image is the new cell's bit,
+    fitting the earlier pattern slices to earlier host slices.
     """
     d = pattern.d
     k1 = pattern.extents[0]
@@ -153,23 +154,15 @@ def _solve_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
     width = n ** (d - 1)
 
     # bucket[b]: per placement of axes 2..d putting the anchor on bit b,
-    # the masks of pattern slices 1..a1 (the anchor's slice last)
-    bucket: list[list[list[int]]] = [[] for _ in range(width)]
+    # the mask of the anchor's slice and those of the pattern slices before it
+    bucket: list[list[tuple[int, list[int]]]] = [[] for _ in range(width)]
     if pat_ones and max(pattern.extents) <= n:
         a1 = pat_ones[-1][0]
-        placements = [[0] * len(pat_ones)]  # bit of each pattern 1-entry
-        for axis in range(1, d):
-            scale = n ** (d - 1 - axis)
-            placements = [
-                [b + sel[one[axis] - 1] * scale for b, one in zip(bits, pat_ones)]
-                for bits in placements
-                for sel in combinations(range(n), pattern.extents[axis])
-            ]
-        for bits in placements:
+        for _, bits in _placements(pat_ones, pattern.extents, (n,) * (d - 1)):
             masks = [0] * a1
             for one, b in zip(pat_ones, bits):
                 masks[one[0] - 1] |= 1 << b
-            bucket[bits[-1]].append(masks)
+            bucket[bits[-1]].append((masks[-1], masks[:-1]))
     else:
         a1 = n + 1  # the pattern never fits: no slice can hold the anchor
     last = n - k1 + a1  # pattern slices after the anchor's must fit after r
@@ -177,19 +170,9 @@ def _solve_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
     def anchored(r: int, key: int) -> bool:
         if r < a1 or r > last:
             return False
-        for masks in bucket[key]:
-            need = masks[-1]
-            if slices[r] & need != need:
-                continue
-            hr = 1
-            for i in range(a1 - 1):
-                m = masks[i]
-                while hr < r and (slices[hr] & m) != m:
-                    hr += 1
-                if hr >= r:
-                    break
-                hr += 1
-            else:
+        row = slices[r]
+        for need, before in bucket[key]:
+            if row & need == need and _fit_rows(slices, before, r) is not None:
                 return True
         return False
 
@@ -290,7 +273,7 @@ def _certify_hypergraph(
 
 
 def _reject_unavoidable_hypergraph(pattern: OrderedHypergraph, n: int) -> None:
-    if _hyper_embedding_search(n, [], pattern.n, pattern.sorted_edges()) is not None:
+    if not pattern.edges and pattern.n <= n:
         raise InputError(
             "pattern with no edges is contained in every host on this many "
             "vertices, the extremal value is undefined"

@@ -13,11 +13,13 @@ from itertools import combinations, permutations, product
 from patternex import BinaryMatrix, OrderedHypergraph, PartsSpec
 
 
-def brute_matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
+def brute_least_embedding(host: BinaryMatrix, pattern: BinaryMatrix):
+    """The first selection of per-axis index lists, in product order, whose
+    submatrix represents the pattern; None when there is none."""
     if host.d != pattern.d:
-        return False
+        return None
     if any(p > h for p, h in zip(pattern.extents, host.extents)):
-        return False
+        return None
     axis_choices = [
         list(combinations(range(1, h + 1), p))
         for p, h in zip(pattern.extents, host.extents)
@@ -27,8 +29,29 @@ def brute_matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
             tuple(selection[ax][b[ax] - 1] for ax in range(pattern.d)) in host.ones
             for b in pattern.ones
         ):
-            return True
-    return False
+            return selection
+    return None
+
+
+def brute_matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
+    return brute_least_embedding(host, pattern) is not None
+
+
+def sweep_repair(ones: set, pattern: BinaryMatrix, n: int) -> int:
+    """One pass over the windows of [n]^d in product order, clearing the
+    greatest cell of every copy of the pattern found; returns the
+    deletion count and leaves the result in ``ones``."""
+    pat_ones = sorted(pattern.ones)
+    deletions = 0
+    axis_choices = [list(combinations(range(1, n + 1), k)) for k in pattern.extents]
+    for selection in product(*axis_choices):
+        mapped = [
+            tuple(selection[ax][b[ax] - 1] for ax in range(pattern.d)) for b in pat_ones
+        ]
+        if all(cell in ones for cell in mapped):
+            ones.discard(max(mapped))
+            deletions += 1
+    return deletions
 
 
 def brute_hypergraph_contains(host: OrderedHypergraph, pattern: OrderedHypergraph) -> bool:

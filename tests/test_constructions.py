@@ -1,5 +1,8 @@
 """Constructions and their mechanically re-checked guarantees."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from patternex import (
     GeneratorConfig,
     InputError,
     PartsSpec,
+    PostconditionError,
     PermutationSpec,
     analytic_expected_weight,
     associated_hypergraph,
@@ -34,6 +38,9 @@ from patternex import (
     random_avoider_trials,
     satisfies_boundary_condition,
 )
+from patternex import constructions
+
+from oracles import brute_matrix_contains, sweep_repair
 
 ALL_ONES_2 = make_matrix([2, 2], [(1, 1), (1, 2), (2, 1), (2, 2)])
 
@@ -235,9 +242,44 @@ class TestRandomAvoider:
             pattern=ALL_ONES_2, side=6, p=0.5, seed=11, trials=8
         )
         for matrix, stats in random_avoider_trials(config):
-            assert matrix_contains(matrix, ALL_ONES_2) is None
+            assert not brute_matrix_contains(matrix, ALL_ONES_2)
             assert stats.final_weight == matrix.weight
-            assert stats.initial_weight - stats.deletions <= stats.final_weight
+            assert stats.initial_weight - stats.deletions == stats.final_weight
+
+    @pytest.mark.parametrize(
+        "pattern,side",
+        [
+            (ALL_ONES_2, 6),
+            (permutation_matrix((2, 3, 1)), 7),
+            (make_matrix([2, 3], [(1, 1), (1, 2), (2, 3)]), 6),
+            (make_matrix([2, 2, 2], [(1, 1, 1), (2, 2, 2)]), 4),
+            (make_matrix([2, 2, 2], [(1, 2, 1), (2, 1, 2), (1, 1, 1)]), 4),
+        ],
+        ids=["all_ones_2", "perm231", "2x3", "identity_3d", "3d_three_ones"],
+    )
+    def test_matches_one_pass_window_sweep(self, pattern, side):
+        for seed, p in ((1, 0.3), (2, 0.5), (3, 0.8)):
+            config = GeneratorConfig(pattern=pattern, side=side, p=p, seed=seed, trials=3)
+            for trial in range(3):
+                matrix, stats = random_avoider(config, trial)
+                rng = random.Random(seed ^ trial)
+                ones = {
+                    cell
+                    for cell in product(range(1, side + 1), repeat=pattern.d)
+                    if rng.random() < p
+                }
+                assert stats.deletions == sweep_repair(ones, pattern, side)
+                assert matrix.ones == ones
+
+    def test_engine_copy_through_a_zero_entry_raises(self, monkeypatch):
+        # a faulty engine that keeps reporting the same copy must not hang
+        # the repair loop: its second report names a cleared cell
+        monkeypatch.setattr(
+            constructions, "_matrix_embedding_search", lambda *args: ((1, 2), (1, 2))
+        )
+        config = GeneratorConfig(pattern=ALL_ONES_2, side=4, p=0.5, seed=0)
+        with pytest.raises(PostconditionError):
+            random_avoider(config)
 
     def test_reproducible_per_seed(self):
         config = GeneratorConfig(pattern=ALL_ONES_2, side=8, p=0.25, seed=3, trials=2)

@@ -27,6 +27,7 @@ from patternex.verify import check_association_equivalence
 
 from oracles import (
     brute_hypergraph_contains,
+    brute_least_embedding,
     brute_matrix_contains,
     brute_part_respecting_contains,
 )
@@ -102,17 +103,19 @@ class TestMatrixContains:
     @given(matrices(max_d=2), matrices(max_d=2))
     def test_matches_brute_force(self, host, pattern):
         emb = matrix_contains(host, pattern)
-        assert (emb is not None) == brute_matrix_contains(host, pattern)
+        least = brute_least_embedding(host, pattern)
+        assert (emb is None) == (least is None)
         if emb is not None:
+            assert emb.axis_indices == least
             assert verify_matrix_embedding(host, pattern, emb)
             assert represents(submatrix(host, emb), pattern)
 
     @settings(max_examples=60, deadline=None)
     @given(matrices(max_d=3, max_extent=2), matrices(max_d=3, max_extent=2))
     def test_matches_brute_force_3d(self, host, pattern):
-        assert (matrix_contains(host, pattern) is not None) == brute_matrix_contains(
-            host, pattern
-        )
+        emb = matrix_contains(host, pattern)
+        least = brute_least_embedding(host, pattern)
+        assert (None if emb is None else emb.axis_indices) == least
 
     @settings(max_examples=60, deadline=None)
     @given(matrices(max_d=2), matrices(max_d=2), st.randoms(use_true_random=False))
@@ -234,6 +237,12 @@ class TestKlazarMarcus:
         pat_m = associated_matrix(pattern, PartsSpec.equal(2, pattern.n // 2))
         if matrix_contains(host_m, pat_m) is not None:
             assert hypergraph_contains(host, pattern) is not None
+
+    @pytest.mark.parametrize("d", [0, 1, -1])
+    def test_fewer_than_two_parts_rejected(self, d):
+        edgeless = make_hypergraph(4, [])
+        with pytest.raises(InputError):
+            klazar_marcus_check(edgeless, edgeless, d)
 
     def test_not_partite_rejected(self):
         bad = make_hypergraph(4, [(1, 2)])

@@ -152,8 +152,11 @@ class TestGexGraph:
             gex_graph(make_hypergraph(3, [(1, 2, 3)]), 3)
 
     def test_edgeless_pattern_rejected_when_it_fits(self):
-        with pytest.raises(InputError):
-            gex_graph(make_hypergraph(2, []), 3)
+        for pattern_n in (2, 3):
+            with pytest.raises(InputError):
+                gex_graph(make_hypergraph(pattern_n, []), 3)
+        # one vertex too many: every ordered graph on [3] avoids it
+        assert gex_graph(make_hypergraph(4, []), 3).value == 3
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
