@@ -3,10 +3,13 @@
 All solvers share the same canonical search order: decision variables
 (cells or candidate edges) are enumerated lexicographically, the
 include/1 branch is tried before the exclude/0 branch, and the incumbent
-is updated only on strict improvement.  The first leaf reached is the
-greedy lexicographic avoider, which seeds the pruning bound; the pruning
-bound itself is the trivial one (current weight plus undecided
-capacity).  This makes every certificate deterministic.
+is updated only on strict improvement.  The hypergraph solvers prune
+with the trivial bound (current score plus undecided capacity); the
+matrix solver prunes with exact suffix values, solved first by the same
+search (Russian Doll Search).  A bound prunes only nodes that cannot
+strictly beat the incumbent, so the witness is the first optimal leaf in
+this order whichever bound is used.  This makes every certificate
+deterministic.
 
 A returned :class:`SearchCertificate` is always re-checked through the
 public containment API, independently of the solver's internal pruning
@@ -135,6 +138,10 @@ def table_to_csv(table: ExtremalTable) -> str:
 # matrix solvers
 
 
+class _Reached(Exception):
+    """Raised at the first leaf that reaches a search's ceiling."""
+
+
 def _solve_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
     """Branch-and-bound over the n^d cells in lexicographic order.
 
@@ -147,25 +154,41 @@ def _solve_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
     The check runs the matrix containment engine on only the placements
     (built once per solve) whose anchor image is the new cell's bit,
     fitting the earlier pattern slices to earlier host slices.
+
+    The pruning bound is Russian Doll Search (Verfaillie, Lemaitre &
+    Schiex 1996).  ``suffix[i]``, the most 1-entries cells i.. can hold
+    when every earlier cell is 0, bounds what the undecided cells add.
+    It is ``suffix[i + 1]`` or one more, so the values are solved from
+    the last cell back by this same search, each one stopping at the
+    first leaf of weight ``suffix[i + 1] + 1``; the search from cell 0
+    gives the value and the witness.  No copy fits in the cells after the
+    latest image of the pattern's least 1-entry, so those are 1-entries
+    without a search.  A node is pruned only when it cannot strictly beat
+    the incumbent, so the witness is still the first optimal leaf of the
+    include-first order.
     """
     d = pattern.d
     k1 = pattern.extents[0]
     pat_ones = pattern.sorted_ones()
     width = n ** (d - 1)
+    cells = list(product(range(1, n + 1), repeat=d))
+    total = len(cells)
+
+    if not pat_ones or max(pattern.extents) > n:
+        return total, frozenset(cells)  # the pattern never fits
 
     # bucket[b]: per placement of axes 2..d putting the anchor on bit b,
     # the mask of the anchor's slice and those of the pattern slices before it
     bucket: list[list[tuple[int, list[int]]]] = [[] for _ in range(width)]
-    if pat_ones and max(pattern.extents) <= n:
-        a1 = pat_ones[-1][0]
-        for _, bits in _placements(pat_ones, pattern.extents, (n,) * (d - 1)):
-            masks = [0] * a1
-            for one, b in zip(pat_ones, bits):
-                masks[one[0] - 1] |= 1 << b
-            bucket[bits[-1]].append((masks[-1], masks[:-1]))
-    else:
-        a1 = n + 1  # the pattern never fits: no slice can hold the anchor
+    a1 = pat_ones[-1][0]
+    for _, bits in _placements(pat_ones, pattern.extents, (n,) * (d - 1)):
+        masks = [0] * a1
+        for one, b in zip(pat_ones, bits):
+            masks[one[0] - 1] |= 1 << b
+        bucket[bits[-1]].append((masks[-1], masks[:-1]))
     last = n - k1 + a1  # pattern slices after the anchor's must fit after r
+    # the latest image of the pattern's least 1-entry: no copy starts later
+    cut = cells.index(tuple(n - k + p for k, p in zip(pattern.extents, pat_ones[0])))
 
     def anchored(r: int, key: int) -> bool:
         if r < a1 or r > last:
@@ -176,35 +199,42 @@ def _solve_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
                 return True
         return False
 
-    cells = list(product(range(1, n + 1), repeat=d))
-    total = len(cells)
+    suffix = list(range(total, -1, -1))  # final for every i > cut
     slices = [0] * (n + 1)
-    ones: list[tuple[int, ...]] = []
-    best_value = -1
-    best_ones: frozenset = frozenset()
+    best = ceiling = 0
+    best_slices: list[int] = []
 
     def dfs(idx: int, weight: int) -> None:
-        nonlocal best_value, best_ones
-        if weight + (total - idx) <= best_value:
+        nonlocal best, best_slices
+        if weight + suffix[idx] <= best:
             return
         if idx == total:
-            best_value = weight
-            best_ones = frozenset(ones)
+            best = weight
+            best_slices = slices[:]
+            if weight == ceiling:
+                raise _Reached
             return
-        cell = cells[idx]
-        r = cell[0]
+        r = cells[idx][0]
         key = idx % width
         bit = 1 << key
         slices[r] |= bit
         if not anchored(r, key):
-            ones.append(cell)
             dfs(idx + 1, weight + 1)
-            ones.pop()
         slices[r] &= ~bit
         dfs(idx + 1, weight)
 
-    dfs(0, 0)
-    return best_value, best_ones
+    for start in range(cut, -1, -1):
+        ceiling = suffix[start + 1] + 1
+        # start 0 keeps the first leaf of the optimal weight, maybe suffix[1]
+        best = ceiling - 1 if start else ceiling - 2
+        try:
+            dfs(start, 0)
+        except _Reached:
+            slices[:] = [0] * (n + 1)  # the stop skipped the restores
+        suffix[start] = best
+    return suffix[0], frozenset(
+        cell for idx, cell in enumerate(cells) if best_slices[cell[0]] >> idx % width & 1
+    )
 
 
 def _certify_matrix(value: int, witness: BinaryMatrix, pattern: BinaryMatrix) -> SearchCertificate:

@@ -3,7 +3,9 @@
 These enumerate every candidate object or embedding directly from the
 definitions, with no pruning, so they stay independent of the
 backtracking implementations they are used to check.  Only usable at
-tiny sizes.
+tiny sizes.  The one exception is ``trivial_bound_max_weight``, the
+extremal solver's search before its suffix bound, kept as the reference
+for that bound's values and witnesses at sizes enumeration cannot reach.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from patternex import BinaryMatrix, OrderedHypergraph, PartsSpec
+from patternex.containment import _fit_rows, _placements
 
 
 def brute_least_embedding(host: BinaryMatrix, pattern: BinaryMatrix):
@@ -144,6 +147,67 @@ def brute_canonical_witness(
         if not brute_matrix_contains(m, pattern):
             best = m
     return best
+
+
+def trivial_bound_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
+    """Reference for ``search._solve_max_weight``: the same include-first
+    search and anchored check, pruned only by the trivial bound (weight
+    plus undecided cells).  It shares the containment engine, so it checks
+    the solver's bound and witness order, not containment itself."""
+    d = pattern.d
+    k1 = pattern.extents[0]
+    pat_ones = pattern.sorted_ones()
+    width = n ** (d - 1)
+    bucket: list = [[] for _ in range(width)]
+    if pat_ones and max(pattern.extents) <= n:
+        a1 = pat_ones[-1][0]
+        for _, bits in _placements(pat_ones, pattern.extents, (n,) * (d - 1)):
+            masks = [0] * a1
+            for one, b in zip(pat_ones, bits):
+                masks[one[0] - 1] |= 1 << b
+            bucket[bits[-1]].append((masks[-1], masks[:-1]))
+    else:
+        a1 = n + 1
+    last = n - k1 + a1
+
+    def anchored(r: int, key: int) -> bool:
+        if r < a1 or r > last:
+            return False
+        row = slices[r]
+        return any(
+            row & need == need and _fit_rows(slices, before, r) is not None
+            for need, before in bucket[key]
+        )
+
+    cells = list(product(range(1, n + 1), repeat=d))
+    total = len(cells)
+    slices = [0] * (n + 1)
+    ones: list = []
+    best_value = -1
+    best_ones: frozenset = frozenset()
+
+    def dfs(idx: int, weight: int) -> None:
+        nonlocal best_value, best_ones
+        if weight + (total - idx) <= best_value:
+            return
+        if idx == total:
+            best_value = weight
+            best_ones = frozenset(ones)
+            return
+        cell = cells[idx]
+        r = cell[0]
+        key = idx % width
+        bit = 1 << key
+        slices[r] |= bit
+        if not anchored(r, key):
+            ones.append(cell)
+            dfs(idx + 1, weight + 1)
+            ones.pop()
+        slices[r] &= ~bit
+        dfs(idx + 1, weight)
+
+    dfs(0, 0)
+    return best_value, best_ones
 
 
 def subsets_of_edges(n: int, max_size: int | None = None):

@@ -1,10 +1,13 @@
 """Solvers checked against enumeration oracles and their frozen values."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from patternex import (
+    BinaryMatrix,
     CapacityError,
     ExtremalTable,
     InputError,
@@ -25,6 +28,7 @@ from patternex import (
     permutation_matrix,
     table_to_csv,
 )
+from patternex.search import _solve_max_weight
 
 from oracles import (
     all_matrices,
@@ -33,6 +37,7 @@ from oracles import (
     brute_gex,
     brute_hyper_extremal,
     brute_max_weight,
+    trivial_bound_max_weight,
 )
 
 IDENTITY2 = permutation_matrix((1, 2))
@@ -105,6 +110,36 @@ class TestExMatrix:
         a = ex_matrix(IDENTITY2, 4)
         b = ex_matrix(IDENTITY2, 4)
         assert a == b
+
+
+class TestPublishedValues:
+    """Extremal values typed in from the literature, not from this solver."""
+
+    @pytest.mark.parametrize("k, n_max", [(2, 7), (3, 5)])
+    def test_identity_furedi_hajnal(self, k, n_max):
+        # Furedi & Hajnal 1992: ex(I_k, n) = (k - 1)(2n - k + 1) for n >= k - 1
+        identity = permutation_matrix(tuple(range(1, k + 1)))
+        for n in range(k - 1, n_max + 1):
+            assert ex_matrix(identity, n).value == (k - 1) * (2 * n - k + 1)
+
+    def test_all_ones_zarankiewicz(self):
+        # Zarankiewicz numbers z(n; 2) (Guy; OEIS A001197)
+        assert [ex_matrix(ALL_ONES_2, n).value for n in range(1, 6)] == [1, 3, 6, 9, 12]
+
+
+class TestSuffixBound:
+    @pytest.mark.parametrize("d, n_max, count", [(2, 5, 60), (3, 3, 20), (4, 2, 40)])
+    def test_same_value_and_witness_as_trivial_bound(self, d, n_max, count):
+        # the suffix bound prunes only nodes that cannot strictly beat the
+        # incumbent, so the first optimal leaf, the witness, is unchanged
+        rng = random.Random(d)
+        for _ in range(count):
+            extents = tuple(rng.randint(1, 3) for _ in range(d))
+            cells = list(product(*(range(1, k + 1) for k in extents)))
+            ones = rng.sample(cells, rng.randint(1, min(4, len(cells))))
+            pattern = BinaryMatrix(extents, frozenset(ones))
+            n = rng.randint(1, n_max)
+            assert _solve_max_weight(pattern, n) == trivial_bound_max_weight(pattern, n)
 
 
 class TestFMulti:

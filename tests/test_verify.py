@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from patternex import InputError
+from patternex import InputError, constructions
 from patternex.verify import (
     CLAIM_NAMES,
     check_association_equivalence,
@@ -67,6 +67,15 @@ def test_contraction_recurrence_reports_both_variants():
 def test_random_density_quick():
     result = check_random_density(side=6, trials=10, seed=1)
     assert result.passed
+
+
+def test_random_density_fails_when_the_repair_misses_copies(monkeypatch):
+    # an engine that finds no copy leaves every sample unrepaired; only the
+    # re-check independent of that engine can see the copies left in them
+    monkeypatch.setattr(constructions, "_matrix_embedding_search", lambda *args: None)
+    result = check_random_density()
+    assert not result.passed
+    assert result.instances[0].payload["avoid_failures"] > 0
 
 
 def test_association_equivalence_small():
