@@ -5,8 +5,8 @@ bare boolean, so downstream code can re-verify witnesses instead of
 trusting search.  Tie-breaking is lexicographic everywhere: repeated runs
 return identical embeddings.
 
-Matrix containment is one slice-bitmask engine, shared by the extremal
-solver and the random repair; a call costs a greedy row scan for each of
+Matrix containment is one slice-bitmask engine, shared by
+``matrix_contains`` and the random repair; a call costs a greedy row scan for each of
 the prod C(n_i, k_i) placements of axes 2..d.  Hypergraph containment is
 exhaustive backtracking.  Containment is NP-hard in general; the contract
 is correctness at desk scale (pattern weight up to ~8, host side up to

@@ -1,19 +1,26 @@
 """Exact extremal values by branch-and-bound, and exact avoider counting.
 
-All solvers share the same canonical search order: decision variables
-(cells or candidate edges) are enumerated lexicographically, the
-include/1 branch is tried before the exclude/0 branch, and the incumbent
-is updated only on strict improvement.  The hypergraph solvers prune
-with the trivial bound (current score plus undecided capacity); the
-matrix solver prunes with exact suffix values, solved first by the same
-search (Russian Doll Search).  A bound prunes only nodes that cannot
-strictly beat the incumbent, so the witness is the first optimal leaf in
-this order whichever bound is used.  This makes every certificate
-deterministic.
+Every solver decides a fixed list of decision variables, the host's
+cells or its candidate edges in lexicographic order.  Before it searches
+it lists every copy of the pattern once, as a bitmask over the
+decisions, and indexes the copies by decision (the copy index).  A host
+contains the pattern exactly when it holds one of these copies, so a
+search node checks containment with one big-integer AND and never runs
+the containment engine.
+
+The extremal solvers share one branch-and-bound driver: the include/1
+branch is tried before the exclude/0 branch, the incumbent is updated
+only on strict improvement, and nodes are pruned by exact suffix values
+solved first by the same search (Russian Doll Search).  A bound prunes
+only nodes that cannot strictly beat the incumbent, so the witness is
+the first optimal leaf in this order whichever bound is used.  This
+makes every certificate deterministic.  ``count_avoiders`` walks the
+same decisions and counts a branch whose every completion avoids the
+pattern as a power of two.
 
 A returned :class:`SearchCertificate` is always re-checked through the
-public containment API, independently of the solver's internal pruning
-logic.  Counting uses exact integer arithmetic throughout.
+public containment API, an engine the solvers do not run.  Counting uses
+exact integer arithmetic throughout.
 
 Capacity limits are explicit arguments with hard errors; nothing is
 silently truncated.
@@ -21,16 +28,16 @@ silently truncated.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 from .containment import (
-    _fit_rows,
+    # unused here: perfbench/tracing.py rebinds both names in this module,
+    # and CI's traced smoke run fails without them
     _hyper_embedding_search,
-    # unused here; perfbench/tracing.py rebinds it by name in this module
     _matrix_embedding_search,
-    _placements,
     hypergraph_contains,
     matrix_contains,
 )
@@ -135,106 +142,144 @@ def table_to_csv(table: ExtremalTable) -> str:
 
 
 # ---------------------------------------------------------------------------
-# matrix solvers
+# the copy index and the branch-and-bound driver
 
 
 class _Reached(Exception):
     """Raised at the first leaf that reaches a search's ceiling."""
 
 
-def _solve_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
-    """Branch-and-bound over the n^d cells in lexicographic order.
+# _DIGIT[s] maps each byte value to the digit b"0" or b"1" of its bit s
+_DIGIT = [bytes(48 + (v >> s & 1) for v in range(256)) for s in range(8)]
 
-    Each axis-1 slice of the host is kept as a bitmask over the flattened
-    axes 2..d.  The incremental containment check is anchored, and the
-    anchor is exact: a copy of the pattern absent before the newly set
-    cell must use it, every other 1-entry set so far is lexicographically
-    smaller, and an embedding preserves lexicographic order, so the new
-    cell is the image of the pattern's lexicographically greatest 1-entry.
-    The check runs the matrix containment engine on only the placements
-    (built once per solve) whose anchor image is the new cell's bit,
-    fitting the earlier pattern slices to earlier host slices.
+
+def _copy_index(copies: set[int], total: int) -> tuple[list[int], list[int]]:
+    """Index the copies, at least one, each a nonempty bitmask over
+    ``total`` decisions.
+
+    Returns ``keep`` and ``top``, ints over copy numbers: ``keep[i]`` holds
+    the copies that do not use decision i and ``top[i]`` those whose
+    greatest decision is i.  Copies are numbered in increasing order of
+    their masks, so each ``top[i]`` is one run of bits.  Each ``keep[i]``
+    is parsed as a binary numeral from one column of a byte table of all
+    masks, so no step costs a Python operation per copy and decision.
+    """
+    order = sorted(copies)
+    top = []
+    lo = 0
+    for i in range(total):
+        hi = bisect_left(order, 2 << i, lo)
+        top.append(((1 << (hi - lo)) - 1) << lo)
+        lo = hi
+    width = (total + 7) // 8
+    # the masks of the last copy first, so column i reads as a numeral
+    table = b"".join([mask.to_bytes(width, "little") for mask in reversed(order)])
+    everything = (1 << len(order)) - 1
+    keep = [
+        everything ^ int(table[i >> 3 :: width].translate(_DIGIT[i & 7]), 2)
+        for i in range(total)
+    ]
+    return keep, top
+
+
+def _branch_and_bound(gain: list[int], copies: set[int]) -> tuple[int, int]:
+    """The greatest total gain of a set of decisions that holds no copy,
+    and the first such set of the include-first order, as a bitmask.
+
+    The search takes the decisions in order, the include branch first,
+    and updates its incumbent only on strict improvement.  Its state is
+    ``live``, an int over copy numbers: the copies with no excluded
+    decision so far.  Every decision before ``idx`` is made, so including
+    ``idx`` completes a copy exactly when ``live & top[idx]`` is nonzero,
+    and excluding it passes ``live & keep[idx]`` down.  With ``live``
+    empty no copy can be completed, so every remaining decision is taken.
 
     The pruning bound is Russian Doll Search (Verfaillie, Lemaitre &
-    Schiex 1996).  ``suffix[i]``, the most 1-entries cells i.. can hold
-    when every earlier cell is 0, bounds what the undecided cells add.
-    It is ``suffix[i + 1]`` or one more, so the values are solved from
-    the last cell back by this same search, each one stopping at the
-    first leaf of weight ``suffix[i + 1] + 1``; the search from cell 0
-    gives the value and the witness.  No copy fits in the cells after the
-    latest image of the pattern's least 1-entry, so those are 1-entries
-    without a search.  A node is pruned only when it cannot strictly beat
-    the incumbent, so the witness is still the first optimal leaf of the
-    include-first order.
+    Schiex 1996).  ``suffix[i]``, the greatest gain decisions i.. can add
+    when every earlier one is excluded, bounds what the undecided ones
+    add.  It lies between ``suffix[i + 1]`` and ``suffix[i + 1] +
+    gain[i]``, so the values are solved from the last decision back by
+    this same search, each one stopping at the first leaf that reaches
+    that ceiling.  A start whose ``live`` set is empty, because no copy
+    lies in decisions i.., gets the sum of their gains without a search.
+    The search from decision 0 gives the value and the set.  A node is
+    pruned only when it cannot strictly beat the incumbent, so the set is
+    the first optimal leaf of the include-first order whatever the bound.
     """
-    d = pattern.d
-    k1 = pattern.extents[0]
-    pat_ones = pattern.sorted_ones()
-    width = n ** (d - 1)
-    cells = list(product(range(1, n + 1), repeat=d))
-    total = len(cells)
-
-    if not pat_ones or max(pattern.extents) > n:
-        return total, frozenset(cells)  # the pattern never fits
-
-    # bucket[b]: per placement of axes 2..d putting the anchor on bit b,
-    # the mask of the anchor's slice and those of the pattern slices before it
-    bucket: list[list[tuple[int, list[int]]]] = [[] for _ in range(width)]
-    a1 = pat_ones[-1][0]
-    for _, bits in _placements(pat_ones, pattern.extents, (n,) * (d - 1)):
-        masks = [0] * a1
-        for one, b in zip(pat_ones, bits):
-            masks[one[0] - 1] |= 1 << b
-        bucket[bits[-1]].append((masks[-1], masks[:-1]))
-    last = n - k1 + a1  # pattern slices after the anchor's must fit after r
-    # the latest image of the pattern's least 1-entry: no copy starts later
-    cut = cells.index(tuple(n - k + p for k, p in zip(pattern.extents, pat_ones[0])))
-
-    def anchored(r: int, key: int) -> bool:
-        if r < a1 or r > last:
-            return False
-        row = slices[r]
-        for need, before in bucket[key]:
-            if row & need == need and _fit_rows(slices, before, r) is not None:
-                return True
-        return False
-
-    suffix = list(range(total, -1, -1))  # final for every i > cut
-    slices = [0] * (n + 1)
+    total = len(gain)
+    everything = (1 << total) - 1
+    if not copies:
+        return sum(gain), everything
+    keep, top = _copy_index(copies, total)
+    rest = [0] * (total + 1)
+    for i in range(total - 1, -1, -1):
+        rest[i] = rest[i + 1] + gain[i]
+    # starts[i]: the copies that use no decision before i
+    starts = [(1 << len(copies)) - 1]
+    for i in range(total - 1):
+        starts.append(starts[-1] & keep[i])
+    suffix = rest[:]  # final for every start with no copy
     best = ceiling = 0
-    best_slices: list[int] = []
+    best_set = everything
 
-    def dfs(idx: int, weight: int) -> None:
-        nonlocal best, best_slices
-        if weight + suffix[idx] <= best:
-            return
-        if idx == total:
-            best = weight
-            best_slices = slices[:]
-            if weight == ceiling:
-                raise _Reached
-            return
-        r = cells[idx][0]
-        key = idx % width
-        bit = 1 << key
-        slices[r] |= bit
-        if not anchored(r, key):
-            dfs(idx + 1, weight + 1)
-        slices[r] &= ~bit
-        dfs(idx + 1, weight)
+    def dfs(idx: int, score: int, live: int, chosen: int) -> None:
+        nonlocal best, best_set
+        while score + suffix[idx] > best:
+            if not live:
+                best = score + rest[idx]
+                best_set = chosen | everything >> idx << idx
+                if best == ceiling:
+                    raise _Reached
+                return
+            if not live & top[idx]:
+                dfs(idx + 1, score + gain[idx], live, chosen | 1 << idx)
+            live &= keep[idx]  # the exclude branch, as a loop
+            idx += 1
 
-    for start in range(cut, -1, -1):
-        ceiling = suffix[start + 1] + 1
-        # start 0 keeps the first leaf of the optimal weight, maybe suffix[1]
-        best = ceiling - 1 if start else ceiling - 2
+    for start in range(total - 1, -1, -1):
+        if not starts[start]:
+            continue
+        ceiling = suffix[start + 1] + gain[start]
+        # start 0 keeps the first leaf of the optimal gain, maybe suffix[1]
+        best = suffix[1] - 1 if start == 0 else suffix[start + 1]
         try:
-            dfs(start, 0)
+            dfs(start, 0, starts[start], 0)
         except _Reached:
-            slices[:] = [0] * (n + 1)  # the stop skipped the restores
+            pass
         suffix[start] = best
-    return suffix[0], frozenset(
-        cell for idx, cell in enumerate(cells) if best_slices[cell[0]] >> idx % width & 1
-    )
+    return suffix[0], best_set
+
+
+# ---------------------------------------------------------------------------
+# matrix solvers
+
+
+def _matrix_copies(pattern: BinaryMatrix, n: int) -> set[int]:
+    """Each copy of the pattern in a side-n host, as a bitmask over the
+    cells in ``product`` order: one per choice of index lists on every axis."""
+    ones = pattern.sorted_ones()
+    placed = [[0] * len(ones)]  # per choice so far, the cell number of each 1-entry
+    for axis, k in enumerate(pattern.extents):
+        placed = [
+            [c * n + sel[one[axis] - 1] for c, one in zip(cells, ones)]
+            for cells in placed
+            for sel in combinations(range(n), k)
+        ]
+    return {sum(1 << c for c in cells) for cells in placed}
+
+
+def _solve_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
+    """The most 1-entries of a side-n host avoiding the pattern, and the
+    first optimal host of the include-first order over the n^d cells in
+    lexicographic order.  The decisions of :func:`_branch_and_bound` are
+    the cells, each of gain 1, and its copies are the pattern's copies;
+    a host contains the pattern exactly when it holds one of them.
+    """
+    cells = list(product(range(1, n + 1), repeat=pattern.d))
+    if not pattern.ones or max(pattern.extents) > n:
+        return len(cells), frozenset(cells)  # the pattern never fits
+    value, chosen = _branch_and_bound([1] * len(cells), _matrix_copies(pattern, n))
+    return value, frozenset(cell for i, cell in enumerate(cells) if chosen >> i & 1)
 
 
 def _certify_matrix(value: int, witness: BinaryMatrix, pattern: BinaryMatrix) -> SearchCertificate:
@@ -310,37 +355,72 @@ def _reject_unavoidable_hypergraph(pattern: OrderedHypergraph, n: int) -> None:
         )
 
 
+def _hyper_copies(n: int, candidates: list[Edge], pattern: OrderedHypergraph) -> set[int]:
+    """Each copy of the pattern among the candidate edges, as a bitmask over
+    the candidates: for each increasing vertex map f, each injective choice
+    of a candidate containing f(e) for every pattern edge e.  The empty
+    mask is a copy when the pattern has no edges and fits.
+
+    f is built one vertex at a time, and each pattern edge is given its
+    candidates as soon as its greatest vertex is mapped, so maps that
+    share a prefix share that work and a prefix with no choice is cut.
+    """
+    containing = [0] * (n + 1)  # per host vertex, the candidates holding it
+    for i, edge in enumerate(candidates):
+        for v in edge:
+            containing[v] |= 1 << i
+    pn = pattern.n
+    ending: list[list[Edge]] = [[] for _ in range(pn + 1)]
+    for edge in pattern.sorted_edges():
+        ending[edge[-1]].append(edge)
+    f = [0] * (pn + 1)
+    copies: set[int] = set()
+
+    def extend(u: int, chosen: list[int]) -> None:
+        # chosen: the injective choices for the edges of vertices below u
+        if u > pn:
+            copies.update(chosen)
+            return
+        for w in range(f[u - 1] + 1, n - pn + u + 1):
+            f[u] = w
+            now = chosen
+            for edge in ending[u]:
+                fits = containing[w]
+                for v in edge[:-1]:
+                    fits &= containing[f[v]]
+                if fits & (fits - 1):
+                    now = [c | b for c in now for b in _bits(fits & ~c)]
+                else:  # one candidate or none
+                    now = [c | fits for c in now if fits and not c & fits]
+                if not now:
+                    break
+            else:
+                extend(u + 1, now)
+
+    extend(1, [0])
+    return copies
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of a mask, least first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
 def _solve_max_hyper(
     n: int, candidates: list[Edge], pattern: OrderedHypergraph, mode: str
 ) -> tuple[int, list[Edge]]:
-    """Shared include-first branch-and-bound over a fixed candidate edge list."""
-    pat_edges = pattern.sorted_edges()
-    pn = pattern.n
-    total = len(candidates)
+    """The greatest edge count or weight of a host of candidate edges that
+    avoids the pattern, and the first optimal host of the include-first
+    order.  The decisions of :func:`_branch_and_bound` are the candidates,
+    each of gain 1 or its size, and its copies are the pattern's copies."""
     gain = [len(e) if mode == "weight" else 1 for e in candidates]
-    suffix = [0] * (total + 1)
-    for i in range(total - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + gain[i]
-    current: list[Edge] = []
-    best = -1
-    best_edges: list[Edge] = []
-
-    def dfs(idx: int, score: int) -> None:
-        nonlocal best, best_edges
-        if score + suffix[idx] <= best:
-            return
-        if idx == total:
-            best = score
-            best_edges = list(current)
-            return
-        current.append(candidates[idx])
-        if _hyper_embedding_search(n, current, pn, pat_edges) is None:
-            dfs(idx + 1, score + gain[idx])
-        current.pop()
-        dfs(idx + 1, score)
-
-    dfs(0, 0)
-    return best, best_edges
+    value, chosen = _branch_and_bound(gain, _hyper_copies(n, candidates, pattern))
+    return value, [e for i, e in enumerate(candidates) if chosen >> i & 1]
 
 
 def gex_graph(
@@ -452,7 +532,9 @@ def count_avoiders(
     over hypergraphs whose edges respect the cap).  Enumeration prunes
     both ways: a branch that already contains the pattern contributes
     nothing, and a branch whose full completion still avoids contributes
-    a power of two without further splitting.
+    a power of two without further splitting.  Both tests read the copy
+    index: including a candidate completes a copy when ``live & top`` is
+    nonzero, and the full completion avoids when ``live`` is empty.
     """
     if n < 0:
         raise InputError(f"n must be nonnegative, got {n}")
@@ -473,27 +555,20 @@ def count_avoiders(
             f"{len(candidates)} candidate edges exceed the configured limit "
             f"{max_candidates}"
         )
-    pat_edges = pattern.sorted_edges()
-    pn = pattern.n
+    copies = _hyper_copies(n, candidates, pattern)
+    if not copies:
+        return 1 << len(candidates)
+    if 0 in copies:
+        return 0  # the empty host already contains the pattern
+    keep, top = _copy_index(copies, len(candidates))
 
-    def avoids(edge_list: list[Edge]) -> bool:
-        return _hyper_embedding_search(n, edge_list, pn, pat_edges) is None
-
-    if not avoids([]):
-        return 0
-    current: list[Edge] = []
-
-    def walk(idx: int) -> int:
-        rest = len(candidates) - idx
-        if rest == 0:
-            return 1
-        if avoids(current + candidates[idx:]):
-            return 1 << rest
-        total = walk(idx + 1)
-        current.append(candidates[idx])
-        if avoids(current):
-            total += walk(idx + 1)
-        current.pop()
+    def walk(idx: int, live: int) -> int:
+        # live: the copies with no excluded candidate before idx
+        if not live:
+            return 1 << (len(candidates) - idx)
+        total = walk(idx + 1, live & keep[idx])
+        if not live & top[idx]:
+            total += walk(idx + 1, live)
         return total
 
-    return walk(0)
+    return walk(0, (1 << len(copies)) - 1)

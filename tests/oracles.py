@@ -3,9 +3,12 @@
 These enumerate every candidate object or embedding directly from the
 definitions, with no pruning, so they stay independent of the
 backtracking implementations they are used to check.  Only usable at
-tiny sizes.  The one exception is ``trivial_bound_max_weight``, the
-extremal solver's search before its suffix bound, kept as the reference
-for that bound's values and witnesses at sizes enumeration cannot reach.
+tiny sizes.  The exceptions are earlier versions of the solvers, kept as
+references for values and witnesses at sizes enumeration cannot reach:
+``trivial_bound_max_weight``, the matrix solver before its suffix bound,
+and ``engine_max_hyper`` and ``engine_count_avoiders``, the hypergraph
+solvers before the copy index, which ask the containment engine at every
+search node.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from patternex import BinaryMatrix, OrderedHypergraph, PartsSpec
-from patternex.containment import _fit_rows, _placements
+from patternex.containment import _fit_rows, _hyper_embedding_search, _placements
 
 
 def brute_least_embedding(host: BinaryMatrix, pattern: BinaryMatrix):
@@ -208,6 +211,75 @@ def trivial_bound_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozen
 
     dfs(0, 0)
     return best_value, best_ones
+
+
+def hyper_candidates(n: int, cap: int) -> list:
+    """Every edge on [n] of size 1..cap, in lexicographic order."""
+    return sorted(e for size in range(1, min(cap, n) + 1) for e in combinations(range(1, n + 1), size))
+
+
+def engine_max_hyper(n: int, candidates: list, pattern: OrderedHypergraph, mode: str):
+    """Reference for ``search._solve_max_hyper``: the same include-first
+    search over the candidates, pruned only by the trivial bound (score
+    plus undecided gain), with one containment engine call per include
+    node.  Returns the value and the first optimal edge list."""
+    pat_edges = pattern.sorted_edges()
+    pn = pattern.n
+    total = len(candidates)
+    gain = [len(e) if mode == "weight" else 1 for e in candidates]
+    suffix = [0] * (total + 1)
+    for i in range(total - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + gain[i]
+    current: list = []
+    best = -1
+    best_edges: list = []
+
+    def dfs(idx: int, score: int) -> None:
+        nonlocal best, best_edges
+        if score + suffix[idx] <= best:
+            return
+        if idx == total:
+            best = score
+            best_edges = list(current)
+            return
+        current.append(candidates[idx])
+        if _hyper_embedding_search(n, current, pn, pat_edges) is None:
+            dfs(idx + 1, score + gain[idx])
+        current.pop()
+        dfs(idx + 1, score)
+
+    dfs(0, 0)
+    return best, best_edges
+
+
+def engine_count_avoiders(n: int, candidates: list, pattern: OrderedHypergraph) -> int:
+    """Reference for ``search.count_avoiders``: the walk over the
+    candidates that asks the containment engine whether the branch
+    contains the pattern and whether its full completion avoids it."""
+    pat_edges = pattern.sorted_edges()
+    pn = pattern.n
+
+    def avoids(edge_list: list) -> bool:
+        return _hyper_embedding_search(n, edge_list, pn, pat_edges) is None
+
+    if not avoids([]):
+        return 0
+    current: list = []
+
+    def walk(idx: int) -> int:
+        rest = len(candidates) - idx
+        if rest == 0:
+            return 1
+        if avoids(current + candidates[idx:]):
+            return 1 << rest
+        total = walk(idx + 1)
+        current.append(candidates[idx])
+        if avoids(current):
+            total += walk(idx + 1)
+        current.pop()
+        return total
+
+    return walk(0)
 
 
 def subsets_of_edges(n: int, max_size: int | None = None):

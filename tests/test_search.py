@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -37,6 +37,9 @@ from oracles import (
     brute_gex,
     brute_hyper_extremal,
     brute_max_weight,
+    engine_count_avoiders,
+    engine_max_hyper,
+    hyper_candidates,
     trivial_bound_max_weight,
 )
 
@@ -126,6 +129,24 @@ class TestPublishedValues:
         # Zarankiewicz numbers z(n; 2) (Guy; OEIS A001197)
         assert [ex_matrix(ALL_ONES_2, n).value for n in range(1, 6)] == [1, 3, 6, 9, 12]
 
+    @pytest.mark.parametrize("edges", [[(1, 3), (2, 4)], [(1, 4), (2, 3)]])
+    def test_crossing_and_nesting_matchings(self, edges):
+        # graphs with no two crossing (nesting) edges are the outerplanar
+        # (1-queue) ordered graphs, which have at most 2n - 3 edges
+        # (Heath & Rosenberg 1992)
+        matching = make_hypergraph(4, edges)
+        for n in range(2, 9):
+            assert gex_graph(matching, n).value == 2 * n - 3
+
+    def test_separated_matching(self):
+        # in an avoider every two edges overlap as closed intervals, so all
+        # of them share a point p (Helly's theorem on the line); the edges
+        # a < b with a <= p <= b number p(n + 1 - p) - 1, greatest at
+        # p = (n + 1) / 2
+        separated = make_hypergraph(4, [(1, 2), (3, 4)])
+        for n in range(1, 9):
+            assert gex_graph(separated, n).value == (n + 1) ** 2 // 4 - 1
+
 
 class TestSuffixBound:
     @pytest.mark.parametrize("d, n_max, count", [(2, 5, 60), (3, 3, 20), (4, 2, 40)])
@@ -140,6 +161,61 @@ class TestSuffixBound:
             pattern = BinaryMatrix(extents, frozenset(ones))
             n = rng.randint(1, n_max)
             assert _solve_max_weight(pattern, n) == trivial_bound_max_weight(pattern, n)
+
+
+def _random_hypergraph(rng, pn, sizes, most):
+    pool = [e for size in sizes for e in combinations(range(1, pn + 1), size)]
+    return make_hypergraph(pn, rng.sample(pool, min(rng.randint(0, most), len(pool))))
+
+
+def _isolated(pattern):
+    return set(range(1, pattern.n + 1)) - {v for e in pattern.edges for v in e}
+
+
+class TestCopyIndex:
+    """The copy-index solvers against the engine-based references, which
+    run a containment search at every node and share no code with them."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exe_exi_and_count_match_the_engine(self, seed):
+        rng = random.Random(seed)
+        mixed = isolated = oversized = 0
+        for _ in range(40):
+            pn = rng.randint(1, 4)
+            pattern = _random_hypergraph(rng, pn, range(1, 4), 4)
+            n = rng.randint(pn - 1, 5)
+            cap = rng.randint(1, min(n, 2 if n == 5 else 3)) if n else 1
+            candidates = hyper_candidates(n, cap)  # at most 15
+            mixed += len({len(e) for e in pattern.edges}) > 1
+            isolated += bool(_isolated(pattern))
+            oversized += pattern.n > n
+            expected = engine_count_avoiders(n, candidates, pattern)
+            assert count_avoiders(pattern, n, edge_size_cap=cap) == expected
+            if n == 0:
+                continue
+            for mode, solver in (("edges", exe_hyper), ("weight", exi_hyper)):
+                if not pattern.edges and pattern.n <= n:
+                    with pytest.raises(InputError):
+                        solver(pattern, n, edge_cap=cap)
+                    continue
+                value, edges = engine_max_hyper(n, candidates, pattern, mode)
+                cert = solver(pattern, n, edge_cap=cap)
+                assert (cert.value, cert.witness.edges) == (value, frozenset(edges))
+        assert mixed and isolated and oversized
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_gex_matches_the_engine(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(30):
+            pn = rng.randint(2, 6)
+            pattern = _random_hypergraph(rng, pn, (2,), 4)
+            if not pattern.edges:
+                continue
+            n = rng.randint(pn - 1, 6)
+            pairs = list(combinations(range(1, n + 1), 2))
+            value, edges = engine_max_hyper(n, pairs, pattern, "edges")
+            cert = gex_graph(pattern, n)
+            assert (cert.value, cert.witness.edges) == (value, frozenset(edges))
 
 
 class TestFMulti:
@@ -263,7 +339,11 @@ class TestCountAvoiders:
 
     def test_pattern_with_singleton_edge(self):
         pattern = make_hypergraph(2, [(1,), (1, 2)])
-        # any host with an edge contains the singleton part of the pattern
+        # n = 0, 1: the pattern needs two vertices, so every host avoids it.
+        # n = 2: the copy needs {1, 2} and, for vertex 1, another edge
+        # holding 1, which can only be {1}; 2 of the 8 hosts hold both
+        assert [count_avoiders(pattern, n) for n in (0, 1, 2)] == [1, 2, 6]
+        # any host with an edge contains the singleton pattern
         assert count_avoiders(make_hypergraph(1, [(1,)]), 3) == 1
 
     def test_identity_hypergraph_n3(self):
