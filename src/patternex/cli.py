@@ -29,7 +29,12 @@ from .constructions import (
     random_avoider_trials,
     satisfies_boundary_condition,
 )
-from .containment import hypergraph_contains, matrix_contains
+from .containment import (
+    hypergraph_contains,
+    matrix_contains,
+    verify_hypergraph_embedding,
+    verify_matrix_embedding,
+)
 from .errors import CapacityError, InputError, PostconditionError
 from .search import (
     ExtremalTable,
@@ -350,6 +355,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_contains(args) -> int:
+    """Print the least embedding, after re-checking it against the definition."""
     if args.kind == "matrix":
         host = fileio.read_matrix(args.host)
         pattern = fileio.read_matrix(args.pattern)
@@ -357,6 +363,8 @@ def cmd_contains(args) -> int:
         if embedding is None:
             print("avoids")
         else:
+            if not verify_matrix_embedding(host, pattern, embedding):
+                raise PostconditionError(f"the embedding {embedding} fails its re-check")
             print("contains")
             for axis, sel in enumerate(embedding.axis_indices, start=1):
                 print(f"axis {axis}: " + " ".join(map(str, sel)))
@@ -367,6 +375,8 @@ def cmd_contains(args) -> int:
         if embedding is None:
             print("avoids")
         else:
+            if not verify_hypergraph_embedding(host, pattern, embedding):
+                raise PostconditionError(f"the embedding {embedding} fails its re-check")
             print("contains")
             print("f: " + " ".join(map(str, embedding.vertex_map)))
             for pat_edge, host_edge in embedding.edge_map:

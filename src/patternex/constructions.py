@@ -401,7 +401,9 @@ def random_avoider(
     copy, the image of the pattern's greatest 1-entry in the least copy
     is cleared: the deletions of one lexicographic sweep over the
     submatrix windows, as a passed window never holds a copy again.  One
-    engine call tries windows / C(n, k_1) placements of axes 2..d.
+    engine call costs at most a greedy row scan for each of the
+    windows / C(n, k_1) placements of axes 2..d, and a call that finds a
+    copy stops at it.
     """
     if not 0 <= trial < config.trials:
         raise InputError(f"trial {trial} outside 0..{config.trials - 1}")

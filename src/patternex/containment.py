@@ -5,20 +5,25 @@ bare boolean, so downstream code can re-verify witnesses instead of
 trusting search.  Tie-breaking is lexicographic everywhere: repeated runs
 return identical embeddings.
 
-Matrix containment is one slice-bitmask engine, shared by
-``matrix_contains`` and the random repair; a call costs a greedy row scan for each of
-the prod C(n_i, k_i) placements of axes 2..d.  Hypergraph containment is
-exhaustive backtracking.  Containment is NP-hard in general; the contract
-is correctness at desk scale (pattern weight up to ~8, host side up to
-~12 for d=2), not polynomial time.
+Both engines keep candidate sets as bitmask ints.  The matrix engine,
+shared by ``matrix_contains`` and the random repair, numbers the
+placements of the pattern on axes 2..d and searches host rows first,
+keeping the placements that still fit as one int: a positive answer
+stops at its first complete path, and a negative one costs at most one
+big-int operation per step of a greedy row scan for each of the
+prod C(n_i, k_i) placements.  The hypergraph engine backtracks over
+increasing vertex maps, narrowing each pattern edge's candidate host
+edges (one int) with one AND per mapped vertex.  Containment is NP-hard
+in general; the contract is correctness at desk scale (pattern weight up
+to ~8, host side up to ~12 for d=2), not polynomial time.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 from .errors import ConsistencyError, InputError
 from .structures import (
@@ -132,32 +137,30 @@ def represents(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
     return pattern.ones <= host.ones
 
 
-def _placements(pat_ones: list, pat_extents: tuple, tail_extents: tuple) -> list:
-    """Each choice ``sels`` of 0-based index lists on axes 2..d, in lexicographic
-    order, with the bit of each pattern 1-entry in a row-major host slice."""
-    placements = [((), [0] * len(pat_ones))]
-    for axis, n in enumerate(tail_extents, start=1):
-        placements = [
-            (sels + (sel,), [b * n + sel[one[axis] - 1] for b, one in zip(bits, pat_ones)])
-            for sels, bits in placements
-            for sel in combinations(range(n), pat_extents[axis])
-        ]
-    return placements
+@lru_cache(maxsize=64)
+def _placement_table(
+    pat_tail: tuple[int, ...], host_tail: tuple[int, ...]
+) -> tuple[list[list[int]], list[tuple[tuple[int, ...], ...]]]:
+    """The placements of axes 2..d, numbered in lexicographic order.
 
-
-def _fit_rows(slices: list[int], masks: list[int], hi: int) -> list[int] | None:
-    """The least increasing 1-based rows below ``hi`` whose slices cover the
-    masks, or None; greedy first fit finds them whenever they exist."""
-    rows = []
-    r = 1
-    for m in masks:
-        while r < hi and slices[r] & m != m:
-            r += 1
-        if r >= hi:
-            return None
-        rows.append(r)
-        r += 1
-    return rows
+    Returns ``(table, sels)``.  Tail cells are numbered row-major over the
+    tail extents, 0-based.  Bit p of ``table[t][c]`` is set when placement
+    p sends pattern tail cell t onto host tail cell c, and ``sels[p]`` is
+    placement p as 1-based index lists.
+    """
+    choices = [list(combinations(range(n), k)) for k, n in zip(pat_tail, host_tail)]
+    pat_cells = list(product(*(range(k) for k in pat_tail)))
+    table = [[0] * prod(host_tail) for _ in pat_cells]
+    sels = []
+    for p, placement in enumerate(product(*choices)):
+        sels.append(tuple(tuple(i + 1 for i in sel) for sel in placement))
+        bit = 1 << p
+        for row, cell in zip(table, pat_cells):
+            c = 0
+            for sel, x, n in zip(placement, cell, host_tail):
+                c = c * n + sel[x]
+            row[c] |= bit
+    return table, sels
 
 
 def _matrix_embedding_search(
@@ -166,37 +169,78 @@ def _matrix_embedding_search(
     pat_extents: tuple[int, ...],
     pat_ones,
 ) -> tuple[tuple[int, ...], ...] | None:
-    """The least embedding, axis 1 first: the least (greedy rows, placement)
-    pair, as greedy rows are the least for their placement.  Cost: every
-    placement of axes 2..d, prod C(n_i, k_i), on every call, no early exit."""
+    """The least embedding, axis 1 first: the least rows, then the least
+    placement of axes 2..d among those that fit these rows.
+
+    Rows first: pattern row j tries host rows in increasing order and
+    keeps the placements alive that send row j's 1-entries into 1-entries
+    of the host row, one AND per pattern 1-entry of an OR over the host
+    row.  The first complete path has the least rows, and its lowest
+    alive bit the least placement.  A failed subtree removes its
+    placements from its parent's set, as they cannot fit a later row
+    either, so each placement follows one greedy path: the cost is at
+    most one big-int operation per step of a greedy row scan for each
+    placement, and a positive answer stops at its first complete path.
+    """
     if len(pat_extents) != len(host_extents):
         return None
     if any(pk > hk for pk, hk in zip(pat_extents, host_extents)):
         return None
-    pat_ones = sorted(pat_ones)
     if not pat_ones:
         return tuple(tuple(range(1, k + 1)) for k in pat_extents)
     if len(host_ones) < len(pat_ones):
         return None
-    tail = host_extents[1:]
-    slices = [0] * (host_extents[0] + 1)
+    k1 = pat_extents[0]
+    n1 = host_extents[0]
+    pat_tail = pat_extents[1:]
+    host_tail = host_extents[1:]
+    table, sels = _placement_table(pat_tail, host_tail)
+    host_rows = [[] for _ in range(n1 + 1)]
     for cell in host_ones:
-        bit = 0
-        for c, n in zip(cell[1:], tail):
-            bit = bit * n + c - 1
-        slices[cell[0]] |= 1 << bit
-    fits = []
-    for sels, bits in _placements(pat_ones, pat_extents, tail):
-        masks = [0] * pat_extents[0]
-        for one, b in zip(pat_ones, bits):
-            masks[one[0] - 1] |= 1 << b
-        rows = _fit_rows(slices, masks, len(slices))
-        if rows is not None:
-            fits.append((rows, sels))
-    if not fits:
-        return None
-    rows, sels = min(fits)
-    return (tuple(rows),) + tuple(tuple(i + 1 for i in sel) for sel in sels)
+        c = 0
+        for x, n in zip(cell[1:], host_tail):
+            c = c * n + x - 1
+        host_rows[cell[0]].append(c)
+    pat_rows = [[] for _ in range(k1)]
+    for one in pat_ones:
+        t = 0
+        for x, k in zip(one[1:], pat_tail):
+            t = t * k + x - 1
+        pat_rows[one[0] - 1].append(table[t])
+    rows = [0] * k1
+    alive = [0] * (k1 + 1)
+    alive[0] = (1 << len(sels)) - 1
+    j = 0
+    r = 1
+    while True:
+        live = alive[j]
+        last = n1 - k1 + j + 1
+        fits = 0
+        while live and r <= last:
+            fits = live
+            for to_host in pat_rows[j]:
+                cover = 0
+                for c in host_rows[r]:
+                    cover |= to_host[c]
+                fits &= cover
+                if not fits:
+                    break
+            if fits:
+                break
+            r += 1
+        if fits:
+            rows[j] = r
+            if j + 1 == k1:
+                return (tuple(rows),) + sels[(fits & -fits).bit_length() - 1]
+            j += 1
+            alive[j] = fits
+            r += 1
+        elif j == 0:
+            return None
+        else:
+            j -= 1
+            alive[j] &= ~alive[j + 1]
+            r = rows[j] + 1
 
 
 def matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> MatrixEmbedding | None:
@@ -215,93 +259,108 @@ def matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> MatrixEmbeddin
 # hypergraph containment
 
 
-def _assign_edges(
-    pat_edges: list[Edge], compatible: list[list[int]], host_edges: list[Edge]
-) -> list[int] | None:
-    """Injective assignment pattern-edge -> host-edge index by backtracking.
-
-    Pattern edges are processed in sorted order and host candidates tried
-    in sorted order, so the first complete assignment is the
-    lexicographically least valid one.
-    """
-    used: set[int] = set()
-    assignment: list[int] = []
-
-    def descend(i: int) -> bool:
-        if i == len(pat_edges):
-            return True
-        for idx in compatible[i]:
-            if idx in used:
-                continue
-            used.add(idx)
-            assignment.append(idx)
-            if descend(i + 1):
-                return True
-            used.discard(idx)
-            assignment.pop()
-        return False
-
-    return assignment if descend(0) else None
-
-
 def _hyper_embedding_search(
     host_n: int, host_edges: list[Edge], pat_n: int, pat_edges: list[Edge]
 ) -> tuple[tuple[int, ...], list[int]] | None:
-    """Backtracking over increasing vertex injections with edge-availability
-    pruning; edge assignment by lexicographic backtracking."""
+    """The least embedding: the first increasing vertex map f, in
+    lexicographic order, with an injective edge assignment, and its least
+    assignment as host edge indices.
+
+    Each pattern edge keeps its compatible host edges as one int.  Mapping
+    pattern vertex u to host vertex w narrows every edge e holding u to
+    ``fit[w][r]``, the host edges that hold w and at least r vertices
+    above it, where r counts the vertices of e above u; a map is dropped
+    as soon as an edge has no candidate left.  The edge assignment
+    backtracks over the candidates' set bits in index order.
+    """
     if pat_n > host_n or len(pat_edges) > len(host_edges):
         return None
-    host_sets = [set(e) for e in host_edges]
-    # per pattern edge: (vertices, index of smallest unmapped vertex position)
-    pat_vertex_sets = [set(e) for e in pat_edges]
-    f: list[int] = []
-
-    # candidates[i] = host edge indices still compatible with pattern edge i
-    def descend(candidates: list[list[int]]) -> tuple | None:
-        u = len(f) + 1
-        if u > pat_n:
-            assignment = _assign_edges(pat_edges, candidates, host_edges)
-            if assignment is None:
-                return None
-            return tuple(f), assignment
-        start = f[-1] + 1 if f else 1
-        for w in range(start, host_n - (pat_n - u) + 1):
-            f.append(w)
-            pruned = False
-            narrowed = []
-            for i, edge in enumerate(pat_edges):
-                if u not in pat_vertex_sets[i]:
-                    narrowed.append(candidates[i])
-                    continue
-                remaining = sum(1 for v in edge if v > u)
-                kept = []
-                for idx in candidates[i]:
-                    hs = host_sets[idx]
-                    if w not in hs:
-                        continue
-                    # images of the unmapped vertices of this edge must land
-                    # strictly above w inside the same host edge
-                    tail = len(host_edges[idx]) - bisect_right(host_edges[idx], w)
-                    if tail >= remaining:
-                        kept.append(idx)
-                if not kept:
-                    pruned = True
-                    break
-                narrowed.append(kept)
-            if not pruned:
-                found = descend(narrowed)
-                if found is not None:
-                    return found
-            f.pop()
-        return None
-
-    initial = []
-    for edge in pat_edges:
+    width = max(map(len, host_edges), default=0)
+    fit = [[0] * width for _ in range(host_n + 1)]
+    at_least = [0] * (width + 1)
+    for idx, edge in enumerate(host_edges):
+        bit = 1 << idx
         size = len(edge)
-        initial.append([i for i, h in enumerate(host_edges) if len(h) >= size])
-        if not initial[-1]:
+        at_least[size] |= bit
+        for pos, w in enumerate(edge):
+            row = fit[w]
+            for r in range(size - pos):
+                row[r] |= bit
+    for size in range(width - 1, 0, -1):
+        at_least[size] |= at_least[size + 1]
+    cands = []
+    touches = [[] for _ in range(pat_n + 1)]
+    for i, edge in enumerate(pat_edges):
+        size = len(edge)
+        if size > width:
             return None
-    return descend(initial)
+        cands.append(at_least[size])
+        for pos, v in enumerate(edge):
+            touches[v].append((i, size - pos - 1))
+    f = [0] * pat_n
+    levels = [cands] + [None] * pat_n
+    u = 0
+    w = 1
+    while True:
+        if u == pat_n:
+            assignment = _assign_edges(levels[u])
+            if assignment is not None:
+                return tuple(f), assignment
+        else:
+            current = levels[u]
+            touch = touches[u + 1]
+            last = host_n - pat_n + u + 1
+            while w <= last:
+                row = fit[w]
+                for i, r in touch:
+                    if not current[i] & row[r]:
+                        break
+                else:
+                    break
+                w += 1
+            if w <= last:
+                narrowed = current[:]
+                for i, r in touch:
+                    narrowed[i] &= row[r]
+                f[u] = w
+                u += 1
+                levels[u] = narrowed
+                w += 1
+                continue
+        if u == 0:
+            return None
+        u -= 1
+        w = f[u] + 1
+
+
+def _assign_edges(cands: list[int]) -> list[int] | None:
+    """The least injective choice of one set bit from each int, as bit
+    indices, by backtracking over the bits in increasing order; None when
+    there is none."""
+    m = len(cands)
+    if m == 0:
+        return []
+    chosen = [0] * m
+    avail = [0] * m
+    avail[0] = cands[0]
+    used = 0
+    i = 0
+    while True:
+        free = avail[i]
+        if free:
+            low = free & -free
+            avail[i] = free ^ low
+            chosen[i] = low
+            if i + 1 == m:
+                return [bit.bit_length() - 1 for bit in chosen]
+            used |= low
+            i += 1
+            avail[i] = cands[i] & ~used
+        elif i == 0:
+            return None
+        else:
+            i -= 1
+            used ^= chosen[i]
 
 
 def hypergraph_contains(

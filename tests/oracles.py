@@ -3,20 +3,24 @@
 These enumerate every candidate object or embedding directly from the
 definitions, with no pruning, so they stay independent of the
 backtracking implementations they are used to check.  Only usable at
-tiny sizes.  The exceptions are earlier versions of the solvers, kept as
-references for values and witnesses at sizes enumeration cannot reach:
-``trivial_bound_max_weight``, the matrix solver before its suffix bound,
-and ``engine_max_hyper`` and ``engine_count_avoiders``, the hypergraph
-solvers before the copy index, which ask the containment engine at every
-search node.
+tiny sizes.  The exceptions are earlier versions of the engines and
+solvers, kept as references at sizes enumeration cannot reach, and
+sharing no code with the package's containment engines:
+``reference_matrix_embedding`` (a greedy row scan per placement of axes
+2..d) and ``reference_hyper_embedding`` (backtracking over lists of
+candidate host edges), the containment engines before their bitmask
+candidate sets; ``trivial_bound_max_weight``, the matrix solver before
+its suffix bound; and ``engine_max_hyper`` and
+``engine_count_avoiders``, the hypergraph solvers before the copy index,
+which ask the containment engine at every search node.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations, permutations, product
 
 from patternex import BinaryMatrix, OrderedHypergraph, PartsSpec
-from patternex.containment import _fit_rows, _hyper_embedding_search, _placements
 
 
 def brute_least_embedding(host: BinaryMatrix, pattern: BinaryMatrix):
@@ -41,6 +45,143 @@ def brute_least_embedding(host: BinaryMatrix, pattern: BinaryMatrix):
 
 def brute_matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
     return brute_least_embedding(host, pattern) is not None
+
+
+def placements(pat_ones: list, pat_extents: tuple, tail_extents: tuple) -> list:
+    """Each choice ``sels`` of 0-based index lists on axes 2..d, in lexicographic
+    order, with the bit of each pattern 1-entry in a row-major host slice."""
+    out = [((), [0] * len(pat_ones))]
+    for axis, n in enumerate(tail_extents, start=1):
+        out = [
+            (sels + (sel,), [b * n + sel[one[axis] - 1] for b, one in zip(bits, pat_ones)])
+            for sels, bits in out
+            for sel in combinations(range(n), pat_extents[axis])
+        ]
+    return out
+
+
+def fit_rows(slices: list[int], masks: list[int], hi: int) -> list[int] | None:
+    """The least increasing 1-based rows below ``hi`` whose slices cover the
+    masks, or None; greedy first fit finds them whenever they exist."""
+    rows = []
+    r = 1
+    for m in masks:
+        while r < hi and slices[r] & m != m:
+            r += 1
+        if r >= hi:
+            return None
+        rows.append(r)
+        r += 1
+    return rows
+
+
+def reference_matrix_embedding(host_extents, host_ones, pat_extents, pat_ones):
+    """Reference for ``containment._matrix_embedding_search``: the least
+    (greedy rows, placement) pair over every placement of axes 2..d."""
+    if len(pat_extents) != len(host_extents):
+        return None
+    if any(pk > hk for pk, hk in zip(pat_extents, host_extents)):
+        return None
+    pat_ones = sorted(pat_ones)
+    if not pat_ones:
+        return tuple(tuple(range(1, k + 1)) for k in pat_extents)
+    if len(host_ones) < len(pat_ones):
+        return None
+    tail = host_extents[1:]
+    slices = [0] * (host_extents[0] + 1)
+    for cell in host_ones:
+        bit = 0
+        for c, n in zip(cell[1:], tail):
+            bit = bit * n + c - 1
+        slices[cell[0]] |= 1 << bit
+    fits = []
+    for sels, bits in placements(pat_ones, pat_extents, tail):
+        masks = [0] * pat_extents[0]
+        for one, b in zip(pat_ones, bits):
+            masks[one[0] - 1] |= 1 << b
+        rows = fit_rows(slices, masks, len(slices))
+        if rows is not None:
+            fits.append((rows, sels))
+    if not fits:
+        return None
+    rows, sels = min(fits)
+    return (tuple(rows),) + tuple(tuple(i + 1 for i in sel) for sel in sels)
+
+
+def assign_edges(pat_edges: list, compatible: list[list[int]]) -> list[int] | None:
+    """The least injective assignment pattern edge -> host edge index, by
+    backtracking over each edge's compatible indices in sorted order."""
+    used: set[int] = set()
+    assignment: list[int] = []
+
+    def descend(i: int) -> bool:
+        if i == len(pat_edges):
+            return True
+        for idx in compatible[i]:
+            if idx in used:
+                continue
+            used.add(idx)
+            assignment.append(idx)
+            if descend(i + 1):
+                return True
+            used.discard(idx)
+            assignment.pop()
+        return False
+
+    return assignment if descend(0) else None
+
+
+def reference_hyper_embedding(host_n: int, host_edges: list, pat_n: int, pat_edges: list):
+    """Reference for ``containment._hyper_embedding_search``: backtracking
+    over increasing vertex maps, narrowing lists of candidate host edges,
+    then the least injective edge assignment."""
+    if pat_n > host_n or len(pat_edges) > len(host_edges):
+        return None
+    host_sets = [set(e) for e in host_edges]
+    pat_vertex_sets = [set(e) for e in pat_edges]
+    f: list[int] = []
+
+    def descend(candidates: list[list[int]]):
+        u = len(f) + 1
+        if u > pat_n:
+            assignment = assign_edges(pat_edges, candidates)
+            if assignment is None:
+                return None
+            return tuple(f), assignment
+        start = f[-1] + 1 if f else 1
+        for w in range(start, host_n - (pat_n - u) + 1):
+            f.append(w)
+            pruned = False
+            narrowed = []
+            for i, edge in enumerate(pat_edges):
+                if u not in pat_vertex_sets[i]:
+                    narrowed.append(candidates[i])
+                    continue
+                remaining = sum(1 for v in edge if v > u)
+                kept = []
+                for idx in candidates[i]:
+                    if w not in host_sets[idx]:
+                        continue
+                    tail = len(host_edges[idx]) - bisect_right(host_edges[idx], w)
+                    if tail >= remaining:
+                        kept.append(idx)
+                if not kept:
+                    pruned = True
+                    break
+                narrowed.append(kept)
+            if not pruned:
+                found = descend(narrowed)
+                if found is not None:
+                    return found
+            f.pop()
+        return None
+
+    initial = []
+    for edge in pat_edges:
+        initial.append([i for i, h in enumerate(host_edges) if len(h) >= len(edge)])
+        if not initial[-1]:
+            return None
+    return descend(initial)
 
 
 def sweep_repair(ones: set, pattern: BinaryMatrix, n: int) -> int:
@@ -155,8 +296,7 @@ def brute_canonical_witness(
 def trivial_bound_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
     """Reference for ``search._solve_max_weight``: the same include-first
     search and anchored check, pruned only by the trivial bound (weight
-    plus undecided cells).  It shares the containment engine, so it checks
-    the solver's bound and witness order, not containment itself."""
+    plus undecided cells), with the reference row scan as its check."""
     d = pattern.d
     k1 = pattern.extents[0]
     pat_ones = pattern.sorted_ones()
@@ -164,7 +304,7 @@ def trivial_bound_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozen
     bucket: list = [[] for _ in range(width)]
     if pat_ones and max(pattern.extents) <= n:
         a1 = pat_ones[-1][0]
-        for _, bits in _placements(pat_ones, pattern.extents, (n,) * (d - 1)):
+        for _, bits in placements(pat_ones, pattern.extents, (n,) * (d - 1)):
             masks = [0] * a1
             for one, b in zip(pat_ones, bits):
                 masks[one[0] - 1] |= 1 << b
@@ -178,7 +318,7 @@ def trivial_bound_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozen
             return False
         row = slices[r]
         return any(
-            row & need == need and _fit_rows(slices, before, r) is not None
+            row & need == need and fit_rows(slices, before, r) is not None
             for need, before in bucket[key]
         )
 
@@ -243,7 +383,7 @@ def engine_max_hyper(n: int, candidates: list, pattern: OrderedHypergraph, mode:
             best_edges = list(current)
             return
         current.append(candidates[idx])
-        if _hyper_embedding_search(n, current, pn, pat_edges) is None:
+        if reference_hyper_embedding(n, current, pn, pat_edges) is None:
             dfs(idx + 1, score + gain[idx])
         current.pop()
         dfs(idx + 1, score)
@@ -260,7 +400,7 @@ def engine_count_avoiders(n: int, candidates: list, pattern: OrderedHypergraph) 
     pn = pattern.n
 
     def avoids(edge_list: list) -> bool:
-        return _hyper_embedding_search(n, edge_list, pn, pat_edges) is None
+        return reference_hyper_embedding(n, edge_list, pn, pat_edges) is None
 
     if not avoids([]):
         return 0

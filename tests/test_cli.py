@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from patternex import fileio, matrix_contains
+from patternex import containment, fileio, matrix_contains
 from patternex.cli import main
 
 IDENTITY2_TEXT = "2 2 2\n1 1\n2 2\n"
@@ -306,6 +306,22 @@ class TestContains:
         out = capsys.readouterr().out
         assert "contains" in out
         assert "f: 1 2" in out
+
+    def test_wrong_matrix_embedding_exits_4(self, tmp_path, identity_file, capsys, monkeypatch):
+        # (1,1) and (2,2) are 1-entries, but rows and columns 1 and 3 hold
+        # the copy; the planted engine answer selects rows and columns 1, 2
+        host = tmp_path / "host.txt"
+        host.write_text("2 3 3\n1 1\n3 3\n")
+        monkeypatch.setattr(containment, "_matrix_embedding_search", lambda *args: ((1, 2), (1, 2)))
+        assert main(["contains", "matrix", str(host), str(identity_file)]) == 4
+        assert capsys.readouterr().out == ""
+
+    def test_wrong_hypergraph_embedding_exits_4(self, tmp_path, single_edge_file, capsys, monkeypatch):
+        host = tmp_path / "host.txt"
+        host.write_text("3\n1 3\n")
+        monkeypatch.setattr(containment, "_hyper_embedding_search", lambda *args: ((1, 2), [0]))
+        assert main(["contains", "hypergraph", str(host), str(single_edge_file)]) == 4
+        assert capsys.readouterr().out == ""
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 """Containment relations checked against definition-level brute force."""
 
+import math
+import random
 from itertools import combinations, product
 
 import pytest
@@ -30,6 +32,8 @@ from oracles import (
     brute_least_embedding,
     brute_matrix_contains,
     brute_part_respecting_contains,
+    reference_hyper_embedding,
+    reference_matrix_embedding,
 )
 from test_structures import matrices
 
@@ -309,3 +313,112 @@ def test_unequal_parts_matrix_containment_is_part_respecting(k, n):
                 brute_part_respecting_contains(host, host_parts, pattern, pattern_parts)
             )
 
+
+
+# ---------------------------------------------------------------------------
+# the bitmask engines against the engines they replaced
+
+NON_PERMUTATION = {
+    "J2": ((2, 2), [(1, 1), (1, 2), (2, 1), (2, 2)]),
+    "Z23": ((2, 3), [(1, 1), (1, 3), (2, 2)]),
+    "C33": ((3, 3), [(1, 2), (2, 1), (2, 3), (3, 2)]),
+}
+
+
+def _same_matrix_answer(host_extents, host_ones, pat_extents, pat_ones):
+    found = containment._matrix_embedding_search(host_extents, host_ones, pat_extents, pat_ones)
+    expected = reference_matrix_embedding(host_extents, host_ones, pat_extents, pat_ones)
+    assert found == expected, (host_extents, sorted(host_ones), pat_extents, sorted(pat_ones))
+    return found is not None
+
+
+def _same_hyper_answer(host_n, host_edges, pat_n, pat_edges):
+    found = containment._hyper_embedding_search(host_n, host_edges, pat_n, pat_edges)
+    expected = reference_hyper_embedding(host_n, host_edges, pat_n, pat_edges)
+    assert found == expected, (host_n, host_edges, pat_n, pat_edges)
+    return found is not None
+
+
+class TestEnginesMatchReferences:
+    """Least embeddings equal those of the slice scan and the list-based
+    backtracking (``tests/oracles.py``), on seeded random instances."""
+
+    @pytest.mark.parametrize("label", ["perm3", "perm4", "perm5", "J2", "Z23", "C33"])
+    def test_matrix_classes_around_the_threshold(self, label):
+        rng = random.Random(f"engine-diff/{label}")
+        answers = set()
+        for side in (6, 9, 12):
+            for factor in (0.5, 1.0, 2.0):
+                for planted in (False, True) * 4:
+                    if label.startswith("perm"):
+                        perm = rng.sample(range(1, int(label[4:]) + 1), int(label[4:]))
+                        extents = (len(perm), len(perm))
+                        ones = [(i, v) for i, v in enumerate(perm, start=1)]
+                    else:
+                        extents, ones = NON_PERMUTATION[label]
+                    threshold = (
+                        math.comb(side, extents[0]) * math.comb(side, extents[1])
+                    ) ** (-1 / len(ones))
+                    density = min(0.9, factor * threshold)
+                    host = {
+                        cell
+                        for cell in product(range(1, side + 1), repeat=2)
+                        if rng.random() < density
+                    }
+                    if planted:
+                        rows = sorted(rng.sample(range(1, side + 1), extents[0]))
+                        cols = sorted(rng.sample(range(1, side + 1), extents[1]))
+                        host |= {(rows[i - 1], cols[j - 1]) for i, j in ones}
+                    answers.add(_same_matrix_answer((side, side), host, extents, frozenset(ones)))
+        assert answers == {False, True}
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matrix_random_shapes(self, d):
+        # patterns with empty rows and columns, and hosts of every density
+        rng = random.Random(f"engine-diff/d{d}")
+        answers = set()
+        for _ in range({2: 600, 3: 300, 4: 100}[d]):
+            pat_extents = tuple(rng.randint(1, 3 if d < 4 else 2) for _ in range(d))
+            host_extents = tuple(k + rng.randint(-1, 3 if d == 2 else 1) for k in pat_extents)
+            host_extents = tuple(max(1, n) for n in host_extents)
+            p, q = rng.random(), rng.random()
+            pat_ones = frozenset(
+                c for c in product(*(range(1, k + 1) for k in pat_extents)) if rng.random() < p
+            )
+            host_ones = {
+                c for c in product(*(range(1, n + 1) for n in host_extents)) if rng.random() < q
+            }
+            answers.add(_same_matrix_answer(host_extents, host_ones, pat_extents, pat_ones))
+        assert answers == {False, True}
+
+    def test_hypergraphs_mixed_sizes_and_isolated_vertices(self):
+        rng = random.Random("engine-diff/hyper")
+        answers = set()
+        for _ in range(1500):
+            host_n = rng.randint(1, 10)
+            pat_n = rng.randint(1, min(host_n, 6))
+            host_edges = _random_edges(rng, host_n, rng.randint(0, 3 * host_n), 4)
+            pat_edges = _random_edges(rng, pat_n, rng.randint(0, pat_n), 3)
+            answers.add(_same_hyper_answer(host_n, host_edges, pat_n, pat_edges))
+        assert answers == {False, True}
+
+    def test_every_small_klazar_marcus_pair(self):
+        for part_size in (1, 2):
+            parts = PartsSpec.equal(2, part_size)
+            graphs = [(g, associated_matrix(g, parts)) for g in _all_bipartite(part_size)]
+            for host, host_m in graphs:
+                for pattern, pattern_m in graphs:
+                    hyper_side = _same_hyper_answer(
+                        host.n, host.sorted_edges(), pattern.n, pattern.sorted_edges()
+                    )
+                    matrix_side = _same_matrix_answer(
+                        host_m.extents, host_m.ones, pattern_m.extents, pattern_m.ones
+                    )
+                    assert hyper_side == matrix_side
+
+
+def _random_edges(rng, n, count, max_size):
+    universe = [
+        e for size in range(1, min(max_size, n) + 1) for e in combinations(range(1, n + 1), size)
+    ]
+    return sorted(rng.sample(universe, min(count, len(universe))))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from patternex import InputError, constructions
+from patternex import InputError, constructions, containment, fileio, make_hypergraph
 from patternex.verify import (
     CLAIM_NAMES,
     check_association_equivalence,
@@ -82,6 +82,34 @@ def test_association_equivalence_small():
     result = check_association_equivalence(n_max=2)
     assert result.passed
     assert [inst.params["pairs"] for inst in result.instances] == [4, 256]
+
+
+def _defect_above_one(engine):
+    # the engine misses every copy of a pattern with two or more 1-entries
+    # or edges (its fourth argument), and is unchanged otherwise
+    def defective(*args):
+        return None if len(args[3]) >= 2 else engine(*args)
+
+    return defective
+
+
+@pytest.mark.parametrize(
+    "engine,route",
+    [("_matrix_embedding_search", "matrix=False"), ("_hyper_embedding_search", "hypergraph=False")],
+)
+def test_association_equivalence_fails_when_one_route_misses_copies(monkeypatch, engine, route):
+    defective = _defect_above_one(getattr(containment, engine))
+    monkeypatch.setattr(containment, engine, defective)
+    result = check_association_equivalence(n_max=2)
+    assert not result.passed
+    assert [inst.passed for inst in result.instances] == [True, False]
+    payload = result.instances[1].payload
+    # the first failing pair: the first host with two edges, against itself
+    first = make_hypergraph(4, [(1, 3), (1, 4)])
+    assert fileio.parse_hypergraph(payload["objects"]["host"]) == first
+    assert fileio.parse_hypergraph(payload["objects"]["pattern"]) == first
+    assert route in payload["error"]
+    assert f"host={first!r}" in payload["error"]
 
 
 def test_weight_vs_edges():
