@@ -20,6 +20,7 @@ from .containment import (
     HypergraphEmbedding,
     MatrixEmbedding,
     _matrix_embedding_search,
+    _matrix_form,
     hypergraph_contains,
     matrix_contains,
     verify_hypergraph_embedding,
@@ -422,8 +423,10 @@ def random_avoider(
     }
     initial = len(ones)
     anchor = max(pattern.ones)
+    extents = (n,) * d
+    pattern_form = _matrix_form(pattern.extents, pattern.ones)
     while (
-        found := _matrix_embedding_search((n,) * d, ones, pattern.extents, pattern.ones)
+        found := _matrix_embedding_search(_matrix_form(extents, ones), pattern_form)
     ) is not None:
         cell = tuple(sel[c - 1] for sel, c in zip(found, anchor))
         if cell not in ones:

@@ -5,15 +5,20 @@ bare boolean, so downstream code can re-verify witnesses instead of
 trusting search.  Tie-breaking is lexicographic everywhere: repeated runs
 return identical embeddings.
 
-Both engines keep candidate sets as bitmask ints.  The matrix engine,
-shared by ``matrix_contains`` and the random repair, numbers the
-placements of the pattern on axes 2..d and searches host rows first,
-keeping the placements that still fit as one int: a positive answer
-stops at its first complete path, and a negative one costs at most one
-big-int operation per step of a greedy row scan for each of the
-prod C(n_i, k_i) placements.  The hypergraph engine backtracks over
-increasing vertex maps, narrowing each pattern edge's candidate host
-edges (one int) with one AND per mapped vertex.  Containment is NP-hard
+Both engines keep candidate sets as bitmask ints, and both come in two
+steps: a prepare step builds the form a search reads from a host or a
+pattern, and one search step runs on a host form and a pattern form.
+The matrix engine, shared by ``matrix_contains``, the random repair and
+``klazar_marcus_check``, numbers the placements of the pattern on axes
+2..d and searches host rows first, keeping the placements that still fit
+as one int: a positive answer stops at its first complete path, and a
+negative one costs at most one big-int operation per step of a greedy
+row scan for each of the prod C(n_i, k_i) placements.  The hypergraph
+engine, shared by ``hypergraph_contains`` and ``klazar_marcus_check``,
+backtracks over increasing vertex maps, narrowing each pattern edge's
+candidate host edges (one int) with one AND per mapped vertex.  The
+public deciders prepare both forms on every call; only
+``klazar_marcus_check`` memoises them, per graph.  Containment is NP-hard
 in general; the contract is correctness at desk scale (pattern weight up
 to ~8, host side up to ~12 for d=2), not polynomial time.
 """
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import prod
+from operator import gt
 
 from .errors import ConsistencyError, InputError
 from .structures import (
@@ -163,11 +169,42 @@ def _placement_table(
     return table, sels
 
 
+# A prepared form is a plain tuple of the lists its prepare step built: a
+# public call prepares two forms, and named tuples with tuple copies of
+# the lists added a few microseconds to each call, a visible share of the
+# small certificate checks.  The search steps never modify a form, so the
+# memo below can share them.  (extents, weight, rows): rows[i] lists the
+# tail cells (axes 2..d, numbered row-major over extents[1:] from 0) of
+# the 1-entries in row i + 1.
+_MatrixForm = tuple[tuple[int, ...], int, list[list[int]]]
+
+
+def _matrix_form(extents: tuple[int, ...], ones) -> _MatrixForm:
+    """Prepare a host or a pattern for :func:`_matrix_embedding_search`."""
+    tail = extents[1:]
+    rows = [[] for _ in range(extents[0])]
+    for cell in ones:
+        c = 0
+        for x, n in zip(cell[1:], tail):
+            c = c * n + x - 1
+        rows[cell[0] - 1].append(c)
+    return extents, len(ones), rows
+
+
+def _matrix_sizes_fit(
+    host_extents: tuple[int, ...], host_weight: int, pat_extents: tuple[int, ...], pat_weight: int
+) -> bool:
+    """Whether the sizes leave room for an embedding: equal dimensions, no
+    pattern extent above the host's and no more 1-entries than the host."""
+    return (
+        len(pat_extents) == len(host_extents)
+        and not any(map(gt, pat_extents, host_extents))
+        and pat_weight <= host_weight
+    )
+
+
 def _matrix_embedding_search(
-    host_extents: tuple[int, ...],
-    host_ones,
-    pat_extents: tuple[int, ...],
-    pat_ones,
+    host: _MatrixForm, pattern: _MatrixForm
 ) -> tuple[tuple[int, ...], ...] | None:
     """The least embedding, axis 1 first: the least rows, then the least
     placement of axes 2..d among those that fit these rows.
@@ -182,43 +219,28 @@ def _matrix_embedding_search(
     most one big-int operation per step of a greedy row scan for each
     placement, and a positive answer stops at its first complete path.
     """
-    if len(pat_extents) != len(host_extents):
+    host_extents, host_weight, host_rows = host
+    pat_extents, pat_weight, pat_cells = pattern
+    if not _matrix_sizes_fit(host_extents, host_weight, pat_extents, pat_weight):
         return None
-    if any(pk > hk for pk, hk in zip(pat_extents, host_extents)):
-        return None
-    if not pat_ones:
+    if not pat_weight:
         return tuple(tuple(range(1, k + 1)) for k in pat_extents)
-    if len(host_ones) < len(pat_ones):
-        return None
     k1 = pat_extents[0]
     n1 = host_extents[0]
-    pat_tail = pat_extents[1:]
-    host_tail = host_extents[1:]
-    table, sels = _placement_table(pat_tail, host_tail)
-    host_rows = [[] for _ in range(n1 + 1)]
-    for cell in host_ones:
-        c = 0
-        for x, n in zip(cell[1:], host_tail):
-            c = c * n + x - 1
-        host_rows[cell[0]].append(c)
-    pat_rows = [[] for _ in range(k1)]
-    for one in pat_ones:
-        t = 0
-        for x, k in zip(one[1:], pat_tail):
-            t = t * k + x - 1
-        pat_rows[one[0] - 1].append(table[t])
+    table, sels = _placement_table(pat_extents[1:], host_extents[1:])
     rows = [0] * k1
     alive = [0] * (k1 + 1)
     alive[0] = (1 << len(sels)) - 1
     j = 0
-    r = 1
+    r = 0
     while True:
         live = alive[j]
-        last = n1 - k1 + j + 1
+        last = n1 - k1 + j
         fits = 0
         while live and r <= last:
             fits = live
-            for to_host in pat_rows[j]:
+            for t in pat_cells[j]:
+                to_host = table[t]
                 cover = 0
                 for c in host_rows[r]:
                     cover |= to_host[c]
@@ -229,28 +251,30 @@ def _matrix_embedding_search(
                 break
             r += 1
         if fits:
+            r += 1
             rows[j] = r
             if j + 1 == k1:
                 return (tuple(rows),) + sels[(fits & -fits).bit_length() - 1]
             j += 1
             alive[j] = fits
-            r += 1
         elif j == 0:
             return None
         else:
             j -= 1
             alive[j] &= ~alive[j + 1]
-            r = rows[j] + 1
+            r = rows[j]
 
 
 def matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> MatrixEmbedding | None:
     """Find a submatrix of the host representing the pattern, or None.
 
     Returns the lexicographically least embedding (axis 1 indices first).
-    A size mismatch simply yields None.
+    A size mismatch simply yields None, before either form is prepared.
     """
+    if not _matrix_sizes_fit(host.extents, host.weight, pattern.extents, pattern.weight):
+        return None
     found = _matrix_embedding_search(
-        host.extents, host.ones, pattern.extents, pattern.ones
+        _matrix_form(host.extents, host.ones), _matrix_form(pattern.extents, pattern.ones)
     )
     return None if found is None else MatrixEmbedding(found)
 
@@ -259,8 +283,49 @@ def matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> MatrixEmbeddin
 # hypergraph containment
 
 
+# (n, edge count, fit, at_least), edges numbered in lexicographic order:
+# bit i of fit[w - 1][r] is set when edge i holds vertex w and at least r
+# vertices above it, and bit i of at_least[s] when edge i has at least s
+# vertices (s >= 1).
+_HyperHost = tuple[int, int, list[list[int]], list[int]]
+# (n, sizes, touches), edges numbered in lexicographic order: sizes[i] is
+# the size of edge i, and touches[u - 1] pairs each edge i holding vertex
+# u with the number of its vertices above u.
+_HyperPattern = tuple[int, list[int], list[list[tuple[int, int]]]]
+
+
+def _hyper_host_form(n: int, edges: list[Edge]) -> _HyperHost:
+    """Prepare a host with lexicographically sorted edges for
+    :func:`_hyper_embedding_search`."""
+    width = max(map(len, edges), default=0)
+    fit = [[0] * width for _ in range(n)]
+    at_least = [0] * (width + 1)
+    for idx, edge in enumerate(edges):
+        bit = 1 << idx
+        size = len(edge)
+        at_least[size] |= bit
+        for pos, w in enumerate(edge):
+            row = fit[w - 1]
+            for r in range(size - pos):
+                row[r] |= bit
+    for size in range(width - 1, 0, -1):
+        at_least[size] |= at_least[size + 1]
+    return n, len(edges), fit, at_least
+
+
+def _hyper_pattern_form(n: int, edges: list[Edge]) -> _HyperPattern:
+    """Prepare a pattern with lexicographically sorted edges for
+    :func:`_hyper_embedding_search`."""
+    touches = [[] for _ in range(n)]
+    for i, edge in enumerate(edges):
+        size = len(edge)
+        for pos, v in enumerate(edge):
+            touches[v - 1].append((i, size - pos - 1))
+    return n, [len(edge) for edge in edges], touches
+
+
 def _hyper_embedding_search(
-    host_n: int, host_edges: list[Edge], pat_n: int, pat_edges: list[Edge]
+    host: _HyperHost, pattern: _HyperPattern
 ) -> tuple[tuple[int, ...], list[int]] | None:
     """The least embedding: the first increasing vertex map f, in
     lexicographic order, with an injective edge assignment, and its least
@@ -268,39 +333,25 @@ def _hyper_embedding_search(
 
     Each pattern edge keeps its compatible host edges as one int.  Mapping
     pattern vertex u to host vertex w narrows every edge e holding u to
-    ``fit[w][r]``, the host edges that hold w and at least r vertices
+    ``fit[w - 1][r]``, the host edges that hold w and at least r vertices
     above it, where r counts the vertices of e above u; a map is dropped
     as soon as an edge has no candidate left.  The edge assignment
     backtracks over the candidates' set bits in index order.
     """
-    if pat_n > host_n or len(pat_edges) > len(host_edges):
+    host_n, host_m, fit, at_least = host
+    pat_n, sizes, touches = pattern
+    if pat_n > host_n or len(sizes) > host_m:
         return None
-    width = max(map(len, host_edges), default=0)
-    fit = [[0] * width for _ in range(host_n + 1)]
-    at_least = [0] * (width + 1)
-    for idx, edge in enumerate(host_edges):
-        bit = 1 << idx
-        size = len(edge)
-        at_least[size] |= bit
-        for pos, w in enumerate(edge):
-            row = fit[w]
-            for r in range(size - pos):
-                row[r] |= bit
-    for size in range(width - 1, 0, -1):
-        at_least[size] |= at_least[size + 1]
+    width = len(at_least) - 1
     cands = []
-    touches = [[] for _ in range(pat_n + 1)]
-    for i, edge in enumerate(pat_edges):
-        size = len(edge)
+    for size in sizes:
         if size > width:
             return None
         cands.append(at_least[size])
-        for pos, v in enumerate(edge):
-            touches[v].append((i, size - pos - 1))
     f = [0] * pat_n
     levels = [cands] + [None] * pat_n
     u = 0
-    w = 1
+    w = 0
     while True:
         if u == pat_n:
             assignment = _assign_edges(levels[u])
@@ -308,8 +359,8 @@ def _hyper_embedding_search(
                 return tuple(f), assignment
         else:
             current = levels[u]
-            touch = touches[u + 1]
-            last = host_n - pat_n + u + 1
+            touch = touches[u]
+            last = host_n - pat_n + u
             while w <= last:
                 row = fit[w]
                 for i, r in touch:
@@ -322,15 +373,15 @@ def _hyper_embedding_search(
                 narrowed = current[:]
                 for i, r in touch:
                     narrowed[i] &= row[r]
+                w += 1
                 f[u] = w
                 u += 1
                 levels[u] = narrowed
-                w += 1
                 continue
         if u == 0:
             return None
         u -= 1
-        w = f[u] + 1
+        w = f[u]
 
 
 def _assign_edges(cands: list[int]) -> list[int] | None:
@@ -372,11 +423,16 @@ def hypergraph_contains(
     backtracking over compatible host edges in lexicographic order (plain
     greedy assignment is incomplete when pattern edges nest, so the edge
     map search backtracks while keeping the lexicographically-least
-    tie-break).
+    tie-break).  A pattern with more vertices or edges than the host
+    yields None before either form is prepared.
     """
+    if pattern.n > host.n or len(pattern.edges) > len(host.edges):
+        return None
     pat_edges = pattern.sorted_edges()
     host_edges = host.sorted_edges()
-    found = _hyper_embedding_search(host.n, host_edges, pattern.n, pat_edges)
+    found = _hyper_embedding_search(
+        _hyper_host_form(host.n, host_edges), _hyper_pattern_form(pattern.n, pat_edges)
+    )
     if found is None:
         return None
     f, assignment = found
@@ -398,21 +454,31 @@ def _uniform_edge_size(*hypergraphs: OrderedHypergraph) -> int | None:
 
 
 @lru_cache(maxsize=1024)
-def _partite_matrix(h: OrderedHypergraph, d: int) -> BinaryMatrix:
-    """Validate h as d-partite with d equal parts and return its associated matrix.
+def _partite_forms(
+    h: OrderedHypergraph, d: int
+) -> tuple[_MatrixForm, _HyperHost, _HyperPattern]:
+    """Validate h as d-partite with d equal parts and prepare it for both
+    engines: its associated matrix's form, and its hypergraph host and
+    pattern forms.
 
-    Memoised per (graph, d): both are immutable, so the cached matrix can
+    Memoised per (graph, d): both are immutable, so the cached forms can
     be shared.  Exceptions are not cached, so invalid input raises on
     every call.  The helpers are looked up as module globals at call
-    time, so a rebinding of ``is_d_partite`` or ``associated_matrix``
-    still sees every uncached call.
+    time, so a rebinding of ``is_d_partite``, ``associated_matrix`` or a
+    prepare step still sees every uncached call.
     """
     if h.n % d != 0 or h.n == 0:
         raise InputError(f"vertex count {h.n} is not d*size for d={d}")
     parts = PartsSpec.equal(d, h.n // d)
     if not is_d_partite(h, parts):
         raise InputError("input is not d-partite with equal parts")
-    return associated_matrix(h, parts)
+    matrix = associated_matrix(h, parts)
+    edges = h.sorted_edges()
+    return (
+        _matrix_form(matrix.extents, matrix.ones),
+        _hyper_host_form(h.n, edges),
+        _hyper_pattern_form(h.n, edges),
+    )
 
 
 def klazar_marcus_check(
@@ -427,12 +493,14 @@ def klazar_marcus_check(
     with parts of 3 order-contains pattern ([4],{{1,4}}) with parts of 2
     via f=(1,2,3,4), yet the associated matrices do not contain.)
 
-    Each distinct graph is validated and associated once per process, so
-    a sweep over all pairs pays that work once per graph, not per pair.
-    The memo is an LRU cache of 1024 entries: more than 512 because the
-    exhaustive sweep at part size 3 cycles through all 512 graphs for
-    each host, and a smaller LRU cache would evict every entry before
-    its next use.
+    Each distinct graph is validated, associated and prepared for both
+    engines once per process, so a sweep over all pairs pays that work
+    once per graph, not per pair: the memo holds each graph's matrix
+    form and its hypergraph host and pattern forms, and each pair runs
+    the two engines' search steps on them directly.  The memo is an LRU
+    cache of 1024 entries: more than 512 because the exhaustive sweep at
+    part size 3 cycles through all 512 graphs for each host, and a
+    smaller LRU cache would evict every entry before its next use.
 
     Evaluates both routes and raises ConsistencyError if they disagree;
     otherwise returns the shared boolean.
@@ -452,10 +520,10 @@ def klazar_marcus_check(
         raise InputError(f"the equivalence needs d >= 2 parts, got d={d}")
     if inferred is not None and inferred != d:
         raise InputError(f"edge size {inferred} does not match d={d}")
-    host_m = _partite_matrix(host, d)
-    pattern_m = _partite_matrix(pattern, d)
-    hyper_side = hypergraph_contains(host, pattern) is not None
-    matrix_side = matrix_contains(host_m, pattern_m) is not None
+    host_matrix, host_hyper, _ = _partite_forms(host, d)
+    pattern_matrix, _, pattern_hyper = _partite_forms(pattern, d)
+    hyper_side = _hyper_embedding_search(host_hyper, pattern_hyper) is not None
+    matrix_side = _matrix_embedding_search(host_matrix, pattern_matrix) is not None
     if hyper_side != matrix_side:
         raise ConsistencyError(
             "hypergraph containment and associated-matrix containment disagree: "

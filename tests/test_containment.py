@@ -278,26 +278,32 @@ class TestKlazarMarcus:
                 klazar_marcus_check(bad, bad, 2)
 
     def test_each_graph_is_associated_once_per_sweep(self, monkeypatch):
-        # counts association work only: the two containment searches are
-        # stubbed out, test_09 checks the sweep's answers
-        calls = 0
-        original = containment.associated_matrix
+        # counts association and preparation work only: the two search
+        # steps the sweep runs are stubbed out, test_09 checks its answers
+        calls = dict.fromkeys(
+            ("associated_matrix", "_matrix_form", "_hyper_host_form", "_hyper_pattern_form"), 0
+        )
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return original(*args)
+        def counting(name):
+            original = getattr(containment, name)
 
-        containment._partite_matrix.cache_clear()
-        monkeypatch.setattr(containment, "associated_matrix", counting)
-        monkeypatch.setattr(containment, "hypergraph_contains", lambda host, pattern: None)
-        monkeypatch.setattr(containment, "matrix_contains", lambda host, pattern: None)
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return counted
+
+        containment._partite_forms.cache_clear()
+        for name in calls:
+            monkeypatch.setattr(containment, name, counting(name))
+        monkeypatch.setattr(containment, "_hyper_embedding_search", lambda host, pattern: None)
+        monkeypatch.setattr(containment, "_matrix_embedding_search", lambda host, pattern: None)
         try:
             check_association_equivalence(n_max=3)
         finally:
-            containment._partite_matrix.cache_clear()
+            containment._partite_forms.cache_clear()
         # 2 + 16 + 512 distinct graphs over 4 + 256 + 262144 pairs
-        assert calls == 530
+        assert calls == dict.fromkeys(calls, 530)
 
 
 @pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 3)])
@@ -326,14 +332,20 @@ NON_PERMUTATION = {
 
 
 def _same_matrix_answer(host_extents, host_ones, pat_extents, pat_ones):
-    found = containment._matrix_embedding_search(host_extents, host_ones, pat_extents, pat_ones)
+    found = containment._matrix_embedding_search(
+        containment._matrix_form(host_extents, host_ones),
+        containment._matrix_form(pat_extents, pat_ones),
+    )
     expected = reference_matrix_embedding(host_extents, host_ones, pat_extents, pat_ones)
     assert found == expected, (host_extents, sorted(host_ones), pat_extents, sorted(pat_ones))
     return found is not None
 
 
 def _same_hyper_answer(host_n, host_edges, pat_n, pat_edges):
-    found = containment._hyper_embedding_search(host_n, host_edges, pat_n, pat_edges)
+    found = containment._hyper_embedding_search(
+        containment._hyper_host_form(host_n, host_edges),
+        containment._hyper_pattern_form(pat_n, pat_edges),
+    )
     expected = reference_hyper_embedding(host_n, host_edges, pat_n, pat_edges)
     assert found == expected, (host_n, host_edges, pat_n, pat_edges)
     return found is not None
@@ -415,6 +427,36 @@ class TestEnginesMatchReferences:
                         host_m.extents, host_m.ones, pattern_m.extents, pattern_m.ones
                     )
                     assert hyper_side == matrix_side
+
+    def test_memoised_forms_match_the_public_engines_and_the_references(self):
+        # the sweep's route: both search steps on the memoised forms, for
+        # every pair at part sizes 1 and 2 and sampled pairs at part size 3
+        rng = random.Random("engine-diff/memoised-forms")
+        pairs = []
+        for part_size in (1, 2):
+            graphs = _all_bipartite(part_size)
+            pairs += [(host, pattern) for host in graphs for pattern in graphs]
+        graphs = _all_bipartite(3)
+        pairs += [(rng.choice(graphs), rng.choice(graphs)) for _ in range(2000)]
+        answers = set()
+        for host, pattern in pairs:
+            parts = PartsSpec.equal(2, host.n // 2)
+            host_m = associated_matrix(host, parts)
+            pattern_m = associated_matrix(pattern, parts)
+            host_matrix, host_hyper, _ = containment._partite_forms(host, 2)
+            pattern_matrix, _, pattern_hyper = containment._partite_forms(pattern, 2)
+            hyper = containment._hyper_embedding_search(host_hyper, pattern_hyper)
+            matrix = containment._matrix_embedding_search(host_matrix, pattern_matrix)
+            assert (hyper is not None) == (hypergraph_contains(host, pattern) is not None)
+            assert (matrix is not None) == (matrix_contains(host_m, pattern_m) is not None)
+            assert hyper == reference_hyper_embedding(
+                host.n, host.sorted_edges(), pattern.n, pattern.sorted_edges()
+            )
+            assert matrix == reference_matrix_embedding(
+                host_m.extents, host_m.ones, pattern_m.extents, pattern_m.ones
+            )
+            answers.add(hyper is not None)
+        assert answers == {False, True}
 
 
 def _random_edges(rng, n, count, max_size):

@@ -1,10 +1,11 @@
 """The claim checkers themselves, run at reduced budgets."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from patternex import InputError, constructions, containment, fileio, make_hypergraph
+from patternex import InputError, constructions, containment, fileio, make_hypergraph, verify
 from patternex.verify import (
     CLAIM_NAMES,
     check_association_equivalence,
@@ -37,6 +38,24 @@ def test_doubling_upper_bound_small():
     assert {"pattern", "n", "gex", "ex"} <= set(sample.params)
 
 
+def _under_count_by_one(solver):
+    def defective(*args, **kwargs):
+        certificate = solver(*args, **kwargs)
+        return replace(certificate, value=certificate.value - 1)
+
+    return defective
+
+
+def test_doubling_upper_bound_fails_when_ex_under_counts(monkeypatch):
+    monkeypatch.setattr(verify, "ex_matrix", _under_count_by_one(verify.ex_matrix))
+    result = check_doubling_upper_bound(n_max=3)
+    assert not result.passed
+    # gex = ex only for the single 1-entry pattern (both 0 at every n)
+    failures = result.failures
+    assert [inst.params["n"] for inst in failures] == [1, 2, 3]
+    assert all(inst.payload["gex"] == 0 and inst.payload["ex"] == -1 for inst in failures)
+
+
 def test_interval_blowup():
     result = check_interval_blowup(n=2, t_values=(2, 3))
     assert result.passed
@@ -49,10 +68,30 @@ def test_partite_edge_bound():
     assert [inst.params["n"] for inst in result.instances] == [1, 2, 3]
 
 
+def test_partite_edge_bound_fails_when_containment_misses_copies(monkeypatch):
+    # every graph then counts as an avoider; the bound 2n - 1 has slack 2
+    # over the true avoiders, so only K5's 10 edges break it (bound 9)
+    monkeypatch.setattr(verify, "hypergraph_contains", lambda host, pattern: None)
+    result = check_partite_edge_bound(n_max=5)
+    assert not result.passed
+    [failure] = result.failures
+    assert failure.params["n"] == 5
+    assert (failure.payload["edges"], failure.payload["bound"]) == (10, 9)
+
+
 def test_padding_chain_small():
     result = check_padding_chain(dimensions=(2,), k_max=2, extra_steps=1)
     assert result.passed
     assert len(result.instances) == 3  # k=1 once, k=2 twice
+
+
+def test_padding_chain_fails_when_containment_misses_copies(monkeypatch):
+    # the padded base and every chain step must contain their predecessor
+    monkeypatch.setattr(verify, "hypergraph_contains", lambda host, pattern: None)
+    result = check_padding_chain(dimensions=(2,), k_max=2, extra_steps=1)
+    assert not result.passed
+    assert len(result.failures) == 3
+    assert all("padded" in inst.payload["objects"] for inst in result.failures)
 
 
 def test_contraction_recurrence_reports_both_variants():
@@ -84,21 +123,29 @@ def test_association_equivalence_small():
     assert [inst.params["pairs"] for inst in result.instances] == [4, 256]
 
 
-def _defect_above_one(engine):
+def _defect_above_one(engine, pattern_size):
     # the engine misses every copy of a pattern with two or more 1-entries
-    # or edges (its fourth argument), and is unchanged otherwise
-    def defective(*args):
-        return None if len(args[3]) >= 2 else engine(*args)
+    # or edges (counted on its prepared pattern form), and is unchanged
+    # otherwise
+    def defective(host, pattern):
+        return None if pattern_size(pattern) >= 2 else engine(host, pattern)
 
     return defective
 
 
 @pytest.mark.parametrize(
-    "engine,route",
-    [("_matrix_embedding_search", "matrix=False"), ("_hyper_embedding_search", "hypergraph=False")],
+    "engine,pattern_size,route",
+    [
+        # the pattern forms are (extents, weight, rows) and (n, sizes, touches)
+        ("_matrix_embedding_search", lambda form: form[1], "matrix=False"),
+        ("_hyper_embedding_search", lambda form: len(form[1]), "hypergraph=False"),
+    ],
+    ids=["_matrix_embedding_search-matrix=False", "_hyper_embedding_search-hypergraph=False"],
 )
-def test_association_equivalence_fails_when_one_route_misses_copies(monkeypatch, engine, route):
-    defective = _defect_above_one(getattr(containment, engine))
+def test_association_equivalence_fails_when_one_route_misses_copies(
+    monkeypatch, engine, pattern_size, route
+):
+    defective = _defect_above_one(getattr(containment, engine), pattern_size)
     monkeypatch.setattr(containment, engine, defective)
     result = check_association_equivalence(n_max=2)
     assert not result.passed
@@ -116,6 +163,16 @@ def test_weight_vs_edges():
     result = check_weight_vs_edges(lengths=(2,), n_max=3)
     assert result.passed
     assert result.notes
+
+
+def test_weight_vs_edges_fails_when_exe_under_counts(monkeypatch):
+    # the factor 7 leaves room at n >= 2; at n = 1, exi = exe = 1
+    monkeypatch.setattr(verify, "exe_hyper", _under_count_by_one(verify.exe_hyper))
+    result = check_weight_vs_edges(lengths=(2,), n_max=3)
+    assert not result.passed
+    failures = result.failures
+    assert [inst.params["n"] for inst in failures] == [1, 1]
+    assert all((inst.payload["exi"], inst.payload["exe"]) == (1, 0) for inst in failures)
 
 
 def test_run_checks_rejects_unknown_claim():
