@@ -115,9 +115,9 @@ def cmd_compute(args) -> int:
         elif kind == "gex":
             cert = gex_graph(pattern, n)
         elif kind == "exe":
-            cert = exe_hyper(pattern, n, edge_cap=args.edge_cap, exact=args.exact)
+            cert = exe_hyper(pattern, n, edge_cap=n if args.exact else args.edge_cap)
         else:
-            cert = exi_hyper(pattern, n, edge_cap=args.edge_cap, exact=args.exact)
+            cert = exi_hyper(pattern, n, edge_cap=n if args.exact else args.edge_cap)
         ref = f"witness_n{n}.txt"
         if kind in ("ex", "f"):
             fileio.write_matrix(out / ref, cert.witness)

@@ -41,6 +41,8 @@ RNG_ALGORITHM = "python-random-mt19937"
 
 CAP_MODES = ("kd", "(k+d)d")
 
+MAX_WINDOWS = 2_000_000
+
 
 # ---------------------------------------------------------------------------
 # deterministic constructions
@@ -392,9 +394,7 @@ def analytic_expected_weight(pattern: BinaryMatrix, side: int, p: float) -> floa
     return side**d * p - numerator / denominator * p**w
 
 
-def random_avoider(
-    config: GeneratorConfig, trial: int = 0, *, max_windows: int = 2_000_000
-) -> tuple[BinaryMatrix, TrialStats]:
+def random_avoider(config: GeneratorConfig, trial: int = 0) -> tuple[BinaryMatrix, TrialStats]:
     """Sample a random d-matrix and repair it into a guaranteed avoider.
 
     Entries are 1 independently with probability p (seeded, one trial
@@ -412,10 +412,8 @@ def random_avoider(
     n = config.side
     d = pattern.d
     windows = math.prod(math.comb(n, k) for k in pattern.extents)
-    if windows > max_windows:
-        raise CapacityError(
-            f"{windows} submatrix windows exceed the configured limit {max_windows}"
-        )
+    if windows > MAX_WINDOWS:
+        raise CapacityError(f"{windows} submatrix windows exceed the limit {MAX_WINDOWS}")
     seed = config.seed ^ trial
     rng = random.Random(seed)
     ones = {
@@ -445,11 +443,6 @@ def random_avoider(
     return result, stats
 
 
-def random_avoider_trials(
-    config: GeneratorConfig, *, max_windows: int = 2_000_000
-) -> list[tuple[BinaryMatrix, TrialStats]]:
+def random_avoider_trials(config: GeneratorConfig) -> list[tuple[BinaryMatrix, TrialStats]]:
     """All trials of the generator, in trial order."""
-    return [
-        random_avoider(config, trial, max_windows=max_windows)
-        for trial in range(config.trials)
-    ]
+    return [random_avoider(config, trial) for trial in range(config.trials)]

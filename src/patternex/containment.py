@@ -68,9 +68,6 @@ class HypergraphEmbedding:
     vertex_map: tuple[int, ...]
     edge_map: tuple[tuple[Edge, Edge], ...]
 
-    def mapped_vertex(self, v: int) -> int:
-        return self.vertex_map[v - 1]
-
     def as_dict(self) -> dict[Edge, Edge]:
         return dict(self.edge_map)
 

@@ -22,12 +22,14 @@ A returned :class:`SearchCertificate` is always re-checked through the
 public containment API, an engine the solvers do not run.  Counting uses
 exact integer arithmetic throughout.
 
-Capacity limits are explicit arguments with hard errors; nothing is
-silently truncated.
+Capacity limits are fixed module constants with hard errors, and
+nothing is silently truncated.  Every limit is checked on a count
+computed arithmetically, before anything is listed.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,10 +46,9 @@ from .containment import (
 from .errors import CapacityError, InputError, PostconditionError
 from .structures import BinaryMatrix, Edge, OrderedHypergraph
 
-DEFAULT_MAX_CELLS = 64
-DEFAULT_MAX_GRAPH_CANDIDATES = 28
-DEFAULT_MAX_HYPER_CANDIDATES = 20
-COUNT_EXACT_MAX_N = 4
+MAX_CELLS = 64
+MAX_GRAPH_CANDIDATES = 28
+MAX_HYPER_CANDIDATES = 20
 
 
 @dataclass(frozen=True)
@@ -94,20 +95,13 @@ class ExtremalTable:
             if any(values[i] > values[i + 1] for i in range(len(values) - 1)):
                 raise PostconditionError(f"extremal values decreased: {values}")
 
-    def ratio(self, row: TableRow) -> Fraction:
-        """value / n."""
-        return Fraction(row.value, row.n)
-
-    def ratio_high_dim(self, row: TableRow) -> Fraction:
-        """value / n^(d-1)."""
-        return Fraction(row.value, row.n ** (self.dimension - 1))
-
     def primary_ratio(self, row: TableRow) -> Fraction | None:
+        """value / n^(d-1) for kind f, value / n for the other extremal
+        kinds, and None for avoider counts."""
         if self.kind == "count":
             return None
-        if self.kind == "f":
-            return self.ratio_high_dim(row)
-        return self.ratio(row)
+        exponent = self.dimension - 1 if self.kind == "f" else 1
+        return Fraction(row.value, row.n**exponent)
 
     def ratios_monotone(self) -> bool:
         """Descriptive: whether the primary ratio is nondecreasing across rows."""
@@ -115,11 +109,6 @@ class ExtremalTable:
         if any(r is None for r in ratios):
             return False
         return all(ratios[i] <= ratios[i + 1] for i in range(len(ratios) - 1))
-
-    @property
-    def limit_estimate(self) -> Fraction:
-        """Running growth-rate estimate; see :func:`estimate_limit`."""
-        return estimate_limit(self)
 
 
 def estimate_limit(table: ExtremalTable) -> Fraction:
@@ -300,36 +289,30 @@ def _reject_if_unavoidable(pattern: BinaryMatrix, n: int) -> None:
         )
 
 
-def _solve_matrix_extremal(
-    pattern: BinaryMatrix, n: int, max_cells: int
-) -> SearchCertificate:
+def _solve_matrix_extremal(pattern: BinaryMatrix, n: int) -> SearchCertificate:
     d = pattern.d
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
-    if n**d > max_cells:
+    if n**d > MAX_CELLS:
         shape = "x".join([str(n)] * d)
-        raise CapacityError(f"{shape} exceeds the configured cell limit {max_cells}")
+        raise CapacityError(f"{shape} exceeds the cell limit {MAX_CELLS}")
     _reject_if_unavoidable(pattern, n)
     value, ones = _solve_max_weight(pattern, n)
     return _certify_matrix(value, BinaryMatrix((n,) * d, ones), pattern)
 
 
-def ex_matrix(
-    pattern: BinaryMatrix, n: int, *, max_cells: int = DEFAULT_MAX_CELLS
-) -> SearchCertificate:
+def ex_matrix(pattern: BinaryMatrix, n: int) -> SearchCertificate:
     """Maximum 1-entries of an n x n matrix avoiding the 2-dimensional pattern."""
     if pattern.d != 2:
         raise InputError(f"ex_matrix needs a 2-dimensional pattern, got d={pattern.d}")
-    return _solve_matrix_extremal(pattern, n, max_cells)
+    return _solve_matrix_extremal(pattern, n)
 
 
-def f_multi(
-    pattern: BinaryMatrix, d: int, n: int, *, max_cells: int = DEFAULT_MAX_CELLS
-) -> SearchCertificate:
+def f_multi(pattern: BinaryMatrix, d: int, n: int) -> SearchCertificate:
     """Maximum 1-entries of a side-length-n d-matrix avoiding the pattern."""
     if d != pattern.d:
         raise InputError(f"d={d} does not match pattern dimension {pattern.d}")
-    return _solve_matrix_extremal(pattern, n, max_cells)
+    return _solve_matrix_extremal(pattern, n)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +336,27 @@ def _reject_unavoidable_hypergraph(pattern: OrderedHypergraph, n: int) -> None:
             "pattern with no edges is contained in every host on this many "
             "vertices, the extremal value is undefined"
         )
+
+
+def _candidate_edges(n: int, smallest: int, largest: int, limit: int) -> list[Edge]:
+    """The edges on [n] of sizes ``smallest`` to ``largest``, in
+    lexicographic order.  They are counted with ``math.comb`` first, and
+    more than ``limit`` of them raise :class:`CapacityError` before any is
+    listed, so a refusal costs at most ``limit + 1`` binomials whatever n."""
+    sizes = range(smallest, min(largest, n) + 1)
+    count = 0
+    for size in sizes:
+        count += math.comb(n, size)
+        if count > limit:
+            raise CapacityError(
+                f"at least {count} candidate edges of size at most {largest} "
+                f"on {n} vertices exceed the limit {limit}"
+            )
+    edges: list[Edge] = []
+    for size in sizes:
+        edges += combinations(range(1, n + 1), size)
+    edges.sort()
+    return edges
 
 
 def _hyper_copies(n: int, candidates: list[Edge], pattern: OrderedHypergraph) -> set[int]:
@@ -423,62 +427,34 @@ def _solve_max_hyper(
     return value, [e for i, e in enumerate(candidates) if chosen >> i & 1]
 
 
-def gex_graph(
-    pattern: OrderedHypergraph,
-    n: int,
-    *,
-    max_candidates: int = DEFAULT_MAX_GRAPH_CANDIDATES,
-) -> SearchCertificate:
+def gex_graph(pattern: OrderedHypergraph, n: int) -> SearchCertificate:
     """Maximum edges of an ordered graph on [n] avoiding the 2-uniform pattern."""
     if any(len(e) != 2 for e in pattern.edges):
         raise InputError("gex needs a 2-uniform pattern")
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
-    count = n * (n - 1) // 2
-    if count > max_candidates:
-        raise CapacityError(
-            f"{count} candidate edges exceed the configured limit {max_candidates}"
-        )
+    candidates = _candidate_edges(n, 2, 2, MAX_GRAPH_CANDIDATES)
     _reject_unavoidable_hypergraph(pattern, n)
-    candidates = [tuple(e) for e in combinations(range(1, n + 1), 2)]
     value, edges = _solve_max_hyper(n, candidates, pattern, "edges")
     witness = OrderedHypergraph(n, frozenset(edges))
     return _certify_hypergraph(value, witness, pattern, "edges")
 
 
-def _hyper_candidates(n: int, cap: int) -> list[Edge]:
-    cap = min(cap, n)
-    out: list[Edge] = []
-    for size in range(1, cap + 1):
-        out.extend(combinations(range(1, n + 1), size))
-    out.sort()
-    return out
+def _size_cap(edge_cap: int | None, default: int) -> int:
+    if edge_cap is None:
+        return default
+    if edge_cap < 1:
+        raise InputError(f"edge size cap must be >= 1, got {edge_cap}")
+    return edge_cap
 
 
 def _solve_hyper_extremal(
-    pattern: OrderedHypergraph,
-    n: int,
-    mode: str,
-    edge_cap: int | None,
-    exact: bool,
-    max_candidates: int,
+    pattern: OrderedHypergraph, n: int, mode: str, edge_cap: int | None
 ) -> SearchCertificate:
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
-    if exact:
-        cap = n
-    elif edge_cap is not None:
-        if edge_cap < 1:
-            raise InputError(f"edge size cap must be >= 1, got {edge_cap}")
-        cap = edge_cap
-    else:
-        cap = max(pattern.n, 1)
-    candidates = _hyper_candidates(n, cap)
-    if len(candidates) > max_candidates:
-        raise CapacityError(
-            f"{len(candidates)} candidate edges exceed the configured limit "
-            f"{max_candidates}; lower n or the edge size cap"
-        )
+    cap = _size_cap(edge_cap, max(pattern.n, 1))
+    candidates = _candidate_edges(n, 1, cap, MAX_HYPER_CANDIDATES)
     _reject_unavoidable_hypergraph(pattern, n)
     value, edges = _solve_max_hyper(n, candidates, pattern, mode)
     witness = OrderedHypergraph(n, frozenset(edges))
@@ -486,50 +462,37 @@ def _solve_hyper_extremal(
 
 
 def exe_hyper(
-    pattern: OrderedHypergraph,
-    n: int,
-    *,
-    edge_cap: int | None = None,
-    exact: bool = False,
-    max_candidates: int = DEFAULT_MAX_HYPER_CANDIDATES,
+    pattern: OrderedHypergraph, n: int, *, edge_cap: int | None = None
 ) -> SearchCertificate:
     """Maximum edge count of a hypergraph on [n] avoiding the pattern.
 
     Candidate edges are restricted to size <= cap (default: the pattern's
-    vertex count), mirroring the edge-truncation reduction; pass
-    ``exact=True`` to search the full edge universe on tiny n.
+    vertex count), mirroring the edge-truncation reduction; ``edge_cap=n``
+    searches the full edge universe on tiny n.
     """
-    return _solve_hyper_extremal(pattern, n, "edges", edge_cap, exact, max_candidates)
+    return _solve_hyper_extremal(pattern, n, "edges", edge_cap)
 
 
 def exi_hyper(
-    pattern: OrderedHypergraph,
-    n: int,
-    *,
-    edge_cap: int | None = None,
-    exact: bool = False,
-    max_candidates: int = DEFAULT_MAX_HYPER_CANDIDATES,
+    pattern: OrderedHypergraph, n: int, *, edge_cap: int | None = None
 ) -> SearchCertificate:
     """Maximum weight (sum of edge sizes) of a hypergraph on [n] avoiding the pattern.
 
     Same candidate-edge cap semantics as :func:`exe_hyper`; with a cap the
     value is the maximum over hosts whose edges respect the cap.
     """
-    return _solve_hyper_extremal(pattern, n, "weight", edge_cap, exact, max_candidates)
+    return _solve_hyper_extremal(pattern, n, "weight", edge_cap)
 
 
 def count_avoiders(
-    pattern: OrderedHypergraph,
-    n: int,
-    *,
-    edge_size_cap: int | None = None,
-    max_candidates: int = DEFAULT_MAX_HYPER_CANDIDATES,
+    pattern: OrderedHypergraph, n: int, *, edge_size_cap: int | None = None
 ) -> int:
     """Exact number of hypergraphs on [n] avoiding the pattern.
 
-    Without a cap the full edge universe is enumerated, which is limited
-    to n <= 4; larger n must pass ``edge_size_cap`` (the count is then
-    over hypergraphs whose edges respect the cap).  Enumeration prunes
+    Without a cap the full edge universe is enumerated; its 2^n - 1
+    candidate edges keep it under the candidate limit up to n = 4, so
+    larger n must pass ``edge_size_cap`` (the count is then over
+    hypergraphs whose edges respect the cap).  Enumeration prunes
     both ways: a branch that already contains the pattern contributes
     nothing, and a branch whose full completion still avoids contributes
     a power of two without further splitting.  Both tests read the copy
@@ -538,23 +501,8 @@ def count_avoiders(
     """
     if n < 0:
         raise InputError(f"n must be nonnegative, got {n}")
-    if edge_size_cap is None:
-        if n > COUNT_EXACT_MAX_N:
-            raise CapacityError(
-                f"exact enumeration is limited to n <= {COUNT_EXACT_MAX_N}; "
-                "pass edge_size_cap for larger n"
-            )
-        cap = max(n, 1)
-    else:
-        if edge_size_cap < 1:
-            raise InputError(f"edge size cap must be >= 1, got {edge_size_cap}")
-        cap = edge_size_cap
-    candidates = _hyper_candidates(n, cap)
-    if len(candidates) > max_candidates:
-        raise CapacityError(
-            f"{len(candidates)} candidate edges exceed the configured limit "
-            f"{max_candidates}"
-        )
+    cap = _size_cap(edge_size_cap, n)
+    candidates = _candidate_edges(n, 1, cap, MAX_HYPER_CANDIDATES)
     copies = _hyper_copies(n, candidates, pattern)
     if not copies:
         return 1 << len(candidates)

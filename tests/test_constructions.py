@@ -1,6 +1,7 @@
 """Constructions and their mechanically re-checked guarantees."""
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patternex import (
+    CapacityError,
     GeneratorConfig,
     InputError,
     PartsSpec,
@@ -280,6 +282,14 @@ class TestRandomAvoider:
         config = GeneratorConfig(pattern=ALL_ONES_2, side=4, p=0.5, seed=0)
         with pytest.raises(PostconditionError):
             random_avoider(config)
+
+    def test_window_limit(self):
+        # C(53, 2)^2 = 1,898,884 windows fit under the limit of 2,000,000
+        # and C(54, 2)^2 = 2,047,761 do not; the density leaves no 1-entry
+        config = GeneratorConfig(pattern=ALL_ONES_2, side=53, p=1e-9, seed=0)
+        assert random_avoider(config)[0].weight == 0
+        with pytest.raises(CapacityError):
+            random_avoider(replace(config, side=54))
 
     def test_reproducible_per_seed(self):
         config = GeneratorConfig(pattern=ALL_ONES_2, side=8, p=0.25, seed=3, trials=2)

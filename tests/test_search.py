@@ -1,6 +1,8 @@
 """Solvers checked against enumeration oracles and their frozen values."""
 
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -76,6 +78,12 @@ class TestExMatrix:
             assert cert.value == 4
 
     def test_capacity_error(self):
+        # the pattern never fits, so the value is every cell: 8^2 = 64 cells
+        # are allowed, 9^2 = 81 are not
+        never_fits = make_matrix([9, 9], [(1, 1)])
+        assert ex_matrix(never_fits, 8).value == 64
+        with pytest.raises(CapacityError):
+            ex_matrix(never_fits, 9)
         with pytest.raises(CapacityError):
             ex_matrix(IDENTITY2, 9)
 
@@ -270,6 +278,8 @@ class TestGexGraph:
         assert gex_graph(make_hypergraph(4, []), 3).value == 3
 
     def test_capacity(self):
+        # C(8, 2) = 28 candidate edges are allowed, C(9, 2) = 36 are not
+        assert gex_graph(SINGLE_EDGE, 8).value == 0
         with pytest.raises(CapacityError):
             gex_graph(SINGLE_EDGE, 9)
 
@@ -321,14 +331,20 @@ class TestHyperExtremal:
                 )
 
     def test_exact_flag_lifts_the_cap(self):
-        # nested pattern: a long edge is the best capped-out avoider
+        # edge_cap=n, the CLI's --exact; nested pattern: a long edge is the
+        # best capped-out avoider
         pattern = make_hypergraph(2, [(1,), (1, 2)])
         capped = exi_hyper(pattern, 4).value
-        exact = exi_hyper(pattern, 4, exact=True).value
+        exact = exi_hyper(pattern, 4, edge_cap=4).value
         assert exact == brute_hyper_extremal(pattern, 4, "weight")
         assert exact >= capped
 
     def test_capacity(self):
+        # with edge_cap=1 the candidates are the n singletons: 20 are
+        # allowed, 21 are not
+        assert exe_hyper(SINGLE_EDGE, 20, edge_cap=1).value == 20
+        with pytest.raises(CapacityError):
+            exe_hyper(SINGLE_EDGE, 21, edge_cap=1)
         with pytest.raises(CapacityError):
             exe_hyper(IDENTITY_HYPERGRAPH, 6)
 
@@ -360,12 +376,56 @@ class TestCountAvoiders:
                 assert count_avoiders(pattern, n) == brute_count_avoiders(pattern, n)
 
     def test_capacity_without_cap(self):
+        # 2^4 - 1 = 15 candidate edges are allowed, 2^5 - 1 = 31 are not
+        assert count_avoiders(SINGLE_EDGE, 4) == 16
         with pytest.raises(CapacityError):
             count_avoiders(SINGLE_EDGE, 5)
 
     def test_cap_allows_larger_n(self):
         # avoiders of the single edge are exactly the singleton subsets
         assert count_avoiders(SINGLE_EDGE, 5, edge_size_cap=1) == 2**5
+
+
+class TestCapacityRefusal:
+    """A refused instance costs no more than counting its candidates."""
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda n: exe_hyper(IDENTITY_HYPERGRAPH, n),
+            lambda n: exi_hyper(IDENTITY_HYPERGRAPH, n),
+            lambda n: count_avoiders(IDENTITY_HYPERGRAPH, n),
+            lambda n: count_avoiders(IDENTITY_HYPERGRAPH, n, edge_size_cap=4),
+            lambda n: gex_graph(IDENTITY_HYPERGRAPH, n),
+        ],
+        ids=["exe", "exi", "count", "count-capped", "gex"],
+    )
+    def test_refused_before_listing_candidates(self, solve):
+        # at n = 60 and cap 4 there are 523,685 candidate edges, and listing
+        # them takes tens of MiB; the refusal must come from their count
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                solve(60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda n: exe_hyper(IDENTITY_HYPERGRAPH, n),
+            lambda n: exi_hyper(IDENTITY_HYPERGRAPH, n, edge_cap=n),
+            lambda n: count_avoiders(IDENTITY_HYPERGRAPH, n, edge_size_cap=4),
+        ],
+        ids=["exe", "exi-uncapped", "count-capped"],
+    )
+    def test_huge_n_is_refused_at_once(self, solve):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError):
+            solve(10**6)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestTables:
@@ -378,7 +438,6 @@ class TestTables:
     def test_limit_estimate(self):
         table = self._identity_table()
         assert estimate_limit(table) == Fraction(9, 5)
-        assert table.limit_estimate == Fraction(9, 5)
         single = ExtremalTable(
             "single", "ex", 2, (TableRow(1, 0), TableRow(2, 0), TableRow(3, 0))
         )

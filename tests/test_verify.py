@@ -62,6 +62,28 @@ def test_interval_blowup():
     assert any(inst.params.get("gex_exact") is not None for inst in result.instances)
 
 
+def test_interval_blowup_fails_when_ex_under_counts(monkeypatch):
+    # the blow-up of the true avoider has (t - 1) * (ex - 1) + (t - 1)
+    # edges, t - 1 more than the under-counted value predicts
+    monkeypatch.setattr(verify, "ex_matrix", _under_count_by_one(verify.ex_matrix))
+    result = check_interval_blowup(n=2, t_values=(2, 3))
+    assert not result.passed
+    assert len(result.failures) == len(result.instances) == 4
+    assert all(
+        inst.payload["edges"] == inst.payload["expected_edges"] + inst.params["t"] - 1
+        for inst in result.failures
+    )
+
+
+def test_interval_blowup_fails_when_containment_reports_copies(monkeypatch):
+    # neither the bipartite avoider nor its blow-ups may contain the pattern
+    monkeypatch.setattr(verify, "hypergraph_contains", lambda host, pattern: object())
+    result = check_interval_blowup(n=2, t_values=(2, 3))
+    assert not result.passed
+    assert len(result.failures) == 4
+    assert not any(inst.payload["base_avoids"] for inst in result.failures)
+
+
 def test_partite_edge_bound():
     result = check_partite_edge_bound(n_max=3)
     assert result.passed
@@ -101,6 +123,34 @@ def test_contraction_recurrence_reports_both_variants():
         assert "holds_weight_variant" in inst.params
         assert "holds_edge_variant" in inst.params
         assert inst.params["count_tn"] == 2 ** (2 * inst.params["n"])
+
+
+def test_contraction_recurrence_fails_when_exi_under_counts(monkeypatch):
+    # a smaller exponent shrinks the bound below the true count at n = 2:
+    # 16 avoiders on [4] against (2^2 - 1)^1 * 4 = 12
+    monkeypatch.setattr(verify, "exi_hyper", _under_count_by_one(verify.exi_hyper))
+    result = check_contraction_recurrence(n_values=(1, 2), t=2)
+    assert not result.passed
+    assert len(result.failures) == 2
+    last = result.failures[-1].payload
+    assert (last["count_large"], last["bound_weight_variant"]) == (16, 12)
+
+
+def test_contraction_recurrence_fails_when_count_misses_copies(monkeypatch):
+    # counting every host, 2^(2^n - 1), as an avoider: at n = 2 the 2^15
+    # hosts on [4] exceed (2^2 - 1)^2 * 2^3 = 72
+    count = verify.count_avoiders
+
+    def count_every_host(pattern, n):
+        # an edgeless pattern on more vertices than the host never fits
+        return count(make_hypergraph(n + 1, []), n)
+
+    monkeypatch.setattr(verify, "count_avoiders", count_every_host)
+    result = check_contraction_recurrence(n_values=(1, 2), t=2)
+    assert not result.passed
+    assert len(result.failures) == 2
+    last = result.failures[-1].payload
+    assert (last["count_large"], last["bound_weight_variant"]) == (32768, 72)
 
 
 def test_random_density_quick():
