@@ -105,7 +105,7 @@ def cmd_compute(args) -> int:
     rows = []
     for n in ns:
         if kind == "count":
-            value = count_avoiders(pattern, n, edge_size_cap=args.edge_cap)
+            value = count_avoiders(pattern, n, edge_size_cap=n if args.exact else args.edge_cap)
             rows.append(TableRow(n, value))
             continue
         if kind == "ex":

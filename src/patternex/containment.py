@@ -16,11 +16,11 @@ negative one costs at most one big-int operation per step of a greedy
 row scan for each of the prod C(n_i, k_i) placements.  The hypergraph
 engine, shared by ``hypergraph_contains`` and ``klazar_marcus_check``,
 backtracks over increasing vertex maps, narrowing each pattern edge's
-candidate host edges (one int) with one AND per mapped vertex.  The
-public deciders prepare both forms on every call; only
-``klazar_marcus_check`` memoises them, per graph.  Containment is NP-hard
-in general; the contract is correctness at desk scale (pattern weight up
-to ~8, host side up to ~12 for d=2), not polynomial time.
+candidate host edges (one int) with one AND per mapped vertex.  Single
+calls prepare both forms inline; the all-pairs sweep prepares each graph
+once per part size.  Containment is NP-hard in general; the contract is
+correctness at desk scale (pattern weight up to ~8, host side up to ~12
+for d=2), not polynomial time.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def _placement_table(
 # public call prepares two forms, and named tuples with tuple copies of
 # the lists added a few microseconds to each call, a visible share of the
 # small certificate checks.  The search steps never modify a form, so the
-# memo below can share them.  (extents, weight, rows): rows[i] lists the
+# all-pairs sweep can share them.  (extents, weight, rows): rows[i] lists the
 # tail cells (axes 2..d, numbered row-major over extents[1:] from 0) of
 # the 1-entries in row i + 1.
 _MatrixForm = tuple[tuple[int, ...], int, list[list[int]]]
@@ -443,27 +443,12 @@ def hypergraph_contains(
 # association equivalence
 
 
-def _uniform_edge_size(*hypergraphs: OrderedHypergraph) -> int | None:
-    sizes = {len(e) for h in hypergraphs for e in h.edges}
-    if len(sizes) > 1:
-        raise InputError(f"inputs are not uniform: edge sizes {sorted(sizes)}")
-    return sizes.pop() if sizes else None
-
-
-@lru_cache(maxsize=1024)
 def _partite_forms(
     h: OrderedHypergraph, d: int
 ) -> tuple[_MatrixForm, _HyperHost, _HyperPattern]:
-    """Validate h as d-partite with d equal parts and prepare it for both
-    engines: its associated matrix's form, and its hypergraph host and
-    pattern forms.
-
-    Memoised per (graph, d): both are immutable, so the cached forms can
-    be shared.  Exceptions are not cached, so invalid input raises on
-    every call.  The helpers are looked up as module globals at call
-    time, so a rebinding of ``is_d_partite``, ``associated_matrix`` or a
-    prepare step still sees every uncached call.
-    """
+    """Validate h as d-partite d-uniform with d equal parts (uniformity is
+    checked by ``associated_matrix``) and prepare its associated matrix's
+    form and its hypergraph host and pattern forms."""
     if h.n % d != 0 or h.n == 0:
         raise InputError(f"vertex count {h.n} is not d*size for d={d}")
     parts = PartsSpec.equal(d, h.n // d)
@@ -478,6 +463,35 @@ def _partite_forms(
     )
 
 
+def _disagreement(hyper_side: bool, host: OrderedHypergraph, pattern: OrderedHypergraph) -> str:
+    return (
+        "hypergraph containment and associated-matrix containment disagree: "
+        f"hypergraph={hyper_side} matrix={not hyper_side} host={host!r} pattern={pattern!r}"
+    )
+
+
+def association_disagreement(
+    graphs: list[OrderedHypergraph], d: int
+) -> tuple[OrderedHypergraph, OrderedHypergraph, str] | None:
+    """The first ordered pair (host, pattern, message), host-major, on
+    which the two routes of :func:`klazar_marcus_check` disagree, or None.
+
+    Each graph, d-partite d-uniform with d equal parts, is validated,
+    associated and prepared once; each pair then runs only the two search
+    steps, read as module globals when the sweep starts."""
+    if d < 2 or len({g.n for g in graphs}) > 1:
+        raise InputError(f"the equivalence needs d >= 2 parts of one size, got d={d}")
+    forms = [_partite_forms(g, d) for g in graphs]
+    hyper_search = _hyper_embedding_search
+    matrix_search = _matrix_embedding_search
+    for host, (host_matrix, host_hyper, _) in zip(graphs, forms):
+        for pattern, (pattern_matrix, _, pattern_hyper) in zip(graphs, forms):
+            hyper_side = hyper_search(host_hyper, pattern_hyper) is not None
+            if hyper_side != (matrix_search(host_matrix, pattern_matrix) is not None):
+                return host, pattern, _disagreement(hyper_side, host, pattern)
+    return None
+
+
 def klazar_marcus_check(
     host: OrderedHypergraph, pattern: OrderedHypergraph, d: int | None = None
 ) -> bool:
@@ -490,14 +504,9 @@ def klazar_marcus_check(
     with parts of 3 order-contains pattern ([4],{{1,4}}) with parts of 2
     via f=(1,2,3,4), yet the associated matrices do not contain.)
 
-    Each distinct graph is validated, associated and prepared for both
-    engines once per process, so a sweep over all pairs pays that work
-    once per graph, not per pair: the memo holds each graph's matrix
-    form and its hypergraph host and pattern forms, and each pair runs
-    the two engines' search steps on them directly.  The memo is an LRU
-    cache of 1024 entries: more than 512 because the exhaustive sweep at
-    part size 3 cycles through all 512 graphs for each host, and a
-    smaller LRU cache would evict every entry before its next use.
+    Validates, associates and prepares both inputs on every call, like
+    the public deciders; :func:`association_disagreement` sweeps all
+    pairs of a list of graphs and prepares each graph once.
 
     Evaluates both routes and raises ConsistencyError if they disagree;
     otherwise returns the shared boolean.
@@ -507,7 +516,10 @@ def klazar_marcus_check(
             "the equivalence needs equal vertex counts and part sizes, got "
             f"{host.n} and {pattern.n} vertices"
         )
-    inferred = _uniform_edge_size(host, pattern)
+    sizes = {len(e) for e in host.edges | pattern.edges}
+    if len(sizes) > 1:
+        raise InputError(f"inputs are not uniform: edge sizes {sorted(sizes)}")
+    inferred = sizes.pop() if sizes else None
     if d is None:
         d = inferred
     if d is None:
@@ -520,11 +532,6 @@ def klazar_marcus_check(
     host_matrix, host_hyper, _ = _partite_forms(host, d)
     pattern_matrix, _, pattern_hyper = _partite_forms(pattern, d)
     hyper_side = _hyper_embedding_search(host_hyper, pattern_hyper) is not None
-    matrix_side = _matrix_embedding_search(host_matrix, pattern_matrix) is not None
-    if hyper_side != matrix_side:
-        raise ConsistencyError(
-            "hypergraph containment and associated-matrix containment disagree: "
-            f"hypergraph={hyper_side} matrix={matrix_side} "
-            f"host={host!r} pattern={pattern!r}"
-        )
+    if hyper_side != (_matrix_embedding_search(host_matrix, pattern_matrix) is not None):
+        raise ConsistencyError(_disagreement(hyper_side, host, pattern))
     return hyper_side

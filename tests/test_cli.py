@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from patternex import containment, fileio, matrix_contains
+from patternex import containment, count_avoiders, fileio, matrix_contains
 from patternex.cli import main
 
 IDENTITY2_TEXT = "2 2 2\n1 1\n2 2\n"
@@ -97,6 +97,19 @@ class TestCompute:
             "compute", "--kind", "exi", "--pattern", str(nested),
             "--n", "3", "--out", str(out), "--exact",
         ]) == 0
+
+    def test_count_exact_overrides_edge_cap(self, tmp_path):
+        nested = tmp_path / "nested.txt"
+        nested.write_text("2\n1\n1 2\n")
+        out = tmp_path / "out"
+        assert main([
+            "compute", "--kind", "count", "--pattern", str(nested),
+            "--n", "3", "--out", str(out), "--exact", "--edge-cap", "2",
+        ]) == 0
+        lines = (out / "table.csv").read_text().strip().split("\n")[1:]
+        expected = count_avoiders(fileio.read_hypergraph(nested), 3)
+        assert [int(l.split(",")[1]) for l in lines] == [expected]
+        assert expected != count_avoiders(fileio.read_hypergraph(nested), 3, edge_size_cap=2)
 
     def test_f_multi_kind(self, tmp_path):
         diag = tmp_path / "diag.txt"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patternex import (
+    ConsistencyError,
     InputError,
     OrderedHypergraph,
     PartsSpec,
@@ -293,17 +294,70 @@ class TestKlazarMarcus:
 
             return counted
 
-        containment._partite_forms.cache_clear()
         for name in calls:
             monkeypatch.setattr(containment, name, counting(name))
         monkeypatch.setattr(containment, "_hyper_embedding_search", lambda host, pattern: None)
         monkeypatch.setattr(containment, "_matrix_embedding_search", lambda host, pattern: None)
-        try:
-            check_association_equivalence(n_max=3)
-        finally:
-            containment._partite_forms.cache_clear()
+        check_association_equivalence(n_max=3)
         # 2 + 16 + 512 distinct graphs over 4 + 256 + 262144 pairs
         assert calls == dict.fromkeys(calls, 530)
+
+    @pytest.mark.parametrize(
+        "matrix_defect,hyper_defect",
+        [(None, None), ((0, 2), None), (None, (0, 2)), ((3, 1), None), ((0, 2), (3, 1))],
+        ids=["sound", "matrix", "hyper", "matrix_off_diagonal", "both"],
+    )
+    def test_sweep_matches_a_per_pair_loop(self, monkeypatch, matrix_defect, hyper_defect):
+        # a planted defect (h, p) misses every copy when the host has at
+        # least h and the pattern at least p 1-entries or edges; slot 1 of
+        # each prepared form holds its count (a weight, an edge count or a
+        # list of edge sizes)
+        def size(form):
+            return form[1] if isinstance(form[1], int) else len(form[1])
+
+        for name, defect in (
+            ("_matrix_embedding_search", matrix_defect),
+            ("_hyper_embedding_search", hyper_defect),
+        ):
+            if defect is not None:
+                engine = getattr(containment, name)
+
+                def search(host, pattern, engine=engine, defect=defect):
+                    if size(host) >= defect[0] and size(pattern) >= defect[1]:
+                        return None
+                    return engine(host, pattern)
+
+                monkeypatch.setattr(containment, name, search)
+        for part_size in (1, 2):
+            graphs = _all_bipartite(part_size)
+            expected = None
+            for host, pattern in product(graphs, graphs):
+                try:
+                    klazar_marcus_check(host, pattern, 2)
+                except ConsistencyError as exc:
+                    expected = (host, pattern, str(exc))
+                    break
+            assert containment.association_disagreement(graphs, 2) == expected
+            assert (expected is None) == (part_size == 1 or matrix_defect == hyper_defect)
+
+    def test_sweep_raises_the_per_pair_input_error(self):
+        graphs = _all_bipartite(2)
+        graphs.insert(5, make_hypergraph(4, [(1, 2)]))
+        with pytest.raises(InputError) as per_pair:
+            for host, pattern in product(graphs, graphs):
+                klazar_marcus_check(host, pattern, 2)
+        with pytest.raises(InputError) as sweep:
+            containment.association_disagreement(graphs, 2)
+        assert str(sweep.value) == str(per_pair.value) == "input is not d-partite with equal parts"
+
+    @pytest.mark.parametrize(
+        "graphs,d",
+        [(_all_bipartite(1), 0), (_all_bipartite(1), 1), (_all_bipartite(1) + _all_bipartite(2), 2)],
+        ids=["d0", "d1", "mixed_part_sizes"],
+    )
+    def test_sweep_rejects_fewer_than_two_parts_and_mixed_sizes(self, graphs, d):
+        with pytest.raises(InputError):
+            containment.association_disagreement(graphs, d)
 
 
 @pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 3)])
@@ -429,8 +483,9 @@ class TestEnginesMatchReferences:
                     assert hyper_side == matrix_side
 
     def test_memoised_forms_match_the_public_engines_and_the_references(self):
-        # the sweep's route: both search steps on the memoised forms, for
-        # every pair at part sizes 1 and 2 and sampled pairs at part size 3
+        # the sweep's route: both search steps on each graph's prepared
+        # forms, for every pair at part sizes 1 and 2 and sampled pairs at
+        # part size 3
         rng = random.Random("engine-diff/memoised-forms")
         pairs = []
         for part_size in (1, 2):
