@@ -16,7 +16,14 @@ negative one costs at most one big-int operation per step of a greedy
 row scan for each of the prod C(n_i, k_i) placements.  The hypergraph
 engine, shared by ``hypergraph_contains`` and ``klazar_marcus_check``,
 backtracks over increasing vertex maps, narrowing each pattern edge's
-candidate host edges (one int) with one AND per mapped vertex.  Single
+candidate host edges (one int) with one AND per mapped vertex.  When the
+subtree below a pattern vertex u fails, it does not try u's later images
+if u constrains nothing after it: u is in no edge, or every edge holding
+u ends at u and every pattern edge has the size of the largest host
+edges.  A later image then leaves every later vertex the same candidate
+sets over a smaller range, so its subtree fails too; only failing
+subtrees are cut, and answers and least embeddings are those of the full
+search.  Single
 calls prepare both forms inline; the all-pairs sweep prepares each graph
 once per part size.  Containment is NP-hard in general; the contract is
 correctness at desk scale (pattern weight up to ~8, host side up to ~12
@@ -285,10 +292,15 @@ def matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> MatrixEmbeddin
 # vertices above it, and bit i of at_least[s] when edge i has at least s
 # vertices (s >= 1).
 _HyperHost = tuple[int, int, list[list[int]], list[int]]
-# (n, sizes, touches), edges numbered in lexicographic order: sizes[i] is
-# the size of edge i, and touches[u - 1] pairs each edge i holding vertex
-# u with the number of its vertices above u.
-_HyperPattern = tuple[int, list[int], list[list[tuple[int, int]]]]
+# (n, sizes, touches, one_size, isolated, closed), edges numbered in
+# lexicographic order: sizes[i] is the size of edge i, touches[u - 1]
+# pairs each edge i holding vertex u with the number of its vertices above
+# u, one_size is the size of every edge (0 when sizes are mixed or there
+# is no edge), isolated[u - 1] is set when u is in no edge and closed[u - 1]
+# when every edge holding u ends at u.
+_HyperPattern = tuple[
+    int, list[int], list[list[tuple[int, int]]], int, list[bool], list[bool]
+]
 
 
 def _hyper_host_form(n: int, edges: list[Edge]) -> _HyperHost:
@@ -314,11 +326,17 @@ def _hyper_pattern_form(n: int, edges: list[Edge]) -> _HyperPattern:
     """Prepare a pattern with lexicographically sorted edges for
     :func:`_hyper_embedding_search`."""
     touches = [[] for _ in range(n)]
+    closed = [True] * n
     for i, edge in enumerate(edges):
         size = len(edge)
         for pos, v in enumerate(edge):
             touches[v - 1].append((i, size - pos - 1))
-    return n, [len(edge) for edge in edges], touches
+        for v in edge[:-1]:
+            closed[v - 1] = False
+    sizes = [len(edge) for edge in edges]
+    one_size = sizes[0] if len(set(sizes)) == 1 else 0
+    isolated = [not touch for touch in touches]
+    return n, sizes, touches, one_size, isolated, closed
 
 
 def _hyper_embedding_search(
@@ -334,9 +352,25 @@ def _hyper_embedding_search(
     above it, where r counts the vertices of e above u; a map is dropped
     as soon as an edge has no candidate left.  The edge assignment
     backtracks over the candidates' set bits in index order.
+
+    Backtracking skips the vertices flagged in ``skip``: once the subtree
+    below u -> w fails, u -> w' fails for every w' > w, so the search goes
+    back to u - 1.  A vertex in no edge narrows nothing, so a later image
+    leaves the vertices after it the same candidate sets over a smaller
+    range.  A vertex whose edges all end at it is skipped as well when
+    every pattern edge has one size s and no host edge is larger
+    (``one_size == width``).  Its edges are fully mapped there and no later
+    vertex touches them.  Candidates start from the host edges of size at
+    least s, so a fully mapped edge's only candidate is the host edge on
+    its image, and distinct pattern edges have distinct images: the leaf
+    assignment cannot fail once every set is nonempty, which is why a
+    matching check of the candidate sets cannot prune anything here.
+    Otherwise the leaf can fail at w and succeed at w' (host
+    ``{12, 13, 3}`` with pattern ``{12, 2}``, or host ``{12, 34}`` with
+    pattern ``{1, 2}``), and only vertices in no edge are skipped.
     """
     host_n, host_m, fit, at_least = host
-    pat_n, sizes, touches = pattern
+    pat_n, sizes, touches, one_size, isolated, closed = pattern
     if pat_n > host_n or len(sizes) > host_m:
         return None
     width = len(at_least) - 1
@@ -345,6 +379,7 @@ def _hyper_embedding_search(
         if size > width:
             return None
         cands.append(at_least[size])
+    skip = closed if one_size == width else isolated
     f = [0] * pat_n
     levels = [cands] + [None] * pat_n
     u = 0
@@ -375,6 +410,8 @@ def _hyper_embedding_search(
                 u += 1
                 levels[u] = narrowed
                 continue
+        while u and skip[u - 1]:
+            u -= 1
         if u == 0:
             return None
         u -= 1
@@ -420,8 +457,12 @@ def hypergraph_contains(
     backtracking over compatible host edges in lexicographic order (plain
     greedy assignment is incomplete when pattern edges nest, so the edge
     map search backtracks while keeping the lexicographically-least
-    tie-break).  A pattern with more vertices or edges than the host
-    yields None before either form is prepared.
+    tie-break).  Backtracking does not re-search a pattern vertex in no
+    edge at a later image, nor, when every pattern edge has the size of
+    the largest host edges, a vertex whose edges all end at it: such a
+    later image only shrinks the range of the vertices after it (see
+    :func:`_hyper_embedding_search`).  A pattern with more vertices or
+    edges than the host yields None before either form is prepared.
     """
     if pattern.n > host.n or len(pattern.edges) > len(host.edges):
         return None

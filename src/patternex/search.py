@@ -111,12 +111,13 @@ class ExtremalTable:
         return all(ratios[i] <= ratios[i + 1] for i in range(len(ratios) - 1))
 
 
-def estimate_limit(table: ExtremalTable) -> Fraction:
-    """Running ratio value(n_max)/n_max; purely descriptive."""
+def estimate_limit(table: ExtremalTable) -> Fraction | None:
+    """The primary ratio of the last row (value/n^(d-1) for kind f,
+    value/n for the other extremal kinds, None for avoider counts);
+    purely descriptive."""
     if not table.rows:
         raise InputError("cannot estimate a limit from an empty table")
-    last = table.rows[-1]
-    return Fraction(last.value, last.n)
+    return table.primary_ratio(table.rows[-1])
 
 
 def table_to_csv(table: ExtremalTable) -> str:

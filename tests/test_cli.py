@@ -121,8 +121,11 @@ class TestCompute:
         ]) == 0
         lines = (out / "table.csv").read_text().strip().split("\n")[1:]
         assert [int(l.split(",")[1]) for l in lines] == [7]
-        # ratio column is value / n^(d-1) for the cubic kind
+        # ratio column is value / n^(d-1) for the cubic kind, and so is
+        # the limit estimate
         assert lines[0].split(",")[2] == "7/4"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["limit_estimate"] == "7/4"
 
     def test_f_multi_dimension_mismatch_exit_2(self, tmp_path, identity_file):
         assert main([

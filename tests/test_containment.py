@@ -468,6 +468,56 @@ class TestEnginesMatchReferences:
             answers.add(_same_hyper_answer(host_n, host_edges, pat_n, pat_edges))
         assert answers == {False, True}
 
+    def test_hypergraphs_of_one_edge_size(self):
+        # graphs and 3-uniform hypergraphs, where backtracking also skips
+        # vertices whose edges all end at them; patterns are sparse, so
+        # many interior vertices are in no edge or close all of theirs.
+        # Some hosts also carry smaller edges, which no pattern edge can use.
+        rng = random.Random("engine-diff/one-size")
+        answers = set()
+        shapes = set()
+        for size in (2, 3):
+            for planted in (False, True) * 150:
+                host_n = rng.randint(8, 14)
+                pat_n = rng.randint(6, 8)
+                pat_edges = _random_edges(rng, pat_n, rng.randint(1, 4), size, size)
+                host = set(_random_edges(rng, host_n, rng.randint(0, 2 * host_n), size, size))
+                if rng.random() < 0.25:
+                    host |= set(_random_edges(rng, host_n, rng.randint(1, host_n), size - 1))
+                if planted:
+                    f = sorted(rng.sample(range(1, host_n + 1), pat_n))
+                    host |= {tuple(f[v - 1] for v in edge) for edge in pat_edges}
+                for v in range(2, pat_n):
+                    held = [edge for edge in pat_edges if v in edge]
+                    if not held:
+                        shapes.add("isolated")
+                    elif all(edge[-1] == v for edge in held):
+                        shapes.add("closed")
+                answers.add(_same_hyper_answer(host_n, sorted(host), pat_n, pat_edges))
+        assert answers == {False, True}
+        assert shapes == {"isolated", "closed"}
+
+    @pytest.mark.parametrize(
+        "host_n,host_edges,pattern_n,pattern_edges,vertex_map,edge_map",
+        [
+            # pattern edges of two sizes: at f = (1, 2) both need host edge
+            # {1, 2}; vertex 2 ends both, and its image 3 frees {1, 3} and {3}
+            (3, [(1, 2), (1, 3), (3,)], 2, [(1, 2), (2,)], (1, 3), {(1, 2): (1, 3), (2,): (3,)}),
+            # pattern edges smaller than the host's: at f = (1, 2) both need {1, 2}
+            (4, [(1, 2), (3, 4)], 2, [(1,), (2,)], (1, 3), {(1,): (1, 2), (2,): (3, 4)}),
+        ],
+        ids=["mixed-pattern-sizes", "smaller-pattern-edges"],
+    )
+    def test_closed_vertices_are_re_searched_when_the_leaf_can_fail(
+        self, host_n, host_edges, pattern_n, pattern_edges, vertex_map, edge_map
+    ):
+        found = hypergraph_contains(
+            make_hypergraph(host_n, host_edges), make_hypergraph(pattern_n, pattern_edges)
+        )
+        assert found.vertex_map == vertex_map
+        assert found.as_dict() == edge_map
+        assert _same_hyper_answer(host_n, host_edges, pattern_n, pattern_edges)
+
     def test_every_small_klazar_marcus_pair(self):
         for part_size in (1, 2):
             parts = PartsSpec.equal(2, part_size)
@@ -482,11 +532,11 @@ class TestEnginesMatchReferences:
                     )
                     assert hyper_side == matrix_side
 
-    def test_memoised_forms_match_the_public_engines_and_the_references(self):
+    def test_prepared_forms_match_the_public_engines_and_the_references(self):
         # the sweep's route: both search steps on each graph's prepared
         # forms, for every pair at part sizes 1 and 2 and sampled pairs at
         # part size 3
-        rng = random.Random("engine-diff/memoised-forms")
+        rng = random.Random("engine-diff/prepared-forms")
         pairs = []
         for part_size in (1, 2):
             graphs = _all_bipartite(part_size)
@@ -514,8 +564,10 @@ class TestEnginesMatchReferences:
         assert answers == {False, True}
 
 
-def _random_edges(rng, n, count, max_size):
+def _random_edges(rng, n, count, max_size, min_size=1):
     universe = [
-        e for size in range(1, min(max_size, n) + 1) for e in combinations(range(1, n + 1), size)
+        e
+        for size in range(min_size, min(max_size, n) + 1)
+        for e in combinations(range(1, n + 1), size)
     ]
     return sorted(rng.sample(universe, min(count, len(universe))))

@@ -443,6 +443,15 @@ class TestTables:
         )
         assert estimate_limit(single) == 0
 
+    def test_limit_estimate_of_kind_f_is_the_last_row_ratio(self):
+        # the 3-d identity of length 2: f = n^3 - (n - 1)^3, so the last
+        # row n = 3 gives 19 / 3^2, the table's own ratio column
+        identity = make_matrix([2, 2, 2], [(1, 1, 1), (2, 2, 2)])
+        rows = tuple(TableRow(n, f_multi(identity, 3, n).value) for n in (1, 2, 3))
+        table = ExtremalTable("identity3d", "f", 3, rows)
+        assert [r.value for r in rows] == [1, 7, 19]
+        assert estimate_limit(table) == table.primary_ratio(rows[-1]) == Fraction(19, 9)
+
     def test_ratio_monotone_reported(self):
         assert self._identity_table().ratios_monotone()
 
