@@ -11,12 +11,15 @@ the containment engine.
 The extremal solvers share one branch-and-bound driver: the include/1
 branch is tried before the exclude/0 branch, the incumbent is updated
 only on strict improvement, and nodes are pruned by exact suffix values
-solved first by the same search (Russian Doll Search).  A bound prunes
-only nodes that cannot strictly beat the incumbent, so the witness is
-the first optimal leaf in this order whichever bound is used.  This
-makes every certificate deterministic.  ``count_avoiders`` walks the
-same decisions and counts a branch whose every completion avoids the
-pattern as a power of two.
+solved first by the same search (Russian Doll Search).  A decision that
+no live copy uses (no copy that can still be completed) is included with
+no exclude branch, since that branch's leaves are the include branch's,
+each worth less.  A bound or a skipped branch drops only nodes that
+cannot strictly beat the incumbent, so the witness is the first optimal
+leaf in this order whichever is used.  This makes every certificate
+deterministic.  ``count_avoiders`` walks the same decisions, counts a
+branch whose every completion avoids the pattern as a power of two, and
+walks one branch of a decision no live copy uses and doubles its count.
 
 A returned :class:`SearchCertificate` is always re-checked through the
 public containment API, an engine the solvers do not run.  Counting uses
@@ -183,6 +186,12 @@ def _branch_and_bound(gain: list[int], copies: set[int]) -> tuple[int, int]:
     ``idx`` completes a copy exactly when ``live & top[idx]`` is nonzero,
     and excluding it passes ``live & keep[idx]`` down.  With ``live``
     empty no copy can be completed, so every remaining decision is taken.
+    When ``live & keep[idx]`` equals ``live``, no live copy uses ``idx``:
+    the exclude subtree has the same live sets and leaves as the include
+    subtree, each worth ``gain[idx]`` less, and is searched after it, so
+    none of its leaves can strictly beat the incumbent.  The node then
+    includes ``idx`` with no exclude branch (the degree-0 reduction of
+    hitting-set branch-and-bound), and value and set stay the same.
 
     The pruning bound is Russian Doll Search (Verfaillie, Lemaitre &
     Schiex 1996).  ``suffix[i]``, the greatest gain decisions i.. can add
@@ -221,9 +230,14 @@ def _branch_and_bound(gain: list[int], copies: set[int]) -> tuple[int, int]:
                 if best == ceiling:
                     raise _Reached
                 return
-            if not live & top[idx]:
-                dfs(idx + 1, score + gain[idx], live, chosen | 1 << idx)
-            live &= keep[idx]  # the exclude branch, as a loop
+            rest_live = live & keep[idx]
+            if rest_live == live:  # no live copy uses idx: include it only
+                score += gain[idx]
+                chosen |= 1 << idx
+            else:
+                if not live & top[idx]:
+                    dfs(idx + 1, score + gain[idx], live, chosen | 1 << idx)
+                live = rest_live  # the exclude branch, as a loop
             idx += 1
 
     for start in range(total - 1, -1, -1):
@@ -498,7 +512,10 @@ def count_avoiders(
     nothing, and a branch whose full completion still avoids contributes
     a power of two without further splitting.  Both tests read the copy
     index: including a candidate completes a copy when ``live & top`` is
-    nonzero, and the full completion avoids when ``live`` is empty.
+    nonzero, and the full completion avoids when ``live`` is empty.  A
+    candidate that no live copy uses (``live & keep`` equals ``live``)
+    leaves both branches the same completions, so one branch is walked
+    and its count doubled.
     """
     if n < 0:
         raise InputError(f"n must be nonnegative, got {n}")
@@ -515,7 +532,10 @@ def count_avoiders(
         # live: the copies with no excluded candidate before idx
         if not live:
             return 1 << (len(candidates) - idx)
-        total = walk(idx + 1, live & keep[idx])
+        rest_live = live & keep[idx]
+        if rest_live == live:  # no live copy uses idx: both branches agree
+            return walk(idx + 1, live) << 1
+        total = walk(idx + 1, rest_live)
         if not live & top[idx]:
             total += walk(idx + 1, live)
         return total

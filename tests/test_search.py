@@ -133,6 +133,22 @@ class TestPublishedValues:
         for n in range(k - 1, n_max + 1):
             assert ex_matrix(identity, n).value == (k - 1) * (2 * n - k + 1)
 
+    @pytest.mark.parametrize(
+        "d, k, values",
+        [(3, 2, [1, 7, 19]), (3, 3, [1, 8, 26, 56]), (4, 2, [1, 15])],
+        ids=["3d-length-2", "3d-length-3", "4d-length-2"],
+    )
+    def test_d_dimensional_identity(self, d, k, values):
+        # f(I_k^d, n) = n^d - (n - k + 1)^d for n >= k - 1.  The cells with
+        # some coordinate below k avoid I_k^d, since the k-th cell of a chain
+        # has every coordinate at least k; the diagonal lines partition
+        # [n]^d, and an avoider holds at most k - 1 cells of each line.
+        # Values are listed from n = 1; below k - 1 every cell is free.
+        identity = make_matrix([k] * d, [(i,) * d for i in range(1, k + 1)])
+        for n, value in enumerate(values, start=1):
+            assert value == n**d - max(n - k + 1, 0) ** d
+            assert f_multi(identity, d, n).value == value
+
     def test_all_ones_zarankiewicz(self):
         # Zarankiewicz numbers z(n; 2) (Guy; OEIS A001197)
         assert [ex_matrix(ALL_ONES_2, n).value for n in range(1, 6)] == [1, 3, 6, 9, 12]
@@ -169,6 +185,22 @@ class TestSuffixBound:
             pattern = BinaryMatrix(extents, frozenset(ones))
             n = rng.randint(1, n_max)
             assert _solve_max_weight(pattern, n) == trivial_bound_max_weight(pattern, n)
+
+    @pytest.mark.parametrize(
+        "pattern, n",
+        [
+            (permutation_matrix((1, 2, 3)), 5),
+            (make_matrix([2, 3], [(1, 1), (2, 2), (2, 3)]), 5),
+            (make_matrix([2, 3], [(1, 1), (1, 3), (2, 2)]), 5),
+            (permutation_matrix((2, 1)), 6),
+        ],
+        ids=["P123", "Q23", "Z23", "21"],
+    )
+    def test_same_witness_where_unused_decisions_are_included(self, pattern, n):
+        # benchmark rows with nodes whose decision no live copy uses; the
+        # driver includes such a decision without opening the exclude
+        # branch, whose leaves are each worth less than the include branch's
+        assert _solve_max_weight(pattern, n) == trivial_bound_max_weight(pattern, n)
 
 
 def _random_hypergraph(rng, pn, sizes, most):
