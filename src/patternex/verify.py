@@ -1,12 +1,12 @@
 """Mechanical verification of the package's checkable inequalities.
 
-Each claim is exercised over every instance inside an explicit parameter
-range, with both sides computed exactly by the solvers and every
-constructed witness re-checked.  A failed instance carries a replayable
-counterexample (text dumps of the objects plus the seed); the harness
-writes those out as files.  Reports contain only exact integers and
-rationals, except the random-density check whose statistics are labeled
-empirical.
+Each claim is exercised over every instance inside a parameter range
+that its check derives from the size budget (or the seed), with both
+sides computed exactly by the solvers and every constructed witness
+re-checked.  A failed instance carries a replayable counterexample
+(text dumps of the objects plus the seed); the harness writes those out
+as files.  Reports contain only exact integers and rationals, except the
+random-density check whose statistics are labeled empirical.
 """
 
 from __future__ import annotations
@@ -44,36 +44,50 @@ from .structures import (
     permutation_matrix,
 )
 
-CLAIM_NAMES = (
-    "Lemma2",
-    "Lemma3",
-    "Lemma5",
-    "Lemma6",
-    "Thm7-recurrence",
-    "Lemma8-density",
-    "KlazarMarcus",
-    "ExiExe",
-)
-
-CLAIM_SUMMARIES = {
-    "Lemma2": "graph extremal value never exceeds the matrix extremal value "
-    "for corner-anchored patterns",
-    "Lemma3": "the interval blow-up of an extremal bipartite avoider keeps "
-    "(t-1)*ex edges and stays an avoider",
-    "Lemma5": "edge counts of uniform avoiders are bounded by the associated "
-    "matrix extremal value when part boundaries are anchored",
-    "Lemma6": "cyclic padding and chain growth produce permutation "
-    "hypergraphs that contain their predecessors and anchor all "
-    "part boundaries",
-    "Thm7-recurrence": "avoider counts satisfy the interval-contraction "
-    "recurrence, with both exponent variants measured",
-    "Lemma8-density": "the deletion-repair generator always avoids and its "
-    "mean weight meets the analytic target",
-    "KlazarMarcus": "hypergraph containment agrees with associated-matrix "
-    "containment on all partite instances",
-    "ExiExe": "weight extremal values are bounded by (2kd-1)(k-1) times the "
-    "edge extremal values",
+# claim -> (summary, runner).  Each runner looks its check up as a module
+# global when called, so rebinding a ``check_*`` name here takes effect.
+CLAIMS = {
+    "Lemma2": (
+        "graph extremal value never exceeds the matrix extremal value for corner-anchored "
+        "patterns",
+        lambda budget, seed: check_doubling_upper_bound(budget),
+    ),
+    "Lemma3": (
+        "the interval blow-up of an extremal bipartite avoider keeps (t-1)*ex edges and "
+        "stays an avoider",
+        lambda budget, seed: check_interval_blowup(budget),
+    ),
+    "Lemma5": (
+        "edge counts of uniform avoiders are bounded by the associated matrix extremal "
+        "value when part boundaries are anchored",
+        lambda budget, seed: check_partite_edge_bound(budget),
+    ),
+    "Lemma6": (
+        "cyclic padding and chain growth produce permutation hypergraphs that contain "
+        "their predecessors and anchor all part boundaries",
+        lambda budget, seed: check_padding_chain(budget),
+    ),
+    "Thm7-recurrence": (
+        "avoider counts satisfy the interval-contraction recurrence, with both exponent "
+        "variants measured",
+        lambda budget, seed: check_contraction_recurrence(),
+    ),
+    "Lemma8-density": (
+        "the deletion-repair generator always avoids and its mean weight meets the "
+        "analytic target",
+        lambda budget, seed: check_random_density(seed),
+    ),
+    "KlazarMarcus": (
+        "hypergraph containment agrees with associated-matrix containment on all "
+        "partite instances",
+        lambda budget, seed: check_association_equivalence(budget),
+    ),
+    "ExiExe": (
+        "weight extremal values are bounded by (2kd-1)(k-1) times the edge extremal values",
+        lambda budget, seed: check_weight_vs_edges(budget),
+    ),
 }
+CLAIM_NAMES = tuple(CLAIMS)
 
 
 @dataclass(frozen=True)
@@ -117,7 +131,7 @@ class VerificationReport:
             "checks": [
                 {
                     "claim": c.claim,
-                    "summary": CLAIM_SUMMARIES.get(c.claim, ""),
+                    "summary": CLAIMS[c.claim][0],
                     "parameters": c.parameters,
                     "passed": c.passed,
                     "notes": list(c.notes),
@@ -138,7 +152,7 @@ class VerificationReport:
         lines = [f"verification report (budget={self.budget}, seed={self.seed})", ""]
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
-            lines.append(f"[{status}] {c.claim}: {CLAIM_SUMMARIES.get(c.claim, '')}")
+            lines.append(f"[{status}] {c.claim}: {CLAIMS[c.claim][0]}")
             lines.append(
                 f"       parameters: {_fmt_dict(c.parameters)}; "
                 f"instances: {len(c.instances)}"
@@ -174,8 +188,9 @@ def _hypergraph_id(h: OrderedHypergraph) -> str:
 # instance generators
 
 
-def corner_anchored_patterns(weight_max: int = 3, extent_max: int = 3) -> list[BinaryMatrix]:
-    """Every pattern with a 1-entry at (k_1, 1), weight and extents bounded."""
+def corner_anchored_patterns() -> list[BinaryMatrix]:
+    """Every pattern with a 1-entry at (k_1, 1), weight and extents at most 3."""
+    weight_max = extent_max = 3
     out = []
     for k1 in range(1, extent_max + 1):
         for k2 in range(1, extent_max + 1):
@@ -226,14 +241,12 @@ def permutation_hypergraphs(k: int, d: int = 2) -> list[OrderedHypergraph]:
 # claim checks
 
 
-def check_doubling_upper_bound(
-    n_max: int = 4, weight_max: int = 3, extent_max: int = 3
-) -> CheckResult:
+def check_doubling_upper_bound(budget: int) -> CheckResult:
     """gex(Q, n) <= ex(P, n) for corner-anchored P with associated graph Q."""
     instances = []
-    for pattern in corner_anchored_patterns(weight_max, extent_max):
+    for pattern in corner_anchored_patterns():
         graph_pattern, _ = associated_hypergraph(pattern)
-        for n in range(1, n_max + 1):
+        for n in range(1, budget + 1):
             ex_value = ex_matrix(pattern, n).value
             gex_value = gex_graph(graph_pattern, n).value
             passed = gex_value <= ex_value
@@ -256,7 +269,7 @@ def check_doubling_upper_bound(
             )
     return CheckResult(
         "Lemma2",
-        {"n_max": n_max, "weight_max": weight_max, "extent_max": extent_max},
+        {"n_max": budget, "weight_max": 3, "extent_max": 3},
         tuple(instances),
     )
 
@@ -265,8 +278,10 @@ def _blowup_patterns() -> list[BinaryMatrix]:
     return [corner_pad(permutation_matrix((1, 2))), permutation_matrix((2, 1))]
 
 
-def check_interval_blowup(n: int = 2, t_values: tuple[int, ...] = (2, 3)) -> CheckResult:
+def check_interval_blowup(budget: int) -> CheckResult:
     """Blow-ups of extremal bipartite avoiders have (t-1)*ex(P,n) edges and avoid."""
+    n = 2
+    t_values = range(2, max(budget, 3))
     instances = []
     for pattern in _blowup_patterns():
         cert = ex_matrix(pattern, n)
@@ -309,7 +324,7 @@ def check_interval_blowup(n: int = 2, t_values: tuple[int, ...] = (2, 3)) -> Che
     return CheckResult("Lemma3", {"n": n, "t_values": list(t_values)}, tuple(instances))
 
 
-def check_partite_edge_bound(n_max: int = 4) -> CheckResult:
+def check_partite_edge_bound(budget: int) -> CheckResult:
     """Every uniform avoider of a boundary-anchored pattern respects the matrix bound.
 
     Exhaustive over all ordered graphs on [n] for the length-2 pattern
@@ -319,7 +334,7 @@ def check_partite_edge_bound(n_max: int = 4) -> CheckResult:
     assert satisfies_boundary_condition(anchored, 2)
     pattern = associated_matrix(anchored, PartsSpec.equal(2, 2))
     instances = []
-    for n in range(1, n_max + 1):
+    for n in range(1, budget + 1):
         bound = ex_matrix(pattern, n).value
         avoiders = 0
         worst = -1
@@ -350,15 +365,16 @@ def check_partite_edge_bound(n_max: int = 4) -> CheckResult:
         )
     return CheckResult(
         "Lemma5",
-        {"n_max": n_max, "pattern": _hypergraph_id(anchored)},
+        {"n_max": budget, "pattern": _hypergraph_id(anchored)},
         tuple(instances),
     )
 
 
-def check_padding_chain(
-    dimensions: tuple[int, ...] = (2, 3), k_max: int = 3, extra_steps: int = 2
-) -> CheckResult:
+def check_padding_chain(budget: int) -> CheckResult:
     """Cyclic padding plus chain growth, machine-verified step by step."""
+    dimensions = (2, 3)
+    k_max = min(3, budget)  # 3-d length 4 would add 576 bases
+    extra_steps = 2
     instances = []
     for d in dimensions:
         for k in range(1, k_max + 1):
@@ -409,9 +425,7 @@ def check_padding_chain(
     )
 
 
-def check_contraction_recurrence(
-    n_values: tuple[int, ...] = (1, 2), t: int = 2
-) -> CheckResult:
+def check_contraction_recurrence() -> CheckResult:
     """|M(H, t*n)| <= (2^t - 1)^exponent * |M(H, n)| for the single-edge pattern.
 
     Both exponent variants are computed: the weight-based one is the
@@ -419,6 +433,8 @@ def check_contraction_recurrence(
     bound) is reported alongside.
     """
     pattern = make_hypergraph(2, [(1, 2)])
+    n_values = (1, 2)
+    t = 2
     instances = []
     for n in n_values:
         small = count_avoiders(pattern, n)
@@ -477,9 +493,7 @@ def _two_rows_share_two_columns(matrix: BinaryMatrix) -> bool:
     return False
 
 
-def check_random_density(
-    side: int = 8, trials: int = 100, seed: int = 0, threshold: float = 0.9
-) -> CheckResult:
+def check_random_density(seed: int) -> CheckResult:
     """All repaired samples avoid, and the mean weight meets the analytic target.
 
     Avoidance is re-checked on each output without the containment engine
@@ -487,6 +501,7 @@ def check_random_density(
     the claim's pattern, the 2x2 all-ones matrix.
     """
     pattern = BinaryMatrix((2, 2), frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}))
+    side, trials, threshold = 8, 100, 0.9
     p = default_density(pattern, side)
     config = GeneratorConfig(pattern=pattern, side=side, p=p, seed=seed, trials=trials)
     total_final = 0
@@ -533,7 +548,7 @@ def check_random_density(
     )
 
 
-def check_association_equivalence(n_max: int = 3) -> CheckResult:
+def check_association_equivalence(budget: int) -> CheckResult:
     """Exhaustive agreement of the two containment routes on partite instances.
 
     Runs every ordered pair of 2-partite graphs with the same part size,
@@ -541,6 +556,7 @@ def check_association_equivalence(n_max: int = 3) -> CheckResult:
     matrix-to-hypergraph direction holds (the vertex injection may cross
     part boundaries), which the test suite covers separately.
     """
+    n_max = min(budget, 3)  # part size 4 has 2^16 graphs, 2^32 pairs
     instances = []
     for n in range(1, n_max + 1):
         graphs = all_bipartite_graphs(n)
@@ -571,45 +587,44 @@ def check_association_equivalence(n_max: int = 3) -> CheckResult:
     )
 
 
-def check_weight_vs_edges(
-    lengths: tuple[int, ...] = (2,), d: int = 2, n_max: int = 4
-) -> CheckResult:
+def check_weight_vs_edges(budget: int) -> CheckResult:
     """exi(H, n) <= (2kd - 1)(k - 1) * exe(H, n) for permutation hypergraphs."""
+    k, d = 2, 2
+    # at n = 5 the 4-vertex patterns have 30 candidate edges of size at
+    # most 4, above search.MAX_HYPER_CANDIDATES (20)
+    n_max = min(budget, 4)
+    factor = (2 * k * d - 1) * (k - 1)
     instances = []
-    for k in lengths:
-        if k < 2:
-            continue
-        factor = (2 * k * d - 1) * (k - 1)
-        for pat in permutation_hypergraphs(k, d):
-            for n in range(1, n_max + 1):
-                weight_value = exi_hyper(pat, n).value
-                edge_value = exe_hyper(pat, n).value
-                passed = weight_value <= factor * edge_value
-                payload = {}
-                if not passed:
-                    payload = {
+    for pat in permutation_hypergraphs(k, d):
+        for n in range(1, n_max + 1):
+            weight_value = exi_hyper(pat, n).value
+            edge_value = exe_hyper(pat, n).value
+            passed = weight_value <= factor * edge_value
+            payload = {}
+            if not passed:
+                payload = {
+                    "exi": weight_value,
+                    "exe": edge_value,
+                    "factor": factor,
+                    "objects": {"pattern": fileio.format_hypergraph(pat)},
+                }
+            instances.append(
+                InstanceResult(
+                    {
+                        "pattern": _hypergraph_id(pat),
+                        "k": k,
+                        "n": n,
                         "exi": weight_value,
                         "exe": edge_value,
                         "factor": factor,
-                        "objects": {"pattern": fileio.format_hypergraph(pat)},
-                    }
-                instances.append(
-                    InstanceResult(
-                        {
-                            "pattern": _hypergraph_id(pat),
-                            "k": k,
-                            "n": n,
-                            "exi": weight_value,
-                            "exe": edge_value,
-                            "factor": factor,
-                        },
-                        passed,
-                        payload,
-                    )
+                    },
+                    passed,
+                    payload,
                 )
+            )
     return CheckResult(
         "ExiExe",
-        {"lengths": list(lengths), "d": d, "n_max": n_max},
+        {"lengths": [k], "d": d, "n_max": n_max},
         tuple(instances),
         notes=(
             "length-1 patterns are excluded: the factor (2kd-1)(k-1) vanishes "
@@ -634,17 +649,5 @@ def run_checks(
             raise InputError(
                 f"unknown claim {name!r}; available: {', '.join(CLAIM_NAMES)}"
             )
-    runners = {
-        "Lemma2": lambda: check_doubling_upper_bound(n_max=budget),
-        "Lemma3": lambda: check_interval_blowup(
-            n=2, t_values=tuple(range(2, max(budget, 3)))
-        ),
-        "Lemma5": lambda: check_partite_edge_bound(n_max=budget),
-        "Lemma6": lambda: check_padding_chain(k_max=min(3, budget)),
-        "Thm7-recurrence": lambda: check_contraction_recurrence(),
-        "Lemma8-density": lambda: check_random_density(seed=seed),
-        "KlazarMarcus": lambda: check_association_equivalence(n_max=min(budget, 3)),
-        "ExiExe": lambda: check_weight_vs_edges(n_max=budget),
-    }
-    checks = tuple(runners[name]() for name in selected)
+    checks = tuple(CLAIMS[name][1](budget, seed) for name in selected)
     return VerificationReport(checks, budget=budget, seed=seed)

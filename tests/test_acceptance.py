@@ -72,13 +72,13 @@ def test_02_identity_staircase_values():
 
 
 def test_03_doubling_upper_bound():
-    result = check_doubling_upper_bound(n_max=4, weight_max=3, extent_max=3)
+    result = check_doubling_upper_bound(4)
     _report("doubling-upper-bound", result.passed)
     assert result.passed, result.failures
 
 
 def test_04_interval_blowup():
-    result = check_interval_blowup(n=2, t_values=(2, 3))
+    result = check_interval_blowup(4)
     padded_instances = [
         inst for inst in result.instances if inst.params["pattern"].startswith("3x3")
     ]
@@ -90,13 +90,13 @@ def test_04_interval_blowup():
 
 
 def test_05_partite_edge_bound():
-    result = check_partite_edge_bound(n_max=4)
+    result = check_partite_edge_bound(4)
     _report("partite-edge-bound", result.passed)
     assert result.passed, result.failures
 
 
 def test_06_padding_chain():
-    result = check_padding_chain(dimensions=(2, 3), k_max=3, extra_steps=2)
+    result = check_padding_chain(3)
     counts = {(2, 1): 1, (2, 2): 2, (2, 3): 6, (3, 1): 1, (3, 2): 4, (3, 3): 36}
     seen = {}
     for inst in result.instances:
@@ -108,7 +108,7 @@ def test_06_padding_chain():
 
 
 def test_07_contraction_recurrence():
-    result = check_contraction_recurrence(n_values=(1, 2), t=2)
+    result = check_contraction_recurrence()
     ok = result.passed
     for inst in result.instances:
         n = inst.params["n"]
@@ -121,7 +121,7 @@ def test_07_contraction_recurrence():
 
 def test_08_random_density():
     started = time.perf_counter()
-    result = check_random_density(side=8, trials=100, seed=0, threshold=0.9)
+    result = check_random_density(0)
     elapsed = time.perf_counter() - started
     ok = result.passed and elapsed < 60
     _report("random-density", ok)
@@ -129,7 +129,7 @@ def test_08_random_density():
 
 
 def test_09_association_equivalence():
-    result = check_association_equivalence(n_max=3)
+    result = check_association_equivalence(3)
     pair_counts = [inst.params["pairs"] for inst in result.instances]
     ok = result.passed and pair_counts == [4, 256, 262144]
     _report("association-equivalence", ok)

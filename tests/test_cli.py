@@ -111,6 +111,17 @@ class TestCompute:
         assert [int(l.split(",")[1]) for l in lines] == [expected]
         assert expected != count_avoiders(fileio.read_hypergraph(nested), 3, edge_size_cap=2)
 
+    def test_count_default_takes_every_edge_size(self, tmp_path, capsys):
+        # {12,23} has 3 vertices, but count's default cap is n, not 3
+        path = tmp_path / "path.txt"
+        path.write_text("3\n1 2\n2 3\n")
+        for extra, value in (([], 800), (["--edge-cap", "3"], 768)):
+            assert main([
+                "compute", "--kind", "count", "--pattern", str(path),
+                "--n", "4", "--out", str(tmp_path / "out"), *extra,
+            ]) == 0
+            assert f"count n=4 value={value}\n" in capsys.readouterr().out
+
     def test_f_multi_kind(self, tmp_path):
         diag = tmp_path / "diag.txt"
         diag.write_text("3 2 2 2\n1 1 1\n2 2 2\n")
@@ -201,8 +212,10 @@ class TestGenerate:
         out = tmp_path / "out"
         assert main(["generate", "cyclic-pad", "--input", str(base), "--out", str(out)]) == 0
         attestation = (out / "attestation.txt").read_text()
-        assert "contains: yes" in attestation
-        assert "boundary: yes" in attestation
+        assert attestation == (
+            "construction: cyclic-pad\nlength: 3\ncontains: yes\nboundary: yes\n"
+        )
+        assert capsys.readouterr().out == attestation
         padded = fileio.read_hypergraph(out / "cyclic_pad.txt")
         assert padded.n == 6
 
@@ -245,7 +258,7 @@ class TestGenerate:
     def test_unknown_construction_exit_2(self, tmp_path):
         assert main(["generate", "nonsense", "--out", str(tmp_path / "x")]) == 2
 
-    def test_chain_writes_every_length(self, tmp_path, identity_file):
+    def test_chain_writes_every_length(self, tmp_path, identity_file, capsys):
         out = tmp_path / "out"
         assert main([
             "generate", "chain", "--pattern", str(identity_file),
@@ -254,14 +267,24 @@ class TestGenerate:
         assert (out / "chain_len2.txt").exists()
         assert (out / "chain_len3.txt").exists()
         assert (out / "chain_len4.txt").exists()
+        attestation = (out / "attestation.txt").read_text()
+        assert attestation == (
+            "construction: chain\n"
+            "step-to-length-3: contains-previous: yes\n"
+            "step-to-length-4: contains-previous: yes\n"
+        )
+        assert capsys.readouterr().out == attestation
 
-    def test_corner_pad(self, tmp_path, identity_file):
+    def test_corner_pad(self, tmp_path, identity_file, capsys):
         out = tmp_path / "out"
         assert main([
             "generate", "corner-pad", "--pattern", str(identity_file), "--out", str(out),
         ]) == 0
         padded = fileio.read_matrix(out / "corner_pad.txt")
         assert padded.ones == {(1, 2), (2, 3), (3, 1)}
+        attestation = (out / "attestation.txt").read_text()
+        assert attestation == "construction: corner-pad\ncontains-input: yes\n"
+        assert capsys.readouterr().out == attestation
 
     def test_normalize_edges_report(self, tmp_path):
         graph = tmp_path / "g.txt"

@@ -298,7 +298,7 @@ class TestKlazarMarcus:
             monkeypatch.setattr(containment, name, counting(name))
         monkeypatch.setattr(containment, "_hyper_embedding_search", lambda host, pattern: None)
         monkeypatch.setattr(containment, "_matrix_embedding_search", lambda host, pattern: None)
-        check_association_equivalence(n_max=3)
+        check_association_equivalence(3)
         # 2 + 16 + 512 distinct graphs over 4 + 256 + 262144 pairs
         assert calls == dict.fromkeys(calls, 530)
 

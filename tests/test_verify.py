@@ -8,6 +8,7 @@ import pytest
 from patternex import InputError, constructions, containment, fileio, make_hypergraph, verify
 from patternex.verify import (
     CLAIM_NAMES,
+    CheckResult,
     check_association_equivalence,
     check_contraction_recurrence,
     check_doubling_upper_bound,
@@ -22,7 +23,7 @@ from patternex.verify import (
 
 
 def test_corner_anchored_family_shape():
-    patterns = corner_anchored_patterns(weight_max=3, extent_max=3)
+    patterns = corner_anchored_patterns()
     assert len(patterns) == len(set(patterns))
     for pattern in patterns:
         assert (pattern.extents[0], 1) in pattern.ones
@@ -30,7 +31,7 @@ def test_corner_anchored_family_shape():
 
 
 def test_doubling_upper_bound_small():
-    result = check_doubling_upper_bound(n_max=3)
+    result = check_doubling_upper_bound(3)
     assert result.passed
     assert result.claim == "Lemma2"
     # values travel with the instances so the report is replayable
@@ -48,7 +49,7 @@ def _under_count_by_one(solver):
 
 def test_doubling_upper_bound_fails_when_ex_under_counts(monkeypatch):
     monkeypatch.setattr(verify, "ex_matrix", _under_count_by_one(verify.ex_matrix))
-    result = check_doubling_upper_bound(n_max=3)
+    result = check_doubling_upper_bound(3)
     assert not result.passed
     # gex = ex only for the single 1-entry pattern (both 0 at every n)
     failures = result.failures
@@ -57,7 +58,7 @@ def test_doubling_upper_bound_fails_when_ex_under_counts(monkeypatch):
 
 
 def test_interval_blowup():
-    result = check_interval_blowup(n=2, t_values=(2, 3))
+    result = check_interval_blowup(4)
     assert result.passed
     assert any(inst.params.get("gex_exact") is not None for inst in result.instances)
 
@@ -66,7 +67,7 @@ def test_interval_blowup_fails_when_ex_under_counts(monkeypatch):
     # the blow-up of the true avoider has (t - 1) * (ex - 1) + (t - 1)
     # edges, t - 1 more than the under-counted value predicts
     monkeypatch.setattr(verify, "ex_matrix", _under_count_by_one(verify.ex_matrix))
-    result = check_interval_blowup(n=2, t_values=(2, 3))
+    result = check_interval_blowup(4)
     assert not result.passed
     assert len(result.failures) == len(result.instances) == 4
     assert all(
@@ -78,14 +79,14 @@ def test_interval_blowup_fails_when_ex_under_counts(monkeypatch):
 def test_interval_blowup_fails_when_containment_reports_copies(monkeypatch):
     # neither the bipartite avoider nor its blow-ups may contain the pattern
     monkeypatch.setattr(verify, "hypergraph_contains", lambda host, pattern: object())
-    result = check_interval_blowup(n=2, t_values=(2, 3))
+    result = check_interval_blowup(4)
     assert not result.passed
     assert len(result.failures) == 4
     assert not any(inst.payload["base_avoids"] for inst in result.failures)
 
 
 def test_partite_edge_bound():
-    result = check_partite_edge_bound(n_max=3)
+    result = check_partite_edge_bound(3)
     assert result.passed
     assert [inst.params["n"] for inst in result.instances] == [1, 2, 3]
 
@@ -94,7 +95,7 @@ def test_partite_edge_bound_fails_when_containment_misses_copies(monkeypatch):
     # every graph then counts as an avoider; the bound 2n - 1 has slack 2
     # over the true avoiders, so only K5's 10 edges break it (bound 9)
     monkeypatch.setattr(verify, "hypergraph_contains", lambda host, pattern: None)
-    result = check_partite_edge_bound(n_max=5)
+    result = check_partite_edge_bound(5)
     assert not result.passed
     [failure] = result.failures
     assert failure.params["n"] == 5
@@ -102,22 +103,23 @@ def test_partite_edge_bound_fails_when_containment_misses_copies(monkeypatch):
 
 
 def test_padding_chain_small():
-    result = check_padding_chain(dimensions=(2,), k_max=2, extra_steps=1)
+    result = check_padding_chain(2)
     assert result.passed
-    assert len(result.instances) == 3  # k=1 once, k=2 twice
+    # d = 2: k=1 once, k=2 twice; d = 3: k=1 once, k=2 four times
+    assert len(result.instances) == 8
 
 
 def test_padding_chain_fails_when_containment_misses_copies(monkeypatch):
     # the padded base and every chain step must contain their predecessor
     monkeypatch.setattr(verify, "hypergraph_contains", lambda host, pattern: None)
-    result = check_padding_chain(dimensions=(2,), k_max=2, extra_steps=1)
+    result = check_padding_chain(2)
     assert not result.passed
-    assert len(result.failures) == 3
+    assert len(result.failures) == 8
     assert all("padded" in inst.payload["objects"] for inst in result.failures)
 
 
 def test_contraction_recurrence_reports_both_variants():
-    result = check_contraction_recurrence(n_values=(1, 2), t=2)
+    result = check_contraction_recurrence()
     assert result.passed
     for inst in result.instances:
         assert "holds_weight_variant" in inst.params
@@ -129,7 +131,7 @@ def test_contraction_recurrence_fails_when_exi_under_counts(monkeypatch):
     # a smaller exponent shrinks the bound below the true count at n = 2:
     # 16 avoiders on [4] against (2^2 - 1)^1 * 4 = 12
     monkeypatch.setattr(verify, "exi_hyper", _under_count_by_one(verify.exi_hyper))
-    result = check_contraction_recurrence(n_values=(1, 2), t=2)
+    result = check_contraction_recurrence()
     assert not result.passed
     assert len(result.failures) == 2
     last = result.failures[-1].payload
@@ -146,7 +148,7 @@ def test_contraction_recurrence_fails_when_count_misses_copies(monkeypatch):
         return count(make_hypergraph(n + 1, []), n)
 
     monkeypatch.setattr(verify, "count_avoiders", count_every_host)
-    result = check_contraction_recurrence(n_values=(1, 2), t=2)
+    result = check_contraction_recurrence()
     assert not result.passed
     assert len(result.failures) == 2
     last = result.failures[-1].payload
@@ -154,7 +156,7 @@ def test_contraction_recurrence_fails_when_count_misses_copies(monkeypatch):
 
 
 def test_random_density_quick():
-    result = check_random_density(side=6, trials=10, seed=1)
+    result = check_random_density(1)
     assert result.passed
 
 
@@ -162,13 +164,13 @@ def test_random_density_fails_when_the_repair_misses_copies(monkeypatch):
     # an engine that finds no copy leaves every sample unrepaired; only the
     # re-check independent of that engine can see the copies left in them
     monkeypatch.setattr(constructions, "_matrix_embedding_search", lambda *args: None)
-    result = check_random_density()
+    result = check_random_density(0)
     assert not result.passed
     assert result.instances[0].payload["avoid_failures"] > 0
 
 
 def test_association_equivalence_small():
-    result = check_association_equivalence(n_max=2)
+    result = check_association_equivalence(2)
     assert result.passed
     assert [inst.params["pairs"] for inst in result.instances] == [4, 256]
 
@@ -197,7 +199,7 @@ def test_association_equivalence_fails_when_one_route_misses_copies(
 ):
     defective = _defect_above_one(getattr(containment, engine), pattern_size)
     monkeypatch.setattr(containment, engine, defective)
-    result = check_association_equivalence(n_max=2)
+    result = check_association_equivalence(2)
     assert not result.passed
     assert [inst.passed for inst in result.instances] == [True, False]
     payload = result.instances[1].payload
@@ -210,7 +212,7 @@ def test_association_equivalence_fails_when_one_route_misses_copies(
 
 
 def test_weight_vs_edges():
-    result = check_weight_vs_edges(lengths=(2,), n_max=3)
+    result = check_weight_vs_edges(3)
     assert result.passed
     assert result.notes
 
@@ -218,7 +220,7 @@ def test_weight_vs_edges():
 def test_weight_vs_edges_fails_when_exe_under_counts(monkeypatch):
     # the factor 7 leaves room at n >= 2; at n = 1, exi = exe = 1
     monkeypatch.setattr(verify, "exe_hyper", _under_count_by_one(verify.exe_hyper))
-    result = check_weight_vs_edges(lengths=(2,), n_max=3)
+    result = check_weight_vs_edges(3)
     assert not result.passed
     failures = result.failures
     assert [inst.params["n"] for inst in failures] == [1, 1]
@@ -249,3 +251,48 @@ def test_report_serialization_is_deterministic():
 def test_claim_registry_is_complete():
     report = run_checks(None, budget=2, seed=0)
     assert [c.claim for c in report.checks] == list(CLAIM_NAMES)
+
+
+def test_exi_exe_clamps_n_to_the_candidate_limit():
+    # at n = 5 the 4-vertex patterns exceed search.MAX_HYPER_CANDIDATES
+    report = run_checks(["ExiExe"], budget=5)
+    assert report.passed
+    [check] = report.checks
+    assert check.parameters["n_max"] == 4
+    assert sorted({inst.params["n"] for inst in check.instances}) == [1, 2, 3, 4]
+
+
+# the check each claim runs; the benchmark tracer times a claim by
+# rebinding this name in the verify module
+CLAIM_CHECKS = {
+    "Lemma2": "check_doubling_upper_bound",
+    "Lemma3": "check_interval_blowup",
+    "Lemma5": "check_partite_edge_bound",
+    "Lemma6": "check_padding_chain",
+    "Thm7-recurrence": "check_contraction_recurrence",
+    "Lemma8-density": "check_random_density",
+    "KlazarMarcus": "check_association_equivalence",
+    "ExiExe": "check_weight_vs_edges",
+}
+
+
+def test_run_checks_calls_the_checks_bound_at_run_time(monkeypatch):
+    assert sorted(CLAIM_CHECKS.values()) == sorted(
+        name for name in dir(verify) if name.startswith("check_")
+    )
+    calls = []
+    results = {}
+    for claim, attr in CLAIM_CHECKS.items():
+        results[claim] = CheckResult(claim, {}, ())
+
+        def stub(*args, claim=claim):
+            calls.append((claim, args))
+            return results[claim]
+
+        monkeypatch.setattr(verify, attr, stub)
+    report = run_checks(None, budget=3, seed=7)
+    assert len(report.checks) == len(CLAIM_NAMES)
+    assert all(c is results[name] for c, name in zip(report.checks, CLAIM_NAMES))
+    # only the budget or the seed reaches a check
+    args = {"Thm7-recurrence": (), "Lemma8-density": (7,)}
+    assert calls == [(name, args.get(name, (3,))) for name in CLAIM_NAMES]
