@@ -16,18 +16,19 @@ negative one costs at most one big-int operation per step of a greedy
 row scan for each of the prod C(n_i, k_i) placements.  The hypergraph
 engine, shared by ``hypergraph_contains`` and ``klazar_marcus_check``,
 backtracks over increasing vertex maps, narrowing each pattern edge's
-candidate host edges (one int) with one AND per mapped vertex.  When the
-subtree below a pattern vertex u fails, it does not try u's later images
-if u constrains nothing after it: u is in no edge, or every edge holding
-u ends at u and every pattern edge has the size of the largest host
-edges.  A later image then leaves every later vertex the same candidate
-sets over a smaller range, so its subtree fails too; only failing
-subtrees are cut, and answers and least embeddings are those of the full
-search.  Single
-calls prepare both forms inline; the all-pairs sweep prepares each graph
-once per part size.  Containment is NP-hard in general; the contract is
-correctness at desk scale (pattern weight up to ~8, host side up to ~12
-for d=2), not polynomial time.
+candidate host edges (one int) with one AND per mapped vertex.  It
+backjumps: each failure blames the pattern vertices whose images it
+depended on (an edge left with no candidate blames that edge's mapped
+vertices, a failed edge assignment every vertex in some edge), and when
+the subtree below a pattern vertex u fails without blaming u, u's later
+images are not tried.  A later image of u leaves every blamed edge the
+same candidates over a smaller range, so its subtree fails too.  No
+failure blames a vertex in no edge, so its later images are never tried.
+Only failing subtrees are cut, and answers and least embeddings are those
+of the full search.  Single calls prepare both forms inline; the
+all-pairs sweep prepares each graph once per part size.  Containment is
+NP-hard in general; the contract is correctness at desk scale (pattern
+weight up to ~8, host side up to ~12 for d=2), not polynomial time.
 """
 
 from __future__ import annotations
@@ -292,15 +293,12 @@ def matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> MatrixEmbeddin
 # vertices above it, and bit i of at_least[s] when edge i has at least s
 # vertices (s >= 1).
 _HyperHost = tuple[int, int, list[list[int]], list[int]]
-# (n, sizes, touches, one_size, isolated, closed), edges numbered in
-# lexicographic order: sizes[i] is the size of edge i, touches[u - 1]
-# pairs each edge i holding vertex u with the number of its vertices above
-# u, one_size is the size of every edge (0 when sizes are mixed or there
-# is no edge), isolated[u - 1] is set when u is in no edge and closed[u - 1]
-# when every edge holding u ends at u.
-_HyperPattern = tuple[
-    int, list[int], list[list[tuple[int, int]]], int, list[bool], list[bool]
-]
+# (n, sizes, touches, in_edges), edges numbered in lexicographic order and
+# vertex u as bit u - 1 of a vertex mask: sizes[i] is the size of edge i,
+# touches[u - 1] lists (i, r, below) for each edge i holding u, where r
+# counts the vertices of edge i above u and below is the mask of those
+# under u, and in_edges is the mask of the vertices in some edge.
+_HyperPattern = tuple[int, list[int], list[list[tuple[int, int, int]]], int]
 
 
 def _hyper_host_form(n: int, edges: list[Edge]) -> _HyperHost:
@@ -311,13 +309,16 @@ def _hyper_host_form(n: int, edges: list[Edge]) -> _HyperHost:
     at_least = [0] * (width + 1)
     for idx, edge in enumerate(edges):
         bit = 1 << idx
-        size = len(edge)
-        at_least[size] |= bit
-        for pos, w in enumerate(edge):
-            row = fit[w - 1]
-            for r in range(size - pos):
-                row[r] |= bit
-    for size in range(width - 1, 0, -1):
+        above = len(edge)
+        at_least[above] |= bit
+        for w in edge:
+            above -= 1
+            fit[w - 1][above] |= bit
+    down = range(width - 1, 0, -1)
+    for row in fit:
+        for r in down:
+            row[r - 1] |= row[r]
+    for size in down:
         at_least[size] |= at_least[size + 1]
     return n, len(edges), fit, at_least
 
@@ -326,17 +327,16 @@ def _hyper_pattern_form(n: int, edges: list[Edge]) -> _HyperPattern:
     """Prepare a pattern with lexicographically sorted edges for
     :func:`_hyper_embedding_search`."""
     touches = [[] for _ in range(n)]
-    closed = [True] * n
+    in_edges = 0
     for i, edge in enumerate(edges):
-        size = len(edge)
-        for pos, v in enumerate(edge):
-            touches[v - 1].append((i, size - pos - 1))
-        for v in edge[:-1]:
-            closed[v - 1] = False
-    sizes = [len(edge) for edge in edges]
-    one_size = sizes[0] if len(set(sizes)) == 1 else 0
-    isolated = [not touch for touch in touches]
-    return n, sizes, touches, one_size, isolated, closed
+        above = len(edge)
+        below = 0
+        for v in edge:
+            above -= 1
+            touches[v - 1].append((i, above, below))
+            below |= 1 << (v - 1)
+        in_edges |= below
+    return n, [len(edge) for edge in edges], touches, in_edges
 
 
 def _hyper_embedding_search(
@@ -353,24 +353,24 @@ def _hyper_embedding_search(
     as soon as an edge has no candidate left.  The edge assignment
     backtracks over the candidates' set bits in index order.
 
-    Backtracking skips the vertices flagged in ``skip``: once the subtree
-    below u -> w fails, u -> w' fails for every w' > w, so the search goes
-    back to u - 1.  A vertex in no edge narrows nothing, so a later image
-    leaves the vertices after it the same candidate sets over a smaller
-    range.  A vertex whose edges all end at it is skipped as well when
-    every pattern edge has one size s and no host edge is larger
-    (``one_size == width``).  Its edges are fully mapped there and no later
-    vertex touches them.  Candidates start from the host edges of size at
-    least s, so a fully mapped edge's only candidate is the host edge on
-    its image, and distinct pattern edges have distinct images: the leaf
-    assignment cannot fail once every set is nonempty, which is why a
-    matching check of the candidate sets cannot prune anything here.
-    Otherwise the leaf can fail at w and succeed at w' (host
-    ``{12, 13, 3}`` with pattern ``{12, 2}``, or host ``{12, 34}`` with
-    pattern ``{1, 2}``), and only vertices in no edge are skipped.
+    Backtracking backjumps (conflict-directed, Prosser 1993).  Each
+    failure blames the pattern vertices whose images it depended on: an
+    edge left with no candidate at u blames that edge's vertices under u,
+    and a failed edge assignment blames every vertex in some edge.  Level
+    u collects the blame of its failed images in ``blame[u]``.  When the
+    subtree below u -> w fails and does not blame u, u -> w' fails for
+    every w' > w, for the same reasons: a later image of u leaves every
+    blamed edge the same candidates and only narrows the range of the
+    vertices after u.  So the search merges ``blame[u]`` and goes back to
+    u - 1.  Otherwise it drops u from the blame, adds the rest to
+    ``blame[u]`` and tries u's next image.  Only failing subtrees are cut,
+    so the answer and the least embedding are those of the full search.
+    The rule covers the static skips it replaced: a vertex in no edge is
+    never blamed, and a vertex whose edges all end at it is blamed only by
+    failed edge assignments.
     """
     host_n, host_m, fit, at_least = host
-    pat_n, sizes, touches, one_size, isolated, closed = pattern
+    pat_n, sizes, touches, in_edges = pattern
     if pat_n > host_n or len(sizes) > host_m:
         return None
     width = len(at_least) - 1
@@ -379,9 +379,10 @@ def _hyper_embedding_search(
         if size > width:
             return None
         cands.append(at_least[size])
-    skip = closed if one_size == width else isolated
     f = [0] * pat_n
     levels = [cands] + [None] * pat_n
+    blame = [0] * pat_n
+    conflict = 0  # the blame of the current level's failed images
     u = 0
     w = 0
     while True:
@@ -389,33 +390,42 @@ def _hyper_embedding_search(
             assignment = _assign_edges(levels[u])
             if assignment is not None:
                 return tuple(f), assignment
+            conflict = in_edges
         else:
             current = levels[u]
             touch = touches[u]
             last = host_n - pat_n + u
             while w <= last:
                 row = fit[w]
-                for i, r in touch:
+                for i, r, below in touch:
                     if not current[i] & row[r]:
+                        conflict |= below
                         break
                 else:
                     break
                 w += 1
             if w <= last:
                 narrowed = current[:]
-                for i, r in touch:
+                for i, r, _ in touch:
                     narrowed[i] &= row[r]
                 w += 1
                 f[u] = w
+                blame[u] = conflict
+                conflict = 0
                 u += 1
                 levels[u] = narrowed
                 continue
-        while u and skip[u - 1]:
+        # the subtree below u - 1 -> f[u - 1] failed, blaming conflict
+        while u:
             u -= 1
-        if u == 0:
+            conflict |= blame[u]
+            bit = 1 << u
+            if conflict & bit:
+                conflict ^= bit
+                w = f[u]
+                break
+        else:
             return None
-        u -= 1
-        w = f[u]
 
 
 def _assign_edges(cands: list[int]) -> list[int] | None:
@@ -457,12 +467,12 @@ def hypergraph_contains(
     backtracking over compatible host edges in lexicographic order (plain
     greedy assignment is incomplete when pattern edges nest, so the edge
     map search backtracks while keeping the lexicographically-least
-    tie-break).  Backtracking does not re-search a pattern vertex in no
-    edge at a later image, nor, when every pattern edge has the size of
-    the largest host edges, a vertex whose edges all end at it: such a
-    later image only shrinks the range of the vertices after it (see
-    :func:`_hyper_embedding_search`).  A pattern with more vertices or
-    edges than the host yields None before either form is prepared.
+    tie-break).  Backtracking backjumps: when the subtree below a pattern
+    vertex fails and no failure in it depended on that vertex's image, its
+    later images are not tried, as they only shrink the range of the
+    vertices after it (see :func:`_hyper_embedding_search`).  A pattern
+    with more vertices or edges than the host yields None before either
+    form is prepared.
     """
     if pattern.n > host.n or len(pattern.edges) > len(host.edges):
         return None

@@ -384,11 +384,13 @@ def _hyper_copies(n: int, candidates: list[Edge], pattern: OrderedHypergraph) ->
     candidates as soon as its greatest vertex is mapped, so maps that
     share a prefix share that work and a prefix with no choice is cut.
     """
+    pn = pattern.n
+    if pn > n:  # no increasing map
+        return set()
     containing = [0] * (n + 1)  # per host vertex, the candidates holding it
     for i, edge in enumerate(candidates):
         for v in edge:
             containing[v] |= 1 << i
-    pn = pattern.n
     ending: list[list[Edge]] = [[] for _ in range(pn + 1)]
     for edge in pattern.sorted_edges():
         ending[edge[-1]].append(edge)

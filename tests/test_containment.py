@@ -518,6 +518,54 @@ class TestEnginesMatchReferences:
         assert found.as_dict() == edge_map
         assert _same_hyper_answer(host_n, host_edges, pattern_n, pattern_edges)
 
+    def test_backjumps_past_vertices_no_failure_blames(self):
+        # two disjoint edges before a triangle, in the 40-vertex path: the
+        # triangle {5, 6, 7} fails wherever 1..4 map, its failures blame only
+        # 5 and 6, and so the later images of 1..4 are never tried.  A search
+        # that re-tries them reads host rows about 140,000 times.
+        class CountingRows(list):
+            reads = 0
+
+            def __getitem__(self, index):
+                CountingRows.reads += 1
+                return super().__getitem__(index)
+
+        path = [(v, v + 1) for v in range(1, 40)]
+        host_n, host_m, fit, at_least = containment._hyper_host_form(40, path)
+        pattern = containment._hyper_pattern_form(7, [(1, 2), (3, 4), (5, 6), (5, 7), (6, 7)])
+        found = containment._hyper_embedding_search(
+            (host_n, host_m, CountingRows(fit), at_least), pattern
+        )
+        assert found is None
+        assert CountingRows.reads < 1000
+
+    def test_host_form_matches_its_definition(self):
+        rng = random.Random("host-form/definition")
+        hosts = [(0, []), (5, [])]
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            hosts.append((n, _random_edges(rng, n, rng.randint(1, 2 * n), 4)))
+        for n, edges in hosts:
+            form_n, m, fit, at_least = containment._hyper_host_form(n, edges)
+            width = max(map(len, edges), default=0)
+            assert (form_n, m, len(at_least)) == (n, len(edges), width + 1)
+            expected_fit = [
+                [
+                    sum(
+                        1 << i
+                        for i, edge in enumerate(edges)
+                        if w in edge and len(edge) - edge.index(w) - 1 >= r
+                    )
+                    for r in range(width)
+                ]
+                for w in range(1, n + 1)
+            ]
+            assert fit == expected_fit, (n, edges)
+            for size in range(1, width + 1):
+                assert at_least[size] == sum(
+                    1 << i for i, edge in enumerate(edges) if len(edge) >= size
+                ), (n, edges, size)
+
     def test_every_small_klazar_marcus_pair(self):
         for part_size in (1, 2):
             parts = PartsSpec.equal(2, part_size)
