@@ -9,11 +9,14 @@ Both engines keep candidate sets as bitmask ints, and both come in two
 steps: a prepare step builds the form a search reads from a host or a
 pattern, and one search step runs on a host form and a pattern form.
 The matrix engine, shared by ``matrix_contains``, the random repair and
-``klazar_marcus_check``, numbers the placements of the pattern on axes
-2..d and searches host rows first, keeping the placements that still fit
-as one int: a positive answer stops at its first complete path, and a
-negative one costs at most one big-int operation per step of a greedy
-row scan for each of the prod C(n_i, k_i) placements.  The hypergraph
+``klazar_marcus_check``, prepares a matrix by numbering each 1-entry's
+cell on axes 2..d with one lookup in a cell-number table of its shape.
+It numbers the placements of the pattern on axes 2..d and searches host
+rows first, keeping the placements that still fit as one int: a positive
+answer stops at its first complete path, and a negative one costs at
+most one big-int operation per step of a greedy row scan for each of the
+prod C(n_i, k_i) placements.  Both per-shape tables, cell numbers and
+placements, are LRU caches of 64 shapes.  The hypergraph
 engine, shared by ``hypergraph_contains`` and ``klazar_marcus_check``,
 backtracks over increasing vertex maps, narrowing each pattern edge's
 candidate host edges (one int) with one AND per mapped vertex.  It
@@ -35,9 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, cycle, product
 from math import prod
-from operator import gt
+from operator import gt, lt
 
 from .errors import ConsistencyError, InputError
 from .structures import (
@@ -61,7 +64,7 @@ class MatrixEmbedding:
 
     def __post_init__(self) -> None:
         for axis, sel in enumerate(self.axis_indices, start=1):
-            if any(sel[i] >= sel[i + 1] for i in range(len(sel) - 1)):
+            if not all(map(lt, sel, sel[1:])):
                 raise InputError(f"axis {axis} indices {sel} are not strictly increasing")
 
 
@@ -174,6 +177,19 @@ def _placement_table(
     return table, sels
 
 
+@lru_cache(maxsize=64)
+def _cell_numbers(extents: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The tail number of every cell of ``extents``, one entry per cell.
+
+    Maps each 1-based cell to the 0-based row-major number of its axes
+    2..d over ``extents[1:]``.  Listed in row-major order over all axes,
+    the cells' tail numbers run through 0..prod(extents[1:]) - 1 once per
+    axis-1 row.
+    """
+    cells = product(*(range(1, n + 1) for n in extents))
+    return dict(zip(cells, cycle(range(prod(extents[1:])))))
+
+
 # A prepared form is a plain tuple of the lists its prepare step built: a
 # public call prepares two forms, and named tuples with tuple copies of
 # the lists added a few microseconds to each call, a visible share of the
@@ -185,26 +201,29 @@ _MatrixForm = tuple[tuple[int, ...], int, list[list[int]]]
 
 
 def _matrix_form(extents: tuple[int, ...], ones) -> _MatrixForm:
-    """Prepare a host or a pattern for :func:`_matrix_embedding_search`."""
-    tail = extents[1:]
+    """Prepare a host or a pattern for :func:`_matrix_embedding_search`.
+
+    Each 1-entry is numbered by one lookup in :func:`_cell_numbers`, the
+    shape's cached cell-number table, and appended to its row in the
+    order of ``ones``.
+    """
+    number = _cell_numbers(extents)
     rows = [[] for _ in range(extents[0])]
     for cell in ones:
-        c = 0
-        for x, n in zip(cell[1:], tail):
-            c = c * n + x - 1
-        rows[cell[0] - 1].append(c)
+        rows[cell[0] - 1].append(number[cell])
     return extents, len(ones), rows
 
 
 def _matrix_sizes_fit(
     host_extents: tuple[int, ...], host_weight: int, pat_extents: tuple[int, ...], pat_weight: int
 ) -> bool:
-    """Whether the sizes leave room for an embedding: equal dimensions, no
-    pattern extent above the host's and no more 1-entries than the host."""
+    """Whether the sizes leave room for an embedding: no more 1-entries
+    than the host (the cheapest test, so it goes first), equal dimensions
+    and no pattern extent above the host's."""
     return (
-        len(pat_extents) == len(host_extents)
+        pat_weight <= host_weight
+        and len(pat_extents) == len(host_extents)
         and not any(map(gt, pat_extents, host_extents))
-        and pat_weight <= host_weight
     )
 
 

@@ -328,7 +328,11 @@ def check_partite_edge_bound(budget: int) -> CheckResult:
     """Every uniform avoider of a boundary-anchored pattern respects the matrix bound.
 
     Exhaustive over all ordered graphs on [n] for the length-2 pattern
-    whose single boundary pair is anchored.
+    whose single boundary pair is anchored.  The most edges of an avoider
+    found this way must also equal ``gex_graph``'s value, the same
+    maximum (2n - 3 for n >= 2) found by the copy-index solver, so an
+    instance fails when containment misjudges a graph even where the
+    matrix bound leaves slack.
     """
     anchored = make_hypergraph(4, [(1, 4), (2, 3)])
     assert satisfies_boundary_condition(anchored, 2)
@@ -336,6 +340,7 @@ def check_partite_edge_bound(budget: int) -> CheckResult:
     instances = []
     for n in range(1, budget + 1):
         bound = ex_matrix(pattern, n).value
+        gex = gex_graph(anchored, n).value
         avoiders = 0
         worst = -1
         bad = None
@@ -345,17 +350,14 @@ def check_partite_edge_bound(budget: int) -> CheckResult:
                 worst = max(worst, graph.edge_count)
                 if graph.edge_count > bound and bad is None:
                     bad = graph
-        passed = bad is None
+        passed = bad is None and worst == gex
         payload = {}
-        if bad is not None:
-            payload = {
-                "bound": bound,
-                "edges": bad.edge_count,
-                "objects": {
-                    "pattern": fileio.format_hypergraph(anchored),
-                    "avoider": fileio.format_hypergraph(bad),
-                },
-            }
+        if not passed:
+            objects = {"pattern": fileio.format_hypergraph(anchored)}
+            payload = {"bound": bound, "gex": gex, "objects": objects}
+            if bad is not None:
+                payload["edges"] = bad.edge_count
+                objects["avoider"] = fileio.format_hypergraph(bad)
         instances.append(
             InstanceResult(
                 {"n": n, "bound": bound, "avoiders": avoiders, "max_edges": worst},

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from patternex import (
     ConsistencyError,
     InputError,
+    MatrixEmbedding,
     OrderedHypergraph,
     PartsSpec,
     associated_matrix,
@@ -73,6 +74,23 @@ class TestRepresents:
     def test_extent_mismatch(self):
         with pytest.raises(InputError):
             represents(make_matrix([2, 2], []), make_matrix([2, 3], []))
+
+
+class TestMatrixEmbedding:
+    @pytest.mark.parametrize(
+        "axes",
+        [((2, 1), (1, 2)), ((1, 1), (2, 3)), ((1, 2), (1, 3, 3)), ((1, 2, 3), (1, 3, 2))],
+        ids=["decreasing", "repeated", "repeated-last", "decreasing-last"],
+    )
+    def test_rejects_an_axis_that_is_not_strictly_increasing(self, axes):
+        with pytest.raises(InputError, match="not strictly increasing"):
+            MatrixEmbedding(axes)
+
+    @pytest.mark.parametrize(
+        "axes", [((), ()), ((3,), (2,)), ((), (5,)), ((1, 4), (2, 3), (7,))]
+    )
+    def test_accepts_empty_single_and_increasing_axes(self, axes):
+        assert MatrixEmbedding(axes).axis_indices == axes
 
 
 class TestMatrixContains:
@@ -565,6 +583,27 @@ class TestEnginesMatchReferences:
                 assert at_least[size] == sum(
                     1 << i for i, edge in enumerate(edges) if len(edge) >= size
                 ), (n, edges, size)
+
+    def test_matrix_form_matches_its_definition(self):
+        rng = random.Random("matrix-form/definition")
+        shapes = [(1, 1), (1, 5), (4, 1), (1, 1, 1), (3, 1, 2)]
+        shapes += [
+            tuple(rng.randint(1, 6 if d == 2 else 4) for _ in range(d))
+            for d in rng.choices((2, 3), k=195)
+        ]
+        for extents in shapes:
+            cells = list(product(*(range(1, n + 1) for n in extents)))
+            density = rng.choice((0.0, 0.3, 0.7))
+            ones = [cell for cell in cells if rng.random() < density]
+            rng.shuffle(ones)
+            # the row-major tail number is the cell's index among the tail cells
+            tails = list(product(*(range(1, n + 1) for n in extents[1:])))
+            rows = [
+                [tails.index(cell[1:]) for cell in ones if cell[0] == i]
+                for i in range(1, extents[0] + 1)
+            ]
+            form = containment._matrix_form(extents, ones)
+            assert form == (extents, len(ones), rows), (extents, ones)
 
     def test_every_small_klazar_marcus_pair(self):
         for part_size in (1, 2):
