@@ -10,13 +10,14 @@ steps: a prepare step builds the form a search reads from a host or a
 pattern, and one search step runs on a host form and a pattern form.
 The matrix engine, shared by ``matrix_contains``, the random repair and
 ``klazar_marcus_check``, prepares a matrix by numbering each 1-entry's
-cell on axes 2..d with one lookup in a cell-number table of its shape.
+cell on axes 2..d with one lookup in a table of the shape of those axes,
+which holds prod(n_2..n_d) entries whatever the number of rows.
 It numbers the placements of the pattern on axes 2..d and searches host
 rows first, keeping the placements that still fit as one int: a positive
 answer stops at its first complete path, and a negative one costs at
 most one big-int operation per step of a greedy row scan for each of the
-prod C(n_i, k_i) placements.  Both per-shape tables, cell numbers and
-placements, are LRU caches of 64 shapes.  The hypergraph
+prod C(n_i, k_i) placements.  Both per-shape tables, tail-cell numbers
+and placements, are LRU caches of 64 shapes.  The hypergraph
 engine, shared by ``hypergraph_contains`` and ``klazar_marcus_check``,
 backtracks over increasing vertex maps, narrowing each pattern edge's
 candidate host edges (one int) with one AND per mapped vertex.  It
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, cycle, product
+from itertools import combinations, product
 from math import prod
 from operator import gt, lt
 
@@ -178,16 +179,16 @@ def _placement_table(
 
 
 @lru_cache(maxsize=64)
-def _cell_numbers(extents: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """The tail number of every cell of ``extents``, one entry per cell.
+def _tail_numbers(tail: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The number of every tail cell over ``tail``, one entry per tail cell.
 
-    Maps each 1-based cell to the 0-based row-major number of its axes
-    2..d over ``extents[1:]``.  Listed in row-major order over all axes,
-    the cells' tail numbers run through 0..prod(extents[1:]) - 1 once per
-    axis-1 row.
+    Maps each 1-based cell of axes 2..d to its 0-based row-major number
+    over the tail extents ``tail``, the numbering of
+    :func:`_placement_table`'s columns.  Its size is that of one table
+    row, prod(tail), and it does not grow with the number of rows.
     """
-    cells = product(*(range(1, n + 1) for n in extents))
-    return dict(zip(cells, cycle(range(prod(extents[1:])))))
+    cells = product(*(range(1, n + 1) for n in tail))
+    return {cell: c for c, cell in enumerate(cells)}
 
 
 # A prepared form is a plain tuple of the lists its prepare step built: a
@@ -203,14 +204,14 @@ _MatrixForm = tuple[tuple[int, ...], int, list[list[int]]]
 def _matrix_form(extents: tuple[int, ...], ones) -> _MatrixForm:
     """Prepare a host or a pattern for :func:`_matrix_embedding_search`.
 
-    Each 1-entry is numbered by one lookup in :func:`_cell_numbers`, the
-    shape's cached cell-number table, and appended to its row in the
-    order of ``ones``.
+    Each 1-entry's cell on axes 2..d is numbered by one lookup in
+    :func:`_tail_numbers`, the cached table of the tail shape, and
+    appended to its row in the order of ``ones``.
     """
-    number = _cell_numbers(extents)
+    number = _tail_numbers(extents[1:])
     rows = [[] for _ in range(extents[0])]
     for cell in ones:
-        rows[cell[0] - 1].append(number[cell])
+        rows[cell[0] - 1].append(number[cell[1:]])
     return extents, len(ones), rows
 
 

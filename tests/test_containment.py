@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -604,6 +605,21 @@ class TestEnginesMatchReferences:
             ]
             form = containment._matrix_form(extents, ones)
             assert form == (extents, len(ones), rows), (extents, ones)
+
+    def test_a_large_sparse_host_prepares_in_memory_of_its_tail_shape(self):
+        # the numbering table holds one entry per cell of axes 2..d, so the
+        # rows of a 1000x1000 host add nothing to it (a table of all its
+        # cells allocates about 100 MiB)
+        host = make_matrix([1000, 1000], [(1, 1000), (999, 7), (1000, 7)])
+        column = make_matrix([2, 1], [(1, 1), (2, 1)])
+        tracemalloc.start()
+        try:
+            emb = matrix_contains(host, column)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emb.axis_indices == ((999, 1000), (7,))
+        assert peak < 4 * 2**20
 
     def test_every_small_klazar_marcus_pair(self):
         for part_size in (1, 2):
