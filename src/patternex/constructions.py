@@ -21,6 +21,7 @@ from .containment import (
     MatrixEmbedding,
     _matrix_embedding_search,
     _matrix_form,
+    _matrix_sizes_fit,
     hypergraph_contains,
     matrix_contains,
     verify_hypergraph_embedding,
@@ -424,8 +425,10 @@ def random_avoider(config: GeneratorConfig, trial: int = 0) -> tuple[BinaryMatri
     extents = (n,) * d
     pattern_form = _matrix_form(pattern.extents, pattern.ones)
     while (
-        found := _matrix_embedding_search(_matrix_form(extents, ones), pattern_form)
-    ) is not None:
+        _matrix_sizes_fit(extents, len(ones), pattern.extents, pattern.weight)
+        and (found := _matrix_embedding_search(_matrix_form(extents, ones), pattern_form))
+        is not None
+    ):
         cell = tuple(sel[c - 1] for sel, c in zip(found, anchor))
         if cell not in ones:
             raise PostconditionError(f"the engine's pattern copy uses the 0-entry {cell}")

@@ -243,11 +243,12 @@ def _matrix_embedding_search(
     either, so each placement follows one greedy path: the cost is at
     most one big-int operation per step of a greedy row scan for each
     placement, and a positive answer stops at its first complete path.
+
+    The search relies on :func:`_matrix_sizes_fit` and does not repeat
+    it: every caller checks the sizes first.
     """
-    host_extents, host_weight, host_rows = host
+    host_extents, _, host_rows = host
     pat_extents, pat_weight, pat_cells = pattern
-    if not _matrix_sizes_fit(host_extents, host_weight, pat_extents, pat_weight):
-        return None
     if not pat_weight:
         return tuple(tuple(range(1, k + 1)) for k in pat_extents)
     k1 = pat_extents[0]
@@ -553,12 +554,21 @@ def association_disagreement(
     if d < 2 or len({g.n for g in graphs}) > 1:
         raise InputError(f"the equivalence needs d >= 2 parts of one size, got d={d}")
     forms = [_partite_forms(g, d) for g in graphs]
+    sizes = [matrix[:2] for matrix, _, _ in forms]
     hyper_search = _hyper_embedding_search
     matrix_search = _matrix_embedding_search
-    for host, (host_matrix, host_hyper, _) in zip(graphs, forms):
-        for pattern, (pattern_matrix, _, pattern_hyper) in zip(graphs, forms):
+    for host, (host_matrix, host_hyper, _), (host_extents, host_weight) in zip(
+        graphs, forms, sizes
+    ):
+        for pattern, (pattern_matrix, _, pattern_hyper), (pattern_extents, pattern_weight) in zip(
+            graphs, forms, sizes
+        ):
             hyper_side = hyper_search(host_hyper, pattern_hyper) is not None
-            if hyper_side != (matrix_search(host_matrix, pattern_matrix) is not None):
+            matrix_side = (
+                _matrix_sizes_fit(host_extents, host_weight, pattern_extents, pattern_weight)
+                and matrix_search(host_matrix, pattern_matrix) is not None
+            )
+            if hyper_side != matrix_side:
                 return host, pattern, _disagreement(hyper_side, host, pattern)
     return None
 
@@ -603,6 +613,10 @@ def klazar_marcus_check(
     host_matrix, host_hyper, _ = _partite_forms(host, d)
     pattern_matrix, _, pattern_hyper = _partite_forms(pattern, d)
     hyper_side = _hyper_embedding_search(host_hyper, pattern_hyper) is not None
-    if hyper_side != (_matrix_embedding_search(host_matrix, pattern_matrix) is not None):
+    matrix_side = (
+        _matrix_sizes_fit(*host_matrix[:2], *pattern_matrix[:2])
+        and _matrix_embedding_search(host_matrix, pattern_matrix) is not None
+    )
+    if hyper_side != matrix_side:
         raise ConsistencyError(_disagreement(hyper_side, host, pattern))
     return hyper_side

@@ -21,6 +21,23 @@ deterministic.  ``count_avoiders`` walks the same decisions, counts a
 branch whose every completion avoids the pattern as a power of two, and
 walks one branch of a decision no live copy uses and doubles its count.
 
+Transposing or reversing axes maps the avoiders of a matrix pattern one
+to one onto the avoiders of its image, so ``ex`` and ``f`` have one value
+on all images, while the search can cost 70x more on one than on
+another.  A matrix row with at least ``RANKED_COPIES`` (100) copies,
+prod C(n, k_i) counted before any is listed, is therefore split in two.
+The value search runs on the image that was cheapest one size down,
+counted in search calls, and a first-leaf search, which knows the value
+and prunes only by the gain left undecided, finds the first optimal host
+of the pattern's own include-first order: the same witness.  The image
+wins only if, at n - 1, its calls and the first-leaf search's together
+stay below the pattern's own.  The gate takes the n = 5 rows of every
+2x2, 2x3 and 3x3 pattern (exactly 100 copies) and the 2x2 rows at n = 6
+(225), where the benchmark's tables spend their time.  Smaller rows run
+the value search on the pattern alone; the largest row of the default
+verify battery has 36 copies, and so does the largest unranked
+benchmark row.
+
 A returned :class:`SearchCertificate` is always re-checked through the
 public containment API, an engine the solvers do not run.  Counting uses
 exact integer arithmetic throughout.
@@ -33,10 +50,11 @@ computed arithmetically, before anything is listed.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from .containment import (
     # unused here: perfbench/tracing.py rebinds both names in this module,
@@ -52,6 +70,7 @@ from .structures import BinaryMatrix, Edge, OrderedHypergraph
 MAX_CELLS = 64
 MAX_GRAPH_CANDIDATES = 28
 MAX_HYPER_CANDIDATES = 20
+RANKED_COPIES = 100
 
 
 @dataclass(frozen=True)
@@ -142,6 +161,10 @@ class _Reached(Exception):
     """Raised at the first leaf that reaches a search's ceiling."""
 
 
+class _OverBudget(Exception):
+    """Raised when a search makes more ``dfs`` calls than it is allowed."""
+
+
 # _DIGIT[s] maps each byte value to the digit b"0" or b"1" of its bit s
 _DIGIT = [bytes(48 + (v >> s & 1) for v in range(256)) for s in range(8)]
 
@@ -175,9 +198,14 @@ def _copy_index(copies: set[int], total: int) -> tuple[list[int], list[int]]:
     return keep, top
 
 
-def _branch_and_bound(gain: list[int], copies: set[int]) -> tuple[int, int]:
+def _branch_and_bound(
+    gain: list[int], copies: set[int], most_calls: int | None = None
+) -> tuple[int, int, int]:
     """The greatest total gain of a set of decisions that holds no copy,
-    and the first such set of the include-first order, as a bitmask.
+    the first such set of the include-first order, as a bitmask, and the
+    number of ``dfs`` calls the search made (the value search).  The
+    calls are counted only when ``most_calls`` is given (0 otherwise),
+    and a search that needs more raises :class:`_OverBudget`.
 
     The search takes the decisions in order, the include branch first,
     and updates its incumbent only on strict improvement.  Its state is
@@ -208,17 +236,15 @@ def _branch_and_bound(gain: list[int], copies: set[int]) -> tuple[int, int]:
     total = len(gain)
     everything = (1 << total) - 1
     if not copies:
-        return sum(gain), everything
+        return sum(gain), everything, 0
     keep, top = _copy_index(copies, total)
-    rest = [0] * (total + 1)
-    for i in range(total - 1, -1, -1):
-        rest[i] = rest[i + 1] + gain[i]
+    rest = _rest(gain)
     # starts[i]: the copies that use no decision before i
     starts = [(1 << len(copies)) - 1]
     for i in range(total - 1):
         starts.append(starts[-1] & keep[i])
     suffix = rest[:]  # final for every start with no copy
-    best = ceiling = 0
+    best = ceiling = calls = 0
     best_set = everything
 
     def dfs(idx: int, score: int, live: int, chosen: int) -> None:
@@ -236,10 +262,19 @@ def _branch_and_bound(gain: list[int], copies: set[int]) -> tuple[int, int]:
                 chosen |= 1 << idx
             else:
                 if not live & top[idx]:
-                    dfs(idx + 1, score + gain[idx], live, chosen | 1 << idx)
+                    descend(idx + 1, score + gain[idx], live, chosen | 1 << idx)
                 live = rest_live  # the exclude branch, as a loop
             idx += 1
 
+    def counted(idx: int, score: int, live: int, chosen: int) -> None:
+        nonlocal calls
+        calls += 1
+        if calls > most_calls:
+            raise _OverBudget
+        dfs(idx, score, live, chosen)
+
+    # the count costs an uncounted search nothing
+    descend = dfs if most_calls is None else counted
     for start in range(total - 1, -1, -1):
         if not starts[start]:
             continue
@@ -247,11 +282,71 @@ def _branch_and_bound(gain: list[int], copies: set[int]) -> tuple[int, int]:
         # start 0 keeps the first leaf of the optimal gain, maybe suffix[1]
         best = suffix[1] - 1 if start == 0 else suffix[start + 1]
         try:
-            dfs(start, 0, starts[start], 0)
+            descend(start, 0, starts[start], 0)
         except _Reached:
             pass
         suffix[start] = best
-    return suffix[0], best_set
+    return suffix[0], best_set, calls
+
+
+def _first_leaf(
+    gain: list[int], copies: set[int], value: int, most_calls: int | None = None
+) -> int:
+    """The first set of the include-first order that holds no copy and
+    whose total gain reaches ``value``, as a bitmask (the first-leaf
+    search); at least one copy.  With ``most_calls`` given, a search that
+    needs more ``dfs`` calls raises :class:`_OverBudget`.
+
+    With ``value`` the greatest gain, this is the set
+    :func:`_branch_and_bound` returns for these decisions and copies: the
+    same tree, walked in the same order with the same degree-0 reduction,
+    pruned only where even taking every undecided decision (``rest``)
+    cannot reach the value.  No leaf reaches a value above the greatest
+    gain, and that raises :class:`PostconditionError`.
+    """
+    total = len(gain)
+    everything = (1 << total) - 1
+    keep, top = _copy_index(copies, total)
+    rest = _rest(gain)
+    found = calls = 0
+
+    def dfs(idx: int, score: int, live: int, chosen: int) -> None:
+        nonlocal found
+        while score + rest[idx] >= value:
+            if not live:
+                found = chosen | everything >> idx << idx
+                raise _Reached
+            rest_live = live & keep[idx]
+            if rest_live == live:  # no live copy uses idx: include it only
+                score += gain[idx]
+                chosen |= 1 << idx
+            else:
+                if not live & top[idx]:
+                    descend(idx + 1, score + gain[idx], live, chosen | 1 << idx)
+                live = rest_live
+            idx += 1
+
+    def counted(idx: int, score: int, live: int, chosen: int) -> None:
+        nonlocal calls
+        calls += 1
+        if calls > most_calls:
+            raise _OverBudget
+        dfs(idx, score, live, chosen)
+
+    descend = dfs if most_calls is None else counted
+    try:
+        descend(0, 0, (1 << len(copies)) - 1, 0)
+    except _Reached:
+        return found
+    raise PostconditionError(f"no set of decisions that holds no copy reaches the value {value}")
+
+
+def _rest(gain: list[int]) -> list[int]:
+    """``rest[i]``: the total gain of decisions i.., with ``rest[len(gain)]`` 0."""
+    rest = [0] * (len(gain) + 1)
+    for i in range(len(gain) - 1, -1, -1):
+        rest[i] = rest[i + 1] + gain[i]
+    return rest
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +367,83 @@ def _matrix_copies(pattern: BinaryMatrix, n: int) -> set[int]:
     return {sum(1 << c for c in cells) for cells in placed}
 
 
+def _matrix_images(pattern: BinaryMatrix) -> list[BinaryMatrix]:
+    """The distinct images of the pattern under axis permutations and
+    reversals, the pattern first, then in order of the permutation
+    (``itertools.permutations``) and of the reversed axes as a bitmask."""
+    images = {}  # a dict keeps the first of equal images, in order
+    for perm in permutations(range(pattern.d)):
+        extents = tuple(pattern.extents[a] for a in perm)
+        for mask in range(1 << pattern.d):
+            ones = frozenset(
+                tuple(
+                    extents[i] + 1 - one[a] if mask >> i & 1 else one[a]
+                    for i, a in enumerate(perm)
+                )
+                for one in pattern.ones
+            )
+            images[BinaryMatrix(extents, ones)] = None
+    return list(images)
+
+
+def _cheapest_image(pattern: BinaryMatrix, n: int) -> BinaryMatrix:
+    """The image of the pattern to take a side-n row's value from.
+
+    Each image's avoiders are the images of the pattern's, so every image
+    has the same value, but the search can cost 70x more on one image
+    than on another.  A row with fewer than ``RANKED_COPIES`` copies
+    takes the pattern itself.  Otherwise every distinct image is solved
+    at side n - 1 by the value search, counting its ``dfs`` calls, and
+    the one with the fewest wins, ties going to the earlier in
+    :func:`_matrix_images` order, the pattern first.  An image other than
+    the pattern also needs the first-leaf search over the pattern's
+    copies, so it is taken only if its calls and that search's, at
+    n - 1, stay below the pattern's own.  Each search stops once it can
+    no longer win, so an image that is slow at n - 1 costs no more than
+    the cheapest one.
+    """
+    if math.prod(math.comb(n, k) for k in pattern.extents) < RANKED_COPIES:
+        return pattern
+    images = _matrix_images(pattern)
+    if len(images) == 1:
+        return pattern
+    gain = [1] * (n - 1) ** pattern.d
+    copies = _matrix_copies(pattern, n - 1)
+    value, _, own = _branch_and_bound(gain, copies, sys.maxsize)
+    cheapest, fewest = pattern, own
+    for image in images[1:]:
+        try:
+            calls = _branch_and_bound(gain, _matrix_copies(image, n - 1), fewest - 1)[2]
+        except _OverBudget:
+            continue
+        if calls < fewest:  # a row with no copies at n - 1 makes no call
+            cheapest, fewest = image, calls
+    if cheapest is not pattern:
+        try:
+            _first_leaf(gain, copies, value, own - fewest - 1)
+        except _OverBudget:
+            return pattern
+    return cheapest
+
+
 def _solve_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
     """The most 1-entries of a side-n host avoiding the pattern, and the
     first optimal host of the include-first order over the n^d cells in
-    lexicographic order.  The decisions of :func:`_branch_and_bound` are
-    the cells, each of gain 1, and its copies are the pattern's copies;
-    a host contains the pattern exactly when it holds one of them.
+    lexicographic order.  The decisions are the cells, each of gain 1, and
+    the copies are the pattern's copies; a host contains the pattern
+    exactly when it holds one of them.  The value search
+    (:func:`_branch_and_bound`) runs on :func:`_cheapest_image`; when that
+    is not the pattern itself, the first-leaf search over the pattern's
+    copies finds the host.
     """
     cells = list(product(range(1, n + 1), repeat=pattern.d))
     if not pattern.ones or max(pattern.extents) > n:
         return len(cells), frozenset(cells)  # the pattern never fits
-    value, chosen = _branch_and_bound([1] * len(cells), _matrix_copies(pattern, n))
+    gain = [1] * len(cells)
+    image = _cheapest_image(pattern, n)
+    value, chosen, _ = _branch_and_bound(gain, _matrix_copies(image, n))
+    if image is not pattern:
+        chosen = _first_leaf(gain, _matrix_copies(pattern, n), value)
     return value, frozenset(cell for i, cell in enumerate(cells) if chosen >> i & 1)
 
 
@@ -440,7 +601,7 @@ def _solve_max_hyper(
     order.  The decisions of :func:`_branch_and_bound` are the candidates,
     each of gain 1 or its size, and its copies are the pattern's copies."""
     gain = [len(e) if mode == "weight" else 1 for e in candidates]
-    value, chosen = _branch_and_bound(gain, _hyper_copies(n, candidates, pattern))
+    value, chosen, _ = _branch_and_bound(gain, _hyper_copies(n, candidates, pattern))
     return value, [e for i, e in enumerate(candidates) if chosen >> i & 1]
 
 

@@ -405,10 +405,14 @@ NON_PERMUTATION = {
 
 
 def _same_matrix_answer(host_extents, host_ones, pat_extents, pat_ones):
-    found = containment._matrix_embedding_search(
-        containment._matrix_form(host_extents, host_ones),
-        containment._matrix_form(pat_extents, pat_ones),
-    )
+    # the search's callers check the sizes first, and so does this one
+    fits = containment._matrix_sizes_fit(host_extents, len(host_ones), pat_extents, len(pat_ones))
+    found = None
+    if fits:
+        found = containment._matrix_embedding_search(
+            containment._matrix_form(host_extents, host_ones),
+            containment._matrix_form(pat_extents, pat_ones),
+        )
     expected = reference_matrix_embedding(host_extents, host_ones, pat_extents, pat_ones)
     assert found == expected, (host_extents, sorted(host_ones), pat_extents, sorted(pat_ones))
     return found is not None
@@ -654,7 +658,10 @@ class TestEnginesMatchReferences:
             host_matrix, host_hyper, _ = containment._partite_forms(host, 2)
             pattern_matrix, _, pattern_hyper = containment._partite_forms(pattern, 2)
             hyper = containment._hyper_embedding_search(host_hyper, pattern_hyper)
-            matrix = containment._matrix_embedding_search(host_matrix, pattern_matrix)
+            fits = containment._matrix_sizes_fit(*host_matrix[:2], *pattern_matrix[:2])
+            matrix = (
+                containment._matrix_embedding_search(host_matrix, pattern_matrix) if fits else None
+            )
             assert (hyper is not None) == (hypergraph_contains(host, pattern) is not None)
             assert (matrix is not None) == (matrix_contains(host_m, pattern_m) is not None)
             assert hyper == reference_hyper_embedding(

@@ -1,6 +1,8 @@
 """Solvers checked against enumeration oracles and their frozen values."""
 
+import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -30,6 +32,7 @@ from patternex import (
     permutation_matrix,
     table_to_csv,
 )
+from patternex import search
 from patternex.search import _solve_max_weight
 
 from oracles import (
@@ -201,6 +204,103 @@ class TestSuffixBound:
         # driver includes such a decision without opening the exclude
         # branch, whose leaves are each worth less than the include branch's
         assert _solve_max_weight(pattern, n) == trivial_bound_max_weight(pattern, n)
+
+
+L3 = make_matrix([2, 2], [(1, 1), (2, 1), (2, 2)])
+Z23 = make_matrix([2, 3], [(1, 1), (1, 3), (2, 2)])
+Q23 = make_matrix([2, 3], [(1, 1), (2, 2), (2, 3)])
+COLUMN3 = make_matrix([3, 1], [(1, 1), (2, 1), (3, 1)])
+# rows with at least RANKED_COPIES copies: C(5, 2)^2 = C(5, 2) C(5, 3) = 100
+# and C(6, 2)^2 = 225
+RANKED_ROWS = [(L3, 5, 4), (Z23, 5, 4), (Q23, 5, 8), (IDENTITY2, 6, 2)]
+
+
+class TestImageRanking:
+    """Rows above the copy gate take their value from the image with the
+    fewest search calls one size down, and their witness from the
+    first-leaf search over the pattern's own copies."""
+
+    @pytest.mark.parametrize(
+        "pattern, n, images", RANKED_ROWS, ids=["L3", "Z23", "Q23", "I2"]
+    )
+    def test_every_image_has_the_same_value(self, pattern, n, images):
+        found = search._matrix_images(pattern)
+        assert found[0] == pattern and len(set(found)) == len(found) == images
+        assert len({ex_matrix(image, n).value for image in found}) == 1
+
+    @pytest.mark.parametrize(
+        "pattern, n", [row[:2] for row in RANKED_ROWS], ids=["L3", "Z23", "Q23", "I2"]
+    )
+    def test_witness_of_an_image_that_is_not_the_cheapest(self, pattern, n):
+        # the first image whose value comes from another image: its witness
+        # is found by the first-leaf search, not by the value search
+        image = next(
+            im for im in search._matrix_images(pattern) if search._cheapest_image(im, n) != im
+        )
+        assert _solve_max_weight(image, n) == trivial_bound_max_weight(image, n)
+
+    def test_column_takes_its_value_from_the_row(self):
+        # the 3x1 column costs about 25 s at n = 6 as given and milliseconds
+        # as its transpose; the witness is the first optimal host of the
+        # row-major include-first order, rows 1 and 2 full
+        assert search._cheapest_image(COLUMN3, 6) == make_matrix([1, 3], [(1, 1), (1, 2), (1, 3)])
+        start = time.perf_counter()
+        cert = ex_matrix(COLUMN3, 6)
+        assert time.perf_counter() - start < 5
+        assert cert.value == 12
+        assert cert.witness.ones == frozenset(product((1, 2), range(1, 7)))
+
+    def test_rows_below_the_gate_take_the_pattern_itself(self):
+        # C(4, 2) C(4, 3) = 24 and C(5, 3) C(5, 1) = 50 copies
+        assert search._cheapest_image(Z23, 4) is Z23
+        assert search._cheapest_image(COLUMN3, 5) is COLUMN3
+
+    def test_a_slow_first_leaf_search_keeps_the_pattern_itself(self):
+        # at n = 5 the pattern's value search makes 20,485 calls and an
+        # image's 4,367, but the first-leaf search over the pattern's copies
+        # needs 22,141 more; at n = 6 the first-leaf search would take
+        # several seconds and the pattern's own value search takes 0.7 s
+        pattern = make_matrix([2, 3], [(1, 1), (1, 3), (2, 2), (2, 3)])
+        gain = [1] * 25
+        own = search._branch_and_bound(gain, search._matrix_copies(pattern, 5), sys.maxsize)[2]
+        calls = [
+            search._branch_and_bound(gain, search._matrix_copies(image, 5), sys.maxsize)[2]
+            for image in search._matrix_images(pattern)
+        ]
+        assert min(calls) < own == calls[0]
+        assert search._cheapest_image(pattern, 6) is pattern
+
+    @pytest.mark.parametrize("pattern", [L3, Z23], ids=["L3", "Z23"])
+    @pytest.mark.parametrize("sides", [(5,), (4, 5)], ids=["row", "row_and_ranking"])
+    def test_a_value_one_too_high_fails_the_postcondition(self, monkeypatch, pattern, sides):
+        # the value search answers one more than the truth at side 5, and
+        # in the second case also while the images are ranked at side 4.
+        # No host of that weight avoids the pattern, so whichever search
+        # finds the host cannot certify it: the first-leaf search when L3
+        # takes its value from another image, the value search itself when
+        # the pattern is searched as given
+        solve = search._branch_and_bound
+
+        def one_too_high(gain, *args):
+            value, chosen, calls = solve(gain, *args)
+            return value + (math.isqrt(len(gain)) in sides), chosen, calls
+
+        monkeypatch.setattr(search, "_branch_and_bound", one_too_high)
+        with pytest.raises(PostconditionError):
+            ex_matrix(pattern, 5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_leaf_is_the_value_search_set(self, seed):
+        # random gains and copies, as in the hypergraph solvers' weight mode
+        rng = random.Random(seed)
+        for _ in range(200):
+            total = rng.randint(1, 12)
+            gain = [rng.randint(1, 3) for _ in range(total)]
+            copies = {rng.randint(1, (1 << total) - 1) for _ in range(rng.randint(1, 8))}
+            value, chosen, _ = search._branch_and_bound(gain, copies)
+            assert search._first_leaf(gain, copies, value) == chosen
+            with pytest.raises(PostconditionError):
+                search._first_leaf(gain, copies, value + 1)
 
 
 def _random_hypergraph(rng, pn, sizes, most):
