@@ -156,7 +156,7 @@ def cmd_compute(args) -> int:
 def cmd_verify(args) -> int:
     out = _out_dir(args)
     claims = None
-    if args.claims and args.claims != "all":
+    if args.claims != "all":
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
     report = run_checks(claims, budget=args.budget, seed=args.seed)
     data = report.to_dict()

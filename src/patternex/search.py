@@ -44,9 +44,11 @@ on all images, while the search can cost 70x more on one than on
 another.  A matrix row with at least ``RANKED_COPIES`` (100) copies,
 prod C(n, k_i) counted before any is listed, is therefore split in two.
 The value search runs on the image that was cheapest one size down,
-counted in search calls, and a first-leaf search, which knows the value
-and prunes only by the gain left undecided, finds the first optimal host
-of the pattern's own include-first order: the same witness.  The image
+counted in search calls, and a first-leaf search over the pattern's own
+copies finds the first optimal host of its include-first order: the
+same witness.  The first-leaf search is the same driver's start 0, run
+with the value known and before any suffix is solved, so it prunes only
+by the gain left undecided (``suffix`` equals ``rest``).  The image
 wins only if, at n - 1, its calls and the first-leaf search's together
 stay below the pattern's own.  The gate takes the n = 5 rows of every
 2x2, 2x3 and 3x3 pattern (exactly 100 copies) and the 2x2 rows at n = 6
@@ -221,12 +223,24 @@ def _branch_and_bound(
     most_calls: int | None = None,
     *,
     slice_size: int | None = None,
+    value: int | None = None,
 ) -> tuple[int, int, int]:
     """The greatest total gain of a set of decisions that holds no copy,
     the first such set of the include-first order, as a bitmask, and the
     number of ``dfs`` calls the search made (the value search).  The
     calls are counted only when ``most_calls`` is given (0 otherwise),
     and a search that needs more raises :class:`_OverBudget`.
+
+    With ``value`` given, the search is the first-leaf search: the first
+    set of the include-first order that holds no copy and whose total
+    gain reaches ``value``, returned with that gain and the calls.  It is
+    start 0 run before any suffix is solved, so ``suffix`` is ``rest``,
+    the gain of every undecided decision, with floor ``value - 1`` and
+    ceiling ``value``.  A leaf stops the search once its gain reaches the
+    ceiling; in the value search every ceiling is an upper bound, so that
+    leaf's gain equals it.  With ``value`` the greatest gain, the set is
+    the value search's.  No leaf reaches a value above the greatest gain,
+    and that raises :class:`PostconditionError`.
 
     The search takes the decisions in order, the include branch first,
     and updates its incumbent only on strict improvement.  Its state is
@@ -282,15 +296,14 @@ def _branch_and_bound(
     """
     total = len(gain)
     everything = (1 << total) - 1
-    if not copies:
-        return sum(gain), everything, 0
-    keep, top = _copy_index(copies, total)
     rest = _rest(gain)
-    # starts[i]: the copies that use no decision before i
-    starts = [(1 << len(copies)) - 1]
-    for i in range(total - 1):
-        starts.append(starts[-1] & keep[i])
-    suffix = rest[:]  # final for every start with no copy
+    if copies:
+        keep, top = _copy_index(copies, total)
+    elif value is None:
+        return rest[0], everything, 0
+    # only the first-leaf search gets here with no copies: its live set
+    # is 0 from the start, so dfs reads neither keep nor top
+    suffix = rest  # until the value search copies it
     best = ceiling = calls = 0
     best_set = everything
 
@@ -300,7 +313,7 @@ def _branch_and_bound(
             if not live:
                 best = score + rest[idx]
                 best_set = chosen | everything >> idx << idx
-                if best == ceiling:
+                if best >= ceiling:
                     raise _Reached
                 return
             rest_live = live & keep[idx]
@@ -322,6 +335,20 @@ def _branch_and_bound(
 
     # the count costs an uncounted search nothing
     descend = dfs if most_calls is None else counted
+    if value is not None:  # the first-leaf search: start 0, suffix still rest
+        best, ceiling = value - 1, value
+        try:
+            descend(0, 0, (1 << len(copies)) - 1, 0)
+        except _Reached:
+            return best, best_set, calls
+        raise PostconditionError(
+            f"no set of decisions that holds no copy reaches the value {value}"
+        )
+    # starts[i]: the copies that use no decision before i
+    starts = [(1 << len(copies)) - 1]
+    for i in range(total - 1):
+        starts.append(starts[-1] & keep[i])
+    suffix = rest[:]  # final for every start with no copy
     cap = rest[0]  # no cap in the last slice
     for start in range(total - 1, -1, -1):
         if slice_size and (start + 1) % slice_size == 0 and start + 1 < total:
@@ -342,58 +369,6 @@ def _branch_and_bound(
             pass
         suffix[start] = best
     return suffix[0], best_set, calls
-
-
-def _first_leaf(
-    gain: list[int], copies: set[int], value: int, most_calls: int | None = None
-) -> int:
-    """The first set of the include-first order that holds no copy and
-    whose total gain reaches ``value``, as a bitmask (the first-leaf
-    search); at least one copy.  With ``most_calls`` given, a search that
-    needs more ``dfs`` calls raises :class:`_OverBudget`.
-
-    With ``value`` the greatest gain, this is the set
-    :func:`_branch_and_bound` returns for these decisions and copies: the
-    same tree, walked in the same order with the same degree-0 reduction,
-    pruned only where even taking every undecided decision (``rest``)
-    cannot reach the value.  No leaf reaches a value above the greatest
-    gain, and that raises :class:`PostconditionError`.
-    """
-    total = len(gain)
-    everything = (1 << total) - 1
-    keep, top = _copy_index(copies, total)
-    rest = _rest(gain)
-    found = calls = 0
-
-    def dfs(idx: int, score: int, live: int, chosen: int) -> None:
-        nonlocal found
-        while score + rest[idx] >= value:
-            if not live:
-                found = chosen | everything >> idx << idx
-                raise _Reached
-            rest_live = live & keep[idx]
-            if rest_live == live:  # no live copy uses idx: include it only
-                score += gain[idx]
-                chosen |= 1 << idx
-            else:
-                if not live & top[idx]:
-                    descend(idx + 1, score + gain[idx], live, chosen | 1 << idx)
-                live = rest_live
-            idx += 1
-
-    def counted(idx: int, score: int, live: int, chosen: int) -> None:
-        nonlocal calls
-        calls += 1
-        if calls > most_calls:
-            raise _OverBudget
-        dfs(idx, score, live, chosen)
-
-    descend = dfs if most_calls is None else counted
-    try:
-        descend(0, 0, (1 << len(copies)) - 1, 0)
-    except _Reached:
-        return found
-    raise PostconditionError(f"no set of decisions that holds no copy reaches the value {value}")
 
 
 def _rest(gain: list[int]) -> list[int]:
@@ -497,7 +472,7 @@ def _cheapest_image(pattern: BinaryMatrix, n: int) -> BinaryMatrix:
             cheapest, fewest = image, calls
     if cheapest is not pattern:
         try:
-            _first_leaf(gain, copies, value, own - fewest - 1)
+            _branch_and_bound(gain, copies, own - fewest - 1, value=value)
         except _OverBudget:
             return pattern
     return cheapest
@@ -524,7 +499,7 @@ def _solve_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
         gain, _matrix_copies(image, n), slice_size=_slice_size(image, n)
     )
     if image is not pattern:
-        chosen = _first_leaf(gain, _matrix_copies(pattern, n), value)
+        chosen = _branch_and_bound(gain, _matrix_copies(pattern, n), value=value)[1]
     return value, frozenset(cell for i, cell in enumerate(cells) if chosen >> i & 1)
 
 

@@ -646,6 +646,8 @@ def run_checks(
     if budget < 1:
         raise InputError(f"budget must be >= 1, got {budget}")
     selected = list(CLAIM_NAMES) if claims is None else list(claims)
+    if not selected:
+        raise InputError(f"no claim selected; available: {', '.join(CLAIM_NAMES)}")
     for name in selected:
         if name not in CLAIM_NAMES:
             raise InputError(

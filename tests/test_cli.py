@@ -174,6 +174,12 @@ class TestVerify:
             "verify", "--claims", "Bogus", "--out", str(tmp_path / "r"),
         ]) == 2
 
+    @pytest.mark.parametrize("claims", [",", ""])
+    def test_empty_claim_selection_exit_2(self, tmp_path, claims):
+        out = tmp_path / "r"
+        assert main(["verify", "--claims", claims, "--out", str(out)]) == 2
+        assert not (out / "report.txt").exists()
+
     def test_failed_instances_get_counterexample_files(self, tmp_path, monkeypatch):
         from patternex.verify import CheckResult, InstanceResult, VerificationReport
 

@@ -374,9 +374,43 @@ class TestImageRanking:
             gain = [rng.randint(1, 3) for _ in range(total)]
             copies = {rng.randint(1, (1 << total) - 1) for _ in range(rng.randint(1, 8))}
             value, chosen, _ = search._branch_and_bound(gain, copies)
-            assert search._first_leaf(gain, copies, value) == chosen
+            found, first, calls = search._branch_and_bound(gain, copies, sys.maxsize, value=value)
+            assert (found, first) == (value, chosen)
+            with pytest.raises(search._OverBudget):
+                search._branch_and_bound(gain, copies, calls - 1, value=value)
+            assert search._branch_and_bound(gain, copies, calls, value=value)[1] == chosen
             with pytest.raises(PostconditionError):
-                search._first_leaf(gain, copies, value + 1)
+                search._branch_and_bound(gain, copies, value=value + 1)
+            # with no copies every decision is taken, and nothing reaches more
+            everything = (1 << total) - 1
+            assert search._branch_and_bound(gain, set(), value=sum(gain))[:2] == (
+                sum(gain), everything
+            )
+            with pytest.raises(PostconditionError):
+                search._branch_and_bound(gain, set(), value=sum(gain) + 1)
+
+    def test_the_gate_picks_the_same_images(self):
+        # the six n = 5 rows whose image changed with the one-slice cap.
+        # An image other than the pattern passes the gate only when the
+        # first-leaf search at n = 4 fits in the pattern's value-search
+        # calls less the image's, less one: the fourth row's 82 calls miss
+        # its budget of 80, so those calls are pinned too
+        rows = [
+            ([2, 3], [(1, 2), (1, 3), (2, 1), (2, 2)], 1, 7),
+            ([2, 3], [(1, 1), (1, 2), (2, 3)], 0, 8),
+            ([2, 3], [(1, 1), (1, 2), (2, 2), (2, 3)], 0, 9),
+            ([2, 3], [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)], 0, 82),
+            ([3, 2], [(1, 2), (2, 1), (2, 2), (3, 1)], 3, 8),
+            ([3, 2], [(1, 1), (2, 1), (2, 2), (3, 2)], 2, 9),
+        ]
+        gain = [1] * 16
+        for extents, ones, index, first_leaf_calls in rows:
+            pattern = make_matrix(extents, ones)
+            assert search._cheapest_image(pattern, 5) == search._matrix_images(pattern)[index]
+            copies = search._matrix_copies(pattern, 4)
+            value = search._branch_and_bound(gain, copies)[0]
+            calls = search._branch_and_bound(gain, copies, sys.maxsize, value=value)[2]
+            assert calls == first_leaf_calls
 
 
 def _random_hypergraph(rng, pn, sizes, most):

@@ -245,6 +245,11 @@ def test_run_checks_rejects_unknown_claim():
         run_checks(["NoSuchClaim"], budget=2)
 
 
+def test_run_checks_rejects_an_empty_selection():
+    with pytest.raises(InputError):
+        run_checks([], budget=2)
+
+
 def test_run_checks_selected_subset():
     report = run_checks(["Lemma3", "Thm7-recurrence"], budget=2, seed=0)
     assert [c.claim for c in report.checks] == ["Lemma3", "Thm7-recurrence"]
