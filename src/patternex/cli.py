@@ -92,7 +92,6 @@ def _write_json(path: Path, data: dict) -> None:
 
 
 def cmd_compute(args) -> int:
-    out = _out_dir(args)
     ns = _parse_n_range(args.n)
     kind = args.kind
     if kind in ("ex", "f"):
@@ -101,6 +100,7 @@ def cmd_compute(args) -> int:
             raise InputError(f"--d {args.d} does not match pattern dimension {pattern.d}")
     else:
         pattern = fileio.read_hypergraph(args.pattern)
+    out = _out_dir(args)
     rows = []
     for n in ns:
         if kind == "count":
@@ -154,11 +154,11 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    out = _out_dir(args)
     claims = None
     if args.claims != "all":
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
     report = run_checks(claims, budget=args.budget, seed=args.seed)
+    out = _out_dir(args)
     data = report.to_dict()
     counter_dir = out / "counterexamples"
     for check in data["checks"]:

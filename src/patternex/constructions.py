@@ -19,9 +19,6 @@ from itertools import product
 from .containment import (
     HypergraphEmbedding,
     MatrixEmbedding,
-    _matrix_embedding_search,
-    _matrix_form,
-    _matrix_sizes_fit,
     hypergraph_contains,
     matrix_contains,
     verify_hypergraph_embedding,
@@ -177,21 +174,6 @@ def cyclic_pad(hypergraph: OrderedHypergraph) -> OrderedHypergraph:
     return padded
 
 
-def _permutation_matrix_length(matrix: BinaryMatrix) -> int | None:
-    """Side length when every cross-section on every axis has exactly one 1."""
-    sides = set(matrix.extents)
-    if len(sides) != 1:
-        return None
-    side = sides.pop()
-    if matrix.weight != side:
-        return None
-    entries = matrix.sorted_ones()
-    for axis in range(matrix.d):
-        if sorted(c[axis] for c in entries) != list(range(1, side + 1)):
-            return None
-    return side
-
-
 def chain_patterns(start: BinaryMatrix, up_to_length: int) -> list[BinaryMatrix]:
     """Grow a d-permutation matrix one cross-section at a time.
 
@@ -201,11 +183,12 @@ def chain_patterns(start: BinaryMatrix, up_to_length: int) -> list[BinaryMatrix]
     anchors every part boundary, every step must preserve that and is
     re-checked.  The returned list starts with the input.
     """
-    length = _permutation_matrix_length(start)
+    hypergraph = associated_hypergraph(start)[0]
+    length = is_d_permutation_hypergraph(hypergraph)
     if length is None:
         raise InputError("chain_patterns needs a d-permutation matrix")
     d = start.d
-    boundary_required = satisfies_boundary_condition(associated_hypergraph(start)[0], d)
+    boundary_required = satisfies_boundary_condition(hypergraph, d)
     chain = [start]
     current = start
     while length < up_to_length:
@@ -215,13 +198,12 @@ def chain_patterns(start: BinaryMatrix, up_to_length: int) -> list[BinaryMatrix]
         ones.add((2,) * d)
         length += 1
         grown = BinaryMatrix((length,) * d, frozenset(ones))
-        if _permutation_matrix_length(grown) != length:
+        hypergraph = associated_hypergraph(grown)[0]
+        if is_d_permutation_hypergraph(hypergraph) != length:
             raise PostconditionError("chain step produced a non-permutation matrix")
         if matrix_contains(grown, current) is None:
             raise PostconditionError("chain step does not contain its predecessor")
-        if boundary_required and not satisfies_boundary_condition(
-            associated_hypergraph(grown)[0], d
-        ):
+        if boundary_required and not satisfies_boundary_condition(hypergraph, d):
             raise PostconditionError("chain step lost the part boundary condition")
         chain.append(grown)
         current = grown
@@ -399,11 +381,11 @@ def random_avoider(config: GeneratorConfig, trial: int = 0) -> tuple[BinaryMatri
     """Sample a random d-matrix and repair it into a guaranteed avoider.
 
     Entries are 1 independently with probability p (seeded, one trial
-    uses seed XOR trial index).  While the containment engine finds a
+    uses seed XOR trial index).  While :func:`matrix_contains` finds a
     copy, the image of the pattern's greatest 1-entry in the least copy
     is cleared: the deletions of one lexicographic sweep over the
     submatrix windows, as a passed window never holds a copy again.  One
-    engine call costs at most a greedy row scan for each of the
+    call costs at most a greedy row scan for each of the
     windows / C(n, k_1) placements of axes 2..d, and a call that finds a
     copy stops at it.
     """
@@ -422,14 +404,8 @@ def random_avoider(config: GeneratorConfig, trial: int = 0) -> tuple[BinaryMatri
     }
     initial = len(ones)
     anchor = max(pattern.ones)
-    extents = (n,) * d
-    pattern_form = _matrix_form(pattern.extents, pattern.ones)
-    while (
-        _matrix_sizes_fit(extents, len(ones), pattern.extents, pattern.weight)
-        and (found := _matrix_embedding_search(_matrix_form(extents, ones), pattern_form))
-        is not None
-    ):
-        cell = tuple(sel[c - 1] for sel, c in zip(found, anchor))
+    while (found := matrix_contains(BinaryMatrix((n,) * d, frozenset(ones)), pattern)) is not None:
+        cell = tuple(sel[c - 1] for sel, c in zip(found.axis_indices, anchor))
         if cell not in ones:
             raise PostconditionError(f"the engine's pattern copy uses the 0-entry {cell}")
         ones.remove(cell)

@@ -8,10 +8,11 @@ return identical embeddings.
 Both engines keep candidate sets as bitmask ints, and both come in two
 steps: a prepare step builds the form a search reads from a host or a
 pattern, and one search step runs on a host form and a pattern form.
-The matrix engine, shared by ``matrix_contains``, the random repair and
-``klazar_marcus_check``, prepares a matrix by numbering each 1-entry's
-cell on axes 2..d with one lookup in a table of the shape of those axes,
-which holds prod(n_2..n_d) entries whatever the number of rows.
+The matrix engine, shared by ``matrix_contains`` (which the random
+repair calls) and ``klazar_marcus_check``, prepares a matrix by
+numbering each 1-entry's cell on axes 2..d with one lookup in a table
+of the shape of those axes, which holds prod(n_2..n_d) entries whatever
+the number of rows.
 It numbers the placements of the pattern on axes 2..d and searches host
 rows first, keeping the placements that still fit as one int: a positive
 answer stops at its first complete path, and a negative one costs at

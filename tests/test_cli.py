@@ -82,6 +82,14 @@ class TestCompute:
             "--n", "1..2", "--out", str(out),
         ]) == 2
 
+    def test_invalid_range_leaves_no_output_directory(self, tmp_path, identity_file):
+        out = tmp_path / "out"
+        assert main([
+            "compute", "--kind", "ex", "--pattern", str(identity_file),
+            "--n", "0", "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+
     def test_capacity_error_exit_3(self, tmp_path, single_edge_file):
         out = tmp_path / "out"
         assert main([
@@ -173,6 +181,11 @@ class TestVerify:
         assert main([
             "verify", "--claims", "Bogus", "--out", str(tmp_path / "r"),
         ]) == 2
+
+    def test_unknown_claim_leaves_no_output_directory(self, tmp_path):
+        out = tmp_path / "r"
+        assert main(["verify", "--claims", "Bogus", "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("claims", [",", ""])
     def test_empty_claim_selection_exit_2(self, tmp_path, claims):

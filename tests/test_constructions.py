@@ -2,7 +2,8 @@
 
 import random
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from patternex import (
     CapacityError,
     GeneratorConfig,
     InputError,
+    MatrixEmbedding,
     PartsSpec,
     PostconditionError,
     PermutationSpec,
@@ -201,6 +203,36 @@ class TestChainPatterns:
         with pytest.raises(InputError):
             chain_patterns(make_matrix([2, 2], [(1, 1)]), 3)
 
+    def test_permutation_test_matches_the_matrix_definition(self):
+        # the hypergraph test that chain_patterns runs must accept exactly
+        # the d-permutation matrices: every extent k, weight k, and the
+        # coordinates on each axis a permutation of 1..k
+        def length(matrix):
+            k = matrix.extents[0]
+            if set(matrix.extents) != {k} or matrix.weight != k:
+                return None
+            for axis in range(matrix.d):
+                if sorted(c[axis] for c in matrix.ones) != list(range(1, k + 1)):
+                    return None
+            return k
+
+        shapes = list(product(range(1, 4), repeat=2))
+        shapes += list(product(range(1, 3), repeat=3))
+        cases = [(shape, prod(shape)) for shape in shapes]
+        cases += [(shape, 4) for shape in ((3, 3, 1), (1, 3, 3), (3, 1, 3))]
+        checked = 0
+        for shape, max_weight in cases:
+            cells = list(product(*(range(1, n + 1) for n in shape)))
+            for weight in range(max_weight + 1):
+                for ones in combinations(cells, weight):
+                    matrix = make_matrix(list(shape), ones)
+                    hypergraph = associated_hypergraph(matrix)[0]
+                    assert is_d_permutation_hypergraph(hypergraph) == length(matrix), matrix
+                    checked += 1
+        assert checked == 682 + 318 + 3 * 256
+        with pytest.raises(InputError):
+            chain_patterns(make_matrix([2, 3], [(1, 1), (2, 2)]), 3)
+
 
 class TestNormalizeEdges:
     def test_uniform_input_is_a_fixed_point(self):
@@ -277,7 +309,7 @@ class TestRandomAvoider:
         # a faulty engine that keeps reporting the same copy must not hang
         # the repair loop: its second report names a cleared cell
         monkeypatch.setattr(
-            constructions, "_matrix_embedding_search", lambda *args: ((1, 2), (1, 2))
+            constructions, "matrix_contains", lambda *args: MatrixEmbedding(((1, 2), (1, 2)))
         )
         config = GeneratorConfig(pattern=ALL_ONES_2, side=4, p=0.5, seed=0)
         with pytest.raises(PostconditionError):

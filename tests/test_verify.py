@@ -176,7 +176,7 @@ def test_random_density_quick():
 def test_random_density_fails_when_the_repair_misses_copies(monkeypatch):
     # an engine that finds no copy leaves every sample unrepaired; only the
     # re-check independent of that engine can see the copies left in them
-    monkeypatch.setattr(constructions, "_matrix_embedding_search", lambda *args: None)
+    monkeypatch.setattr(constructions, "matrix_contains", lambda *args: None)
     result = check_random_density(0)
     assert not result.passed
     assert result.instances[0].payload["avoid_failures"] > 0
