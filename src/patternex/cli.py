@@ -77,6 +77,17 @@ def _parse_n_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _check_out(args) -> None:
+    """Refuse an ``--out`` that is, or lies under, something other than
+    a directory, before the command does any work."""
+    out = Path(args.out)
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise InputError(f"--out {args.out}: {path} exists and is not a directory")
+            return
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -92,6 +103,7 @@ def _write_json(path: Path, data: dict) -> None:
 
 
 def cmd_compute(args) -> int:
+    _check_out(args)
     ns = _parse_n_range(args.n)
     kind = args.kind
     if kind in ("ex", "f"):
@@ -154,6 +166,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_out(args)
     claims = None
     if args.claims != "all":
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
@@ -194,6 +207,7 @@ def _attest(out: Path, lines: list[str]) -> None:
 
 
 def cmd_generate(args) -> int:
+    _check_out(args)
     out = _out_dir(args)
     name = args.construction
     if name == "corner-pad":

@@ -38,6 +38,20 @@ of differing sizes and gains, where one deleted vertex removes a
 varying share of an avoider's edges, and no benchmark row of theirs is
 slow enough to show a vertex-deletion analogue.
 
+The same count bounds every single slice of the box, from both sides.
+Deleting one slice of an avoider of weight W leaves an avoider of the
+box one slice shorter, so every slice holds at least W less that box's
+value.  Deleting another slice instead leaves the slice and all but one
+of the others, each of them that heavy, within the same value, so the
+slice holds at most that value less their least weight.  The value
+search keeps only leaves that beat its incumbent, so a node returns
+once it has decided the last cell of a slice whose weight is outside
+these bounds for every such W.  This binds where the cap cannot, on
+boxes of k slices whose value is k + n - 1: the L-shape (1,1)(1,2)(2,1)
+at n = 5 falls from 9,784 search calls to 1,924, the 2x2 identity at
+n = 6 from 7,474 to 1,075, and the L-shape at n = 7 from about 76 s to
+2 s.
+
 Transposing or reversing axes maps the avoiders of a matrix pattern one
 to one onto the avoiders of its image, so ``ex`` and ``f`` have one value
 on all images, while the search can cost 70x more on one than on
@@ -293,6 +307,35 @@ def _branch_and_bound(
     So value and set stay the same and the calls can only fall.  The
     graph and hypergraph solvers pass no ``slice_size``; the module
     docstring says why.
+
+    The same count bounds each slice of the box from both sides.  A start
+    in slice r0 has ``later`` = (total - 1 - start) // N slices after r0
+    and ``floor`` = ``suffix[(r0 + 1) * N]``, the value of the box without
+    its first slice.  Take a leaf of the start's search, an avoider in the
+    box of weight W, with weight w_j in slice j:
+
+    - deleting slice j leaves an avoider of a box of ``later`` slices, so
+      W - w_j ≤ ``floor``: every slice holds w_j ≥ W - ``floor``;
+    - deleting another slice i leaves slice j and ``later`` - 1 slices
+      more, each holding at least W - ``floor``, so w_j + (``later`` -
+      1)·(W - ``floor``) ≤ ``floor``.
+
+    The search keeps only leaves with W ≥ ``best`` + 1, and both bounds
+    are weakest at W = ``best`` + 1.  So with ``least`` = ``best`` + 1 -
+    ``floor``, a node that has decided the last cell of a slice returns
+    when that slice's weight is below ``least`` or above ``floor`` -
+    (``later`` - 1)·``least``.  ``best`` is read live, as it rises during
+    a search.  Only nodes with no strictly improving leaf are cut, so
+    value and set stay the same and the calls can only fall.  The check
+    runs at each slice boundary after the start (``edge``, handed down
+    to every call), and only while copies are live: a node with none is
+    a leaf that beats the incumbent, and both bounds admit it.  At the
+    first boundary, where slice r0 is the whole score, ``score +
+    suffix[idx] > best`` already is the lower bound, but not the upper.
+    The first-leaf search gets no ``edge``: no suffix is solved there,
+    so its ``floor`` would be ``rest``, the cells of the smaller box.
+    Its lower bound would then follow from ``score + rest[idx] > best``,
+    and its upper bound would need more 1-entries than the box has cells.
     """
     total = len(gain)
     everything = (1 << total) - 1
@@ -306,8 +349,9 @@ def _branch_and_bound(
     suffix = rest  # until the value search copies it
     best = ceiling = calls = 0
     best_set = everything
+    floor = later = 0  # the slice bound of the current start's box
 
-    def dfs(idx: int, score: int, live: int, chosen: int) -> None:
+    def dfs(idx: int, score: int, live: int, chosen: int, edge: int) -> None:
         nonlocal best, best_set
         while score + suffix[idx] > best:
             if not live:
@@ -316,29 +360,35 @@ def _branch_and_bound(
                 if best >= ceiling:
                     raise _Reached
                 return
+            if idx == edge:  # the slice that ends at idx is decided
+                least = best + 1 - floor
+                weight = (chosen >> idx - slice_size).bit_count()
+                if weight < least or weight + (later - 1) * least > floor:
+                    return
+                edge += slice_size
             rest_live = live & keep[idx]
             if rest_live == live:  # no live copy uses idx: include it only
                 score += gain[idx]
                 chosen |= 1 << idx
             else:
                 if not live & top[idx]:
-                    descend(idx + 1, score + gain[idx], live, chosen | 1 << idx)
+                    descend(idx + 1, score + gain[idx], live, chosen | 1 << idx, edge)
                 live = rest_live  # the exclude branch, as a loop
             idx += 1
 
-    def counted(idx: int, score: int, live: int, chosen: int) -> None:
+    def counted(idx: int, score: int, live: int, chosen: int, edge: int) -> None:
         nonlocal calls
         calls += 1
         if calls > most_calls:
             raise _OverBudget
-        dfs(idx, score, live, chosen)
+        dfs(idx, score, live, chosen, edge)
 
     # the count costs an uncounted search nothing
     descend = dfs if most_calls is None else counted
     if value is not None:  # the first-leaf search: start 0, suffix still rest
         best, ceiling = value - 1, value
         try:
-            descend(0, 0, (1 << len(copies)) - 1, 0)
+            descend(0, 0, (1 << len(copies)) - 1, 0, -1)
         except _Reached:
             return best, best_set, calls
         raise PostconditionError(
@@ -349,12 +399,15 @@ def _branch_and_bound(
     for i in range(total - 1):
         starts.append(starts[-1] & keep[i])
     suffix = rest[:]  # final for every start with no copy
-    cap = rest[0]  # no cap in the last slice
+    cap = rest[0]  # no cap and no slice bound in the last slice
+    edge = -1
     for start in range(total - 1, -1, -1):
         if slice_size and (start + 1) % slice_size == 0 and start + 1 < total:
             # start ends slice r, and k - 1 slices follow it
-            later = (total - start - 1) // slice_size
-            cap = (later + 1) * suffix[start + 1] // later
+            edge = start + 1
+            later = (total - edge) // slice_size
+            floor = suffix[edge]
+            cap = (later + 1) * floor // later
         if not starts[start]:
             continue
         ceiling = min(suffix[start + 1] + gain[start], cap)
@@ -364,7 +417,7 @@ def _branch_and_bound(
         # start 0 keeps the first leaf of the optimal gain, maybe suffix[1]
         best = suffix[1] - 1 if start == 0 else suffix[start + 1]
         try:
-            descend(start, 0, starts[start], 0)
+            descend(start, 0, starts[start], 0, edge)
         except _Reached:
             pass
         suffix[start] = best

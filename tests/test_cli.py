@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import patternex
 from patternex import containment, count_avoiders, fileio, matrix_contains
 from patternex.cli import main
 
@@ -380,6 +385,51 @@ class TestContains:
         monkeypatch.setattr(containment, "_hyper_embedding_search", lambda *args: ((1, 2), [0]))
         assert main(["contains", "hypergraph", str(host), str(single_edge_file)]) == 4
         assert capsys.readouterr().out == ""
+
+
+def _commands(pattern, out):
+    return {
+        "compute": ["compute", "--kind", "ex", "--pattern", str(pattern),
+                    "--n", "1..3", "--out", str(out)],
+        "verify": ["verify", "--claims", "Lemma3", "--budget", "2", "--out", str(out)],
+        "generate": ["generate", "corner-pad", "--pattern", str(pattern), "--out", str(out)],
+    }
+
+
+class TestOutIsAFile:
+    """An --out that names an existing file is refused as invalid input,
+    exit 2, before the command does any work, and the file is kept."""
+
+    @pytest.mark.parametrize("command", ["compute", "verify", "generate"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_exit_2_without_traceback(self, tmp_path, identity_file, command, under):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        out = taken / "sub" if under else taken
+        src = Path(patternex.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-m", "patternex.cli", *_commands(identity_file, out)[command]],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert run.returncode == 2
+        assert run.stderr.startswith("error: --out ")
+        assert "Traceback" not in run.stderr
+        assert run.stdout == ""
+        assert taken.read_text() == "keep me\n"
+
+    @pytest.mark.parametrize("command", ["compute", "verify", "generate"])
+    def test_refused_before_any_work(self, tmp_path, identity_file, monkeypatch, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before checking --out")
+
+        for name in ("ex_matrix", "run_checks", "corner_pad"):
+            monkeypatch.setattr(f"patternex.cli.{name}", no_work)
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        assert main(_commands(identity_file, taken)[command]) == 2
+        assert taken.read_text() == "keep me\n"
 
 
 class TestDeterminism:
