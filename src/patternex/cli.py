@@ -2,8 +2,11 @@
 
 Exit codes are a stable contract: 0 success, 2 invalid input, 3 capacity
 limit, 4 failed postcondition re-check, 5 a checked claim failed (verify
-writes every report file first).  All outputs are deterministic
-given the inputs, the seed, and the budget; nothing embeds timestamps.
+writes every report file first).  Each command builds the text of all its
+output files first and writes them with :func:`_write_out` once it has
+succeeded, so a command that exits 2, 3 or 4 creates no ``--out``.  All
+outputs are deterministic given the inputs, the seed, and the budget;
+nothing embeds timestamps.
 """
 
 from __future__ import annotations
@@ -50,17 +53,19 @@ from .search import (
 from .verify import run_checks
 
 COMPUTE_KINDS = ("ex", "f", "gex", "exe", "exi", "count")
-CONSTRUCTIONS = (
-    "corner-pad",
-    "bipartite-double",
-    "blowup",
-    "cyclic-pattern",
-    "cyclic-pad",
-    "chain",
-    "normalize-edges",
-    "random-avoider",
-    "interval-contract",
-)
+# each construction: the file option it reads ("pattern" a matrix, "input"
+# a hypergraph, or None) and the other options it requires
+CONSTRUCTIONS = {
+    "corner-pad": ("pattern", ()),
+    "bipartite-double": ("input", ()),
+    "blowup": ("input", ("t",)),
+    "cyclic-pattern": (None, ("d",)),
+    "cyclic-pad": ("input", ()),
+    "chain": ("pattern", ("length",)),
+    "normalize-edges": ("input", ("k", "d")),
+    "random-avoider": ("pattern", ("n",)),
+    "interval-contract": ("input", ("t",)),
+}
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -88,14 +93,22 @@ def _check_out(args) -> None:
             return
 
 
-def _out_dir(args) -> Path:
+def _write_out(args, files: dict[str, str]) -> Path:
+    """Create ``--out`` and write each file, given as its path under
+    ``--out`` and its text.  Commands call this once, after every
+    computation and re-check has passed, so a failed command writes
+    nothing."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    for ref, text in files.items():
+        path = out / ref
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text)
     return out
 
 
-def _write_json(path: Path, data: dict) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+def _json_text(data: dict) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +123,11 @@ def cmd_compute(args) -> int:
         pattern = fileio.read_matrix(args.pattern)
         if kind == "f" and args.d is not None and args.d != pattern.d:
             raise InputError(f"--d {args.d} does not match pattern dimension {pattern.d}")
+        format_witness = fileio.format_matrix
     else:
         pattern = fileio.read_hypergraph(args.pattern)
-    out = _out_dir(args)
+        format_witness = fileio.format_hypergraph
+    files = {}
     rows = []
     for n in ns:
         if kind == "count":
@@ -130,14 +145,11 @@ def cmd_compute(args) -> int:
         else:
             cert = exi_hyper(pattern, n, edge_cap=n if args.exact else args.edge_cap)
         ref = f"witness_n{n}.txt"
-        if kind in ("ex", "f"):
-            fileio.write_matrix(out / ref, cert.witness)
-        else:
-            fileio.write_hypergraph(out / ref, cert.witness)
+        files[ref] = format_witness(cert.witness)
         rows.append(TableRow(n, cert.value, ref))
     dimension = pattern.d if kind in ("ex", "f") else 2
     table = ExtremalTable(Path(args.pattern).stem, kind, dimension, tuple(rows))
-    (out / "table.csv").write_text(table_to_csv(table))
+    files["table.csv"] = table_to_csv(table)
     summary = {
         "kind": kind,
         "pattern_id": table.pattern_id,
@@ -154,7 +166,8 @@ def cmd_compute(args) -> int:
         "limit_estimate": None if kind == "count" else str(estimate_limit(table)),
         "ratio_monotone": table.ratios_monotone(),
     }
-    _write_json(out / "summary.json", summary)
+    files["summary.json"] = _json_text(summary)
+    out = _write_out(args, files)
     for r in rows:
         print(f"{kind} n={r.n} value={r.value}")
     print(f"wrote {len(rows)} rows to {out / 'table.csv'}")
@@ -171,25 +184,24 @@ def cmd_verify(args) -> int:
     if args.claims != "all":
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
     report = run_checks(claims, budget=args.budget, seed=args.seed)
-    out = _out_dir(args)
     data = report.to_dict()
-    counter_dir = out / "counterexamples"
+    files = {}
     for check in data["checks"]:
         for idx, inst in enumerate(check["instances"]):
             if inst["passed"]:
                 continue
             objects = inst["payload"].pop("objects", None)
             if objects:
-                counter_dir.mkdir(parents=True, exist_ok=True)
                 refs = {}
                 for name, text in sorted(objects.items()):
-                    ref = f"{check['claim']}_{idx}_{name}.txt"
-                    (counter_dir / ref).write_text(text)
-                    refs[name] = f"counterexamples/{ref}"
+                    ref = f"counterexamples/{check['claim']}_{idx}_{name}.txt"
+                    files[ref] = text
+                    refs[name] = ref
                 inst["payload"]["artifact_files"] = refs
                 inst["payload"]["seed"] = args.seed
-    (out / "report.txt").write_text(report.render_text())
-    _write_json(out / "report.json", data)
+    files["report.txt"] = report.render_text()
+    files["report.json"] = _json_text(data)
+    _write_out(args, files)
     for check in report.checks:
         print(f"{'PASS' if check.passed else 'FAIL'} {check.claim} ({len(check.instances)} instances)")
     print(f"overall: {'PASS' if report.passed else 'FAIL'}")
@@ -200,90 +212,62 @@ def cmd_verify(args) -> int:
 # generate
 
 
-def _attest(out: Path, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    (out / "attestation.txt").write_text(text)
-    sys.stdout.write(text)
-
-
 def cmd_generate(args) -> int:
     _check_out(args)
-    out = _out_dir(args)
     name = args.construction
+    source, required = CONSTRUCTIONS[name]
+    missing = [f"--{opt}" for opt in (source, *required) if opt and getattr(args, opt) is None]
+    if missing:
+        raise InputError(f"{name} requires {' and '.join(missing)}")
+    if source == "pattern":
+        given = fileio.read_matrix(args.pattern)
+    elif source == "input":
+        given = fileio.read_hypergraph(args.input)
+    files = {}
     if name == "corner-pad":
-        pattern = fileio.read_matrix(args.pattern)
         # corner_pad re-checks that its output contains the input
-        fileio.write_matrix(out / "corner_pad.txt", corner_pad(pattern))
-        _attest(out, ["construction: corner-pad", "contains-input: yes"])
+        files["corner_pad.txt"] = fileio.format_matrix(corner_pad(given))
+        lines = ["contains-input: yes"]
     elif name == "bipartite-double":
-        graph = fileio.read_hypergraph(args.input)
-        doubled = bipartite_double(graph)
-        fileio.write_matrix(out / "doubled.txt", doubled)
-        _attest(
-            out,
-            [
-                "construction: bipartite-double",
-                f"weight: {doubled.weight}",
-                f"edges: {graph.edge_count}",
-                f"weight-equals-edges: {'yes' if doubled.weight == graph.edge_count else 'no'}",
-            ],
-        )
-    elif name == "blowup":
-        graph = fileio.read_hypergraph(args.input)
-        if args.t is None:
-            raise InputError("blowup requires --t")
-        blown = blowup_graph(graph, args.t)
-        fileio.write_hypergraph(out / "blowup.txt", blown)
-        expected = (args.t - 1) * graph.edge_count
+        doubled = bipartite_double(given)
+        files["doubled.txt"] = fileio.format_matrix(doubled)
         lines = [
-            "construction: blowup",
+            f"weight: {doubled.weight}",
+            f"edges: {given.edge_count}",
+            f"weight-equals-edges: {'yes' if doubled.weight == given.edge_count else 'no'}",
+        ]
+    elif name == "blowup":
+        forbidden = fileio.read_hypergraph(args.avoid) if args.avoid else None
+        blown = blowup_graph(given, args.t)
+        files["blowup.txt"] = fileio.format_hypergraph(blown)
+        lines = [
             f"t: {args.t}",
             f"edges: {blown.edge_count}",
-            f"expected-edges: {expected}",
+            f"expected-edges: {(args.t - 1) * given.edge_count}",
         ]
-        if args.avoid:
-            forbidden = fileio.read_hypergraph(args.avoid)
+        if forbidden is not None:
             if hypergraph_contains(blown, forbidden) is not None:
                 raise PostconditionError("blow-up contains the forbidden pattern")
             lines.append("avoids-pattern: yes")
-        _attest(out, lines)
     elif name == "cyclic-pattern":
-        if args.d is None:
-            raise InputError("cyclic-pattern requires --d")
-        fileio.write_matrix(out / "cyclic_pattern.txt", cyclic_pattern(args.d))
-        _attest(out, ["construction: cyclic-pattern", f"d: {args.d}"])
+        files["cyclic_pattern.txt"] = fileio.format_matrix(cyclic_pattern(args.d))
+        lines = [f"d: {args.d}"]
     elif name == "cyclic-pad":
-        base = fileio.read_hypergraph(args.input)
-        padded = cyclic_pad(base)
-        fileio.write_hypergraph(out / "cyclic_pad.txt", padded)
+        padded = cyclic_pad(given)
+        files["cyclic_pad.txt"] = fileio.format_hypergraph(padded)
         # cyclic_pad re-checks that its output contains the input and
         # anchors every part boundary
-        _attest(
-            out,
-            [
-                "construction: cyclic-pad",
-                f"length: {padded.edge_count}",
-                "contains: yes",
-                "boundary: yes",
-            ],
-        )
+        lines = [f"length: {padded.edge_count}", "contains: yes", "boundary: yes"]
     elif name == "chain":
-        start = fileio.read_matrix(args.pattern)
-        if args.length is None:
-            raise InputError("chain requires --length")
         # chain_patterns re-checks that each step contains its predecessor
-        chain = chain_patterns(start, args.length)
+        chain = chain_patterns(given, args.length)
         for matrix in chain:
-            fileio.write_matrix(out / f"chain_len{matrix.extents[0]}.txt", matrix)
-        steps = [f"step-to-length-{m.extents[0]}: contains-previous: yes" for m in chain[1:]]
-        _attest(out, ["construction: chain"] + steps)
+            files[f"chain_len{matrix.extents[0]}.txt"] = fileio.format_matrix(matrix)
+        lines = [f"step-to-length-{m.extents[0]}: contains-previous: yes" for m in chain[1:]]
     elif name == "normalize-edges":
-        graph = fileio.read_hypergraph(args.input)
-        if args.k is None or args.d is None:
-            raise InputError("normalize-edges requires --k and --d")
-        trimmed, truncated, report = normalize_edges(graph, args.k, args.d, args.cap)
-        fileio.write_hypergraph(out / "normalized_min.txt", trimmed)
-        fileio.write_hypergraph(out / "normalized_trunc.txt", truncated)
+        trimmed, truncated, report = normalize_edges(given, args.k, args.d, args.cap)
+        files["normalized_min.txt"] = fileio.format_hypergraph(trimmed)
+        files["normalized_trunc.txt"] = fileio.format_hypergraph(truncated)
         report_lines = [
             f"cap-mode: {report.cap_mode}",
             f"cap: {report.cap}",
@@ -294,21 +278,17 @@ def cmd_generate(args) -> int:
         ]
         for edge, count in report.multiplicities:
             report_lines.append("multiplicity " + " ".join(map(str, edge)) + f": {count}")
-        (out / "normalize_report.txt").write_text("\n".join(report_lines) + "\n")
-        _attest(out, ["construction: normalize-edges"] + report_lines[:6])
+        files["normalize_report.txt"] = "\n".join(report_lines) + "\n"
+        lines = report_lines[:6]
     elif name == "random-avoider":
-        pattern = fileio.read_matrix(args.pattern)
-        if args.n is None:
-            raise InputError("random-avoider requires --n")
-        p = args.p if args.p is not None else default_density(pattern, args.n)
+        p = args.p if args.p is not None else default_density(given, args.n)
         config = GeneratorConfig(
-            pattern=pattern, side=args.n, p=p, seed=args.seed, trials=args.trials
+            pattern=given, side=args.n, p=p, seed=args.seed, trials=args.trials
         )
-        results = random_avoider_trials(config)
         csv_lines = ["trial,seed,initial_weight,deletions,final_weight"]
         text_lines = []
-        for matrix, stats in results:
-            fileio.write_matrix(out / f"avoider_trial{stats.trial}.txt", matrix)
+        for matrix, stats in random_avoider_trials(config):
+            files[f"avoider_trial{stats.trial}.txt"] = fileio.format_matrix(matrix)
             csv_lines.append(
                 f"{stats.trial},{stats.seed},{stats.initial_weight},"
                 f"{stats.deletions},{stats.final_weight}"
@@ -326,33 +306,21 @@ def cmd_generate(args) -> int:
                     "",
                 ]
             )
-        (out / "stats.csv").write_text("\n".join(csv_lines) + "\n")
-        (out / "stats.txt").write_text("\n".join(text_lines).rstrip("\n") + "\n")
-        _attest(
-            out,
-            [
-                "construction: random-avoider",
-                f"trials: {args.trials}",
-                "avoids: yes",
-            ],
-        )
-    elif name == "interval-contract":
-        graph = fileio.read_hypergraph(args.input)
-        if args.t is None:
-            raise InputError("interval-contract requires --t")
-        contracted = interval_contract(graph, args.t)
-        fileio.write_hypergraph(out / "contracted.txt", contracted)
-        _attest(
-            out,
-            [
-                "construction: interval-contract",
-                f"t: {args.t}",
-                f"vertices: {contracted.n}",
-                f"edges: {contracted.edge_count}",
-            ],
-        )
-    else:  # pragma: no cover - argparse choices guard this
-        raise InputError(f"unknown construction {name!r}")
+        files["stats.csv"] = "\n".join(csv_lines) + "\n"
+        files["stats.txt"] = "\n".join(text_lines).rstrip("\n") + "\n"
+        lines = [f"trials: {args.trials}", "avoids: yes"]
+    else:  # interval-contract
+        contracted = interval_contract(given, args.t)
+        files["contracted.txt"] = fileio.format_hypergraph(contracted)
+        lines = [
+            f"t: {args.t}",
+            f"vertices: {contracted.n}",
+            f"edges: {contracted.edge_count}",
+        ]
+    attestation = "\n".join([f"construction: {name}", *lines]) + "\n"
+    files["attestation.txt"] = attestation
+    _write_out(args, files)
+    sys.stdout.write(attestation)
     return 0
 
 

@@ -6,9 +6,12 @@ nonempty line is one 1-entry as d space-separated coordinates.
 Hypergraph files: the first line is ``n``; every following nonempty line
 is one edge as space-separated strictly increasing vertices.
 
-Lines whose first non-blank character is ``#`` are comments.  Writers
-emit entries in sorted order with a trailing newline, so the formats are
-byte-stable for identical objects.
+Lines whose first non-blank character is ``#`` are comments.  The
+``format_*`` functions emit entries in sorted order with a trailing
+newline, so the formats are byte-stable for identical objects; callers
+write that text themselves.  The readers take UTF-8 files, and a path
+that cannot be read (missing, a directory, not UTF-8) raises
+:class:`ParseError` naming the path, as malformed content does.
 """
 
 from __future__ import annotations
@@ -91,17 +94,18 @@ def format_hypergraph(hypergraph: OrderedHypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def read_matrix(path: str | Path) -> BinaryMatrix:
-    return parse_matrix(Path(path).read_text())
-
-
-def write_matrix(path: str | Path, matrix: BinaryMatrix) -> None:
-    Path(path).write_text(format_matrix(matrix))
+    return parse_matrix(_read_text(path))
 
 
 def read_hypergraph(path: str | Path) -> OrderedHypergraph:
-    return parse_hypergraph(Path(path).read_text())
-
-
-def write_hypergraph(path: str | Path, hypergraph: OrderedHypergraph) -> None:
-    Path(path).write_text(format_hypergraph(hypergraph))
+    return parse_hypergraph(_read_text(path))

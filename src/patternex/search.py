@@ -615,14 +615,6 @@ def _certify_hypergraph(
     return SearchCertificate(value, witness, True)
 
 
-def _reject_unavoidable_hypergraph(pattern: OrderedHypergraph, n: int) -> None:
-    if not pattern.edges and pattern.n <= n:
-        raise InputError(
-            "pattern with no edges is contained in every host on this many "
-            "vertices, the extremal value is undefined"
-        )
-
-
 def _candidate_edges(n: int, smallest: int, largest: int, limit: int) -> list[Edge]:
     """The edges on [n] of sizes ``smallest`` to ``largest``, in
     lexicographic order.  They are counted with ``math.comb`` first, and
@@ -702,31 +694,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _solve_max_hyper(
-    n: int, candidates: list[Edge], pattern: OrderedHypergraph, mode: str
-) -> tuple[int, list[Edge]]:
-    """The greatest edge count or weight of a host of candidate edges that
-    avoids the pattern, and the first optimal host of the include-first
-    order.  The decisions of :func:`_branch_and_bound` are the candidates,
-    each of gain 1 or its size, and its copies are the pattern's copies."""
-    gain = [len(e) if mode == "weight" else 1 for e in candidates]
-    value, chosen, _ = _branch_and_bound(gain, _hyper_copies(n, candidates, pattern))
-    return value, [e for i, e in enumerate(candidates) if chosen >> i & 1]
-
-
-def gex_graph(pattern: OrderedHypergraph, n: int) -> SearchCertificate:
-    """Maximum edges of an ordered graph on [n] avoiding the 2-uniform pattern."""
-    if any(len(e) != 2 for e in pattern.edges):
-        raise InputError("gex needs a 2-uniform pattern")
-    if n < 1:
-        raise InputError(f"n must be positive, got {n}")
-    candidates = _candidate_edges(n, 2, 2, MAX_GRAPH_CANDIDATES)
-    _reject_unavoidable_hypergraph(pattern, n)
-    value, edges = _solve_max_hyper(n, candidates, pattern, "edges")
-    witness = OrderedHypergraph(n, frozenset(edges))
-    return _certify_hypergraph(value, witness, pattern, "edges")
-
-
 def _size_cap(edge_cap: int | None, default: int) -> int:
     if edge_cap is None:
         return default
@@ -736,16 +703,33 @@ def _size_cap(edge_cap: int | None, default: int) -> int:
 
 
 def _solve_hyper_extremal(
-    pattern: OrderedHypergraph, n: int, mode: str, edge_cap: int | None
+    pattern: OrderedHypergraph, n: int, mode: str, smallest: int, largest: int, limit: int
 ) -> SearchCertificate:
+    """The greatest edge count or weight of a host on [n] that avoids the
+    pattern, its edges drawn from the candidates of sizes ``smallest`` to
+    ``largest``, with the first optimal host of the include-first order as
+    witness.  The decisions of :func:`_branch_and_bound` are the
+    candidates, each of gain 1 or its size, and its copies are the
+    pattern's copies."""
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
-    cap = _size_cap(edge_cap, max(pattern.n, 1))
-    candidates = _candidate_edges(n, 1, cap, MAX_HYPER_CANDIDATES)
-    _reject_unavoidable_hypergraph(pattern, n)
-    value, edges = _solve_max_hyper(n, candidates, pattern, mode)
-    witness = OrderedHypergraph(n, frozenset(edges))
-    return _certify_hypergraph(value, witness, pattern, mode)
+    candidates = _candidate_edges(n, smallest, largest, limit)
+    if not pattern.edges and pattern.n <= n:
+        raise InputError(
+            "pattern with no edges is contained in every host on this many "
+            "vertices, the extremal value is undefined"
+        )
+    gain = [len(e) if mode == "weight" else 1 for e in candidates]
+    value, chosen, _ = _branch_and_bound(gain, _hyper_copies(n, candidates, pattern))
+    edges = frozenset(e for i, e in enumerate(candidates) if chosen >> i & 1)
+    return _certify_hypergraph(value, OrderedHypergraph(n, edges), pattern, mode)
+
+
+def gex_graph(pattern: OrderedHypergraph, n: int) -> SearchCertificate:
+    """Maximum edges of an ordered graph on [n] avoiding the 2-uniform pattern."""
+    if any(len(e) != 2 for e in pattern.edges):
+        raise InputError("gex needs a 2-uniform pattern")
+    return _solve_hyper_extremal(pattern, n, "edges", 2, 2, MAX_GRAPH_CANDIDATES)
 
 
 def exe_hyper(
@@ -757,7 +741,8 @@ def exe_hyper(
     vertex count), mirroring the edge-truncation reduction; ``edge_cap=n``
     searches the full edge universe on tiny n.
     """
-    return _solve_hyper_extremal(pattern, n, "edges", edge_cap)
+    cap = _size_cap(edge_cap, max(pattern.n, 1))
+    return _solve_hyper_extremal(pattern, n, "edges", 1, cap, MAX_HYPER_CANDIDATES)
 
 
 def exi_hyper(
@@ -768,7 +753,8 @@ def exi_hyper(
     Same candidate-edge cap semantics as :func:`exe_hyper`; with a cap the
     value is the maximum over hosts whose edges respect the cap.
     """
-    return _solve_hyper_extremal(pattern, n, "weight", edge_cap)
+    cap = _size_cap(edge_cap, max(pattern.n, 1))
+    return _solve_hyper_extremal(pattern, n, "weight", 1, cap, MAX_HYPER_CANDIDATES)
 
 
 def count_avoiders(

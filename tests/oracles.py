@@ -359,7 +359,7 @@ def hyper_candidates(n: int, cap: int) -> list:
 
 
 def engine_max_hyper(n: int, candidates: list, pattern: OrderedHypergraph, mode: str):
-    """Reference for ``search._solve_max_hyper``: the same include-first
+    """Reference for ``search._solve_hyper_extremal``: the same include-first
     search over the candidates, pruned only by the trivial bound (score
     plus undecided gain), with one containment engine call per include
     node.  Returns the value and the first optimal edge list."""

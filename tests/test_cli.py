@@ -12,6 +12,8 @@ import patternex
 from patternex import containment, count_avoiders, fileio, matrix_contains
 from patternex.cli import main
 
+from test_fileio import UNREADABLE, unreadable_path
+
 IDENTITY2_TEXT = "2 2 2\n1 1\n2 2\n"
 SINGLE_EDGE_TEXT = "2\n1 2\n"
 
@@ -28,6 +30,17 @@ def single_edge_file(tmp_path):
     path = tmp_path / "edge.txt"
     path.write_text(SINGLE_EDGE_TEXT)
     return path
+
+
+def _run_cli(*argv):
+    """Run the CLI in a fresh interpreter, so a traceback shows on stderr."""
+    src = Path(patternex.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "patternex.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
 
 
 def _tree(root):
@@ -278,6 +291,7 @@ class TestGenerate:
             "generate", "blowup", "--input", str(graph), "--t", "3",
             "--avoid", str(single_edge_file), "--out", str(out),
         ]) == 4
+        assert not out.exists()
 
     def test_unknown_construction_exit_2(self, tmp_path):
         assert main(["generate", "nonsense", "--out", str(tmp_path / "x")]) == 2
@@ -370,6 +384,12 @@ class TestContains:
         assert "contains" in out
         assert "f: 1 2" in out
 
+    def test_hypergraph_avoids(self, tmp_path, single_edge_file, capsys):
+        host = tmp_path / "host.txt"
+        host.write_text("3\n1\n2\n3\n")
+        assert main(["contains", "hypergraph", str(host), str(single_edge_file)]) == 0
+        assert capsys.readouterr().out == "avoids\n"
+
     def test_wrong_matrix_embedding_exits_4(self, tmp_path, identity_file, capsys, monkeypatch):
         # (1,1) and (2,2) are 1-entries, but rows and columns 1 and 3 hold
         # the copy; the planted engine answer selects rows and columns 1, 2
@@ -406,13 +426,7 @@ class TestOutIsAFile:
         taken = tmp_path / "taken"
         taken.write_text("keep me\n")
         out = taken / "sub" if under else taken
-        src = Path(patternex.__file__).resolve().parents[1]
-        run = subprocess.run(
-            [sys.executable, "-m", "patternex.cli", *_commands(identity_file, out)[command]],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-        )
+        run = _run_cli(*_commands(identity_file, out)[command])
         assert run.returncode == 2
         assert run.stderr.startswith("error: --out ")
         assert "Traceback" not in run.stderr
@@ -450,3 +464,102 @@ class TestDeterminism:
                   "--seed", "4", "--out", str(out)])
             trees.append(_tree(out))
         assert trees[0] == trees[1]
+
+
+# every construction that reads a file, with the options it needs besides
+GENERATE_FILE_INPUTS = {
+    "corner-pad": ("--pattern", []),
+    "bipartite-double": ("--input", []),
+    "blowup": ("--input", ["--t", "2"]),
+    "cyclic-pad": ("--input", []),
+    "chain": ("--pattern", ["--length", "3"]),
+    "normalize-edges": ("--input", ["--k", "2", "--d", "2"]),
+    "random-avoider": ("--pattern", ["--n", "4"]),
+    "interval-contract": ("--input", ["--t", "2"]),
+}
+
+
+class TestFailedCommandWritesNothing:
+    """A command that exits 2, 3 or 4 leaves no --out behind."""
+
+    @pytest.mark.parametrize("construction", sorted(GENERATE_FILE_INPUTS))
+    def test_generate_without_its_file_option(self, tmp_path, construction, capsys):
+        option, rest = GENERATE_FILE_INPUTS[construction]
+        out = tmp_path / "out"
+        assert main(["generate", construction, *rest, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {construction} requires {option}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "construction, options, message",
+        [
+            ("blowup", [], "blowup requires --t"),
+            ("blowup", ["--t", "1"], None),
+            ("chain", [], "chain requires --length"),
+            ("normalize-edges", ["--d", "2"], "normalize-edges requires --k"),
+            ("random-avoider", [], "random-avoider requires --n"),
+            ("interval-contract", ["--t", "3"], None),
+        ],
+    )
+    def test_generate_with_a_missing_or_bad_option(
+        self, tmp_path, identity_file, construction, options, message, capsys
+    ):
+        graph = tmp_path / "g.txt"
+        graph.write_text("4\n1 3\n2 4\n")
+        option = GENERATE_FILE_INPUTS[construction][0]
+        source = identity_file if option == "--pattern" else graph
+        out = tmp_path / "out"
+        assert main(["generate", construction, option, str(source), *options,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if message is not None:
+            assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_cyclic_pattern_without_d(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["generate", "cyclic-pattern", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: cyclic-pattern requires --d\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, pattern, n",
+        [("count", SINGLE_EDGE_TEXT, "3..5"), ("ex", IDENTITY2_TEXT, "7..9")],
+    )
+    def test_range_crossing_a_capacity_limit_writes_no_row(self, tmp_path, kind, pattern, n):
+        path = tmp_path / "p.txt"
+        path.write_text(pattern)
+        out = tmp_path / "out"
+        assert main(["compute", "--kind", kind, "--pattern", str(path),
+                     "--n", n, "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_failed_certificate_exits_4(self, tmp_path, identity_file, monkeypatch):
+        monkeypatch.setattr("patternex.search.matrix_contains", lambda host, pattern: (host, pattern))
+        out = tmp_path / "out"
+        assert main(["compute", "--kind", "ex", "--pattern", str(identity_file),
+                     "--n", "1..2", "--out", str(out)]) == 4
+        assert not out.exists()
+
+
+class TestUnreadableInput:
+    """A missing path, a directory or a non-UTF-8 file is invalid input:
+    exit 2 with an ``error:`` line, no traceback and no --out."""
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    @pytest.mark.parametrize("command", ["compute", "generate", "contains"])
+    def test_exit_2_without_traceback(self, tmp_path, identity_file, command, case):
+        bad = unreadable_path(tmp_path, case)
+        out = tmp_path / "out"
+        argv = {
+            "compute": ["compute", "--kind", "ex", "--pattern", str(bad), "--n", "2",
+                        "--out", str(out)],
+            "generate": ["generate", "corner-pad", "--pattern", str(bad), "--out", str(out)],
+            "contains": ["contains", "matrix", str(identity_file), str(bad)],
+        }[command]
+        run = _run_cli(*argv)
+        assert run.returncode == 2
+        assert run.stderr == f"error: cannot read {bad}: {UNREADABLE[case]}\n"
+        assert "Traceback" not in run.stderr
+        assert not out.exists()

@@ -392,18 +392,39 @@ class TestIntervalContract:
 
 
 class TestDoublingRederivation:
-    @settings(max_examples=60, deadline=None)
-    @given(ordered_graphs(max_n=5))
-    def test_pattern_copy_pulls_back_to_the_graph(self, graph):
-        pattern = corner_pad(permutation_matrix((1, 2)))
-        doubled = bipartite_double(graph)
-        embedding = matrix_contains(doubled, pattern)
+    # the corner-padded 2x2 identity: (1,2), (2,3), (3,1); a copy in a
+    # doubled graph needs rows r1 < r2 < r3 before columns c1 < c2 < c3,
+    # so 6 vertices
+    PATTERN = corner_pad(permutation_matrix((1, 2)))
+
+    def _pull_back(self, graph):
+        embedding = matrix_contains(bipartite_double(graph), self.PATTERN)
         if embedding is None:
-            return
-        rebuilt = graph_copy_from_doubling(graph, pattern, embedding)
-        graph_pattern, _ = associated_hypergraph(pattern)
+            return None
+        rebuilt = graph_copy_from_doubling(graph, self.PATTERN, embedding)
+        graph_pattern, _ = associated_hypergraph(self.PATTERN)
         assert hypergraph_contains(graph, graph_pattern) is not None
         assert rebuilt.vertex_map == embedding.axis_indices[0] + embedding.axis_indices[1]
+        return rebuilt
+
+    @settings(max_examples=60, deadline=None)
+    @given(ordered_graphs(max_n=6))
+    def test_pattern_copy_pulls_back_to_the_graph(self, graph):
+        self._pull_back(graph)
+
+    def test_smallest_copy(self):
+        graph = make_hypergraph(6, [(1, 5), (2, 6), (3, 4)])
+        embedding = matrix_contains(bipartite_double(graph), self.PATTERN)
+        assert embedding.axis_indices == ((1, 2, 3), (4, 5, 6))
+        rebuilt = self._pull_back(graph)
+        assert rebuilt.vertex_map == (1, 2, 3, 4, 5, 6)
+        assert rebuilt.edge_map == (((1, 5), (1, 5)), ((2, 6), (2, 6)), ((3, 4), (3, 4)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(ordered_graphs(max_n=6))
+    def test_planted_copy_always_pulls_back(self, graph):
+        host = make_hypergraph(6, graph.edges | {(1, 5), (2, 6), (3, 4)})
+        assert self._pull_back(host) is not None
 
     def test_requires_corner_anchor(self):
         no_anchor = permutation_matrix((1, 2))

@@ -12,7 +12,7 @@ from test_structures import matrices
 def test_matrix_round_trip(tmp_path):
     m = make_matrix([3, 2], [(1, 2), (3, 1)])
     path = tmp_path / "m.txt"
-    fileio.write_matrix(path, m)
+    path.write_text(fileio.format_matrix(m))
     assert fileio.read_matrix(path) == m
     assert path.read_text() == "2 3 2\n1 2\n3 1\n"
 
@@ -20,7 +20,7 @@ def test_matrix_round_trip(tmp_path):
 def test_hypergraph_round_trip(tmp_path):
     h = make_hypergraph(4, [(2, 4), (1,)])
     path = tmp_path / "h.txt"
-    fileio.write_hypergraph(path, h)
+    path.write_text(fileio.format_hypergraph(h))
     assert fileio.read_hypergraph(path) == h
     assert path.read_text() == "4\n1\n2 4\n"
 
@@ -58,3 +58,29 @@ def test_bad_matrix_files(text):
 def test_bad_hypergraph_files(text):
     with pytest.raises(ParseError):
         fileio.parse_hypergraph(text)
+
+
+UNREADABLE = {
+    "missing": "No such file or directory",
+    "directory": "Is a directory",
+    "not_utf8": "not UTF-8 text",
+}
+
+
+def unreadable_path(tmp_path, case):
+    """A path that cannot be read as text, for each key of UNREADABLE."""
+    path = tmp_path / "input.txt"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not_utf8":
+        path.write_bytes(b"2 2 2\n1 \xff\n")
+    return path
+
+
+@pytest.mark.parametrize("read", [fileio.read_matrix, fileio.read_hypergraph])
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_file_is_a_parse_error_naming_the_path(tmp_path, read, case):
+    path = unreadable_path(tmp_path, case)
+    with pytest.raises(ParseError) as info:
+        read(path)
+    assert str(info.value) == f"cannot read {path}: {UNREADABLE[case]}"

@@ -632,6 +632,44 @@ class TestHyperExtremal:
             exe_hyper(IDENTITY_HYPERGRAPH, 6)
 
 
+class TestCertificateRechecks:
+    """Each solver's certificate re-check refuses a planted bad witness."""
+
+    def test_matrix_witness_that_contains_the_pattern(self, monkeypatch):
+        # the re-check's engine reports a copy in the witness
+        monkeypatch.setattr(search, "matrix_contains", lambda host, pattern: (host, pattern))
+        with pytest.raises(PostconditionError, match="avoidance re-check"):
+            ex_matrix(IDENTITY2, 3)
+
+    @pytest.mark.parametrize(
+        "solve, pattern",
+        [(gex_graph, make_hypergraph(3, [(1, 2), (2, 3)])), (exe_hyper, SINGLE_EDGE),
+         (exi_hyper, SINGLE_EDGE)],
+        ids=["gex", "exe", "exi"],
+    )
+    def test_hypergraph_witness_that_contains_the_pattern(self, monkeypatch, solve, pattern):
+        monkeypatch.setattr(search, "hypergraph_contains", lambda host, pattern: (host, pattern))
+        with pytest.raises(PostconditionError, match="avoidance re-check"):
+            solve(pattern, 3)
+
+    @pytest.mark.parametrize(
+        "solve, pattern",
+        [(gex_graph, make_hypergraph(3, [(1, 2), (2, 3)])), (exe_hyper, SINGLE_EDGE),
+         (exi_hyper, SINGLE_EDGE)],
+        ids=["gex", "exe", "exi"],
+    )
+    def test_hypergraph_value_its_witness_misses(self, monkeypatch, solve, pattern):
+        solve_all = search._branch_and_bound
+
+        def one_too_high(*args, **kwargs):
+            value, chosen, calls = solve_all(*args, **kwargs)
+            return value + 1, chosen, calls
+
+        monkeypatch.setattr(search, "_branch_and_bound", one_too_high)
+        with pytest.raises(PostconditionError, match="witness achieves"):
+            solve(pattern, 3)
+
+
 class TestCountAvoiders:
     def test_single_edge_powers_of_two(self):
         assert [count_avoiders(SINGLE_EDGE, n) for n in (1, 2, 3, 4)] == [2, 4, 8, 16]

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from patternex import InputError, constructions, containment, fileio, make_hypergraph, verify
+from patternex import InputError, PostconditionError, constructions, containment, fileio, make_hypergraph, verify
 from patternex.verify import (
     CLAIM_NAMES,
     CheckResult,
@@ -314,3 +314,28 @@ def test_run_checks_calls_the_checks_bound_at_run_time(monkeypatch):
     # only the budget or the seed reaches a check
     args = {"Thm7-recurrence": (), "Lemma8-density": (7,)}
     assert calls == [(name, args.get(name, (3,))) for name in CLAIM_NAMES]
+
+
+def _raise_postcondition(*args, **kwargs):
+    raise PostconditionError("planted failure")
+
+
+def test_padding_chain_reports_a_construction_error_as_a_failed_instance(monkeypatch):
+    monkeypatch.setattr(verify, "cyclic_pad", _raise_postcondition)
+    result = check_padding_chain(1)
+    assert not result.passed
+    assert result.instances
+    for inst in result.instances:
+        assert not inst.passed
+        assert inst.payload["error"] == "planted failure"
+        base = fileio.parse_hypergraph(inst.payload["objects"]["base"])
+        assert base.edge_count == inst.params["k"]
+
+
+def test_random_density_counts_a_failed_repair_as_an_avoid_failure(monkeypatch):
+    monkeypatch.setattr(verify, "random_avoider", _raise_postcondition)
+    result = check_random_density(0)
+    assert not result.passed
+    (inst,) = result.instances
+    assert inst.payload["avoid_failures"] == 100
+    assert inst.payload["mean_final_weight"] == 0
