@@ -4,9 +4,10 @@ Exit codes are a stable contract: 0 success, 2 invalid input, 3 capacity
 limit, 4 failed postcondition re-check, 5 a checked claim failed (verify
 writes every report file first).  Each command builds the text of all its
 output files first and writes them with :func:`_write_out` once it has
-succeeded, so a command that exits 2, 3 or 4 creates no ``--out``.  All
-outputs are deterministic given the inputs, the seed, and the budget;
-nothing embeds timestamps.
+succeeded, so a command that exits 2, 3 or 4 creates no ``--out``.  An
+option that the command, its kind or its construction does not read
+exits 2 before any work.  All outputs are deterministic given the
+inputs, the seed, and the budget; nothing embeds timestamps.
 """
 
 from __future__ import annotations
@@ -52,19 +53,28 @@ from .search import (
 )
 from .verify import run_checks
 
-COMPUTE_KINDS = ("ex", "f", "gex", "exe", "exi", "count")
-# each construction: the file option it reads ("pattern" a matrix, "input"
-# a hypergraph, or None) and the other options it requires
+# each compute kind: the options it reads beyond --pattern and --n
+COMPUTE_KINDS = {
+    "ex": (),
+    "f": ("d",),
+    "gex": (),
+    "exe": ("edge_cap", "exact"),
+    "exi": ("edge_cap", "exact"),
+    "count": ("edge_cap", "exact"),
+}
+# each construction: the options it requires, its file option first
+# ("pattern" a matrix, "input" a hypergraph) if it reads one, and the
+# options it reads when given
 CONSTRUCTIONS = {
-    "corner-pad": ("pattern", ()),
-    "bipartite-double": ("input", ()),
-    "blowup": ("input", ("t",)),
-    "cyclic-pattern": (None, ("d",)),
-    "cyclic-pad": ("input", ()),
-    "chain": ("pattern", ("length",)),
-    "normalize-edges": ("input", ("k", "d")),
-    "random-avoider": ("pattern", ("n",)),
-    "interval-contract": ("input", ("t",)),
+    "corner-pad": (("pattern",), ()),
+    "bipartite-double": (("input",), ()),
+    "blowup": (("input", "t"), ("avoid",)),
+    "cyclic-pattern": (("d",), ()),
+    "cyclic-pad": (("input",), ()),
+    "chain": (("pattern", "length"), ()),
+    "normalize-edges": (("input", "k", "d"), ("cap",)),
+    "random-avoider": (("pattern", "n"), ("p", "seed", "trials")),
+    "interval-contract": (("input", "t"), ()),
 }
 
 
@@ -93,6 +103,14 @@ def _check_out(args) -> None:
             return
 
 
+def _refuse_unread(args, owner: str, reads, every) -> None:
+    """Refuse an option that some entry of ``every`` reads and ``owner``
+    does not, when it was given, before the command does any work."""
+    for opt in sorted(set().union(*every) - set(reads)):
+        if getattr(args, opt) is not None:
+            raise InputError(f"{owner} does not read --{opt.replace('_', '-')}")
+
+
 def _write_out(args, files: dict[str, str]) -> Path:
     """Create ``--out`` and write each file, given as its path under
     ``--out`` and its text.  Commands call this once, after every
@@ -117,11 +135,12 @@ def _json_text(data: dict) -> str:
 
 def cmd_compute(args) -> int:
     _check_out(args)
-    ns = _parse_n_range(args.n)
     kind = args.kind
+    _refuse_unread(args, f"--kind {kind}", COMPUTE_KINDS[kind], COMPUTE_KINDS.values())
+    ns = _parse_n_range(args.n)
     if kind in ("ex", "f"):
         pattern = fileio.read_matrix(args.pattern)
-        if kind == "f" and args.d is not None and args.d != pattern.d:
+        if args.d is not None and args.d != pattern.d:  # only kind f reads --d
             raise InputError(f"--d {args.d} does not match pattern dimension {pattern.d}")
         format_witness = fileio.format_matrix
     else:
@@ -215,13 +234,14 @@ def cmd_verify(args) -> int:
 def cmd_generate(args) -> int:
     _check_out(args)
     name = args.construction
-    source, required = CONSTRUCTIONS[name]
-    missing = [f"--{opt}" for opt in (source, *required) if opt and getattr(args, opt) is None]
+    required, optional = CONSTRUCTIONS[name]
+    missing = [f"--{opt}" for opt in required if getattr(args, opt) is None]
     if missing:
         raise InputError(f"{name} requires {' and '.join(missing)}")
-    if source == "pattern":
+    _refuse_unread(args, name, required + optional, [r + o for r, o in CONSTRUCTIONS.values()])
+    if required[0] == "pattern":
         given = fileio.read_matrix(args.pattern)
-    elif source == "input":
+    elif required[0] == "input":
         given = fileio.read_hypergraph(args.input)
     files = {}
     if name == "corner-pad":
@@ -265,7 +285,8 @@ def cmd_generate(args) -> int:
             files[f"chain_len{matrix.extents[0]}.txt"] = fileio.format_matrix(matrix)
         lines = [f"step-to-length-{m.extents[0]}: contains-previous: yes" for m in chain[1:]]
     elif name == "normalize-edges":
-        trimmed, truncated, report = normalize_edges(given, args.k, args.d, args.cap)
+        cap = "kd" if args.cap is None else args.cap
+        trimmed, truncated, report = normalize_edges(given, args.k, args.d, cap)
         files["normalized_min.txt"] = fileio.format_hypergraph(trimmed)
         files["normalized_trunc.txt"] = fileio.format_hypergraph(truncated)
         report_lines = [
@@ -282,9 +303,9 @@ def cmd_generate(args) -> int:
         lines = report_lines[:6]
     elif name == "random-avoider":
         p = args.p if args.p is not None else default_density(given, args.n)
-        config = GeneratorConfig(
-            pattern=given, side=args.n, p=p, seed=args.seed, trials=args.trials
-        )
+        seed = 0 if args.seed is None else args.seed
+        trials = 1 if args.trials is None else args.trials
+        config = GeneratorConfig(pattern=given, side=args.n, p=p, seed=seed, trials=trials)
         csv_lines = ["trial,seed,initial_weight,deletions,final_weight"]
         text_lines = []
         for matrix, stats in random_avoider_trials(config):
@@ -308,7 +329,7 @@ def cmd_generate(args) -> int:
             )
         files["stats.csv"] = "\n".join(csv_lines) + "\n"
         files["stats.txt"] = "\n".join(text_lines).rstrip("\n") + "\n"
-        lines = [f"trials: {args.trials}", "avoids: yes"]
+        lines = [f"trials: {trials}", "avoids: yes"]
     else:  # interval-contract
         contracted = interval_contract(given, args.t)
         files["contracted.txt"] = fileio.format_hypergraph(contracted)
@@ -383,7 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--out", required=True, help="output directory")
     p_compute.add_argument("--d", type=int, default=None, help="expected dimension (kind f)")
     p_compute.add_argument("--edge-cap", type=int, default=None, help="candidate edge size cap")
-    p_compute.add_argument("--exact", action="store_true", help="disable the edge size cap")
+    p_compute.add_argument(
+        "--exact", action="store_true", default=None, help="disable the edge size cap"
+    )
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="verify claims over configured ranges")
@@ -404,9 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--n", type=int, default=None)
     p_generate.add_argument("--p", type=float, default=None)
     p_generate.add_argument("--length", type=int, default=None)
-    p_generate.add_argument("--seed", type=int, default=0)
-    p_generate.add_argument("--trials", type=int, default=1)
-    p_generate.add_argument("--cap", choices=CAP_MODES, default="kd")
+    # defaults None, so that an unread option is seen; random-avoider
+    # takes seed 0 and 1 trial, normalize-edges cap mode kd
+    p_generate.add_argument("--seed", type=int, default=None)
+    p_generate.add_argument("--trials", type=int, default=None)
+    p_generate.add_argument("--cap", choices=CAP_MODES, default=None)
     p_generate.add_argument("--out", required=True)
     p_generate.set_defaults(func=cmd_generate)
 

@@ -10,8 +10,8 @@ Lines whose first non-blank character is ``#`` are comments.  The
 ``format_*`` functions emit entries in sorted order with a trailing
 newline, so the formats are byte-stable for identical objects; callers
 write that text themselves.  The readers take UTF-8 files, and a path
-that cannot be read (missing, a directory, not UTF-8) raises
-:class:`ParseError` naming the path, as malformed content does.
+that cannot be read (missing, a directory, not UTF-8) or content that
+does not parse raises :class:`ParseError` naming the path.
 """
 
 from __future__ import annotations
@@ -103,9 +103,17 @@ def _read_text(path: str | Path) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+def _read(path: str | Path, parse):
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def read_matrix(path: str | Path) -> BinaryMatrix:
-    return parse_matrix(_read_text(path))
+    return _read(path, parse_matrix)
 
 
 def read_hypergraph(path: str | Path) -> OrderedHypergraph:
-    return parse_hypergraph(_read_text(path))
+    return _read(path, parse_hypergraph)

@@ -32,11 +32,12 @@ the suffix after it takes that value with no search; a 2x2 all-ones
 row at n = 5 falls from 42,269 search calls to 1,458.  Only slice
 boundaries of axis 1 are used, because only there do the remaining
 cells form a box, and only patterns whose first axis-1 slice holds a
-1-entry, because otherwise a copy may lie partly before the box.  The
-graph and hypergraph solvers pass no slice: their decisions are edges
-of differing sizes and gains, where one deleted vertex removes a
-varying share of an avoider's edges, and no benchmark row of theirs is
-slow enough to show a vertex-deletion analogue.
+1-entry, because otherwise a copy may lie partly before the box;
+``_matrix_search`` applies that guard.  The graph and hypergraph
+solvers pass no slice: their decisions are edges of differing sizes and
+gains, where one deleted vertex removes a varying share of an avoider's
+edges, and no benchmark row of theirs is slow enough to show a
+vertex-deletion analogue.
 
 The same count bounds every single slice of the box, from both sides.
 Deleting one slice of an avoider of weight W leaves an avoider of the
@@ -70,6 +71,11 @@ stay below the pattern's own.  The gate takes the n = 5 rows of every
 the value search on the pattern alone; the largest row of the default
 verify battery has 36 copies, and so does the largest unranked
 benchmark row.
+
+Every matrix row takes one path: ``_solve_matrix_extremal`` takes every
+cell when the pattern does not fit, and makes each search of the row
+through ``_matrix_search``, which builds the unit gains and the copies
+and applies the slice guard.
 
 A returned :class:`SearchCertificate` is always re-checked through the
 public containment API, an engine the solvers do not run.  Counting uses
@@ -282,8 +288,8 @@ def _branch_and_bound(
     pruned only when it cannot strictly beat the incumbent, so the set is
     the first optimal leaf of the include-first order whatever the bound.
 
-    ``slice_size`` is given only by the matrix solvers (see
-    :func:`_slice_size`): all gains 1, the decisions the cells of a side-n
+    ``slice_size`` is given only by :func:`_matrix_search`, the matrix
+    value search: all gains 1, the decisions the cells of a side-n
     box in lexicographic order, so the axis-1 slice r is decisions
     r·N..(r + 1)·N - 1 with N = ``slice_size`` = n^(d-1), and the
     pattern's first axis-1 slice holds a 1-entry.  A start in slice r,
@@ -469,19 +475,26 @@ def _matrix_images(pattern: BinaryMatrix) -> list[BinaryMatrix]:
     return list(images)
 
 
-def _slice_size(pattern: BinaryMatrix, n: int) -> int | None:
-    """N = n^(d-1), the cells of one axis-1 slice of a side-n box, which
-    caps each start of :func:`_branch_and_bound`; None when the pattern's
-    first axis-1 slice is empty.
+def _matrix_search(
+    pattern: BinaryMatrix, n: int, most_calls: int | None = None, value: int | None = None
+) -> tuple[int, int, int]:
+    """:func:`_branch_and_bound` over the n^d cells of a side-n host in
+    lexicographic order, each of gain 1, with the pattern's copies: the
+    value search, or with ``value`` the first-leaf search.
 
-    Such a pattern's copies may put that slice before the box, so a
-    suffix at a slice boundary is then not the value of a box: the 3x2x3
+    The value search gets ``slice_size`` N = n^(d-1), the cells of one
+    axis-1 slice, only when the pattern's first axis-1 slice holds a
+    1-entry.  Otherwise a copy may put that slice before the box, so a
+    suffix at a slice boundary is not the value of a box: the 3x2x3
     pattern (2,1,2)(2,1,3)(3,1,2)(3,2,1) at n = 3 has suffix 16 at the
     second slice and value 25 > 3·16 // 2.
     """
-    if min(one[0] for one in pattern.ones) > 1:
-        return None
-    return n ** (pattern.d - 1)
+    gain = [1] * n**pattern.d
+    copies = _matrix_copies(pattern, n)
+    if value is not None:
+        return _branch_and_bound(gain, copies, most_calls, value=value)
+    slice_size = n ** (pattern.d - 1) if min(pattern.ones)[0] == 1 else None
+    return _branch_and_bound(gain, copies, most_calls, slice_size=slice_size)
 
 
 def _cheapest_image(pattern: BinaryMatrix, n: int) -> BinaryMatrix:
@@ -505,55 +518,21 @@ def _cheapest_image(pattern: BinaryMatrix, n: int) -> BinaryMatrix:
     images = _matrix_images(pattern)
     if len(images) == 1:
         return pattern
-    gain = [1] * (n - 1) ** pattern.d
-    copies = _matrix_copies(pattern, n - 1)
-    value, _, own = _branch_and_bound(
-        gain, copies, sys.maxsize, slice_size=_slice_size(pattern, n - 1)
-    )
+    value, _, own = _matrix_search(pattern, n - 1, sys.maxsize)
     cheapest, fewest = pattern, own
     for image in images[1:]:
         try:
-            calls = _branch_and_bound(
-                gain,
-                _matrix_copies(image, n - 1),
-                fewest - 1,
-                slice_size=_slice_size(image, n - 1),
-            )[2]
+            calls = _matrix_search(image, n - 1, fewest - 1)[2]
         except _OverBudget:
             continue
         if calls < fewest:  # a row with no copies at n - 1 makes no call
             cheapest, fewest = image, calls
     if cheapest is not pattern:
         try:
-            _branch_and_bound(gain, copies, own - fewest - 1, value=value)
+            _matrix_search(pattern, n - 1, own - fewest - 1, value=value)
         except _OverBudget:
             return pattern
     return cheapest
-
-
-def _solve_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
-    """The most 1-entries of a side-n host avoiding the pattern, and the
-    first optimal host of the include-first order over the n^d cells in
-    lexicographic order.  The decisions are the cells, each of gain 1, and
-    the copies are the pattern's copies; a host contains the pattern
-    exactly when it holds one of them.  The value search
-    (:func:`_branch_and_bound`, its starts capped by the one-slice-deletion
-    bound where :func:`_slice_size` allows) runs on
-    :func:`_cheapest_image`; when that
-    is not the pattern itself, the first-leaf search over the pattern's
-    copies finds the host.
-    """
-    cells = list(product(range(1, n + 1), repeat=pattern.d))
-    if not pattern.ones or max(pattern.extents) > n:
-        return len(cells), frozenset(cells)  # the pattern never fits
-    gain = [1] * len(cells)
-    image = _cheapest_image(pattern, n)
-    value, chosen, _ = _branch_and_bound(
-        gain, _matrix_copies(image, n), slice_size=_slice_size(image, n)
-    )
-    if image is not pattern:
-        chosen = _branch_and_bound(gain, _matrix_copies(pattern, n), value=value)[1]
-    return value, frozenset(cell for i, cell in enumerate(cells) if chosen >> i & 1)
 
 
 def _certify_matrix(value: int, witness: BinaryMatrix, pattern: BinaryMatrix) -> SearchCertificate:
@@ -566,23 +545,34 @@ def _certify_matrix(value: int, witness: BinaryMatrix, pattern: BinaryMatrix) ->
     return SearchCertificate(value, witness, True)
 
 
-def _reject_if_unavoidable(pattern: BinaryMatrix, n: int) -> None:
-    if not pattern.ones and all(k <= n for k in pattern.extents):
-        raise InputError(
-            "pattern weight 0: every matrix of this size contains it, "
-            "the extremal value is undefined"
-        )
-
-
 def _solve_matrix_extremal(pattern: BinaryMatrix, n: int) -> SearchCertificate:
+    """The most 1-entries of a side-n host avoiding the pattern, with the
+    first optimal host of the include-first order over the cells in
+    lexicographic order as witness.  A pattern with an extent above n
+    never fits, and every cell is taken; one with no 1-entry that fits is
+    in every host, which is invalid input.  Otherwise the value search
+    runs on :func:`_cheapest_image`; when that is not the pattern itself,
+    the first-leaf search over the pattern's copies finds the host."""
     d = pattern.d
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
     if n**d > MAX_CELLS:
         shape = "x".join([str(n)] * d)
         raise CapacityError(f"{shape} exceeds the cell limit {MAX_CELLS}")
-    _reject_if_unavoidable(pattern, n)
-    value, ones = _solve_max_weight(pattern, n)
+    cells = list(product(range(1, n + 1), repeat=d))
+    if max(pattern.extents) > n:
+        value, ones = len(cells), frozenset(cells)  # the pattern never fits
+    elif not pattern.ones:
+        raise InputError(
+            "pattern weight 0: every matrix of this size contains it, "
+            "the extremal value is undefined"
+        )
+    else:
+        image = _cheapest_image(pattern, n)
+        value, chosen, _ = _matrix_search(image, n)
+        if image is not pattern:
+            chosen = _matrix_search(pattern, n, value=value)[1]
+        ones = frozenset(cell for i, cell in enumerate(cells) if chosen >> i & 1)
     return _certify_matrix(value, BinaryMatrix((n,) * d, ones), pattern)
 
 

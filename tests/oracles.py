@@ -294,7 +294,7 @@ def brute_canonical_witness(
 
 
 def trivial_bound_max_weight(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
-    """Reference for ``search._solve_max_weight``: the same include-first
+    """Reference for ``search._solve_matrix_extremal``: the same include-first
     search and anchored check, pruned only by the trivial bound (weight
     plus undecided cells), with the reference row scan as its check."""
     d = pattern.d

@@ -338,6 +338,17 @@ class TestGenerate:
         truncated = fileio.read_hypergraph(out / "normalized_trunc.txt")
         assert truncated.edges == {(1, 2, 3, 4), (2, 3)}
 
+    @pytest.mark.parametrize("extra, mode", [([], "kd"), (["--cap", "(k+d)d"], "(k+d)d")])
+    def test_normalize_edges_reads_its_cap_mode(self, tmp_path, extra, mode):
+        graph = tmp_path / "g.txt"
+        graph.write_text("6\n1 2 3 4 5 6\n")
+        out = tmp_path / "out"
+        assert main([
+            "generate", "normalize-edges", "--input", str(graph),
+            "--k", "2", "--d", "2", *extra, "--out", str(out),
+        ]) == 0
+        assert f"cap-mode: {mode}\n" in (out / "normalize_report.txt").read_text()
+
     def test_interval_contract(self, tmp_path):
         graph = tmp_path / "g.txt"
         graph.write_text("4\n1 3\n")
@@ -405,6 +416,14 @@ class TestContains:
         monkeypatch.setattr(containment, "_hyper_embedding_search", lambda *args: ((1, 2), [0]))
         assert main(["contains", "hypergraph", str(host), str(single_edge_file)]) == 4
         assert capsys.readouterr().out == ""
+
+    def test_malformed_pattern_is_named(self, single_edge_file, identity_file):
+        # a matrix file given as the hypergraph pattern
+        run = _run_cli("contains", "hypergraph", str(single_edge_file), str(identity_file))
+        assert run.returncode == 2
+        reason = "line 1: header must be a single vertex count"
+        assert run.stderr == f"error: {identity_file}: {reason}\n"
+        assert run.stdout == ""
 
 
 def _commands(pattern, out):
@@ -516,6 +535,42 @@ class TestFailedCommandWritesNothing:
         if message is not None:
             assert err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, owner, option",
+        [
+            (["generate", "corner-pad", "--pattern", "{matrix}", "--avoid", "{graph}"],
+             "corner-pad", "--avoid"),
+            (["generate", "corner-pad", "--pattern", "{matrix}", "--input", "{graph}"],
+             "corner-pad", "--input"),
+            (["generate", "cyclic-pattern", "--d", "3", "--seed", "0"], "cyclic-pattern", "--seed"),
+            (["generate", "chain", "--pattern", "{matrix}", "--length", "3", "--trials", "1"],
+             "chain", "--trials"),
+            (["generate", "random-avoider", "--pattern", "{matrix}", "--n", "4", "--cap", "kd"],
+             "random-avoider", "--cap"),
+            (["generate", "interval-contract", "--input", "{graph}", "--t", "2", "--d", "2"],
+             "interval-contract", "--d"),
+            (["compute", "--kind", "ex", "--pattern", "{matrix}", "--n", "2", "--d", "2"],
+             "--kind ex", "--d"),
+            (["compute", "--kind", "f", "--pattern", "{matrix}", "--n", "2", "--edge-cap", "1"],
+             "--kind f", "--edge-cap"),
+            (["compute", "--kind", "gex", "--pattern", "{graph}", "--n", "2", "--exact"],
+             "--kind gex", "--exact"),
+            (["compute", "--kind", "count", "--pattern", "{graph}", "--n", "2", "--d", "0"],
+             "--kind count", "--d"),
+        ],
+    )
+    def test_an_option_the_command_does_not_read(
+        self, tmp_path, identity_file, single_edge_file, argv, owner, option, capsys, monkeypatch
+    ):
+        # refused before any input is read
+        reads = []
+        monkeypatch.setattr(fileio, "_read_text", lambda path: reads.append(path))
+        out = tmp_path / "out"
+        argv = [arg.format(matrix=identity_file, graph=single_edge_file) for arg in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {owner} does not read {option}\n"
+        assert not out.exists() and not reads
 
     def test_cyclic_pattern_without_d(self, tmp_path, capsys):
         out = tmp_path / "out"

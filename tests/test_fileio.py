@@ -84,3 +84,20 @@ def test_unreadable_file_is_a_parse_error_naming_the_path(tmp_path, read, case):
     with pytest.raises(ParseError) as info:
         read(path)
     assert str(info.value) == f"cannot read {path}: {UNREADABLE[case]}"
+
+
+@pytest.mark.parametrize(
+    "read, text, reason",
+    [
+        (fileio.read_matrix, "2 2\n1 1\n", "line 1: header declares d=2 but lists 1 extents"),
+        (fileio.read_matrix, "", "empty matrix file"),
+        (fileio.read_hypergraph, "2 2 2\n1 1\n", "line 1: header must be a single vertex count"),
+        (fileio.read_hypergraph, "3\n2 1\n", "line 2: edge [2, 1] is not strictly increasing"),
+    ],
+)
+def test_malformed_file_is_a_parse_error_naming_the_path(tmp_path, read, text, reason):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: {reason}"

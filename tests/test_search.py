@@ -33,7 +33,6 @@ from patternex import (
     table_to_csv,
 )
 from patternex import search
-from patternex.search import _solve_max_weight
 
 from oracles import (
     all_matrices,
@@ -52,6 +51,12 @@ IDENTITY2 = permutation_matrix((1, 2))
 ALL_ONES_2 = make_matrix([2, 2], [(1, 1), (1, 2), (2, 1), (2, 2)])
 SINGLE_EDGE = make_hypergraph(2, [(1, 2)])
 IDENTITY_HYPERGRAPH = make_hypergraph(4, [(1, 3), (2, 4)])
+
+
+def _solved(pattern, n):
+    # value and witness through the public solver, certificate re-check included
+    cert = f_multi(pattern, pattern.d, n)
+    return cert.value, cert.witness.ones
 
 
 class TestExMatrix:
@@ -181,6 +186,22 @@ class TestPublishedValues:
         for n in range(1, 8):
             assert ex_matrix(l_shape, n).value == 2 * n - 1
 
+    @pytest.mark.parametrize(
+        "axis, n_max", [(0, 3), (1, 3), (2, 4)], ids=["axis1", "axis2", "axis3"]
+    )
+    def test_3d_line(self, axis, n_max):
+        # f = 2n^2 for n >= 2 and 1 at n = 1 for three 1-entries on one
+        # axis-a line.  A copy is three 1-entries on one axis-a line of the
+        # host; the n^2 such lines partition the cube, and an avoider holds
+        # at most 2 entries on each.  Two full slices across axis a reach
+        # that bound.  At n <= 2 the line never fits.  The axis-1 line at
+        # n = 4 takes over 40 s, so it stops at n = 3
+        extents = [3 if a == axis else 1 for a in range(3)]
+        ones = [tuple(i if a == axis else 1 for a in range(3)) for i in (1, 2, 3)]
+        line = make_matrix(extents, ones)
+        for n in range(1, n_max + 1):
+            assert f_multi(line, 3, n).value == (1 if n == 1 else 2 * n * n)
+
     @pytest.mark.parametrize("edges", [[(1, 3), (2, 4)], [(1, 4), (2, 3)]])
     def test_crossing_and_nesting_matchings(self, edges):
         # graphs with no two crossing (nesting) edges are the outerplanar
@@ -212,7 +233,7 @@ class TestSuffixBound:
             ones = rng.sample(cells, rng.randint(1, min(4, len(cells))))
             pattern = BinaryMatrix(extents, frozenset(ones))
             n = rng.randint(1, n_max)
-            assert _solve_max_weight(pattern, n) == trivial_bound_max_weight(pattern, n)
+            assert _solved(pattern, n) == trivial_bound_max_weight(pattern, n)
 
     @pytest.mark.parametrize(
         "pattern, n",
@@ -228,18 +249,17 @@ class TestSuffixBound:
         # benchmark rows with nodes whose decision no live copy uses; the
         # driver includes such a decision without opening the exclude
         # branch, whose leaves are each worth less than the include branch's
-        assert _solve_max_weight(pattern, n) == trivial_bound_max_weight(pattern, n)
+        assert _solved(pattern, n) == trivial_bound_max_weight(pattern, n)
 
 
 def _capped_and_plain_calls(pattern, n):
-    # the value search with and without the one-slice-deletion cap and
-    # slice bounds: the same value and set, and no more calls with them
-    gain = [1] * n**pattern.d
-    copies = search._matrix_copies(pattern, n)
-    plain = search._branch_and_bound(gain, copies, sys.maxsize)
-    capped = search._branch_and_bound(
-        gain, copies, sys.maxsize, slice_size=search._slice_size(pattern, n)
+    # the matrix value search, with the one-slice-deletion cap and slice
+    # bounds where the pattern allows them, and the plain search without them:
+    # the same value and set, and no more calls with them
+    plain = search._branch_and_bound(
+        [1] * n**pattern.d, search._matrix_copies(pattern, n), sys.maxsize
     )
+    capped = search._matrix_search(pattern, n, sys.maxsize)
     assert capped[:2] == plain[:2]
     assert capped[2] <= plain[2]
     return capped[2], plain[2]
@@ -281,12 +301,17 @@ class TestSliceCap:
     def test_no_cap_when_the_first_slice_is_empty(self):
         # the pattern's copies may put its empty first slice before the
         # box, so the suffix at the second slice, 16, is not a box value:
-        # the value 25 exceeds the cap 3 * 16 // 2 = 24
+        # the value 25 exceeds the cap 3 * 16 // 2 = 24.  Its search makes
+        # the plain search's calls; the same pattern with its empty first
+        # slice removed is capped, and makes fewer (154 against 158)
         pattern = make_matrix([3, 2, 3], [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1)])
-        assert search._slice_size(pattern, 3) is None
-        assert search._slice_size(make_matrix([3, 2, 3], [(1, 2, 1)]), 3) == 9
-        assert _solve_max_weight(pattern, 3) == trivial_bound_max_weight(pattern, 3)
-        assert _solve_max_weight(pattern, 3)[0] == 25
+        capped, plain = _capped_and_plain_calls(pattern, 3)
+        assert capped == plain
+        shifted = make_matrix([2, 2, 3], [(1, 1, 2), (1, 1, 3), (2, 1, 2), (2, 2, 1)])
+        capped, plain = _capped_and_plain_calls(shifted, 3)
+        assert capped < plain
+        assert _solved(pattern, 3) == trivial_bound_max_weight(pattern, 3)
+        assert _solved(pattern, 3)[0] == 25
 
     @pytest.mark.parametrize(
         "pattern, n, most",
@@ -354,7 +379,7 @@ class TestImageRanking:
         image = next(
             im for im in search._matrix_images(pattern) if search._cheapest_image(im, n) != im
         )
-        assert _solve_max_weight(image, n) == trivial_bound_max_weight(image, n)
+        assert _solved(image, n) == trivial_bound_max_weight(image, n)
 
     def test_column_takes_its_value_from_the_row(self):
         # the 3x1 column costs about 25 s at n = 6 as given and milliseconds
