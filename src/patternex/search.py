@@ -49,9 +49,18 @@ search keeps only leaves that beat its incumbent, so a node returns
 once it has decided the last cell of a slice whose weight is outside
 these bounds for every such W.  This binds where the cap cannot, on
 boxes of k slices whose value is k + n - 1: the L-shape (1,1)(1,2)(2,1)
-at n = 5 falls from 9,784 search calls to 1,924, the 2x2 identity at
-n = 6 from 7,474 to 1,075, and the L-shape at n = 7 from about 76 s to
-2 s.
+at n = 5 falls from 9,784 search calls to 1,924 and the 2x2 identity at
+n = 6 from 7,474 to 1,075.
+
+A 2-d row that ranks its images (below) also caps each box of k < n
+slices across columns: deleting one of its n columns leaves a k × (n -
+1) avoider, so it holds at most n·V(k, n - 1) // (n - 1), with V(k,
+n - 1) the suffix at that boundary in the side-(n - 1) value search of
+the same image, which the ranking has already run to the end.  For the
+boxes of value k + n - 1 this cap is exact: the L-shape at n = 5 falls
+to 912 calls and the 2x2 identity at n = 6 to 238.  The L-shape's table
+to n = 7 takes about 1 s, and its n = 8 row about 18 s, against about
+45 s without the column cap.
 
 Transposing or reversing axes maps the avoiders of a matrix pattern one
 to one onto the avoiders of its image, so ``ex`` and ``f`` have one value
@@ -74,8 +83,9 @@ benchmark row.
 
 Every matrix row takes one path: ``_solve_matrix_extremal`` takes every
 cell when the pattern does not fit, and makes each search of the row
-through ``_matrix_search``, which builds the unit gains and the copies
-and applies the slice guard.
+through ``_matrix_search``, which builds the unit gains and the copies,
+applies the slice guard and, in 2-d, turns the side-(n - 1) boundary
+values into column caps.
 
 A returned :class:`SearchCertificate` is always re-checked through the
 public containment API, an engine the solvers do not run.  Counting uses
@@ -94,6 +104,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from operator import getitem
 
 from .containment import (
     # unused here: perfbench/tracing.py rebinds both names in this module,
@@ -243,8 +254,9 @@ def _branch_and_bound(
     most_calls: int | None = None,
     *,
     slice_size: int | None = None,
+    column_caps: list[int] | None = None,
     value: int | None = None,
-) -> tuple[int, int, int]:
+) -> tuple[int, int, int, list[int]]:
     """The greatest total gain of a set of decisions that holds no copy,
     the first such set of the include-first order, as a bitmask, and the
     number of ``dfs`` calls the search made (the value search).  The
@@ -307,12 +319,36 @@ def _branch_and_bound(
     - the suffix never increases with i, so every start inside slice r
       inherits the cap of ``suffix[r * N]``.
 
+    ``column_caps``, read only with ``slice_size``, caps the box of k
+    slices once more, at ``column_caps[k - 1]`` for k = 1..len(column_caps),
+    the same count across columns.  :func:`_matrix_search` passes it only
+    for a 2-d pattern with n·V(k, n - 1) // (n - 1), V(k, n - 1) the
+    value of the k × (n - 1) box, from the value search of the same
+    pattern at side n - 1:
+
+    - deleting any one of the n columns of a k × n avoider of weight W
+      leaves a k × (n - 1) avoider, of weight at most V(k, n - 1);
+    - each 1-entry survives n - 1 of the n deletions, so W·(n - 1) ≤
+      n·V(k, n - 1);
+    - the boxes of k ≤ n - 1 slices are the only ones that side n - 1
+      solves, so the first slice, of k = n, keeps only its row cap, and
+      the last slice, which has none, gets this one.
+
+    In d ≥ 3 deleting an axis-2 slice of a k × n × ... box leaves a k ×
+    (n - 1) × n × ... box, which side n - 1 does not solve, so the cap
+    holds in 2-d only; it also needs the side-(n - 1) search, which only
+    a ranked row runs (:func:`_cheapest_image`).  Each start takes the
+    smaller of the two caps.
+
     A start i > 0 whose capped ceiling is at most ``suffix[i + 1]`` takes
     that value with no search.  Start 0 still searches, with the capped
     ceiling, and stops at the first optimal leaf, the same set as before.
     So value and set stay the same and the calls can only fall.  The
-    graph and hypergraph solvers pass no ``slice_size``; the module
-    docstring says why.
+    value search with ``slice_size`` also hands back the suffix at every
+    slice boundary, from the last: the k-th value is that of the box of
+    the last k slices, the first 0 and the last the value itself.  Every
+    other search hands back an empty list.  The graph and hypergraph
+    solvers pass no ``slice_size``; the module docstring says why.
 
     The same count bounds each slice of the box from both sides.  A start
     in slice r0 has ``later`` = (total - 1 - start) // N slices after r0
@@ -349,7 +385,7 @@ def _branch_and_bound(
     if copies:
         keep, top = _copy_index(copies, total)
     elif value is None:
-        return rest[0], everything, 0
+        return rest[0], everything, 0, rest[::-slice_size] if slice_size else []
     # only the first-leaf search gets here with no copies: its live set
     # is 0 from the start, so dfs reads neither keep nor top
     suffix = rest  # until the value search copies it
@@ -396,7 +432,7 @@ def _branch_and_bound(
         try:
             descend(0, 0, (1 << len(copies)) - 1, 0, -1)
         except _Reached:
-            return best, best_set, calls
+            return best, best_set, calls, []
         raise PostconditionError(
             f"no set of decisions that holds no copy reaches the value {value}"
         )
@@ -405,7 +441,9 @@ def _branch_and_bound(
     for i in range(total - 1):
         starts.append(starts[-1] & keep[i])
     suffix = rest[:]  # final for every start with no copy
-    cap = rest[0]  # no cap and no slice bound in the last slice
+    caps = column_caps if slice_size and column_caps else []
+    # no row cap and no slice bound in the last slice
+    cap = caps[0] if caps else rest[0]
     edge = -1
     for start in range(total - 1, -1, -1):
         if slice_size and (start + 1) % slice_size == 0 and start + 1 < total:
@@ -414,6 +452,8 @@ def _branch_and_bound(
             later = (total - edge) // slice_size
             floor = suffix[edge]
             cap = (later + 1) * floor // later
+            if later < len(caps):
+                cap = min(cap, caps[later])
         if not starts[start]:
             continue
         ceiling = min(suffix[start + 1] + gain[start], cap)
@@ -427,7 +467,7 @@ def _branch_and_bound(
         except _Reached:
             pass
         suffix[start] = best
-    return suffix[0], best_set, calls
+    return suffix[0], best_set, calls, suffix[::-slice_size] if slice_size else []
 
 
 def _rest(gain: list[int]) -> list[int]:
@@ -444,16 +484,31 @@ def _rest(gain: list[int]) -> list[int]:
 
 def _matrix_copies(pattern: BinaryMatrix, n: int) -> set[int]:
     """Each copy of the pattern in a side-n host, as a bitmask over the
-    cells in ``product`` order: one per choice of index lists on every axis."""
+    cells in ``product`` order: one per choice of index lists on every axis.
+
+    The choices on axes 1.. place each 1-entry within its axis-0 slab of
+    N = n^(d-1) cells; each placement ORs its 1-entries into one mask per
+    pattern slab, and the choice of k0 slabs on axis 0 then adds one mask
+    per slab from a table of its n shifts by N cells."""
     ones = pattern.sorted_ones()
+    first, *others = pattern.extents
     placed = [[0] * len(ones)]  # per choice so far, the cell number of each 1-entry
-    for axis, k in enumerate(pattern.extents):
+    for axis, k in enumerate(others, start=1):
         placed = [
             [c * n + sel[one[axis] - 1] for c, one in zip(cells, ones)]
             for cells in placed
             for sel in combinations(range(n), k)
         ]
-    return {sum(1 << c for c in cells) for cells in placed}
+    shifts = [n ** len(others) * r for r in range(n)]
+    choices = list(combinations(range(n), first))
+    copies = set()
+    for cells in placed:
+        slabs = [0] * first
+        for c, one in zip(cells, ones):
+            slabs[one[0] - 1] |= 1 << c
+        tables = [[slab << shift for shift in shifts] for slab in slabs]
+        copies.update([sum(map(getitem, tables, rows)) for rows in choices])
+    return copies
 
 
 def _matrix_images(pattern: BinaryMatrix) -> list[BinaryMatrix]:
@@ -476,8 +531,12 @@ def _matrix_images(pattern: BinaryMatrix) -> list[BinaryMatrix]:
 
 
 def _matrix_search(
-    pattern: BinaryMatrix, n: int, most_calls: int | None = None, value: int | None = None
-) -> tuple[int, int, int]:
+    pattern: BinaryMatrix,
+    n: int,
+    most_calls: int | None = None,
+    value: int | None = None,
+    boxes: list[int] | None = None,
+) -> tuple[int, int, int, list[int]]:
     """:func:`_branch_and_bound` over the n^d cells of a side-n host in
     lexicographic order, each of gain 1, with the pattern's copies: the
     value search, or with ``value`` the first-leaf search.
@@ -488,17 +547,29 @@ def _matrix_search(
     suffix at a slice boundary is not the value of a box: the 3x2x3
     pattern (2,1,2)(2,1,3)(3,1,2)(3,2,1) at n = 3 has suffix 16 at the
     second slice and value 25 > 3·16 // 2.
+
+    ``boxes`` are the boundary values of the same pattern's value search
+    at side n - 1, ``boxes[k]`` the value of its box of k slices.  A 2-d
+    value search gets from them the column-deletion cap n·``boxes[k]`` //
+    (n - 1) for each box of k = 1..n-1 slices; :func:`_branch_and_bound`
+    says why it holds, and why only in 2-d.
     """
     gain = [1] * n**pattern.d
     copies = _matrix_copies(pattern, n)
     if value is not None:
         return _branch_and_bound(gain, copies, most_calls, value=value)
     slice_size = n ** (pattern.d - 1) if min(pattern.ones)[0] == 1 else None
-    return _branch_and_bound(gain, copies, most_calls, slice_size=slice_size)
+    caps = [n * v // (n - 1) for v in boxes[1:]] if boxes and pattern.d == 2 else None
+    return _branch_and_bound(
+        gain, copies, most_calls, slice_size=slice_size, column_caps=caps
+    )
 
 
-def _cheapest_image(pattern: BinaryMatrix, n: int) -> BinaryMatrix:
-    """The image of the pattern to take a side-n row's value from.
+def _cheapest_image(pattern: BinaryMatrix, n: int) -> tuple[BinaryMatrix, list[int]]:
+    """The image of the pattern to take a side-n row's value from, and
+    the boundary values of its value search at side n - 1: empty below
+    the gate, where no such search runs, and when the image's first
+    axis-1 slice is empty, so that its search has no slices.
 
     Each image's avoiders are the images of the pattern's, so every image
     has the same value, but the search can cost 70x more on one image
@@ -511,28 +582,28 @@ def _cheapest_image(pattern: BinaryMatrix, n: int) -> BinaryMatrix:
     copies, so it is taken only if its calls and that search's, at
     n - 1, stay below the pattern's own.  Each search stops once it can
     no longer win, so an image that is slow at n - 1 costs no more than
-    the cheapest one.
+    the cheapest one.  The winner's search ran to the end, so its
+    boundary values are exact: ``boxes[k]`` is the value of the box of k
+    axis-1 slices of side n - 1, which caps the 2-d value search at
+    side n (:func:`_solve_matrix_extremal`).
     """
     if math.prod(math.comb(n, k) for k in pattern.extents) < RANKED_COPIES:
-        return pattern
-    images = _matrix_images(pattern)
-    if len(images) == 1:
-        return pattern
-    value, _, own = _matrix_search(pattern, n - 1, sys.maxsize)
-    cheapest, fewest = pattern, own
-    for image in images[1:]:
+        return pattern, []
+    value, _, own, own_boxes = _matrix_search(pattern, n - 1, sys.maxsize)
+    cheapest, fewest, boxes = pattern, own, own_boxes
+    for image in _matrix_images(pattern)[1:]:
         try:
-            calls = _matrix_search(image, n - 1, fewest - 1)[2]
+            _, _, calls, image_boxes = _matrix_search(image, n - 1, fewest - 1)
         except _OverBudget:
             continue
         if calls < fewest:  # a row with no copies at n - 1 makes no call
-            cheapest, fewest = image, calls
+            cheapest, fewest, boxes = image, calls, image_boxes
     if cheapest is not pattern:
         try:
             _matrix_search(pattern, n - 1, own - fewest - 1, value=value)
         except _OverBudget:
-            return pattern
-    return cheapest
+            return pattern, own_boxes
+    return cheapest, boxes
 
 
 def _certify_matrix(value: int, witness: BinaryMatrix, pattern: BinaryMatrix) -> SearchCertificate:
@@ -568,8 +639,8 @@ def _solve_matrix_extremal(pattern: BinaryMatrix, n: int) -> SearchCertificate:
             "the extremal value is undefined"
         )
     else:
-        image = _cheapest_image(pattern, n)
-        value, chosen, _ = _matrix_search(image, n)
+        image, boxes = _cheapest_image(pattern, n)
+        value, chosen, _, _ = _matrix_search(image, n, boxes=boxes)
         if image is not pattern:
             chosen = _matrix_search(pattern, n, value=value)[1]
         ones = frozenset(cell for i, cell in enumerate(cells) if chosen >> i & 1)
@@ -710,7 +781,7 @@ def _solve_hyper_extremal(
             "vertices, the extremal value is undefined"
         )
     gain = [len(e) if mode == "weight" else 1 for e in candidates]
-    value, chosen, _ = _branch_and_bound(gain, _hyper_copies(n, candidates, pattern))
+    value, chosen, _, _ = _branch_and_bound(gain, _hyper_copies(n, candidates, pattern))
     edges = frozenset(e for i, e in enumerate(candidates) if chosen >> i & 1)
     return _certify_hypergraph(value, OrderedHypergraph(n, edges), pattern, mode)
 

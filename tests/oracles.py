@@ -259,6 +259,22 @@ def all_matrices(extents: tuple[int, ...]):
             yield BinaryMatrix(extents, frozenset(ones))
 
 
+def matrix_copy_masks(pattern: BinaryMatrix, n: int) -> set[int]:
+    """Reference for ``search._matrix_copies``: one bitmask over the cells
+    of a side-n host, in row-major order, per choice of index lists on
+    every axis, each 1-entry's cell numbered from its chosen indices."""
+    masks = set()
+    for selection in product(*(combinations(range(n), k) for k in pattern.extents)):
+        mask = 0
+        for one in pattern.ones:
+            cell = 0
+            for axis, index in enumerate(one):
+                cell = cell * n + selection[axis][index - 1]
+            mask |= 1 << cell
+        masks.add(mask)
+    return masks
+
+
 def brute_max_weight(pattern: BinaryMatrix, extents: tuple[int, ...]) -> int | None:
     """Max 1-entries over all matrices of the given extents avoiding the pattern.
 

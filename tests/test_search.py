@@ -44,6 +44,7 @@ from oracles import (
     engine_count_avoiders,
     engine_max_hyper,
     hyper_candidates,
+    matrix_copy_masks,
     trivial_bound_max_weight,
 )
 
@@ -134,9 +135,13 @@ class TestExMatrix:
 class TestPublishedValues:
     """Extremal values typed in from the literature, not from this solver."""
 
-    @pytest.mark.parametrize("k, n_max", [(2, 7), (3, 5)])
+    @pytest.mark.parametrize("k, n_max", [(2, 8), (3, 5)])
     def test_identity_furedi_hajnal(self, k, n_max):
-        # Furedi & Hajnal 1992: ex(I_k, n) = (k - 1)(2n - k + 1) for n >= k - 1
+        # Furedi & Hajnal 1992: ex(I_k, n) = (k - 1)(2n - k + 1) for n >= k - 1.
+        # I_2 goes to n = 8, the 64-cell limit: its boxes of k slices hold
+        # k + n - 1, where the column-deletion cap is exact, so a cap one
+        # too low returns a lighter avoider that the certificate re-check
+        # accepts
         identity = permutation_matrix(tuple(range(1, k + 1)))
         for n in range(k - 1, n_max + 1):
             assert ex_matrix(identity, n).value == (k - 1) * (2 * n - k + 1)
@@ -348,6 +353,95 @@ class TestSliceCap:
         assert capped < 2000 < plain
 
 
+def _column_capped_and_plain_calls(pattern, n, boxes=None):
+    # the matrix value search at side n with the column-deletion caps from
+    # the box values of side n - 1 (by default the same pattern's value
+    # search there), and without them: the same value and set, and no more
+    # calls with them
+    if boxes is None:
+        boxes = search._matrix_search(pattern, n - 1, sys.maxsize)[3]
+    plain = search._matrix_search(pattern, n, sys.maxsize)
+    capped = search._matrix_search(pattern, n, sys.maxsize, boxes=boxes)
+    assert capped[:2] == plain[:2]
+    assert capped[2] <= plain[2]
+    return capped[2], plain[2]
+
+
+class TestColumnCap:
+    """A ranked 2-d value search also caps each box of k < n slices by
+    deleting one of its n columns, with the box values of side n - 1."""
+
+    @pytest.mark.parametrize(
+        "extents, n_max", [((2, 2), 6), ((2, 3), 5), ((3, 2), 5)], ids=["2x2", "2x3", "3x2"]
+    )
+    def test_small_patterns_keep_value_and_set(self, extents, n_max):
+        # each row's value search runs on the image the solver ranks
+        # cheapest, with the box values the ranking hands back; a row below
+        # the gate, which has none, takes the pattern's own at side n - 1.
+        # The public solver then finds the uncapped search's value, and the
+        # witness that the first-leaf search finds with it
+        calls = []
+        for m in all_matrices(extents):
+            if not _no_empty_line(m):
+                continue
+            for n in range(2, n_max + 1):
+                image, boxes = search._cheapest_image(m, n)
+                calls.append(_column_capped_and_plain_calls(image, n, boxes or None))
+                value, chosen = search._matrix_search(image, n)[:2]
+                if image is not m:
+                    chosen = search._matrix_search(m, n, value=value)[1]
+                cells = product(range(1, n + 1), repeat=2)
+                ones = frozenset(c for i, c in enumerate(cells) if chosen >> i & 1)
+                assert _solved(m, n) == (value, ones)
+        capped, plain = map(sum, zip(*calls))
+        assert capped < plain
+
+    @pytest.mark.parametrize(
+        "pattern, n, most",
+        [(make_matrix([2, 2], [(1, 1), (1, 2), (2, 1)]), 5, 1000), (IDENTITY2, 6, 300)],
+        ids=["L-shape", "I2"],
+    )
+    def test_the_column_cap_is_exact_where_the_row_cap_is_not(self, pattern, n, most):
+        # a box of k slices holds k + n - 1 and its k x (n - 1) box k + n - 2,
+        # so the column cap n (k + n - 2) // (n - 1) is k + n - 1 for every
+        # k < n.  With the row cap and the slice bounds alone the searches
+        # make 1,924 and 1,075 calls; with the column cap 912 and 238
+        assert _column_capped_and_plain_calls(pattern, n)[0] < most
+
+    def test_no_column_cap_in_three_dimensions(self):
+        # deleting an axis-2 slice of a 3-d box leaves no smaller cube: the
+        # 2-d cap 3 * 4 // 2 = 6 on the last slice of this pattern at n = 3
+        # would give the value 12 instead of 15
+        pattern = make_matrix([1, 2, 2], [(1, 1, 2), (1, 2, 1), (1, 2, 2)])
+        boxes = search._matrix_search(pattern, 2, sys.maxsize)[3]
+        assert boxes == [0, 3, 6]
+        capped = search._matrix_search(pattern, 3, boxes=boxes)
+        assert capped[:2] == search._matrix_search(pattern, 3)[:2]
+        assert capped[0] == 15 == f_multi(pattern, 3, 3).value
+
+
+class TestMatrixCopies:
+    @pytest.mark.parametrize("d, n_max, count", [(2, 5, 80), (3, 3, 40)])
+    def test_same_copies_as_the_listing_by_index_lists(self, d, n_max, count):
+        # random patterns, some with empty lines and some larger than the
+        # host on an axis, where there is no copy at all
+        rng = random.Random(23 + d)
+        empty_lines = too_large = 0
+        for _ in range(count):
+            extents = tuple(rng.randint(1, 3) for _ in range(d))
+            cells = list(product(*(range(1, k + 1) for k in extents)))
+            ones = rng.sample(cells, rng.randint(1, min(4, len(cells))))
+            pattern = BinaryMatrix(extents, frozenset(ones))
+            n = rng.randint(1, n_max)
+            copies = search._matrix_copies(pattern, n)
+            assert copies == matrix_copy_masks(pattern, n)
+            empty_lines += not _no_empty_line(pattern)
+            if max(extents) > n:
+                too_large += 1
+                assert copies == set()
+        assert empty_lines and too_large
+
+
 L3 = make_matrix([2, 2], [(1, 1), (2, 1), (2, 2)])
 Z23 = make_matrix([2, 3], [(1, 1), (1, 3), (2, 2)])
 Q23 = make_matrix([2, 3], [(1, 1), (2, 2), (2, 3)])
@@ -377,7 +471,7 @@ class TestImageRanking:
         # the first image whose value comes from another image: its witness
         # is found by the first-leaf search, not by the value search
         image = next(
-            im for im in search._matrix_images(pattern) if search._cheapest_image(im, n) != im
+            im for im in search._matrix_images(pattern) if search._cheapest_image(im, n)[0] != im
         )
         assert _solved(image, n) == trivial_bound_max_weight(image, n)
 
@@ -385,7 +479,7 @@ class TestImageRanking:
         # the 3x1 column costs about 25 s at n = 6 as given and milliseconds
         # as its transpose; the witness is the first optimal host of the
         # row-major include-first order, rows 1 and 2 full
-        assert search._cheapest_image(COLUMN3, 6) == make_matrix([1, 3], [(1, 1), (1, 2), (1, 3)])
+        assert search._cheapest_image(COLUMN3, 6)[0] == make_matrix([1, 3], [(1, 1), (1, 2), (1, 3)])
         start = time.perf_counter()
         cert = ex_matrix(COLUMN3, 6)
         assert time.perf_counter() - start < 5
@@ -394,8 +488,9 @@ class TestImageRanking:
 
     def test_rows_below_the_gate_take_the_pattern_itself(self):
         # C(4, 2) C(4, 3) = 24 and C(5, 3) C(5, 1) = 50 copies
-        assert search._cheapest_image(Z23, 4) is Z23
-        assert search._cheapest_image(COLUMN3, 5) is COLUMN3
+        for pattern, n in [(Z23, 4), (COLUMN3, 5)]:
+            image, boxes = search._cheapest_image(pattern, n)
+            assert image is pattern and boxes == []
 
     def test_a_slow_first_leaf_search_keeps_the_pattern_itself(self):
         # at n = 5 the pattern's value search makes 20,485 calls and an
@@ -410,7 +505,7 @@ class TestImageRanking:
             for image in search._matrix_images(pattern)
         ]
         assert min(calls) < own == calls[0]
-        assert search._cheapest_image(pattern, 6) is pattern
+        assert search._cheapest_image(pattern, 6)[0] is pattern
 
     @pytest.mark.parametrize("pattern", [L3, Z23], ids=["L3", "Z23"])
     @pytest.mark.parametrize("sides", [(5,), (4, 5)], ids=["row", "row_and_ranking"])
@@ -424,8 +519,8 @@ class TestImageRanking:
         solve = search._branch_and_bound
 
         def one_too_high(gain, *args, **kwargs):
-            value, chosen, calls = solve(gain, *args, **kwargs)
-            return value + (math.isqrt(len(gain)) in sides), chosen, calls
+            value, *others = solve(gain, *args, **kwargs)
+            return value + (math.isqrt(len(gain)) in sides), *others
 
         monkeypatch.setattr(search, "_branch_and_bound", one_too_high)
         with pytest.raises(PostconditionError):
@@ -439,8 +534,8 @@ class TestImageRanking:
             total = rng.randint(1, 12)
             gain = [rng.randint(1, 3) for _ in range(total)]
             copies = {rng.randint(1, (1 << total) - 1) for _ in range(rng.randint(1, 8))}
-            value, chosen, _ = search._branch_and_bound(gain, copies)
-            found, first, calls = search._branch_and_bound(gain, copies, sys.maxsize, value=value)
+            value, chosen, _, _ = search._branch_and_bound(gain, copies)
+            found, first, calls, _ = search._branch_and_bound(gain, copies, sys.maxsize, value=value)
             assert (found, first) == (value, chosen)
             with pytest.raises(search._OverBudget):
                 search._branch_and_bound(gain, copies, calls - 1, value=value)
@@ -472,7 +567,7 @@ class TestImageRanking:
         gain = [1] * 16
         for extents, ones, index, first_leaf_calls in rows:
             pattern = make_matrix(extents, ones)
-            assert search._cheapest_image(pattern, 5) == search._matrix_images(pattern)[index]
+            assert search._cheapest_image(pattern, 5)[0] == search._matrix_images(pattern)[index]
             copies = search._matrix_copies(pattern, 4)
             value = search._branch_and_bound(gain, copies)[0]
             calls = search._branch_and_bound(gain, copies, sys.maxsize, value=value)[2]
@@ -687,8 +782,8 @@ class TestCertificateRechecks:
         solve_all = search._branch_and_bound
 
         def one_too_high(*args, **kwargs):
-            value, chosen, calls = solve_all(*args, **kwargs)
-            return value + 1, chosen, calls
+            value, *others = solve_all(*args, **kwargs)
+            return value + 1, *others
 
         monkeypatch.setattr(search, "_branch_and_bound", one_too_high)
         with pytest.raises(PostconditionError, match="witness achieves"):
