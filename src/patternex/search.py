@@ -2,11 +2,16 @@
 
 Every solver decides a fixed list of decision variables, the host's
 cells or its candidate edges in lexicographic order.  Before it searches
-it lists every copy of the pattern once, as a bitmask over the
-decisions, and indexes the copies by decision (the copy index).  A host
-contains the pattern exactly when it holds one of these copies, so a
-search node checks containment with one big-integer AND and never runs
-the containment engine.
+it numbers every copy of the pattern once and indexes the copies by
+decision (the copy index): for each decision, the copies that do not use
+it, as an int over copy numbers.  The graph and hypergraph solvers list
+each copy as a bitmask over the decisions and parse the index from
+them; the matrix solvers build it from the placements of the pattern's
+axes without listing a copy.  The copies whose greatest decision it is,
+and those that use no earlier one, follow by one pass of ANDs over the
+index.  A host contains the pattern exactly when it holds one of these
+copies, so a search node checks containment with one big-integer AND
+and never runs the containment engine.
 
 The extremal solvers share one branch-and-bound driver: the include/1
 branch is tried before the exclude/0 branch, the incumbent is updated
@@ -81,11 +86,28 @@ the value search on the pattern alone; the largest row of the default
 verify battery has 36 copies, and so does the largest unranked
 benchmark row.
 
+An image's copies, as sets of cells of the side-n cube, are the
+pattern's copies moved by the symmetry, so searching an image is
+searching the pattern's copies in another decision order.  The search
+reads only set operations on copy numbers, so its calls, value and set
+do not depend on how the copies are numbered.  A ranked row therefore
+indexes the pattern's copies once per side, at n - 1 for the ranking
+and at n for the value and first-leaf searches, and each image
+reads that index through a table of its cell order, keyed only by
+dimension, side and symmetry and cached across rows.
+
+A pattern of d > 2 with an extent-1 axis lies in one slice across that
+axis, so a host avoids it exactly when each of its n slices avoids the
+pattern without that axis: the row is solved on that smaller pattern,
+with n times its value and its witness in every slice.  The 2x3x1
+pattern (1,2,1)(2,1,1)(2,2,1)(2,3,1) at n = 4 takes about 1 ms this way
+and more than 60 s searched over the whole cube.
+
 Every matrix row takes one path: ``_solve_matrix_extremal`` takes every
-cell when the pattern does not fit, and makes each search of the row
-through ``_matrix_search``, which builds the unit gains and the copies,
-applies the slice guard and, in 2-d, turns the side-(n - 1) boundary
-values into column caps.
+cell when the pattern does not fit, and ``_matrix_extremal`` drops
+extent-1 axes and makes each search of the row through
+``_matrix_search``, which builds the unit gains, applies the slice guard
+and, in 2-d, turns the side-(n - 1) boundary values into column caps.
 
 A returned :class:`SearchCertificate` is always re-checked through the
 public containment API, an engine the solvers do not run.  Counting uses
@@ -100,11 +122,10 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
-from operator import getitem
 
 from .containment import (
     # unused here: perfbench/tracing.py rebinds both names in this module,
@@ -219,38 +240,43 @@ class _OverBudget(Exception):
 _DIGIT = [bytes(48 + (v >> s & 1) for v in range(256)) for s in range(8)]
 
 
-def _copy_index(copies: set[int], total: int) -> tuple[list[int], list[int]]:
-    """Index the copies, at least one, each a nonempty bitmask over
-    ``total`` decisions.
+def _copy_index(copies: set[int], total: int) -> tuple[list[int], int]:
+    """Index the copies, each a nonempty bitmask over ``total`` decisions.
 
-    Returns ``keep`` and ``top``, ints over copy numbers: ``keep[i]`` holds
-    the copies that do not use decision i and ``top[i]`` those whose
-    greatest decision is i.  Copies are numbered in increasing order of
-    their masks, so each ``top[i]`` is one run of bits.  Each ``keep[i]``
-    is parsed as a binary numeral from one column of a byte table of all
-    masks, so no step costs a Python operation per copy and decision.
+    Returns ``keep`` and the number of copies: ``keep[i]``, an int over
+    copy numbers, holds the copies that do not use decision i.  Copies are
+    numbered in any order, as every search reads only set operations on
+    copy numbers.  Each ``keep[i]`` is parsed as a binary numeral from
+    one column of a byte table of all masks, so no step costs a Python
+    operation per copy and decision.
     """
-    order = sorted(copies)
-    top = []
-    lo = 0
-    for i in range(total):
-        hi = bisect_left(order, 2 << i, lo)
-        top.append(((1 << (hi - lo)) - 1) << lo)
-        lo = hi
+    if not copies:
+        return [0] * total, 0
     width = (total + 7) // 8
-    # the masks of the last copy first, so column i reads as a numeral
-    table = b"".join([mask.to_bytes(width, "little") for mask in reversed(order)])
-    everything = (1 << len(order)) - 1
+    table = b"".join([mask.to_bytes(width, "little") for mask in copies])
+    everything = (1 << len(copies)) - 1
     keep = [
         everything ^ int(table[i >> 3 :: width].translate(_DIGIT[i & 7]), 2)
         for i in range(total)
     ]
-    return keep, top
+    return keep, len(copies)
+
+
+def _tops(keep: list[int], everything: int) -> list[int]:
+    """``top[i]``: the copies whose greatest decision is i, read from
+    ``keep`` by one backward pass of ANDs; ``everything`` holds every copy."""
+    top = [0] * len(keep)
+    later = everything  # the copies that use no decision after i
+    for i in range(len(keep) - 1, -1, -1):
+        rest = later & keep[i]
+        top[i] = later ^ rest
+        later = rest
+    return top
 
 
 def _branch_and_bound(
     gain: list[int],
-    copies: set[int],
+    index: tuple[list[int], int],
     most_calls: int | None = None,
     *,
     slice_size: int | None = None,
@@ -273,6 +299,15 @@ def _branch_and_bound(
     leaf's gain equals it.  With ``value`` the greatest gain, the set is
     the value search's.  No leaf reaches a value above the greatest gain,
     and that raises :class:`PostconditionError`.
+
+    ``index`` is the copy index, ``keep`` and the number of copies
+    (:func:`_copy_index`).  The search derives from ``keep`` ``top[i]``,
+    the copies whose greatest decision is i, by one backward pass of ANDs
+    (:func:`_tops`), and the value search ``starts[i]``, the copies that
+    use no decision before i, by one forward pass.  It reads only set
+    operations on copy numbers, so its calls, value and set do not depend
+    on how the copies are numbered; the images of a matrix pattern share
+    one index that way (:func:`_image_index`).
 
     The search takes the decisions in order, the include branch first,
     and updates its incumbent only on strict improvement.  Its state is
@@ -382,12 +417,11 @@ def _branch_and_bound(
     total = len(gain)
     everything = (1 << total) - 1
     rest = _rest(gain)
-    if copies:
-        keep, top = _copy_index(copies, total)
-    elif value is None:
+    keep, count = index
+    if not count and value is None:
         return rest[0], everything, 0, rest[::-slice_size] if slice_size else []
-    # only the first-leaf search gets here with no copies: its live set
-    # is 0 from the start, so dfs reads neither keep nor top
+    copies = (1 << count) - 1
+    top = _tops(keep, copies)
     suffix = rest  # until the value search copies it
     best = ceiling = calls = 0
     best_set = everything
@@ -430,14 +464,14 @@ def _branch_and_bound(
     if value is not None:  # the first-leaf search: start 0, suffix still rest
         best, ceiling = value - 1, value
         try:
-            descend(0, 0, (1 << len(copies)) - 1, 0, -1)
+            descend(0, 0, copies, 0, -1)
         except _Reached:
             return best, best_set, calls, []
         raise PostconditionError(
             f"no set of decisions that holds no copy reaches the value {value}"
         )
     # starts[i]: the copies that use no decision before i
-    starts = [(1 << len(copies)) - 1]
+    starts = [copies]
     for i in range(total - 1):
         starts.append(starts[-1] & keep[i])
     suffix = rest[:]  # final for every start with no copy
@@ -482,64 +516,142 @@ def _rest(gain: list[int]) -> list[int]:
 # matrix solvers
 
 
-def _matrix_copies(pattern: BinaryMatrix, n: int) -> set[int]:
-    """Each copy of the pattern in a side-n host, as a bitmask over the
-    cells in ``product`` order: one per choice of index lists on every axis.
+def _line_choices(extent: int, used: list[int], n: int) -> list[list[int]]:
+    """Each placement of one pattern axis of this extent on a side-n host
+    axis, as the host line (0-based) of each of the pattern's ``used``
+    lines, the lines that hold a 1-entry, increasing.
 
-    The choices on axes 1.. place each 1-entry within its axis-0 slab of
-    N = n^(d-1) cells; each placement ORs its 1-entries into one mask per
-    pattern slab, and the choice of k0 slabs on axis 0 then adds one mask
-    per slab from a table of its n shifts by N cells."""
+    A copy takes every pattern line to a host line, in order, but its
+    cells show only where the used lines go, so two placements that
+    differ only in an empty line make the same copy.  Each placement here
+    is one distinct set of host lines: its lines keep the gaps the empty
+    lines need, so h_i = y_i + used[i] - i with y increasing in
+    [0, n - extent + len(used))."""
+    shift = [a - i for i, a in enumerate(used)]
+    return [
+        [y + s for y, s in zip(ys, shift)]
+        for ys in combinations(range(n - extent + len(used)), len(used))
+    ]
+
+
+def _matrix_index(pattern: BinaryMatrix, n: int) -> tuple[list[int], int]:
+    """The copy index of the pattern's copies in a side-n host, built from
+    the placements without listing a copy's mask.
+
+    A copy is a placement of axes 1.. (:func:`_line_choices`), which
+    puts each 1-entry on a cell of its axis-0 slab of N = n^(d-1) cells,
+    and a choice of host slabs for the pattern's used axis-0 slabs.  With
+    R slab choices, copy p·R + j takes placement p and slab choice j, so
+    every copy is numbered once.  Host cell r·N + c is used by copy
+    p·R + j exactly when some pattern slab s holds a 1-entry that p puts
+    on slab cell c and j puts on host slab r.  ``spread[s][c]`` holds bit
+    p·R of each such p, and ``at[s][r]`` bit j of each such j, below 2^R,
+    so their product sets exactly the bits p·R + j, with no carry."""
     ones = pattern.sorted_ones()
-    first, *others = pattern.extents
-    placed = [[0] * len(ones)]  # per choice so far, the cell number of each 1-entry
-    for axis, k in enumerate(others, start=1):
+    used = [sorted({one[axis] - 1 for one in ones}) for axis in range(pattern.d)]
+    slots = [[used[axis].index(one[axis] - 1) for one in ones] for axis in range(pattern.d)]
+    placed = [[0] * len(ones)]  # per placement so far, the slab cell of each 1-entry
+    for axis in range(1, pattern.d):
+        sels = _line_choices(pattern.extents[axis], used[axis], n)
         placed = [
-            [c * n + sel[one[axis] - 1] for c, one in zip(cells, ones)]
+            [c * n + sel[i] for c, i in zip(cells, slots[axis])]
             for cells in placed
-            for sel in combinations(range(n), k)
+            for sel in sels
         ]
-    shifts = [n ** len(others) * r for r in range(n)]
-    choices = list(combinations(range(n), first))
-    copies = set()
-    for cells in placed:
-        slabs = [0] * first
-        for c, one in zip(cells, ones):
-            slabs[one[0] - 1] |= 1 << c
-        tables = [[slab << shift for shift in shifts] for slab in slabs]
-        copies.update([sum(map(getitem, tables, rows)) for rows in choices])
-    return copies
+    choices = _line_choices(pattern.extents[0], used[0], n)
+    width = len(choices)
+    size = n ** (pattern.d - 1)
+    spread = [[0] * size for _ in used[0]]
+    for p, cells in enumerate(placed):
+        bit = 1 << p * width
+        for c, s in zip(cells, slots[0]):
+            spread[s][c] |= bit
+    at = [[0] * n for _ in used[0]]
+    for j, rows in enumerate(choices):
+        for s, r in enumerate(rows):
+            at[s][r] |= 1 << j
+    count = len(placed) * width
+    everything = (1 << count) - 1
+    keep = []
+    for r in range(n):
+        for c in range(size):
+            uses = 0
+            for s in range(len(used[0])):
+                uses |= at[s][r] * spread[s][c]
+            keep.append(everything ^ uses)
+    return keep, count
 
 
-def _matrix_images(pattern: BinaryMatrix) -> list[BinaryMatrix]:
+Symmetry = tuple[tuple[int, ...], int]  # an axis permutation and a reversal mask
+
+
+def _moved(
+    coord: tuple[int, ...], extents: tuple[int, ...], symmetry: Symmetry
+) -> tuple[int, ...]:
+    """The image of a cell of a box with these extents under the symmetry:
+    axis i of the image is axis ``perm[i]`` of the box, reversed when bit
+    i of the mask is set."""
+    perm, mask = symmetry
+    return tuple(
+        extents[a] + 1 - coord[a] if mask >> i & 1 else coord[a] for i, a in enumerate(perm)
+    )
+
+
+def _matrix_images(pattern: BinaryMatrix) -> list[tuple[BinaryMatrix, Symmetry]]:
     """The distinct images of the pattern under axis permutations and
-    reversals, the pattern first, then in order of the permutation
-    (``itertools.permutations``) and of the reversed axes as a bitmask."""
+    reversals, each with the first symmetry that makes it, the pattern
+    first, then in order of the permutation (``itertools.permutations``)
+    and of the reversed axes as a bitmask."""
     images = {}  # a dict keeps the first of equal images, in order
     for perm in permutations(range(pattern.d)):
         extents = tuple(pattern.extents[a] for a in perm)
         for mask in range(1 << pattern.d):
-            ones = frozenset(
-                tuple(
-                    extents[i] + 1 - one[a] if mask >> i & 1 else one[a]
-                    for i, a in enumerate(perm)
-                )
-                for one in pattern.ones
-            )
-            images[BinaryMatrix(extents, ones)] = None
-    return list(images)
+            ones = frozenset(_moved(one, pattern.extents, (perm, mask)) for one in pattern.ones)
+            images.setdefault(BinaryMatrix(extents, ones), (perm, mask))
+    return list(images.items())
+
+
+# keyed by (d, side, symmetry) only, never by the pattern: with the cell
+# limit, the ranking gate reads 2-d tables at sides 4-8 and 3-d ones at
+# sides 3 and 4, at most 5 * 8 + 2 * 48 = 136 of them
+@lru_cache(maxsize=256)
+def _cell_order(d: int, n: int, symmetry: Symmetry) -> tuple[int, ...]:
+    """``order[i]``: the cell of the side-n cube that the symmetry sends
+    to cell i, cells numbered in lexicographic order.
+
+    The symmetry sends each copy of a pattern, as a set of cells, to a
+    copy of its image, one to one, so the image's copy index is the
+    pattern's read through this table (:func:`_image_index`)."""
+    cells = list(product(range(1, n + 1), repeat=d))
+    number = {cell: i for i, cell in enumerate(cells)}
+    order = [0] * len(cells)
+    for i, cell in enumerate(cells):
+        order[number[_moved(cell, (n,) * d, symmetry)]] = i
+    return tuple(order)
+
+
+def _image_index(
+    index: tuple[list[int], int], d: int, n: int, symmetry: Symmetry
+) -> tuple[list[int], int]:
+    """The copy index of an image's copies in a side-n host, from the
+    pattern's: copy j of the image is the image of the pattern's copy j,
+    and it avoids cell i exactly when the pattern's avoids ``order[i]``."""
+    keep, count = index
+    return [keep[cell] for cell in _cell_order(d, n, symmetry)], count
 
 
 def _matrix_search(
     pattern: BinaryMatrix,
     n: int,
+    index: tuple[list[int], int],
     most_calls: int | None = None,
     value: int | None = None,
     boxes: list[int] | None = None,
 ) -> tuple[int, int, int, list[int]]:
     """:func:`_branch_and_bound` over the n^d cells of a side-n host in
-    lexicographic order, each of gain 1, with the pattern's copies: the
-    value search, or with ``value`` the first-leaf search.
+    lexicographic order, each of gain 1, with ``index`` the copy index of
+    the pattern's copies: the value search, or with ``value`` the
+    first-leaf search.
 
     The value search gets ``slice_size`` N = n^(d-1), the cells of one
     axis-1 slice, only when the pattern's first axis-1 slice holds a
@@ -555,55 +667,62 @@ def _matrix_search(
     says why it holds, and why only in 2-d.
     """
     gain = [1] * n**pattern.d
-    copies = _matrix_copies(pattern, n)
     if value is not None:
-        return _branch_and_bound(gain, copies, most_calls, value=value)
+        return _branch_and_bound(gain, index, most_calls, value=value)
     slice_size = n ** (pattern.d - 1) if min(pattern.ones)[0] == 1 else None
     caps = [n * v // (n - 1) for v in boxes[1:]] if boxes and pattern.d == 2 else None
     return _branch_and_bound(
-        gain, copies, most_calls, slice_size=slice_size, column_caps=caps
+        gain, index, most_calls, slice_size=slice_size, column_caps=caps
     )
 
 
-def _cheapest_image(pattern: BinaryMatrix, n: int) -> tuple[BinaryMatrix, list[int]]:
-    """The image of the pattern to take a side-n row's value from, and
-    the boundary values of its value search at side n - 1: empty below
-    the gate, where no such search runs, and when the image's first
-    axis-1 slice is empty, so that its search has no slices.
+def _cheapest_image(
+    pattern: BinaryMatrix, n: int
+) -> tuple[BinaryMatrix, Symmetry | None, list[int]]:
+    """The image of the pattern to take a side-n row's value from, the
+    symmetry that makes it (None for the pattern itself), and the
+    boundary values of its value search at side n - 1: empty below the
+    gate, where no such search runs, and when the image's first axis-1
+    slice is empty, so that its search has no slices.
 
     Each image's avoiders are the images of the pattern's, so every image
     has the same value, but the search can cost 70x more on one image
     than on another.  A row with fewer than ``RANKED_COPIES`` copies
-    takes the pattern itself.  Otherwise every distinct image is solved
-    at side n - 1 by the value search, counting its ``dfs`` calls, and
-    the one with the fewest wins, ties going to the earlier in
-    :func:`_matrix_images` order, the pattern first.  An image other than
-    the pattern also needs the first-leaf search over the pattern's
-    copies, so it is taken only if its calls and that search's, at
-    n - 1, stay below the pattern's own.  Each search stops once it can
-    no longer win, so an image that is slow at n - 1 costs no more than
-    the cheapest one.  The winner's search ran to the end, so its
-    boundary values are exact: ``boxes[k]`` is the value of the box of k
-    axis-1 slices of side n - 1, which caps the 2-d value search at
-    side n (:func:`_solve_matrix_extremal`).
+    takes the pattern itself, and lists no image.  Otherwise every
+    distinct image is solved at side n - 1 by the value search, counting
+    its ``dfs`` calls, and the one with the fewest wins, ties going to
+    the earlier in :func:`_matrix_images` order, the pattern first.  The
+    pattern's copies at side n - 1 are indexed once, and every
+    image reads that index through its cell order (:func:`_image_index`):
+    the image's copies are the pattern's, decided in another order.  An
+    image other than the pattern also needs the first-leaf search over
+    the pattern's copies, so it is taken only if its calls and that
+    search's, at n - 1, stay below the pattern's own.  Each search stops
+    once it can no longer win, so an image that is slow at n - 1 costs no
+    more than the cheapest one.  The winner's search ran to the end, so
+    its boundary values are exact: ``boxes[k]`` is the value of the box
+    of k axis-1 slices of side n - 1, which caps the 2-d value search at
+    side n (:func:`_matrix_extremal`).
     """
     if math.prod(math.comb(n, k) for k in pattern.extents) < RANKED_COPIES:
-        return pattern, []
-    value, _, own, own_boxes = _matrix_search(pattern, n - 1, sys.maxsize)
-    cheapest, fewest, boxes = pattern, own, own_boxes
-    for image in _matrix_images(pattern)[1:]:
+        return pattern, None, []
+    index = _matrix_index(pattern, n - 1)
+    value, _, own, own_boxes = _matrix_search(pattern, n - 1, index, sys.maxsize)
+    cheapest, fewest, boxes, turned = pattern, own, own_boxes, None
+    for image, symmetry in _matrix_images(pattern)[1:]:
+        image_index = _image_index(index, pattern.d, n - 1, symmetry)
         try:
-            _, _, calls, image_boxes = _matrix_search(image, n - 1, fewest - 1)
+            _, _, calls, image_boxes = _matrix_search(image, n - 1, image_index, fewest - 1)
         except _OverBudget:
             continue
         if calls < fewest:  # a row with no copies at n - 1 makes no call
-            cheapest, fewest, boxes = image, calls, image_boxes
+            cheapest, fewest, boxes, turned = image, calls, image_boxes, symmetry
     if cheapest is not pattern:
         try:
-            _matrix_search(pattern, n - 1, own - fewest - 1, value=value)
+            _matrix_search(pattern, n - 1, index, own - fewest - 1, value=value)
         except _OverBudget:
-            return pattern, own_boxes
-    return cheapest, boxes
+            return pattern, None, own_boxes
+    return cheapest, turned, boxes
 
 
 def _certify_matrix(value: int, witness: BinaryMatrix, pattern: BinaryMatrix) -> SearchCertificate:
@@ -621,30 +740,61 @@ def _solve_matrix_extremal(pattern: BinaryMatrix, n: int) -> SearchCertificate:
     first optimal host of the include-first order over the cells in
     lexicographic order as witness.  A pattern with an extent above n
     never fits, and every cell is taken; one with no 1-entry that fits is
-    in every host, which is invalid input.  Otherwise the value search
-    runs on :func:`_cheapest_image`; when that is not the pattern itself,
-    the first-leaf search over the pattern's copies finds the host."""
+    in every host, which is invalid input.  Otherwise
+    :func:`_matrix_extremal` solves the row."""
     d = pattern.d
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
     if n**d > MAX_CELLS:
         shape = "x".join([str(n)] * d)
         raise CapacityError(f"{shape} exceeds the cell limit {MAX_CELLS}")
-    cells = list(product(range(1, n + 1), repeat=d))
     if max(pattern.extents) > n:
-        value, ones = len(cells), frozenset(cells)  # the pattern never fits
+        value, ones = n**d, frozenset(product(range(1, n + 1), repeat=d))  # never fits
     elif not pattern.ones:
         raise InputError(
             "pattern weight 0: every matrix of this size contains it, "
             "the extremal value is undefined"
         )
     else:
-        image, boxes = _cheapest_image(pattern, n)
-        value, chosen, _, _ = _matrix_search(image, n, boxes=boxes)
-        if image is not pattern:
-            chosen = _matrix_search(pattern, n, value=value)[1]
-        ones = frozenset(cell for i, cell in enumerate(cells) if chosen >> i & 1)
+        value, ones = _matrix_extremal(pattern, n)
     return _certify_matrix(value, BinaryMatrix((n,) * d, ones), pattern)
+
+
+def _matrix_extremal(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
+    """The value and the witness's 1-entries of a side-n row of a pattern
+    with a 1-entry that fits.
+
+    A pattern of d > 2 with an extent-1 axis lies in one slice across
+    that axis, so a host avoids it exactly when each of its n slices
+    avoids the pattern without that axis.  The value is n times the
+    reduced one, and the first optimal host of the include-first order
+    repeats the reduced witness in every slice: the cells of one slice
+    keep their lexicographic order, so the first cell where another
+    optimal host differs is one where the reduced witness holds a
+    1-entry.  Otherwise the value search runs on :func:`_cheapest_image`,
+    through the pattern's copy index read in the image's cell order, and
+    when that image is not the pattern itself, the first-leaf search over
+    the pattern's copies finds the host."""
+    d = pattern.d
+    if d > 2 and 1 in pattern.extents:
+        axis = pattern.extents.index(1)
+        reduced = BinaryMatrix(
+            pattern.extents[:axis] + pattern.extents[axis + 1 :],
+            frozenset(one[:axis] + one[axis + 1 :] for one in pattern.ones),
+        )
+        value, ones = _matrix_extremal(reduced, n)
+        slices = range(1, n + 1)
+        return n * value, frozenset(c[:axis] + (x,) + c[axis:] for c in ones for x in slices)
+    image, symmetry, boxes = _cheapest_image(pattern, n)
+    index = _matrix_index(pattern, n)
+    if image is pattern:
+        value, chosen, _, _ = _matrix_search(pattern, n, index, boxes=boxes)
+    else:
+        image_index = _image_index(index, d, n, symmetry)
+        value = _matrix_search(image, n, image_index, boxes=boxes)[0]
+        chosen = _matrix_search(pattern, n, index, value=value)[1]
+    cells = product(range(1, n + 1), repeat=d)
+    return value, frozenset(cell for i, cell in enumerate(cells) if chosen >> i & 1)
 
 
 def ex_matrix(pattern: BinaryMatrix, n: int) -> SearchCertificate:
@@ -781,7 +931,8 @@ def _solve_hyper_extremal(
             "vertices, the extremal value is undefined"
         )
     gain = [len(e) if mode == "weight" else 1 for e in candidates]
-    value, chosen, _, _ = _branch_and_bound(gain, _hyper_copies(n, candidates, pattern))
+    index = _copy_index(_hyper_copies(n, candidates, pattern), len(candidates))
+    value, chosen, _, _ = _branch_and_bound(gain, index)
     edges = frozenset(e for i, e in enumerate(candidates) if chosen >> i & 1)
     return _certify_hypergraph(value, OrderedHypergraph(n, edges), pattern, mode)
 
@@ -845,7 +996,9 @@ def count_avoiders(
         return 1 << len(candidates)
     if 0 in copies:
         return 0  # the empty host already contains the pattern
-    keep, top = _copy_index(copies, len(candidates))
+    keep, count = _copy_index(copies, len(candidates))
+    everything = (1 << count) - 1
+    top = _tops(keep, everything)
 
     def walk(idx: int, live: int) -> int:
         # live: the copies with no excluded candidate before idx
@@ -859,4 +1012,4 @@ def count_avoiders(
             total += walk(idx + 1, live)
         return total
 
-    return walk(0, (1 << len(copies)) - 1)
+    return walk(0, everything)

@@ -260,9 +260,10 @@ def all_matrices(extents: tuple[int, ...]):
 
 
 def matrix_copy_masks(pattern: BinaryMatrix, n: int) -> set[int]:
-    """Reference for ``search._matrix_copies``: one bitmask over the cells
-    of a side-n host, in row-major order, per choice of index lists on
-    every axis, each 1-entry's cell numbered from its chosen indices."""
+    """Reference for the copies that ``search._matrix_index`` numbers: one
+    bitmask over the cells of a side-n host, in row-major order, per
+    choice of index lists on every axis, each 1-entry's cell numbered
+    from its chosen indices."""
     masks = set()
     for selection in product(*(combinations(range(n), k) for k in pattern.extents)):
         mask = 0

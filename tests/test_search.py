@@ -1,5 +1,6 @@
 """Solvers checked against enumeration oracles and their frozen values."""
 
+import functools
 import math
 import random
 import sys
@@ -172,11 +173,14 @@ class TestPublishedValues:
     def test_stacked_all_ones_zarankiewicz(self):
         # the 2x2 all-ones pattern inside one axis-1 slice of a 3-d host: a
         # host avoids it exactly when every slice does, so f = n z(n; 2).
-        # The one-slice-deletion cap is tight on every slice, and the last
-        # slice, where no cap holds, has the most to lose to a cap
+        # The solver drops the extent-1 axis; the search over the whole
+        # cube is checked too, as the one-slice-deletion cap is tight on
+        # every slice there, and the last slice, where no cap holds, has
+        # the most to lose to a cap
         stacked = make_matrix([1, 2, 2], [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)])
-        values = [f_multi(stacked, 3, n).value for n in range(1, 5)]
-        assert values == [n * z for n, z in zip(range(1, 5), [1, 3, 6, 9])]
+        expected = [n * z for n, z in zip(range(1, 5), [1, 3, 6, 9])]
+        assert [f_multi(stacked, 3, n).value for n in range(1, 5)] == expected
+        assert [_whole_cube_search(stacked, n)[0] for n in range(2, 5)] == expected[1:]
 
     def test_l_shape(self):
         # ex((1,1)(1,2)(2,1), n) = 2n - 1.  A 1-entry that is neither the
@@ -191,20 +195,19 @@ class TestPublishedValues:
         for n in range(1, 8):
             assert ex_matrix(l_shape, n).value == 2 * n - 1
 
-    @pytest.mark.parametrize(
-        "axis, n_max", [(0, 3), (1, 3), (2, 4)], ids=["axis1", "axis2", "axis3"]
-    )
-    def test_3d_line(self, axis, n_max):
+    @pytest.mark.parametrize("axis", [0, 1, 2], ids=["axis1", "axis2", "axis3"])
+    def test_3d_line(self, axis):
         # f = 2n^2 for n >= 2 and 1 at n = 1 for three 1-entries on one
-        # axis-a line.  A copy is three 1-entries on one axis-a line of the
-        # host; the n^2 such lines partition the cube, and an avoider holds
-        # at most 2 entries on each.  Two full slices across axis a reach
-        # that bound.  At n <= 2 the line never fits.  The axis-1 line at
-        # n = 4 takes over 40 s, so it stops at n = 3
+        # axis-a line, such as the 3x1x1 column.  A copy is three 1-entries
+        # on one axis-a line of the host; the n^2 such lines partition the
+        # cube, and an avoider holds at most 2 entries on each.  Two full
+        # slices across axis a reach that bound.  At n <= 2 the line never
+        # fits.  The solver drops the two extent-1 axes; searched over the
+        # whole cube, the axis-1 line at n = 4 took over 40 s
         extents = [3 if a == axis else 1 for a in range(3)]
         ones = [tuple(i if a == axis else 1 for a in range(3)) for i in (1, 2, 3)]
         line = make_matrix(extents, ones)
-        for n in range(1, n_max + 1):
+        for n in range(1, 5):
             assert f_multi(line, 3, n).value == (1 if n == 1 else 2 * n * n)
 
     @pytest.mark.parametrize("edges", [[(1, 3), (2, 4)], [(1, 4), (2, 3)]])
@@ -261,10 +264,9 @@ def _capped_and_plain_calls(pattern, n):
     # the matrix value search, with the one-slice-deletion cap and slice
     # bounds where the pattern allows them, and the plain search without them:
     # the same value and set, and no more calls with them
-    plain = search._branch_and_bound(
-        [1] * n**pattern.d, search._matrix_copies(pattern, n), sys.maxsize
-    )
-    capped = search._matrix_search(pattern, n, sys.maxsize)
+    index = search._matrix_index(pattern, n)
+    plain = search._branch_and_bound([1] * n**pattern.d, index, sys.maxsize)
+    capped = search._matrix_search(pattern, n, index, sys.maxsize)
     assert capped[:2] == plain[:2]
     assert capped[2] <= plain[2]
     return capped[2], plain[2]
@@ -359,9 +361,11 @@ def _column_capped_and_plain_calls(pattern, n, boxes=None):
     # search there), and without them: the same value and set, and no more
     # calls with them
     if boxes is None:
-        boxes = search._matrix_search(pattern, n - 1, sys.maxsize)[3]
-    plain = search._matrix_search(pattern, n, sys.maxsize)
-    capped = search._matrix_search(pattern, n, sys.maxsize, boxes=boxes)
+        below = search._matrix_index(pattern, n - 1)
+        boxes = search._matrix_search(pattern, n - 1, below, sys.maxsize)[3]
+    index = search._matrix_index(pattern, n)
+    plain = search._matrix_search(pattern, n, index, sys.maxsize)
+    capped = search._matrix_search(pattern, n, index, sys.maxsize, boxes=boxes)
     assert capped[:2] == plain[:2]
     assert capped[2] <= plain[2]
     return capped[2], plain[2]
@@ -385,11 +389,12 @@ class TestColumnCap:
             if not _no_empty_line(m):
                 continue
             for n in range(2, n_max + 1):
-                image, boxes = search._cheapest_image(m, n)
+                image, _, boxes = search._cheapest_image(m, n)
                 calls.append(_column_capped_and_plain_calls(image, n, boxes or None))
-                value, chosen = search._matrix_search(image, n)[:2]
+                value, chosen = search._matrix_search(image, n, search._matrix_index(image, n))[:2]
                 if image is not m:
-                    chosen = search._matrix_search(m, n, value=value)[1]
+                    index = search._matrix_index(m, n)
+                    chosen = search._matrix_search(m, n, index, value=value)[1]
                 cells = product(range(1, n + 1), repeat=2)
                 ones = frozenset(c for i, c in enumerate(cells) if chosen >> i & 1)
                 assert _solved(m, n) == (value, ones)
@@ -413,10 +418,12 @@ class TestColumnCap:
         # 2-d cap 3 * 4 // 2 = 6 on the last slice of this pattern at n = 3
         # would give the value 12 instead of 15
         pattern = make_matrix([1, 2, 2], [(1, 1, 2), (1, 2, 1), (1, 2, 2)])
-        boxes = search._matrix_search(pattern, 2, sys.maxsize)[3]
+        below = search._matrix_index(pattern, 2)
+        boxes = search._matrix_search(pattern, 2, below, sys.maxsize)[3]
         assert boxes == [0, 3, 6]
-        capped = search._matrix_search(pattern, 3, boxes=boxes)
-        assert capped[:2] == search._matrix_search(pattern, 3)[:2]
+        index = search._matrix_index(pattern, 3)
+        capped = search._matrix_search(pattern, 3, index, boxes=boxes)
+        assert capped[:2] == search._matrix_search(pattern, 3, index)[:2]
         assert capped[0] == 15 == f_multi(pattern, 3, 3).value
 
 
@@ -433,13 +440,96 @@ class TestMatrixCopies:
             ones = rng.sample(cells, rng.randint(1, min(4, len(cells))))
             pattern = BinaryMatrix(extents, frozenset(ones))
             n = rng.randint(1, n_max)
-            copies = search._matrix_copies(pattern, n)
-            assert copies == matrix_copy_masks(pattern, n)
+            keep, listed = search._matrix_index(pattern, n)
+            # copy j is the set of cells whose keep lacks bit j: each copy once
+            copies = [
+                sum(1 << i for i, k in enumerate(keep) if not k >> j & 1) for j in range(listed)
+            ]
+            assert len(set(copies)) == listed
+            assert set(copies) == matrix_copy_masks(pattern, n)
             empty_lines += not _no_empty_line(pattern)
             if max(extents) > n:
                 too_large += 1
-                assert copies == set()
+                assert listed == 0
         assert empty_lines and too_large
+
+
+@functools.lru_cache(maxsize=None)
+def _own_search(image, n, most):
+    # the image's value search over its own copies, listed by the oracle,
+    # or None over the budget
+    index = search._copy_index(matrix_copy_masks(image, n), n**image.d)
+    try:
+        return search._matrix_search(image, n, index, most)
+    except search._OverBudget:
+        return None
+
+
+def _shared_search(index, d, image, symmetry, n, most):
+    # the same search through the pattern's copy index in the image's cell order
+    index = search._image_index(index, d, n, symmetry)
+    try:
+        return search._matrix_search(image, n, index, most)
+    except search._OverBudget:
+        return None
+
+
+class TestSharedCopyIndex:
+    """An image's copies are the pattern's, moved by the symmetry, so each
+    image is searched through the pattern's copy index read in the
+    image's cell order: the same value, set, calls and boxes as a search
+    over the image's own copies."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_keep_and_top_by_definition(self, seed):
+        # copy j is the set of decisions whose keep lacks bit j, and top
+        # holds it at its greatest decision
+        rng = random.Random(seed)
+        for _ in range(100):
+            total = rng.randint(1, 20)
+            copies = {rng.randint(1, (1 << total) - 1) for _ in range(rng.randint(0, 30))}
+            keep, count = search._copy_index(copies, total)
+            assert count == len(copies)
+            masks = [
+                sum(1 << i for i in range(total) if not keep[i] >> j & 1) for j in range(count)
+            ]
+            assert set(masks) == copies
+            top = search._tops(keep, (1 << count) - 1)
+            for i in range(total):
+                ending = [j for j, m in enumerate(masks) if m.bit_length() == i + 1]
+                assert top[i] == sum(1 << j for j in ending)
+
+    @pytest.mark.parametrize("extents", [(2, 2), (2, 3), (3, 2)], ids=["2x2", "2x3", "3x2"])
+    def test_every_image_of_small_patterns(self, extents):
+        # at side 5 within 5,000 calls, which 43 of the 162 searches of the
+        # 2x3 or 3x2 patterns' images finish; the others must both stop
+        for m in all_matrices(extents):
+            if not _no_empty_line(m):
+                continue
+            for n in range(3, 6):
+                most = sys.maxsize if n < 5 else 5000
+                index = search._matrix_index(m, n)
+                for image, symmetry in search._matrix_images(m):
+                    shared = _shared_search(index, m.d, image, symmetry, n, most)
+                    assert shared == _own_search(image, n, most)
+
+    def test_random_3d_patterns(self):
+        # a search over its budget raises in both ways or in neither
+        rng = random.Random(31)
+        done = over = 0
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            extents = tuple(rng.randint(1, min(n, 3)) for _ in range(3))
+            cells = list(product(*(range(1, k + 1) for k in extents)))
+            ones = rng.sample(cells, rng.randint(1, min(4, len(cells))))
+            pattern = BinaryMatrix(extents, frozenset(ones))
+            image, symmetry = rng.choice(search._matrix_images(pattern))
+            found = _own_search(image, n, 3000)
+            index = search._matrix_index(pattern, n)
+            assert _shared_search(index, 3, image, symmetry, n, 3000) == found
+            done += found is not None
+            over += found is None
+        assert done and over
 
 
 L3 = make_matrix([2, 2], [(1, 1), (2, 1), (2, 2)])
@@ -460,7 +550,7 @@ class TestImageRanking:
         "pattern, n, images", RANKED_ROWS, ids=["L3", "Z23", "Q23", "I2"]
     )
     def test_every_image_has_the_same_value(self, pattern, n, images):
-        found = search._matrix_images(pattern)
+        found = [image for image, _ in search._matrix_images(pattern)]
         assert found[0] == pattern and len(set(found)) == len(found) == images
         assert len({ex_matrix(image, n).value for image in found}) == 1
 
@@ -471,7 +561,7 @@ class TestImageRanking:
         # the first image whose value comes from another image: its witness
         # is found by the first-leaf search, not by the value search
         image = next(
-            im for im in search._matrix_images(pattern) if search._cheapest_image(im, n)[0] != im
+            im for im, _ in search._matrix_images(pattern) if search._cheapest_image(im, n)[0] != im
         )
         assert _solved(image, n) == trivial_bound_max_weight(image, n)
 
@@ -489,8 +579,8 @@ class TestImageRanking:
     def test_rows_below_the_gate_take_the_pattern_itself(self):
         # C(4, 2) C(4, 3) = 24 and C(5, 3) C(5, 1) = 50 copies
         for pattern, n in [(Z23, 4), (COLUMN3, 5)]:
-            image, boxes = search._cheapest_image(pattern, n)
-            assert image is pattern and boxes == []
+            image, symmetry, boxes = search._cheapest_image(pattern, n)
+            assert image is pattern and symmetry is None and boxes == []
 
     def test_a_slow_first_leaf_search_keeps_the_pattern_itself(self):
         # at n = 5 the pattern's value search makes 20,485 calls and an
@@ -499,10 +589,10 @@ class TestImageRanking:
         # several seconds and the pattern's own value search takes 0.7 s
         pattern = make_matrix([2, 3], [(1, 1), (1, 3), (2, 2), (2, 3)])
         gain = [1] * 25
-        own = search._branch_and_bound(gain, search._matrix_copies(pattern, 5), sys.maxsize)[2]
+        own = search._branch_and_bound(gain, search._matrix_index(pattern, 5), sys.maxsize)[2]
         calls = [
-            search._branch_and_bound(gain, search._matrix_copies(image, 5), sys.maxsize)[2]
-            for image in search._matrix_images(pattern)
+            search._branch_and_bound(gain, search._matrix_index(image, 5), sys.maxsize)[2]
+            for image, _ in search._matrix_images(pattern)
         ]
         assert min(calls) < own == calls[0]
         assert search._cheapest_image(pattern, 6)[0] is pattern
@@ -534,21 +624,23 @@ class TestImageRanking:
             total = rng.randint(1, 12)
             gain = [rng.randint(1, 3) for _ in range(total)]
             copies = {rng.randint(1, (1 << total) - 1) for _ in range(rng.randint(1, 8))}
-            value, chosen, _, _ = search._branch_and_bound(gain, copies)
-            found, first, calls, _ = search._branch_and_bound(gain, copies, sys.maxsize, value=value)
+            index = search._copy_index(copies, total)
+            value, chosen, _, _ = search._branch_and_bound(gain, index)
+            found, first, calls, _ = search._branch_and_bound(gain, index, sys.maxsize, value=value)
             assert (found, first) == (value, chosen)
             with pytest.raises(search._OverBudget):
-                search._branch_and_bound(gain, copies, calls - 1, value=value)
-            assert search._branch_and_bound(gain, copies, calls, value=value)[1] == chosen
+                search._branch_and_bound(gain, index, calls - 1, value=value)
+            assert search._branch_and_bound(gain, index, calls, value=value)[1] == chosen
             with pytest.raises(PostconditionError):
-                search._branch_and_bound(gain, copies, value=value + 1)
+                search._branch_and_bound(gain, index, value=value + 1)
             # with no copies every decision is taken, and nothing reaches more
             everything = (1 << total) - 1
-            assert search._branch_and_bound(gain, set(), value=sum(gain))[:2] == (
+            none = search._copy_index(set(), total)
+            assert search._branch_and_bound(gain, none, value=sum(gain))[:2] == (
                 sum(gain), everything
             )
             with pytest.raises(PostconditionError):
-                search._branch_and_bound(gain, set(), value=sum(gain) + 1)
+                search._branch_and_bound(gain, none, value=sum(gain) + 1)
 
     def test_the_gate_picks_the_same_images(self):
         # the six n = 5 rows whose image changed with the one-slice cap.
@@ -567,8 +659,8 @@ class TestImageRanking:
         gain = [1] * 16
         for extents, ones, index, first_leaf_calls in rows:
             pattern = make_matrix(extents, ones)
-            assert search._cheapest_image(pattern, 5)[0] == search._matrix_images(pattern)[index]
-            copies = search._matrix_copies(pattern, 4)
+            assert search._cheapest_image(pattern, 5)[0] == search._matrix_images(pattern)[index][0]
+            copies = search._matrix_index(pattern, 4)
             value = search._branch_and_bound(gain, copies)[0]
             calls = search._branch_and_bound(gain, copies, sys.maxsize, value=value)[2]
             assert calls == first_leaf_calls
@@ -627,6 +719,76 @@ class TestCopyIndex:
             value, edges = engine_max_hyper(n, pairs, pattern, "edges")
             cert = gex_graph(pattern, n)
             assert (cert.value, cert.witness.edges) == (value, frozenset(edges))
+
+
+def _extent_one_patterns():
+    # every 3-d pattern with an extent-1 axis, extents at most 3 and weight 1-4
+    for extents in product((1, 2, 3), repeat=3):
+        if 1 in extents:
+            cells = list(product(*(range(1, k + 1) for k in extents)))
+            for weight in range(1, 5):
+                for ones in combinations(cells, weight):
+                    yield BinaryMatrix(extents, frozenset(ones))
+
+
+def _whole_cube_search(pattern, n):
+    # the value search over every cell of the cube, no axis dropped
+    chosen = search._matrix_search(pattern, n, search._matrix_index(pattern, n))[1]
+    cells = product(range(1, n + 1), repeat=pattern.d)
+    ones = frozenset(c for i, c in enumerate(cells) if chosen >> i & 1)
+    return len(ones), ones
+
+
+class TestExtentOneAxis:
+    """A pattern of d >= 3 with an extent-1 axis is solved without that
+    axis: n times the value, and the reduced witness in every slice."""
+
+    def test_every_small_pattern_keeps_value_and_witness(self):
+        # 1,177 patterns.  At n <= 2 against the trivial-bound oracle; at
+        # n = 3, where that oracle takes about a minute for all of them,
+        # against the search over the whole cube, which the oracle checks
+        # on random 3-d patterns in TestSuffixBound
+        patterns = list(_extent_one_patterns())
+        assert len(patterns) == 1177
+        for pattern in patterns:
+            for n in range(max(pattern.extents), 4):
+                expected = (
+                    trivial_bound_max_weight(pattern, n) if n < 3 else _whole_cube_search(pattern, n)
+                )
+                assert _solved(pattern, n) == expected
+
+    @pytest.mark.parametrize(
+        "extents, ones",
+        [
+            ((1, 3, 3), [(1, 1, 3), (1, 2, 2), (1, 3, 1)]),
+            ((1, 2, 3), [(1, 1, 2), (1, 1, 3), (1, 2, 1)]),
+            ((1, 2, 2), [(1, 1, 2), (1, 2, 1)]),
+            ((3, 1, 3), [(1, 1, 1), (2, 1, 2), (3, 1, 3)]),
+            ((2, 1, 3), [(1, 1, 2), (1, 1, 3), (2, 1, 1)]),
+            ((2, 1, 2), [(1, 1, 2), (2, 1, 1)]),
+            ((3, 3, 1), [(1, 3, 1), (2, 2, 1), (2, 3, 1), (3, 1, 1)]),
+            ((2, 3, 1), [(1, 2, 1), (1, 3, 1), (2, 1, 1)]),
+            ((2, 2, 1), [(1, 2, 1), (2, 1, 1)]),
+        ],
+        ids=["1x3x3", "1x2x3", "1x2x2", "3x1x3", "2x1x3", "2x1x2", "3x3x1", "2x3x1", "2x2x1"],
+    )
+    def test_rows_at_3_against_the_oracle(self, extents, ones):
+        # n = 3 rows against the trivial-bound oracle itself, three for
+        # each dropped axis, with no empty line
+        pattern = make_matrix(list(extents), ones)
+        assert _solved(pattern, 3) == trivial_bound_max_weight(pattern, 3)
+
+    def test_2x3x1_at_4(self):
+        # more than 60 s searched over the whole cube; about 1 ms reduced.
+        # The 2x3 pattern without its third axis has ex 10 at n = 4
+        pattern = make_matrix([2, 3, 1], [(1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 3, 1)])
+        flat = make_matrix([2, 3], [(1, 2), (2, 1), (2, 2), (2, 3)])
+        start = time.perf_counter()
+        cert = f_multi(pattern, 3, 4)
+        assert time.perf_counter() - start < 5
+        assert cert.value == 40 == 4 * ex_matrix(flat, 4).value
+        row = ex_matrix(flat, 4).witness.ones
+        assert cert.witness.ones == frozenset((i, j, k) for i, j in row for k in range(1, 5))
 
 
 class TestFMulti:
