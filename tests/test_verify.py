@@ -339,3 +339,89 @@ def test_random_density_counts_a_failed_repair_as_an_avoid_failure(monkeypatch):
     (inst,) = result.instances
     assert inst.payload["avoid_failures"] == 100
     assert inst.payload["mean_final_weight"] == 0
+
+
+
+# claim -> (the name a planted defect replaces, the defect, the claim's
+# check, the payload shapes of its failed instances: (keys other than
+# "objects", object names))
+PLANTED_FAILURES = {
+    "Lemma2": (
+        (verify, "ex_matrix"),
+        _under_count_by_one(verify.ex_matrix),
+        lambda: check_doubling_upper_bound(3),
+        {(("ex", "gex"), ("graph_pattern", "pattern"))},
+    ),
+    "Lemma3": (
+        (verify, "ex_matrix"),
+        _under_count_by_one(verify.ex_matrix),
+        lambda: check_interval_blowup(4),
+        {
+            (
+                ("base_avoids", "blowup_avoids", "edges", "expected_edges"),
+                ("bipartite_avoider", "blowup", "pattern"),
+            )
+        },
+    ),
+    # from n = 5 an avoider also beats the bound
+    "Lemma5": (
+        (verify, "hypergraph_contains"),
+        lambda host, pattern: None,
+        lambda: check_partite_edge_bound(5),
+        {(("bound", "gex"), ("pattern",)), (("bound", "edges", "gex"), ("avoider", "pattern"))},
+    ),
+    "Lemma6": (
+        (verify, "hypergraph_contains"),
+        lambda host, pattern: None,
+        lambda: check_padding_chain(2),
+        {((), ("base", "padded"))},
+    ),
+    "Lemma6-error": (
+        (verify, "cyclic_pad"),
+        _raise_postcondition,
+        lambda: check_padding_chain(2),
+        {(("error",), ("base",))},
+    ),
+    "Thm7-recurrence": (
+        (verify, "exi_hyper"),
+        _under_count_by_one(verify.exi_hyper),
+        check_contraction_recurrence,
+        {(("bound_weight_variant", "count_large"), ("pattern",))},
+    ),
+    "Lemma8-density": (
+        (constructions, "matrix_contains"),
+        lambda *args: None,
+        lambda: check_random_density(0),
+        {(("analytic_target", "avoid_failures", "mean_final_weight", "seed"), ("pattern",))},
+    ),
+    "KlazarMarcus": (
+        (containment, "_matrix_embedding_search"),
+        _defect_above_one(containment._matrix_embedding_search, lambda form: form[1]),
+        lambda: check_association_equivalence(2),
+        {(("error",), ("host", "pattern"))},
+    ),
+    "ExiExe": (
+        (verify, "exe_hyper"),
+        _under_count_by_one(verify.exe_hyper),
+        lambda: check_weight_vs_edges(3),
+        {(("exe", "exi", "factor"), ("pattern",))},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANTED_FAILURES))
+def test_failed_instances_report_their_claims_payload(monkeypatch, case):
+    (module, name), defect, check, shapes = PLANTED_FAILURES[case]
+    monkeypatch.setattr(module, name, defect)
+    result = check()
+    assert result.failures
+    seen = set()
+    for inst in result.instances:
+        if inst.passed:
+            assert inst.payload == {}
+            continue
+        payload = dict(inst.payload)
+        objects = payload.pop("objects")
+        assert all(isinstance(text, str) for text in objects.values())
+        seen.add((tuple(sorted(payload)), tuple(sorted(objects))))
+    assert seen == shapes
