@@ -184,6 +184,24 @@ def _hypergraph_id(h: OrderedHypergraph) -> str:
     return f"n={h.n}:{edges or 'empty'}"
 
 
+def _instance(params: dict, passed: bool, objects: dict, **found) -> InstanceResult:
+    """One instance's result; only a failed one carries a payload.
+
+    The payload is ``found`` plus ``objects``, each matrix or hypergraph
+    written as text in the package's file format, so the harness can
+    write it out as a replayable counterexample.
+    """
+    if passed:
+        return InstanceResult(params, True)
+    texts = {
+        name: fileio.format_matrix(obj)
+        if isinstance(obj, BinaryMatrix)
+        else fileio.format_hypergraph(obj)
+        for name, obj in objects.items()
+    }
+    return InstanceResult(params, False, {**found, "objects": texts})
+
+
 # ---------------------------------------------------------------------------
 # instance generators
 
@@ -249,24 +267,10 @@ def check_doubling_upper_bound(budget: int) -> CheckResult:
         for n in range(1, budget + 1):
             ex_value = ex_matrix(pattern, n).value
             gex_value = gex_graph(graph_pattern, n).value
+            params = {"pattern": _matrix_id(pattern), "n": n, "gex": gex_value, "ex": ex_value}
+            objects = {"pattern": pattern, "graph_pattern": graph_pattern}
             passed = gex_value <= ex_value
-            payload = {}
-            if not passed:
-                payload = {
-                    "gex": gex_value,
-                    "ex": ex_value,
-                    "objects": {
-                        "pattern": fileio.format_matrix(pattern),
-                        "graph_pattern": fileio.format_hypergraph(graph_pattern),
-                    },
-                }
-            instances.append(
-                InstanceResult(
-                    {"pattern": _matrix_id(pattern), "n": n, "gex": gex_value, "ex": ex_value},
-                    passed,
-                    payload,
-                )
-            )
+            instances.append(_instance(params, passed, objects, gex=gex_value, ex=ex_value))
     return CheckResult(
         "Lemma2",
         {"n_max": budget, "weight_max": 3, "extent_max": 3},
@@ -297,20 +301,6 @@ def check_interval_blowup(budget: int) -> CheckResult:
             if n * t <= 4:
                 exact_value = gex_graph(graph_pattern, n * t).value
                 exact_ok = exact_value >= (t - 1) * cert.value
-            passed = base_ok and count_ok and avoid_ok and exact_ok
-            payload = {}
-            if not passed:
-                payload = {
-                    "edges": blown.edge_count,
-                    "expected_edges": (t - 1) * cert.value,
-                    "base_avoids": base_ok,
-                    "blowup_avoids": avoid_ok,
-                    "objects": {
-                        "pattern": fileio.format_matrix(pattern),
-                        "bipartite_avoider": fileio.format_hypergraph(bipartite),
-                        "blowup": fileio.format_hypergraph(blown),
-                    },
-                }
             params = {
                 "pattern": _matrix_id(pattern),
                 "n": n,
@@ -320,7 +310,17 @@ def check_interval_blowup(budget: int) -> CheckResult:
             }
             if exact_value is not None:
                 params["gex_exact"] = exact_value
-            instances.append(InstanceResult(params, passed, payload))
+            instances.append(
+                _instance(
+                    params,
+                    base_ok and count_ok and avoid_ok and exact_ok,
+                    {"pattern": pattern, "bipartite_avoider": bipartite, "blowup": blown},
+                    edges=blown.edge_count,
+                    expected_edges=(t - 1) * cert.value,
+                    base_avoids=base_ok,
+                    blowup_avoids=avoid_ok,
+                )
+            )
     return CheckResult("Lemma3", {"n": n, "t_values": list(t_values)}, tuple(instances))
 
 
@@ -350,21 +350,14 @@ def check_partite_edge_bound(budget: int) -> CheckResult:
                 worst = max(worst, graph.edge_count)
                 if graph.edge_count > bound and bad is None:
                     bad = graph
+        params = {"n": n, "bound": bound, "avoiders": avoiders, "max_edges": worst}
         passed = bad is None and worst == gex
-        payload = {}
-        if not passed:
-            objects = {"pattern": fileio.format_hypergraph(anchored)}
-            payload = {"bound": bound, "gex": gex, "objects": objects}
-            if bad is not None:
-                payload["edges"] = bad.edge_count
-                objects["avoider"] = fileio.format_hypergraph(bad)
-        instances.append(
-            InstanceResult(
-                {"n": n, "bound": bound, "avoiders": avoiders, "max_edges": worst},
-                passed,
-                payload,
-            )
-        )
+        objects = {"pattern": anchored}
+        found = {"bound": bound, "gex": gex}
+        if bad is not None:
+            objects["avoider"] = bad
+            found["edges"] = bad.edge_count
+        instances.append(_instance(params, passed, objects, **found))
     return CheckResult(
         "Lemma5",
         {"n_max": budget, "pattern": _hypergraph_id(anchored)},
@@ -400,26 +393,9 @@ def check_padding_chain(budget: int) -> CheckResult:
                         ok = ok and hypergraph_contains(
                             grown_hyper, associated_hypergraph(prev)[0]
                         ) is not None
-                    payload = {}
-                    if not ok:
-                        payload = {
-                            "objects": {
-                                "base": fileio.format_hypergraph(base),
-                                "padded": fileio.format_hypergraph(padded),
-                            }
-                        }
-                    instances.append(InstanceResult(params, ok, payload))
+                    instances.append(_instance(params, ok, {"base": base, "padded": padded}))
                 except (InputError, PostconditionError) as exc:
-                    instances.append(
-                        InstanceResult(
-                            params,
-                            False,
-                            {
-                                "error": str(exc),
-                                "objects": {"base": fileio.format_hypergraph(base)},
-                            },
-                        )
-                    )
+                    instances.append(_instance(params, False, {"base": base}, error=str(exc)))
     return CheckResult(
         "Lemma6",
         {"dimensions": list(dimensions), "k_max": k_max, "extra_steps": extra_steps},
@@ -447,15 +423,8 @@ def check_contraction_recurrence() -> CheckResult:
         bound_edges = (2**t - 1) ** edge_value * small
         holds_weight = large <= bound_weight
         holds_edges = large <= bound_edges
-        payload = {}
-        if not holds_weight:
-            payload = {
-                "count_large": large,
-                "bound_weight_variant": bound_weight,
-                "objects": {"pattern": fileio.format_hypergraph(pattern)},
-            }
         instances.append(
-            InstanceResult(
+            _instance(
                 {
                     "n": n,
                     "t": t,
@@ -469,7 +438,9 @@ def check_contraction_recurrence() -> CheckResult:
                     "holds_edge_variant": holds_edges,
                 },
                 holds_weight,
-                payload,
+                {"pattern": pattern},
+                count_large=large,
+                bound_weight_variant=bound_weight,
             )
         )
     return CheckResult(
@@ -519,17 +490,7 @@ def check_random_density(seed: int) -> CheckResult:
             avoid_failures += 1
     mean_final = total_final / trials
     target = analytic_expected_weight(pattern, side, p)
-    passed = avoid_failures == 0 and mean_final >= threshold * target
-    payload = {}
-    if not passed:
-        payload = {
-            "avoid_failures": avoid_failures,
-            "mean_final_weight": mean_final,
-            "analytic_target": target,
-            "seed": seed,
-            "objects": {"pattern": fileio.format_matrix(pattern)},
-        }
-    instance = InstanceResult(
+    instance = _instance(
         {
             "side": side,
             "trials": trials,
@@ -539,8 +500,12 @@ def check_random_density(seed: int) -> CheckResult:
             "analytic_target": target,
             "threshold": threshold,
         },
-        passed,
-        payload,
+        avoid_failures == 0 and mean_final >= threshold * target,
+        {"pattern": pattern},
+        avoid_failures=avoid_failures,
+        mean_final_weight=mean_final,
+        analytic_target=target,
+        seed=seed,
     )
     return CheckResult(
         "Lemma8-density",
@@ -563,20 +528,11 @@ def check_association_equivalence(budget: int) -> CheckResult:
     for n in range(1, n_max + 1):
         graphs = all_bipartite_graphs(n)
         disagreement = association_disagreement(graphs, 2)
-        passed = disagreement is None
-        payload = {}
-        if disagreement is not None:
-            host, pat, message = disagreement
-            payload = {
-                "error": message,
-                "objects": {
-                    "host": fileio.format_hypergraph(host),
-                    "pattern": fileio.format_hypergraph(pat),
-                },
-            }
-        instances.append(
-            InstanceResult({"part_size": n, "pairs": len(graphs) ** 2}, passed, payload)
-        )
+        params = {"part_size": n, "pairs": len(graphs) ** 2}
+        # a passed instance reads neither the objects nor the error
+        host, pat, message = disagreement or (None, None, None)
+        objects = {"host": host, "pattern": pat}
+        instances.append(_instance(params, disagreement is None, objects, error=message))
     return CheckResult(
         "KlazarMarcus",
         {"n_max": n_max},
@@ -601,29 +557,10 @@ def check_weight_vs_edges(budget: int) -> CheckResult:
         for n in range(1, n_max + 1):
             weight_value = exi_hyper(pat, n).value
             edge_value = exe_hyper(pat, n).value
+            found = {"exi": weight_value, "exe": edge_value, "factor": factor}
+            params = {"pattern": _hypergraph_id(pat), "k": k, "n": n, **found}
             passed = weight_value <= factor * edge_value
-            payload = {}
-            if not passed:
-                payload = {
-                    "exi": weight_value,
-                    "exe": edge_value,
-                    "factor": factor,
-                    "objects": {"pattern": fileio.format_hypergraph(pat)},
-                }
-            instances.append(
-                InstanceResult(
-                    {
-                        "pattern": _hypergraph_id(pat),
-                        "k": k,
-                        "n": n,
-                        "exi": weight_value,
-                        "exe": edge_value,
-                        "factor": factor,
-                    },
-                    passed,
-                    payload,
-                )
-            )
+            instances.append(_instance(params, passed, {"pattern": pat}, **found))
     return CheckResult(
         "ExiExe",
         {"lengths": [k], "d": d, "n_max": n_max},

@@ -739,6 +739,25 @@ def _whole_cube_search(pattern, n):
     return len(ones), ones
 
 
+@functools.lru_cache(maxsize=None)
+def _flat_reference(pattern, n):
+    return trivial_bound_max_weight(pattern, n)
+
+
+def _slice_repeated_reference(pattern, n):
+    # the 2-d trivial-bound oracle on the pattern without its first
+    # extent-1 axis, times n, its witness repeated in every slice; the
+    # lemma in search._matrix_extremal's docstring makes this the row
+    axis = pattern.extents.index(1)
+    reduced = BinaryMatrix(
+        pattern.extents[:axis] + pattern.extents[axis + 1 :],
+        frozenset(one[:axis] + one[axis + 1 :] for one in pattern.ones),
+    )
+    value, ones = _flat_reference(reduced, n)
+    slices = range(1, n + 1)
+    return n * value, frozenset(c[:axis] + (x,) + c[axis:] for c in ones for x in slices)
+
+
 class TestExtentOneAxis:
     """A pattern of d >= 3 with an extent-1 axis is solved without that
     axis: n times the value, and the reduced witness in every slice."""
@@ -747,15 +766,16 @@ class TestExtentOneAxis:
         # 1,177 patterns.  At n <= 2 against the trivial-bound oracle; at
         # n = 3, where that oracle takes about a minute for all of them,
         # against the search over the whole cube, which the oracle checks
-        # on random 3-d patterns in TestSuffixBound
+        # on random 3-d patterns in TestSuffixBound, and against the 2-d
+        # oracle on the 403 distinct patterns without an extent-1 axis
         patterns = list(_extent_one_patterns())
         assert len(patterns) == 1177
         for pattern in patterns:
-            for n in range(max(pattern.extents), 4):
-                expected = (
-                    trivial_bound_max_weight(pattern, n) if n < 3 else _whole_cube_search(pattern, n)
-                )
-                assert _solved(pattern, n) == expected
+            for n in range(max(pattern.extents), 3):
+                assert _solved(pattern, n) == trivial_bound_max_weight(pattern, n)
+            solved = _solved(pattern, 3)
+            assert solved == _whole_cube_search(pattern, 3)
+            assert solved == _slice_repeated_reference(pattern, 3)
 
     @pytest.mark.parametrize(
         "extents, ones",
