@@ -9,6 +9,8 @@ from patternex import InputError, PostconditionError, constructions, containment
 from patternex.verify import (
     CLAIM_NAMES,
     CheckResult,
+    InstanceResult,
+    VerificationReport,
     check_association_equivalence,
     check_contraction_recurrence,
     check_doubling_upper_bound,
@@ -264,6 +266,49 @@ def test_report_serialization_is_deterministic():
         again.to_dict(), sort_keys=True
     )
     assert "overall: PASS" in report.render_text()
+
+
+def test_report_text_and_json_are_pinned():
+    passing = CheckResult("Lemma3", {"budget": 2}, (InstanceResult({"n": 1}, True),))
+    failed = InstanceResult(
+        {"perms": [[2, 1]], "k": 2},
+        False,
+        {"error": "no copy", "objects": {"base": "2\n1 2\n"}},
+    )
+    failing = CheckResult(
+        "Lemma6",
+        {"k_max": 2},
+        (InstanceResult({"perms": [[1, 2]], "k": 2}, True), failed),
+        notes=("first note", "second note"),
+    )
+    report = VerificationReport((passing, failing), budget=4, seed=7)
+    lemma3, lemma6 = (verify.CLAIMS[c][0] for c in ("Lemma3", "Lemma6"))
+    assert json.dumps(report.to_dict(), sort_keys=True) == (
+        '{"budget": 4, "checks": ['
+        '{"claim": "Lemma3", "instances": [{"params": {"n": 1}, "passed": true, "payload": {}}], '
+        '"notes": [], "parameters": {"budget": 2}, "passed": true, "summary": "' + lemma3 + '"}, '
+        '{"claim": "Lemma6", "instances": ['
+        '{"params": {"k": 2, "perms": [[1, 2]]}, "passed": true, "payload": {}}, '
+        '{"params": {"k": 2, "perms": [[2, 1]]}, "passed": false, '
+        '"payload": {"error": "no copy", "objects": {"base": "2\\n1 2\\n"}}}], '
+        '"notes": ["first note", "second note"], "parameters": {"k_max": 2}, '
+        '"passed": false, "summary": "' + lemma6 + '"}], '
+        '"overall_pass": false, "seed": 7}'
+    )
+    assert report.render_text() == (
+        "verification report (budget=4, seed=7)\n"
+        "\n"
+        f"[PASS] Lemma3: {lemma3}\n"
+        "       parameters: budget=2; instances: 1\n"
+        f"[FAIL] Lemma6: {lemma6}\n"
+        "       parameters: k_max=2; instances: 2\n"
+        "       note: first note\n"
+        "       note: second note\n"
+        "       FAILED instance k=2, perms=[[2, 1]]\n"
+        "         error: no copy\n"
+        "\n"
+        "overall: FAIL\n"
+    )
 
 
 def test_claim_registry_is_complete():
