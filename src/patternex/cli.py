@@ -207,8 +207,6 @@ def cmd_verify(args) -> int:
     files = {}
     for check in data["checks"]:
         for idx, inst in enumerate(check["instances"]):
-            if inst["passed"]:
-                continue
             objects = inst["payload"].pop("objects", None)
             if objects:
                 refs = {}

@@ -155,14 +155,8 @@ def cyclic_pad(hypergraph: OrderedHypergraph) -> OrderedHypergraph:
     for coord in base.ones:
         ones.add(tuple(c + axis for axis, c in enumerate(coord)))
     # remaining cyclic entries, shifted around the block
-    for shift in range(1, d):
-        entry = tuple(((j + shift) % d) + 1 for j in range(d))
-        ones.add(
-            tuple(
-                q if q < axis else q + k - 1
-                for axis, q in enumerate(entry, start=1)
-            )
-        )
+    for entry in cyclic_pattern(d).ones - {tuple(range(1, d + 1))}:
+        ones.add(tuple(q if q < axis else q + k - 1 for axis, q in enumerate(entry, start=1)))
     padded_matrix = BinaryMatrix((side,) * d, frozenset(ones))
     padded, _ = associated_hypergraph(padded_matrix)
     if is_d_permutation_hypergraph(padded) != side:

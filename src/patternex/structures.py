@@ -275,7 +275,6 @@ def is_d_permutation_hypergraph(hypergraph: OrderedHypergraph) -> int | None:
     k = hypergraph.n // d
     if len(hypergraph.edges) != k:
         return None
-    parts = PartsSpec.equal(d, k)
     covered: set[int] = set()
     for edge in hypergraph.edges:
         part_indices = [(v - 1) // k for v in edge]
@@ -284,5 +283,4 @@ def is_d_permutation_hypergraph(hypergraph: OrderedHypergraph) -> int | None:
         covered.update(edge)
     if len(covered) != hypergraph.n:
         return None
-    assert is_d_partite(hypergraph, parts)
     return k

@@ -11,7 +11,7 @@ random-density check whose statistics are labeled empirical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, permutations, product
 
 from . import fileio
@@ -129,21 +129,7 @@ class VerificationReport:
             "seed": self.seed,
             "overall_pass": self.passed,
             "checks": [
-                {
-                    "claim": c.claim,
-                    "summary": CLAIMS[c.claim][0],
-                    "parameters": c.parameters,
-                    "passed": c.passed,
-                    "notes": list(c.notes),
-                    "instances": [
-                        {
-                            "params": dict(inst.params),
-                            "passed": inst.passed,
-                            "payload": dict(inst.payload),
-                        }
-                        for inst in c.instances
-                    ],
-                }
+                {**asdict(c), "summary": CLAIMS[c.claim][0], "passed": c.passed}
                 for c in self.checks
             ],
         }
