@@ -41,10 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 from operator import gt, lt
 
-from .errors import ConsistencyError, InputError
+from .errors import CapacityError, ConsistencyError, InputError
 from .structures import (
     BinaryMatrix,
     Edge,
@@ -53,6 +53,14 @@ from .structures import (
     associated_matrix,
     is_d_partite,
 )
+
+# The most bits of placement table that matrix_contains builds for one
+# pattern and host shape, each entry counted as a 64-bit reference to an
+# int of at most one bit per placement.  The count also bounds the
+# placements listed and the tail cells numbered.  The largest shape of
+# the tests, verify up to budget 6 and the benchmark, a 2x1 pattern on a
+# 1000x1000 host, counts about 10**6.
+MAX_PLACEMENT_BITS = 10**8
 
 # ---------------------------------------------------------------------------
 # witness types
@@ -180,6 +188,21 @@ def _placement_table(
 
 
 @lru_cache(maxsize=64)
+def _check_placement_bits(pat_tail: tuple[int, ...], host_tail: tuple[int, ...]) -> None:
+    """Raise :class:`CapacityError` when the table of :func:`_placement_table`
+    would take more than ``MAX_PLACEMENT_BITS``.  The count is arithmetic,
+    so a refusal builds no table; a shape that passes is cached, so it is
+    checked once."""
+    placements = prod(map(comb, host_tail, pat_tail))
+    bits = prod(pat_tail) * prod(host_tail) * (placements + 64)
+    if bits > MAX_PLACEMENT_BITS:
+        raise CapacityError(
+            f"the placement table of tail shape {pat_tail} in {host_tail} takes {bits} "
+            f"bits, over the limit {MAX_PLACEMENT_BITS}"
+        )
+
+
+@lru_cache(maxsize=64)
 def _tail_numbers(tail: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """The number of every tail cell over ``tail``, one entry per tail cell.
 
@@ -297,9 +320,12 @@ def matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> MatrixEmbeddin
 
     Returns the lexicographically least embedding (axis 1 indices first).
     A size mismatch simply yields None, before either form is prepared.
+    Raises :class:`CapacityError`, before any table is built, for shapes
+    past ``MAX_PLACEMENT_BITS``.
     """
     if not _matrix_sizes_fit(host.extents, host.weight, pattern.extents, pattern.weight):
         return None
+    _check_placement_bits(pattern.extents[1:], host.extents[1:])
     found = _matrix_embedding_search(
         _matrix_form(host.extents, host.ones), _matrix_form(pattern.extents, pattern.ones)
     )

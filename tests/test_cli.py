@@ -425,6 +425,17 @@ class TestContains:
         assert run.stderr == f"error: {identity_file}: {reason}\n"
         assert run.stdout == ""
 
+    def test_matrix_past_the_placement_limit_exits_3(self, tmp_path):
+        host = tmp_path / "host.txt"
+        host.write_text("2 1 100000\n1 1\n")
+        pattern = tmp_path / "pattern.txt"
+        pattern.write_text("2 1 1\n1 1\n")
+        run = _run_cli("contains", "matrix", str(host), str(pattern))
+        assert run.returncode == 3
+        assert run.stderr.startswith("capacity error: ")
+        assert "Traceback" not in run.stderr
+        assert run.stdout == ""
+
 
 def _commands(pattern, out):
     return {

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patternex import (
+    CapacityError,
     ConsistencyError,
     InputError,
     MatrixEmbedding,
@@ -624,6 +625,21 @@ class TestEnginesMatchReferences:
             tracemalloc.stop()
         assert emb.axis_indices == ((999, 1000), (7,))
         assert peak < 4 * 2**20
+
+    def test_a_wide_host_past_the_placement_limit_is_refused_before_any_table(self):
+        # a 1x1 pattern has one placement per host column, and the table
+        # entry of column p is p bits wide: for a 1x100000 host the table
+        # alone takes over 500 MiB
+        host = make_matrix([1, 100_000], [(1, 1)])
+        pattern = make_matrix([1, 1], [(1, 1)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="over the limit"):
+                matrix_contains(host, pattern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_every_small_klazar_marcus_pair(self):
         for part_size in (1, 2):
