@@ -188,11 +188,12 @@ def _placement_table(
 
 
 @lru_cache(maxsize=64)
-def _check_placement_bits(pat_tail: tuple[int, ...], host_tail: tuple[int, ...]) -> None:
+def _check_placement_bits(pat_extents: tuple[int, ...], host_extents: tuple[int, ...]) -> None:
     """Raise :class:`CapacityError` when the table of :func:`_placement_table`
     would take more than ``MAX_PLACEMENT_BITS``.  The count is arithmetic,
-    so a refusal builds no table; a shape that passes is cached, so it is
-    checked once."""
+    so a refusal builds no table; a pair of shapes that passes is cached,
+    keyed on the whole extents so that a call slices nothing."""
+    pat_tail, host_tail = pat_extents[1:], host_extents[1:]
     placements = prod(map(comb, host_tail, pat_tail))
     bits = prod(pat_tail) * prod(host_tail) * (placements + 64)
     if bits > MAX_PLACEMENT_BITS:
@@ -325,7 +326,7 @@ def matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> MatrixEmbeddin
     """
     if not _matrix_sizes_fit(host.extents, host.weight, pattern.extents, pattern.weight):
         return None
-    _check_placement_bits(pattern.extents[1:], host.extents[1:])
+    _check_placement_bits(pattern.extents, host.extents)
     found = _matrix_embedding_search(
         _matrix_form(host.extents, host.ones), _matrix_form(pattern.extents, pattern.ones)
     )
