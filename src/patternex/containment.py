@@ -10,18 +10,24 @@ steps: a prepare step builds the form a search reads from a host or a
 pattern, and one search step runs on a host form and a pattern form.
 The matrix engine, shared by ``matrix_contains`` (which the random
 repair calls) and ``klazar_marcus_check``, prepares a matrix by
-numbering each 1-entry's cell on axes 2..d with one lookup in a table
-of the shape of those axes, which holds prod(n_2..n_d) entries whatever
-the number of rows.
-It numbers the placements of the pattern on axes 2..d and searches host
-rows first, keeping the placements that still fit as one int: a positive
-answer stops at its first complete path, and a negative one costs at
-most one big-int operation per step of a greedy row scan for each of the
-prod C(n_i, k_i) placements.  Both per-shape tables, tail-cell numbers
-and placements, are LRU caches of 64 shapes.  The hypergraph
-engine, shared by ``hypergraph_contains`` and ``klazar_marcus_check``,
-backtracks over increasing vertex maps, narrowing each pattern edge's
-candidate host edges (one int) with one AND per mapped vertex.  It
+numbering each 1-entry's cell on axes 2..d: in 2-d by its column, and
+for d >= 3 with one lookup in a table of the shape of those axes, which
+holds prod(n_2..n_d) entries whatever the number of rows.
+Its search is handed a table of the placements of the pattern on axes
+2..d, which the caller fetches once: per query, or per sweep of graphs
+that share one associated shape.  The fetch checks
+``MAX_PLACEMENT_BITS`` before it builds anything, and a refused shape
+prepares no form.  The search runs host rows first, keeping the
+placements that still fit as one int: a positive answer stops at its
+first complete path, and a negative one costs at most one big-int
+operation per step of a greedy row scan for each of the
+prod C(n_i, k_i) placements.  Both per-shape tables, the tail-cell
+numbers of d >= 3 and the placements, are LRU caches of 64 shapes.
+
+The hypergraph engine, shared by ``hypergraph_contains`` and
+``klazar_marcus_check``, backtracks over increasing vertex maps,
+narrowing each pattern edge's candidate host edges (one int) with one
+AND per mapped vertex.  It
 backjumps: each failure blames the pattern vertices whose images it
 depended on (an edge left with no candidate blames that edge's mapped
 vertices, a failed edge assignment every vertex in some edge), and when
@@ -54,12 +60,14 @@ from .structures import (
     is_d_partite,
 )
 
-# The most bits of placement table that matrix_contains builds for one
-# pattern and host shape, each entry counted as a 64-bit reference to an
-# int of at most one bit per placement.  The count also bounds the
-# placements listed and the tail cells numbered.  The largest shape of
-# the tests, verify up to budget 6 and the benchmark, a 2x1 pattern on a
-# 1000x1000 host, counts about 10**6.
+# The most bits of placement table that _placement_table builds for one
+# pattern and host tail shape, each entry counted as a 64-bit reference to
+# an int of at most one bit per placement.  The count also bounds the
+# placements listed and, for d >= 3, the tail cells numbered.  The table
+# is fetched once per matrix_contains or klazar_marcus_check call and once
+# per association_disagreement sweep, so the limit covers all three.  The
+# largest shape of the tests, verify up to budget 6 and the benchmark, a
+# 2x1 pattern on a 1000x1000 host, counts about 10**6.
 MAX_PLACEMENT_BITS = 10**8
 
 # ---------------------------------------------------------------------------
@@ -161,17 +169,31 @@ def represents(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
     return pattern.ones <= host.ones
 
 
+# (table, sels), the placements of one pattern tail shape in one host tail
+# shape (see _placement_table)
+_Placements = tuple[list[list[int]], list[tuple[tuple[int, ...], ...]]]
+
+
 @lru_cache(maxsize=64)
-def _placement_table(
-    pat_tail: tuple[int, ...], host_tail: tuple[int, ...]
-) -> tuple[list[list[int]], list[tuple[tuple[int, ...], ...]]]:
+def _placement_table(pat_tail: tuple[int, ...], host_tail: tuple[int, ...]) -> _Placements:
     """The placements of axes 2..d, numbered in lexicographic order.
 
     Returns ``(table, sels)``.  Tail cells are numbered row-major over the
     tail extents, 0-based.  Bit p of ``table[t][c]`` is set when placement
     p sends pattern tail cell t onto host tail cell c, and ``sels[p]`` is
     placement p as 1-based index lists.
+
+    Raises :class:`CapacityError` when the table would take more than
+    ``MAX_PLACEMENT_BITS``.  The count is arithmetic and comes first, so a
+    refusal builds nothing; a refusal is not cached, a table is.
     """
+    placements = prod(map(comb, host_tail, pat_tail))
+    bits = prod(pat_tail) * prod(host_tail) * (placements + 64)
+    if bits > MAX_PLACEMENT_BITS:
+        raise CapacityError(
+            f"the placement table of tail shape {pat_tail} in {host_tail} takes {bits} "
+            f"bits, over the limit {MAX_PLACEMENT_BITS}"
+        )
     choices = [list(combinations(range(n), k)) for k, n in zip(pat_tail, host_tail)]
     pat_cells = list(product(*(range(k) for k in pat_tail)))
     table = [[0] * prod(host_tail) for _ in pat_cells]
@@ -185,22 +207,6 @@ def _placement_table(
                 c = c * n + sel[x]
             row[c] |= bit
     return table, sels
-
-
-@lru_cache(maxsize=64)
-def _check_placement_bits(pat_extents: tuple[int, ...], host_extents: tuple[int, ...]) -> None:
-    """Raise :class:`CapacityError` when the table of :func:`_placement_table`
-    would take more than ``MAX_PLACEMENT_BITS``.  The count is arithmetic,
-    so a refusal builds no table; a pair of shapes that passes is cached,
-    keyed on the whole extents so that a call slices nothing."""
-    pat_tail, host_tail = pat_extents[1:], host_extents[1:]
-    placements = prod(map(comb, host_tail, pat_tail))
-    bits = prod(pat_tail) * prod(host_tail) * (placements + 64)
-    if bits > MAX_PLACEMENT_BITS:
-        raise CapacityError(
-            f"the placement table of tail shape {pat_tail} in {host_tail} takes {bits} "
-            f"bits, over the limit {MAX_PLACEMENT_BITS}"
-        )
 
 
 @lru_cache(maxsize=64)
@@ -229,14 +235,19 @@ _MatrixForm = tuple[tuple[int, ...], int, list[list[int]]]
 def _matrix_form(extents: tuple[int, ...], ones) -> _MatrixForm:
     """Prepare a host or a pattern for :func:`_matrix_embedding_search`.
 
-    Each 1-entry's cell on axes 2..d is numbered by one lookup in
-    :func:`_tail_numbers`, the cached table of the tail shape, and
-    appended to its row in the order of ``ones``.
+    Each 1-entry's cell on axes 2..d is numbered and appended to its row
+    in the order of ``ones``.  In 2-d the tail is one axis, and cell
+    (r, c) is numbered c - 1; otherwise the number takes one lookup in
+    :func:`_tail_numbers`, the cached table of the tail shape.
     """
-    number = _tail_numbers(extents[1:])
     rows = [[] for _ in range(extents[0])]
-    for cell in ones:
-        rows[cell[0] - 1].append(number[cell[1:]])
+    if len(extents) == 2:
+        for r, c in ones:
+            rows[r - 1].append(c - 1)
+    else:
+        number = _tail_numbers(extents[1:])
+        for cell in ones:
+            rows[cell[0] - 1].append(number[cell[1:]])
     return extents, len(ones), rows
 
 
@@ -254,7 +265,7 @@ def _matrix_sizes_fit(
 
 
 def _matrix_embedding_search(
-    host: _MatrixForm, pattern: _MatrixForm
+    host: _MatrixForm, pattern: _MatrixForm, placements: _Placements
 ) -> tuple[tuple[int, ...], ...] | None:
     """The least embedding, axis 1 first: the least rows, then the least
     placement of axes 2..d among those that fit these rows.
@@ -269,8 +280,11 @@ def _matrix_embedding_search(
     most one big-int operation per step of a greedy row scan for each
     placement, and a positive answer stops at its first complete path.
 
-    The search relies on :func:`_matrix_sizes_fit` and does not repeat
-    it: every caller checks the sizes first.
+    ``placements`` is the :func:`_placement_table` of the pattern's tail
+    shape in the host's, which the caller fetches: once per call, or once
+    per sweep of graphs that share one associated shape.  The search
+    relies on :func:`_matrix_sizes_fit` and does not repeat it: every
+    caller checks the sizes first.
     """
     host_extents, _, host_rows = host
     pat_extents, pat_weight, pat_cells = pattern
@@ -278,7 +292,7 @@ def _matrix_embedding_search(
         return tuple(tuple(range(1, k + 1)) for k in pat_extents)
     k1 = pat_extents[0]
     n1 = host_extents[0]
-    table, sels = _placement_table(pat_extents[1:], host_extents[1:])
+    table, sels = placements
     rows = [0] * k1
     alive = [0] * (k1 + 1)
     alive[0] = (1 << len(sels)) - 1
@@ -321,14 +335,16 @@ def matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> MatrixEmbeddin
 
     Returns the lexicographically least embedding (axis 1 indices first).
     A size mismatch simply yields None, before either form is prepared.
-    Raises :class:`CapacityError`, before any table is built, for shapes
-    past ``MAX_PLACEMENT_BITS``.
+    Raises :class:`CapacityError` for shapes past ``MAX_PLACEMENT_BITS``,
+    before either form is prepared.
     """
     if not _matrix_sizes_fit(host.extents, host.weight, pattern.extents, pattern.weight):
         return None
-    _check_placement_bits(pattern.extents, host.extents)
+    placements = _placement_table(pattern.extents[1:], host.extents[1:])
     found = _matrix_embedding_search(
-        _matrix_form(host.extents, host.ones), _matrix_form(pattern.extents, pattern.ones)
+        _matrix_form(host.extents, host.ones),
+        _matrix_form(pattern.extents, pattern.ones),
+        placements,
     )
     return None if found is None else MatrixEmbedding(found)
 
@@ -578,10 +594,17 @@ def association_disagreement(
 
     Each graph, d-partite d-uniform with d equal parts, is validated,
     associated and prepared once; each pair then runs only the two search
-    steps, read as module globals when the sweep starts."""
+    steps, read as module globals when the sweep starts.  Every graph has
+    the same associated shape, so one placement table serves every pair,
+    and a shape past ``MAX_PLACEMENT_BITS`` raises :class:`CapacityError`
+    before any search."""
     if d < 2 or len({g.n for g in graphs}) > 1:
         raise InputError(f"the equivalence needs d >= 2 parts of one size, got d={d}")
     forms = [_partite_forms(g, d) for g in graphs]
+    if not forms:
+        return None
+    tail = forms[0][0][0][1:]
+    placements = _placement_table(tail, tail)
     sizes = [matrix[:2] for matrix, _, _ in forms]
     hyper_search = _hyper_embedding_search
     matrix_search = _matrix_embedding_search
@@ -594,7 +617,7 @@ def association_disagreement(
             hyper_side = hyper_search(host_hyper, pattern_hyper) is not None
             matrix_side = (
                 _matrix_sizes_fit(host_extents, host_weight, pattern_extents, pattern_weight)
-                and matrix_search(host_matrix, pattern_matrix) is not None
+                and matrix_search(host_matrix, pattern_matrix, placements) is not None
             )
             if hyper_side != matrix_side:
                 return host, pattern, _disagreement(hyper_side, host, pattern)
@@ -613,9 +636,11 @@ def klazar_marcus_check(
     with parts of 3 order-contains pattern ([4],{{1,4}}) with parts of 2
     via f=(1,2,3,4), yet the associated matrices do not contain.)
 
-    Validates, associates and prepares both inputs on every call, like
-    the public deciders; :func:`association_disagreement` sweeps all
-    pairs of a list of graphs and prepares each graph once.
+    Validates, associates and prepares both inputs and fetches their
+    placement table on every call, like the public deciders (a shape past
+    ``MAX_PLACEMENT_BITS`` raises :class:`CapacityError`);
+    :func:`association_disagreement` sweeps all pairs of a list of graphs
+    and prepares each graph once.
 
     Evaluates both routes and raises ConsistencyError if they disagree;
     otherwise returns the shared boolean.
@@ -640,10 +665,12 @@ def klazar_marcus_check(
         raise InputError(f"edge size {inferred} does not match d={d}")
     host_matrix, host_hyper, _ = _partite_forms(host, d)
     pattern_matrix, _, pattern_hyper = _partite_forms(pattern, d)
+    tail = host_matrix[0][1:]
+    placements = _placement_table(tail, tail)
     hyper_side = _hyper_embedding_search(host_hyper, pattern_hyper) is not None
     matrix_side = (
         _matrix_sizes_fit(*host_matrix[:2], *pattern_matrix[:2])
-        and _matrix_embedding_search(host_matrix, pattern_matrix) is not None
+        and _matrix_embedding_search(host_matrix, pattern_matrix, placements) is not None
     )
     if hyper_side != matrix_side:
         raise ConsistencyError(_disagreement(hyper_side, host, pattern))

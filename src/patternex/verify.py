@@ -264,49 +264,56 @@ def check_doubling_upper_bound(budget: int) -> CheckResult:
     )
 
 
-def _blowup_patterns() -> list[BinaryMatrix]:
-    return [corner_pad(permutation_matrix((1, 2))), permutation_matrix((2, 1))]
-
-
 def check_interval_blowup(budget: int) -> CheckResult:
-    """Blow-ups of extremal bipartite avoiders have (t-1)*ex(P,n) edges and avoid."""
+    """Blow-ups of extremal bipartite avoiders have (t-1)*ex(P,n) edges and avoid.
+
+    The patterns are the corner-padded identity and the anti-identity.
+    The padding runs here, one base at a time, so that a defect which
+    makes a construction or a search raise fails that base's instance
+    and not the whole battery, as in :func:`check_padding_chain`.
+    """
     n = 2
     t_values = range(2, max(budget, 3))
     instances = []
-    for pattern in _blowup_patterns():
-        cert = ex_matrix(pattern, n)
-        bipartite, _ = associated_hypergraph(cert.witness)
-        graph_pattern, _ = associated_hypergraph(pattern)
-        base_ok = hypergraph_contains(bipartite, graph_pattern) is None
-        for t in t_values:
-            blown = blowup_graph(bipartite, t)
-            count_ok = blown.edge_count == (t - 1) * cert.value
-            avoid_ok = hypergraph_contains(blown, graph_pattern) is None
-            exact_ok = True
-            exact_value = None
-            if n * t <= 4:
-                exact_value = gex_graph(graph_pattern, n * t).value
-                exact_ok = exact_value >= (t - 1) * cert.value
-            params = {
-                "pattern": _matrix_id(pattern),
-                "n": n,
-                "t": t,
-                "edges": blown.edge_count,
-                "ex": cert.value,
-            }
-            if exact_value is not None:
-                params["gex_exact"] = exact_value
-            instances.append(
-                _instance(
-                    params,
-                    base_ok and count_ok and avoid_ok and exact_ok,
-                    {"pattern": pattern, "bipartite_avoider": bipartite, "blowup": blown},
-                    edges=blown.edge_count,
-                    expected_edges=(t - 1) * cert.value,
-                    base_avoids=base_ok,
-                    blowup_avoids=avoid_ok,
+    for base, pad in ((permutation_matrix((1, 2)), True), (permutation_matrix((2, 1)), False)):
+        try:
+            pattern = corner_pad(base) if pad else base
+            cert = ex_matrix(pattern, n)
+            bipartite, _ = associated_hypergraph(cert.witness)
+            graph_pattern, _ = associated_hypergraph(pattern)
+            base_ok = hypergraph_contains(bipartite, graph_pattern) is None
+            for t in t_values:
+                blown = blowup_graph(bipartite, t)
+                count_ok = blown.edge_count == (t - 1) * cert.value
+                avoid_ok = hypergraph_contains(blown, graph_pattern) is None
+                exact_ok = True
+                exact_value = None
+                if n * t <= 4:
+                    exact_value = gex_graph(graph_pattern, n * t).value
+                    exact_ok = exact_value >= (t - 1) * cert.value
+                params = {
+                    "pattern": _matrix_id(pattern),
+                    "n": n,
+                    "t": t,
+                    "edges": blown.edge_count,
+                    "ex": cert.value,
+                }
+                if exact_value is not None:
+                    params["gex_exact"] = exact_value
+                instances.append(
+                    _instance(
+                        params,
+                        base_ok and count_ok and avoid_ok and exact_ok,
+                        {"pattern": pattern, "bipartite_avoider": bipartite, "blowup": blown},
+                        edges=blown.edge_count,
+                        expected_edges=(t - 1) * cert.value,
+                        base_avoids=base_ok,
+                        blowup_avoids=avoid_ok,
+                    )
                 )
-            )
+        except (InputError, PostconditionError) as exc:
+            params = {"base": _matrix_id(base), "corner_pad": pad, "n": n}
+            instances.append(_instance(params, False, {"base": base}, error=str(exc)))
     return CheckResult("Lemma3", {"n": n, "t_values": list(t_values)}, tuple(instances))
 
 

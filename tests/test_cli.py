@@ -241,6 +241,27 @@ class TestVerify:
         assert payload["artifact_files"] == {"host": "counterexamples/Lemma3_0_host.txt"}
         assert "FAIL" in (out / "report.txt").read_text()
 
+    def test_a_containment_defect_in_corner_pad_fails_lemma3_and_writes_the_report(
+        self, tmp_path, monkeypatch
+    ):
+        # corner_pad re-checks that its output contains its input, so a
+        # matrix engine that finds nothing makes it raise: the padded base
+        # fails its instance, and the battery still writes its report
+        monkeypatch.setattr("patternex.constructions.matrix_contains", lambda *args: None)
+        out = tmp_path / "report"
+        assert main(["verify", "--claims", "Lemma3,Thm7-recurrence", "--out", str(out)]) == 5
+        data = json.loads((out / "report.json").read_text())
+        assert [(c["claim"], c["passed"]) for c in data["checks"]] == [
+            ("Lemma3", False),
+            ("Thm7-recurrence", True),
+        ]
+        failed = [inst for inst in data["checks"][0]["instances"] if not inst["passed"]]
+        assert [inst["params"] for inst in failed] == [
+            {"base": "2x2:(1,1)(2,2)", "corner_pad": True, "n": 2}
+        ]
+        assert "corner_pad" in failed[0]["payload"]["error"]
+        assert "FAIL" in (out / "report.txt").read_text()
+
 
 class TestGenerate:
     def test_cyclic_pad_attestation(self, tmp_path, capsys):

@@ -317,10 +317,19 @@ class TestKlazarMarcus:
         for name in calls:
             monkeypatch.setattr(containment, name, counting(name))
         monkeypatch.setattr(containment, "_hyper_embedding_search", lambda host, pattern: None)
-        monkeypatch.setattr(containment, "_matrix_embedding_search", lambda host, pattern: None)
+        monkeypatch.setattr(
+            containment, "_matrix_embedding_search", lambda host, pattern, placements: None
+        )
+        tails = []
+        table = containment._placement_table
+        monkeypatch.setattr(
+            containment, "_placement_table", lambda *shapes: tails.append(shapes) or table(*shapes)
+        )
         check_association_equivalence(3)
         # 2 + 16 + 512 distinct graphs over 4 + 256 + 262144 pairs
         assert calls == dict.fromkeys(calls, 530)
+        # one placement table per part size, where a per-pair fetch makes 262,404
+        assert tails == [((1,), (1,)), ((2,), (2,)), ((3,), (3,))]
 
     @pytest.mark.parametrize(
         "matrix_defect,hyper_defect",
@@ -342,10 +351,10 @@ class TestKlazarMarcus:
             if defect is not None:
                 engine = getattr(containment, name)
 
-                def search(host, pattern, engine=engine, defect=defect):
+                def search(host, pattern, *placements, engine=engine, defect=defect):
                     if size(host) >= defect[0] and size(pattern) >= defect[1]:
                         return None
-                    return engine(host, pattern)
+                    return engine(host, pattern, *placements)
 
                 monkeypatch.setattr(containment, name, search)
         for part_size in (1, 2):
@@ -413,6 +422,7 @@ def _same_matrix_answer(host_extents, host_ones, pat_extents, pat_ones):
         found = containment._matrix_embedding_search(
             containment._matrix_form(host_extents, host_ones),
             containment._matrix_form(pat_extents, pat_ones),
+            containment._placement_table(pat_extents[1:], host_extents[1:]),
         )
     expected = reference_matrix_embedding(host_extents, host_ones, pat_extents, pat_ones)
     assert found == expected, (host_extents, sorted(host_ones), pat_extents, sorted(pat_ones))
@@ -612,9 +622,9 @@ class TestEnginesMatchReferences:
             assert form == (extents, len(ones), rows), (extents, ones)
 
     def test_a_large_sparse_host_prepares_in_memory_of_its_tail_shape(self):
-        # the numbering table holds one entry per cell of axes 2..d, so the
-        # rows of a 1000x1000 host add nothing to it (a table of all its
-        # cells allocates about 100 MiB)
+        # a 2-d host numbers each cell by its column and builds no tail
+        # table, so its 1000 rows add nothing but their lists (a table of
+        # all its cells allocates about 100 MiB)
         host = make_matrix([1000, 1000], [(1, 1000), (999, 7), (1000, 7)])
         column = make_matrix([2, 1], [(1, 1), (2, 1)])
         tracemalloc.start()
@@ -640,6 +650,29 @@ class TestEnginesMatchReferences:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_the_association_paths_refuse_a_shape_past_the_placement_limit(self):
+        # one edge between two parts of 3000: the associated matrices are
+        # 3000x3000 with equal tails, a table of 3000 * 3000 * 65 bits;
+        # without the limit these calls took about 95 MiB
+        h = make_hypergraph(6000, [(1, 3001)])
+        calls = (
+            lambda: klazar_marcus_check(h, h),
+            lambda: containment.association_disagreement([h, h], 2),
+        )
+        for call in calls:
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError, match="over the limit"):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
+        # parts of 1000 take 1000 * 1000 * 65 bits, under the limit
+        h = make_hypergraph(2000, [(1, 1001)])
+        assert klazar_marcus_check(h, h)
+        assert containment.association_disagreement([h, h], 2) is None
 
     def test_every_small_klazar_marcus_pair(self):
         for part_size in (1, 2):
@@ -675,8 +708,11 @@ class TestEnginesMatchReferences:
             pattern_matrix, _, pattern_hyper = containment._partite_forms(pattern, 2)
             hyper = containment._hyper_embedding_search(host_hyper, pattern_hyper)
             fits = containment._matrix_sizes_fit(*host_matrix[:2], *pattern_matrix[:2])
+            placements = containment._placement_table(host_matrix[0][1:], host_matrix[0][1:])
             matrix = (
-                containment._matrix_embedding_search(host_matrix, pattern_matrix) if fits else None
+                containment._matrix_embedding_search(host_matrix, pattern_matrix, placements)
+                if fits
+                else None
             )
             assert (hyper is not None) == (hypergraph_contains(host, pattern) is not None)
             assert (matrix is not None) == (matrix_contains(host_m, pattern_m) is not None)

@@ -566,7 +566,7 @@ class TestImageRanking:
         assert _solved(image, n) == trivial_bound_max_weight(image, n)
 
     def test_column_takes_its_value_from_the_row(self):
-        # the 3x1 column costs about 25 s at n = 6 as given and milliseconds
+        # the 3x1 column costs about 9 s at n = 6 as given and milliseconds
         # as its transpose; the witness is the first optimal host of the
         # row-major include-first order, rows 1 and 2 full
         assert search._cheapest_image(COLUMN3, 6)[0] == make_matrix([1, 3], [(1, 1), (1, 2), (1, 3)])
@@ -575,6 +575,14 @@ class TestImageRanking:
         assert time.perf_counter() - start < 5
         assert cert.value == 12
         assert cert.witness.ones == frozenset(product((1, 2), range(1, 7)))
+
+    def test_3d_identity_takes_its_value_from_an_image(self):
+        # at n = 4 the f table of the 3-d identity takes about 2 s when
+        # searched as given and about 0.25 s from this image
+        identity = make_matrix([2, 2, 2], [(1, 1, 1), (2, 2, 2)])
+        image, symmetry, _ = search._cheapest_image(identity, 4)
+        assert image == make_matrix([2, 2, 2], [(1, 2, 2), (2, 1, 1)])
+        assert symmetry == ((0, 1, 2), 1)
 
     def test_rows_below_the_gate_take_the_pattern_itself(self):
         # C(4, 2) C(4, 3) = 24 and C(5, 3) C(5, 1) = 50 copies

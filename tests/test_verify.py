@@ -194,8 +194,8 @@ def _defect_above_one(engine, pattern_size):
     # the engine misses every copy of a pattern with two or more 1-entries
     # or edges (counted on its prepared pattern form), and is unchanged
     # otherwise
-    def defective(host, pattern):
-        return None if pattern_size(pattern) >= 2 else engine(host, pattern)
+    def defective(host, pattern, *placements):
+        return None if pattern_size(pattern) >= 2 else engine(host, pattern, *placements)
 
     return defective
 
@@ -407,6 +407,12 @@ PLANTED_FAILURES = {
                 ("bipartite_avoider", "blowup", "pattern"),
             )
         },
+    ),
+    "Lemma3-error": (
+        (constructions, "matrix_contains"),
+        lambda *args: None,
+        lambda: check_interval_blowup(4),
+        {(("error",), ("base",))},
     ),
     # from n = 5 an avoider also beats the bound
     "Lemma5": (
