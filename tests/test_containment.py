@@ -654,7 +654,7 @@ class TestEnginesMatchReferences:
     def test_the_association_paths_refuse_a_shape_past_the_placement_limit(self):
         # one edge between two parts of 3000: the associated matrices are
         # 3000x3000 with equal tails, a table of 3000 * 3000 * 65 bits;
-        # without the limit these calls took about 95 MiB
+        # without the limit each call peaked at about 71 MiB traced
         h = make_hypergraph(6000, [(1, 3001)])
         calls = (
             lambda: klazar_marcus_check(h, h),
