@@ -78,7 +78,7 @@ CONSTRUCTIONS = {
 }
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
@@ -89,7 +89,7 @@ def _parse_n_range(text: str) -> list[int]:
         raise InputError(f"cannot parse range {text!r}, expected A..B or a single integer") from exc
     if lo < 1 or hi < lo:
         raise InputError(f"invalid range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _check_out(args) -> None:

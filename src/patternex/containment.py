@@ -10,9 +10,8 @@ steps: a prepare step builds the form a search reads from a host or a
 pattern, and one search step runs on a host form and a pattern form.
 The matrix engine, shared by ``matrix_contains`` (which the random
 repair calls) and ``klazar_marcus_check``, prepares a matrix by
-numbering each 1-entry's cell on axes 2..d: in 2-d by its column, and
-for d >= 3 with one lookup in a table of the shape of those axes, which
-holds prod(n_2..n_d) entries whatever the number of rows.
+numbering each 1-entry's cell on axes 2..d, row-major from 0: in 2-d by
+its column, and for d >= 3 by arithmetic over the extents of those axes.
 Its search is handed a table of the placements of the pattern on axes
 2..d, which the caller fetches once: per query, or per sweep of graphs
 that share one associated shape.  The fetch checks
@@ -21,8 +20,8 @@ prepares no form.  The search runs host rows first, keeping the
 placements that still fit as one int: a positive answer stops at its
 first complete path, and a negative one costs at most one big-int
 operation per step of a greedy row scan for each of the
-prod C(n_i, k_i) placements.  Both per-shape tables, the tail-cell
-numbers of d >= 3 and the placements, are LRU caches of 64 shapes.
+prod C(n_i, k_i) placements.  The placement table, an LRU cache of 64
+shapes, is the engine's only per-shape state.
 
 The hypergraph engine, shared by ``hypergraph_contains`` and
 ``klazar_marcus_check``, backtracks over increasing vertex maps,
@@ -63,11 +62,11 @@ from .structures import (
 # The most bits of placement table that _placement_table builds for one
 # pattern and host tail shape, each entry counted as a 64-bit reference to
 # an int of at most one bit per placement.  The count also bounds the
-# placements listed and, for d >= 3, the tail cells numbered.  The table
-# is fetched once per matrix_contains or klazar_marcus_check call and once
-# per association_disagreement sweep, so the limit covers all three.  The
-# largest shape of the tests, verify up to budget 6 and the benchmark, a
-# 2x1 pattern on a 1000x1000 host, counts about 10**6.
+# placements listed.  The table is fetched once per matrix_contains or
+# klazar_marcus_check call and once per association_disagreement sweep, so
+# the limit covers all three.  The largest shape of the tests, verify up
+# to budget 6 and the benchmark, a 2x1 pattern on a 1000x1000 host,
+# counts about 10**6.
 MAX_PLACEMENT_BITS = 10**8
 
 # ---------------------------------------------------------------------------
@@ -209,19 +208,6 @@ def _placement_table(pat_tail: tuple[int, ...], host_tail: tuple[int, ...]) -> _
     return table, sels
 
 
-@lru_cache(maxsize=64)
-def _tail_numbers(tail: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """The number of every tail cell over ``tail``, one entry per tail cell.
-
-    Maps each 1-based cell of axes 2..d to its 0-based row-major number
-    over the tail extents ``tail``, the numbering of
-    :func:`_placement_table`'s columns.  Its size is that of one table
-    row, prod(tail), and it does not grow with the number of rows.
-    """
-    cells = product(*(range(1, n + 1) for n in tail))
-    return {cell: c for c, cell in enumerate(cells)}
-
-
 # A prepared form is a plain tuple of the lists its prepare step built: a
 # public call prepares two forms, and named tuples with tuple copies of
 # the lists added a few microseconds to each call, a visible share of the
@@ -236,18 +222,21 @@ def _matrix_form(extents: tuple[int, ...], ones) -> _MatrixForm:
     """Prepare a host or a pattern for :func:`_matrix_embedding_search`.
 
     Each 1-entry's cell on axes 2..d is numbered and appended to its row
-    in the order of ``ones``.  In 2-d the tail is one axis, and cell
-    (r, c) is numbered c - 1; otherwise the number takes one lookup in
-    :func:`_tail_numbers`, the cached table of the tail shape.
+    in the order of ``ones``, row-major over ``extents[1:]`` from 0 as
+    :func:`_placement_table` numbers its columns.  In 2-d the tail is one
+    axis, and cell (r, c) is numbered c - 1.
     """
     rows = [[] for _ in range(extents[0])]
     if len(extents) == 2:
         for r, c in ones:
             rows[r - 1].append(c - 1)
     else:
-        number = _tail_numbers(extents[1:])
+        tail = extents[1:]
         for cell in ones:
-            rows[cell[0] - 1].append(number[cell[1:]])
+            c = 0
+            for x, n in zip(cell[1:], tail):
+                c = c * n + x - 1
+            rows[cell[0] - 1].append(c)
     return extents, len(ones), rows
 
 
@@ -283,13 +272,13 @@ def _matrix_embedding_search(
     ``placements`` is the :func:`_placement_table` of the pattern's tail
     shape in the host's, which the caller fetches: once per call, or once
     per sweep of graphs that share one associated shape.  The search
-    relies on :func:`_matrix_sizes_fit` and does not repeat it: every
-    caller checks the sizes first.
+    does not check the sizes: :func:`matrix_contains` checks
+    :func:`_matrix_sizes_fit`, and the association paths, whose shapes
+    validation makes equal, the weights.  A pattern of weight 0 tests no
+    cell, so rows 1..k1 and the first placement fit.
     """
     host_extents, _, host_rows = host
-    pat_extents, pat_weight, pat_cells = pattern
-    if not pat_weight:
-        return tuple(tuple(range(1, k + 1)) for k in pat_extents)
+    pat_extents, _, pat_cells = pattern
     k1 = pat_extents[0]
     n1 = host_extents[0]
     table, sels = placements
@@ -539,6 +528,7 @@ def hypergraph_contains(
     with more vertices or edges than the host yields None before either
     form is prepared.
     """
+    # _hyper_embedding_search repeats this check, but only after both forms are prepared
     if pattern.n > host.n or len(pattern.edges) > len(host.edges):
         return None
     pat_edges = pattern.sorted_edges()
@@ -595,9 +585,9 @@ def association_disagreement(
     Each graph, d-partite d-uniform with d equal parts, is validated,
     associated and prepared once; each pair then runs only the two search
     steps, read as module globals when the sweep starts.  Every graph has
-    the same associated shape, so one placement table serves every pair,
-    and a shape past ``MAX_PLACEMENT_BITS`` raises :class:`CapacityError`
-    before any search."""
+    the same associated shape, so one placement table serves every pair
+    and only the weights are compared before the matrix search; a shape
+    past ``MAX_PLACEMENT_BITS`` raises :class:`CapacityError` first."""
     if d < 2 or len({g.n for g in graphs}) > 1:
         raise InputError(f"the equivalence needs d >= 2 parts of one size, got d={d}")
     forms = [_partite_forms(g, d) for g in graphs]
@@ -605,18 +595,13 @@ def association_disagreement(
         return None
     tail = forms[0][0][0][1:]
     placements = _placement_table(tail, tail)
-    sizes = [matrix[:2] for matrix, _, _ in forms]
     hyper_search = _hyper_embedding_search
     matrix_search = _matrix_embedding_search
-    for host, (host_matrix, host_hyper, _), (host_extents, host_weight) in zip(
-        graphs, forms, sizes
-    ):
-        for pattern, (pattern_matrix, _, pattern_hyper), (pattern_extents, pattern_weight) in zip(
-            graphs, forms, sizes
-        ):
+    for host, (host_matrix, host_hyper, _) in zip(graphs, forms):
+        for pattern, (pattern_matrix, _, pattern_hyper) in zip(graphs, forms):
             hyper_side = hyper_search(host_hyper, pattern_hyper) is not None
             matrix_side = (
-                _matrix_sizes_fit(host_extents, host_weight, pattern_extents, pattern_weight)
+                pattern_matrix[1] <= host_matrix[1]
                 and matrix_search(host_matrix, pattern_matrix, placements) is not None
             )
             if hyper_side != matrix_side:
@@ -669,7 +654,7 @@ def klazar_marcus_check(
     placements = _placement_table(tail, tail)
     hyper_side = _hyper_embedding_search(host_hyper, pattern_hyper) is not None
     matrix_side = (
-        _matrix_sizes_fit(*host_matrix[:2], *pattern_matrix[:2])
+        pattern_matrix[1] <= host_matrix[1]
         and _matrix_embedding_search(host_matrix, pattern_matrix, placements) is not None
     )
     if hyper_side != matrix_side:

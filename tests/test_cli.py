@@ -622,6 +622,16 @@ class TestFailedCommandWritesNothing:
                      "--n", n, "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_a_huge_range_stops_at_its_first_row_past_the_limit(self, tmp_path, identity_file):
+        # the rows are drawn from the range one at a time: a list of all
+        # 10**12 of them raised MemoryError before row 9 was refused
+        out = tmp_path / "out"
+        run = _run_cli("compute", "--kind", "ex", "--pattern", str(identity_file),
+                       "--n", "1..1000000000000", "--out", str(out))
+        assert run.returncode == 3
+        assert run.stderr == "capacity error: 9x9 exceeds the cell limit 64\n"
+        assert not out.exists()
+
     def test_failed_certificate_exits_4(self, tmp_path, identity_file, monkeypatch):
         monkeypatch.setattr("patternex.search.matrix_contains", lambda host, pattern: (host, pattern))
         out = tmp_path / "out"
