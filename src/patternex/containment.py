@@ -8,6 +8,9 @@ return identical embeddings.
 Both engines keep candidate sets as bitmask ints, and both come in two
 steps: a prepare step builds the form a search reads from a host or a
 pattern, and one search step runs on a host form and a pattern form.
+Each search skips, before any bit operation, a host row with fewer
+1-entries than the pattern row or a host vertex in fewer edges than the
+pattern vertex (the degree test of Ullmann 1976), as neither can fit.
 The matrix engine, shared by ``matrix_contains`` (which the random
 repair calls) and ``klazar_marcus_check``, prepares a matrix by
 numbering each 1-entry's cell on axes 2..d, row-major from 0: in 2-d by
@@ -141,8 +144,9 @@ def verify_hypergraph_embedding(
         return False
     if f and not (1 <= f[0] and f[-1] <= host.n):
         return False
+    # one entry per pattern edge: as_dict keeps only the last image of a repeated edge
     mapping = embedding.as_dict()
-    if set(mapping) != pattern.edges:
+    if len(embedding.edge_map) != len(pattern.edges) or set(mapping) != pattern.edges:
         return False
     images = list(mapping.values())
     if len(set(images)) != len(images):
@@ -269,6 +273,11 @@ def _matrix_embedding_search(
     most one big-int operation per step of a greedy row scan for each
     placement, and a positive answer stops at its first complete path.
 
+    A host row with fewer 1-entries than pattern row j is skipped before
+    any AND: a placement is injective on tail cells, so it sends row j's
+    cells onto that many distinct cells, each of which must hold a
+    1-entry of the host row.
+
     ``placements`` is the :func:`_placement_table` of the pattern's tail
     shape in the host's, which the caller fetches: once per call, or once
     per sweep of graphs that share one associated shape.  The search
@@ -290,19 +299,23 @@ def _matrix_embedding_search(
     while True:
         live = alive[j]
         last = n1 - k1 + j
+        cells = pat_cells[j]
+        need = len(cells)
         fits = 0
         while live and r <= last:
-            fits = live
-            for t in pat_cells[j]:
-                to_host = table[t]
-                cover = 0
-                for c in host_rows[r]:
-                    cover |= to_host[c]
-                fits &= cover
-                if not fits:
+            row = host_rows[r]
+            if len(row) >= need:
+                fits = live
+                for t in cells:
+                    to_host = table[t]
+                    cover = 0
+                    for c in row:
+                        cover |= to_host[c]
+                    fits &= cover
+                    if not fits:
+                        break
+                if fits:
                     break
-            if fits:
-                break
             r += 1
         if fits:
             r += 1
@@ -407,6 +420,12 @@ def _hyper_embedding_search(
     as soon as an edge has no candidate left.  The edge assignment
     backtracks over the candidates' set bits in index order.
 
+    Before any AND, host vertex w is skipped for u when it is in fewer
+    host edges (``fit[w - 1][0]``) than u is in pattern edges: the edge
+    assignment is injective, so the edges holding u need that many
+    distinct host edges, each holding w.  A vertex in no edge needs none
+    (and an edgeless host has empty ``fit`` rows).
+
     Backtracking backjumps (conflict-directed, Prosser 1993).  Each
     failure blames the pattern vertices whose images it depended on: an
     edge left with no candidate at u blames that edge's vertices under u,
@@ -421,7 +440,8 @@ def _hyper_embedding_search(
     so the answer and the least embedding are those of the full search.
     The rule covers the static skips it replaced: a vertex in no edge is
     never blamed, and a vertex whose edges all end at it is blamed only by
-    failed edge assignments.
+    failed edge assignments.  A count failure blames no vertex: it depends
+    on u and w alone, so no other image of an earlier vertex lifts it.
     """
     host_n, host_m, fit, at_least = host
     pat_n, sizes, touches, in_edges = pattern
@@ -448,15 +468,17 @@ def _hyper_embedding_search(
         else:
             current = levels[u]
             touch = touches[u]
+            need = len(touch)
             last = host_n - pat_n + u
             while w <= last:
                 row = fit[w]
-                for i, r, below in touch:
-                    if not current[i] & row[r]:
-                        conflict |= below
+                if not need or row[0].bit_count() >= need:
+                    for i, r, below in touch:
+                        if not current[i] & row[r]:
+                            conflict |= below
+                            break
+                    else:
                         break
-                else:
-                    break
                 w += 1
             if w <= last:
                 narrowed = current[:]

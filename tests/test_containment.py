@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from patternex import (
     CapacityError,
     ConsistencyError,
+    HypergraphEmbedding,
     InputError,
     MatrixEmbedding,
     OrderedHypergraph,
@@ -126,6 +127,14 @@ class TestMatrixContains:
         assert emb.axis_indices == ((1, 2), (1, 2), (1, 2))
         assert matrix_contains(make_matrix([2, 2], []), make_matrix([3, 2], [])) is None
 
+    def test_a_host_row_with_exactly_the_needed_ones_is_tried(self):
+        # host row 2 holds two 1-entries, as many as the pattern row needs;
+        # rows 1 and 3 hold one each and are skipped by count
+        host = make_matrix([3, 3], [(1, 1), (2, 1), (2, 3)])
+        emb = matrix_contains(host, make_matrix([1, 2], [(1, 1), (1, 2)]))
+        assert emb.axis_indices == ((2,), (1, 3))
+        assert _same_matrix_answer((3, 3), host.ones, (1, 2), {(1, 1), (1, 2)})
+
     @settings(max_examples=120, deadline=None)
     @given(matrices(max_d=2), matrices(max_d=2))
     def test_matches_brute_force(self, host, pattern):
@@ -193,6 +202,53 @@ class TestHypergraphContains:
         pattern = make_hypergraph(3, [(1, 2)])
         assert hypergraph_contains(make_hypergraph(2, [(1, 2)]), pattern) is None
         assert hypergraph_contains(make_hypergraph(3, [(1, 2)]), pattern) is not None
+
+    @pytest.mark.parametrize(
+        "edge_map",
+        [(((1, 2), (1, 3)), ((1, 2), (1, 2))), (((1, 2), (1, 2)), ((1, 2), (1, 3)))],
+        ids=["fitting-image-last", "fitting-image-first"],
+    )
+    def test_witness_check_refuses_a_pattern_edge_listed_twice(self, edge_map):
+        host = make_hypergraph(3, [(1, 2), (1, 3), (2, 3)])
+        pattern = make_hypergraph(2, [(1, 2)])
+        assert verify_hypergraph_embedding(
+            host, pattern, HypergraphEmbedding((1, 2), (((1, 2), (1, 2)),))
+        )
+        assert not verify_hypergraph_embedding(host, pattern, HypergraphEmbedding((1, 2), edge_map))
+
+    @pytest.mark.parametrize(
+        "host_n,host_edges,pattern_edges,vertex_map,edge_map",
+        [
+            # host vertex 2 is in exactly the three edges the claw's centre needs
+            (
+                5,
+                [(1, 3), (2, 3), (2, 4), (2, 5)],
+                [(1, 2), (1, 3), (1, 4)],
+                (2, 3, 4, 5),
+                {(1, 2): (2, 3), (1, 3): (2, 4), (1, 4): (2, 5)},
+            ),
+            # host vertex 4 ends exactly three edges, each of size 3 and a
+            # superset of a claw edge, and has no vertex above it
+            (
+                4,
+                [(1, 2, 4), (1, 3, 4), (2, 3, 4)],
+                [(1, 4), (2, 4), (3, 4)],
+                (1, 2, 3, 4),
+                {(1, 4): (1, 2, 4), (2, 4): (2, 3, 4), (3, 4): (1, 3, 4)},
+            ),
+        ],
+        ids=["claw-centre-first", "claw-centre-last-in-superset-edges"],
+    )
+    def test_a_host_vertex_in_exactly_the_needed_edges_is_tried(
+        self, host_n, host_edges, pattern_edges, vertex_map, edge_map
+    ):
+        host = make_hypergraph(host_n, host_edges)
+        pattern = make_hypergraph(4, pattern_edges)
+        found = hypergraph_contains(host, pattern)
+        assert found.vertex_map == vertex_map
+        assert found.as_dict() == edge_map
+        assert verify_hypergraph_embedding(host, pattern, found)
+        assert _same_hyper_answer(host_n, host_edges, 4, pattern_edges)
 
     @settings(max_examples=120, deadline=None)
     @given(hypergraphs(), hypergraphs())
@@ -441,6 +497,27 @@ def _same_hyper_answer(host_n, host_edges, pat_n, pat_edges):
     return found is not None
 
 
+def _path_row_reads(pat_n, pat_edges):
+    """The host rows the hypergraph search reads to refuse a pattern in
+    the 40-vertex path."""
+
+    class CountingRows(list):
+        reads = 0
+
+        def __getitem__(self, index):
+            CountingRows.reads += 1
+            return super().__getitem__(index)
+
+    path = [(v, v + 1) for v in range(1, 40)]
+    host_n, host_m, fit, at_least = containment._hyper_host_form(40, path)
+    found = containment._hyper_embedding_search(
+        (host_n, host_m, CountingRows(fit), at_least),
+        containment._hyper_pattern_form(pat_n, pat_edges),
+    )
+    assert found is None
+    return CountingRows.reads
+
+
 class TestEnginesMatchReferences:
     """Least embeddings equal those of the slice scan and the list-based
     backtracking (``tests/oracles.py``), on seeded random instances."""
@@ -559,21 +636,18 @@ class TestEnginesMatchReferences:
         # triangle {5, 6, 7} fails wherever 1..4 map, its failures blame only
         # 5 and 6, and so the later images of 1..4 are never tried.  A search
         # that re-tries them reads host rows about 140,000 times.
-        class CountingRows(list):
-            reads = 0
+        assert _path_row_reads(7, [(1, 2), (3, 4), (5, 6), (5, 7), (6, 7)]) == 667
 
-            def __getitem__(self, index):
-                CountingRows.reads += 1
-                return super().__getitem__(index)
-
-        path = [(v, v + 1) for v in range(1, 40)]
-        host_n, host_m, fit, at_least = containment._hyper_host_form(40, path)
-        pattern = containment._hyper_pattern_form(7, [(1, 2), (3, 4), (5, 6), (5, 7), (6, 7)])
-        found = containment._hyper_embedding_search(
-            (host_n, host_m, CountingRows(fit), at_least), pattern
-        )
-        assert found is None
-        assert CountingRows.reads < 1000
+    @pytest.mark.parametrize(
+        "pattern_edges,reads",
+        [([(1, 2), (1, 3), (1, 4)], 37), ([(1, 4), (2, 4), (3, 4)], 40)],
+        ids=["centre-first", "centre-last"],
+    )
+    def test_host_vertices_in_too_few_edges_are_skipped_by_count(self, pattern_edges, reads):
+        # no vertex of the path is in the claw centre's three edges; a
+        # search that tests each such vertex edge by edge reads host rows
+        # 777 (centre first) and 814 (centre last) times
+        assert _path_row_reads(4, pattern_edges) == reads
 
     def test_host_form_matches_its_definition(self):
         rng = random.Random("host-form/definition")
