@@ -8,28 +8,32 @@ return identical embeddings.
 Both engines keep candidate sets as bitmask ints, and both come in two
 steps: a prepare step builds the form a search reads from a host or a
 pattern, and one search step runs on a host form and a pattern form.
-Each search skips, before any bit operation, a host row with fewer
-1-entries than the pattern row or a host vertex in fewer edges than the
-pattern vertex (the degree test of Ullmann 1976), as neither can fit.
+Each search makes its own size test on the two forms it is handed,
+before it reads any row, and the public deciders keep only the pre-test
+that answers before anything is built.  Each search skips, before any
+bit operation, a host row with fewer 1-entries than the pattern row or
+a host vertex in fewer edges than the pattern vertex (the degree test
+of Ullmann 1976), as neither can fit.
 The matrix engine, shared by ``matrix_contains`` (which the random
 repair calls) and ``klazar_marcus_check``, prepares a matrix by
 numbering each 1-entry's cell on axes 2..d, row-major from 0: in 2-d by
 its column, and for d >= 3 by arithmetic over the extents of those axes.
 Its search is handed a table of the placements of the pattern on axes
 2..d, which the caller fetches once: per query, or per sweep of graphs
-that share one associated shape.  The fetch checks
-``MAX_PLACEMENT_BITS`` before it builds anything, and a refused shape
-prepares no form.  The search runs host rows first, keeping the
-placements that still fit as one int: a positive answer stops at its
-first complete path, and a negative one costs at most one big-int
-operation per step of a greedy row scan for each of the
-prod C(n_i, k_i) placements.  The placement table, an LRU cache of 64
-shapes, is the engine's only per-shape state.
+that share one associated shape.  The fetch checks ``MAX_TABLE_BITS``
+before it builds anything, and a refused shape prepares no form.  The
+search runs host rows first, keeping the placements that still fit as
+one int: a positive answer stops at its first complete path, and a
+negative one costs at most one big-int operation per step of a greedy
+row scan for each of the prod C(n_i, k_i) placements.  The placement
+table, an LRU cache of 64 shapes, is the engine's only per-shape state.
 
 The hypergraph engine, shared by ``hypergraph_contains`` and
 ``klazar_marcus_check``, backtracks over increasing vertex maps,
-narrowing each pattern edge's candidate host edges (one int) with one
-AND per mapped vertex.  It
+narrowing each pattern edge's candidate host edges (one int, all host
+edges at first) with one AND per mapped vertex.  Its host form, one
+table of n rows of ints, is checked against ``MAX_TABLE_BITS`` before
+it is built.  It
 backjumps: each failure blames the pattern vertices whose images it
 depended on (an edge left with no candidate blames that edge's mapped
 vertices, a failed edge assignment every vertex in some edge), and when
@@ -62,15 +66,18 @@ from .structures import (
     is_d_partite,
 )
 
-# The most bits of placement table that _placement_table builds for one
-# pattern and host tail shape, each entry counted as a 64-bit reference to
-# an int of at most one bit per placement.  The count also bounds the
-# placements listed.  The table is fetched once per matrix_contains or
-# klazar_marcus_check call and once per association_disagreement sweep, so
-# the limit covers all three.  The largest shape of the tests, verify up
-# to budget 6 and the benchmark, a 2x1 pattern on a 1000x1000 host,
-# counts about 10**6.
-MAX_PLACEMENT_BITS = 10**8
+# The most bits of table that one containment engine builds for one query
+# or sweep, each entry counted as a 64-bit reference to an int of its
+# width: the placement table of a pattern and host tail shape (an int of
+# one bit per placement per entry, see _placement_table) and the
+# hypergraph host form (an int of one bit per host edge per entry, see
+# _hyper_host_form).  The placement table is fetched once per
+# matrix_contains or klazar_marcus_check call and once per
+# association_disagreement sweep, the host form built once per
+# hypergraph_contains or klazar_marcus_check call and once per graph of a
+# sweep.  The largest shape of the tests, verify up to budget 6 and the
+# benchmark, a 2x1 pattern on a 1000x1000 host, counts about 10**6.
+MAX_TABLE_BITS = 10**8
 
 # ---------------------------------------------------------------------------
 # witness types
@@ -187,15 +194,15 @@ def _placement_table(pat_tail: tuple[int, ...], host_tail: tuple[int, ...]) -> _
     placement p as 1-based index lists.
 
     Raises :class:`CapacityError` when the table would take more than
-    ``MAX_PLACEMENT_BITS``.  The count is arithmetic and comes first, so a
+    ``MAX_TABLE_BITS``.  The count is arithmetic and comes first, so a
     refusal builds nothing; a refusal is not cached, a table is.
     """
     placements = prod(map(comb, host_tail, pat_tail))
     bits = prod(pat_tail) * prod(host_tail) * (placements + 64)
-    if bits > MAX_PLACEMENT_BITS:
+    if bits > MAX_TABLE_BITS:
         raise CapacityError(
             f"the placement table of tail shape {pat_tail} in {host_tail} takes {bits} "
-            f"bits, over the limit {MAX_PLACEMENT_BITS}"
+            f"bits, over the limit {MAX_TABLE_BITS}"
         )
     choices = [list(combinations(range(n), k)) for k, n in zip(pat_tail, host_tail)]
     pat_cells = list(product(*(range(k) for k in pat_tail)))
@@ -244,19 +251,6 @@ def _matrix_form(extents: tuple[int, ...], ones) -> _MatrixForm:
     return extents, len(ones), rows
 
 
-def _matrix_sizes_fit(
-    host_extents: tuple[int, ...], host_weight: int, pat_extents: tuple[int, ...], pat_weight: int
-) -> bool:
-    """Whether the sizes leave room for an embedding: no more 1-entries
-    than the host (the cheapest test, so it goes first), equal dimensions
-    and no pattern extent above the host's."""
-    return (
-        pat_weight <= host_weight
-        and len(pat_extents) == len(host_extents)
-        and not any(map(gt, pat_extents, host_extents))
-    )
-
-
 def _matrix_embedding_search(
     host: _MatrixForm, pattern: _MatrixForm, placements: _Placements
 ) -> tuple[tuple[int, ...], ...] | None:
@@ -280,14 +274,22 @@ def _matrix_embedding_search(
 
     ``placements`` is the :func:`_placement_table` of the pattern's tail
     shape in the host's, which the caller fetches: once per call, or once
-    per sweep of graphs that share one associated shape.  The search
-    does not check the sizes: :func:`matrix_contains` checks
-    :func:`_matrix_sizes_fit`, and the association paths, whose shapes
-    validation makes equal, the weights.  A pattern of weight 0 tests no
-    cell, so rows 1..k1 and the first placement fit.
+    per sweep of graphs that share one associated shape.  So the shapes
+    are the caller's to test: a placement table exists only for a pattern
+    of the host's dimension with no extent above the host's
+    (:func:`matrix_contains` tests both before the fetch, and validation
+    makes the association paths' shapes equal).  The search tests the
+    weights itself.  A pattern of weight 0 tests no cell, so rows 1..k1
+    and the first placement fit.
     """
-    host_extents, _, host_rows = host
-    pat_extents, _, pat_cells = pattern
+    host_extents, host_weight, host_rows = host
+    pat_extents, pat_weight, pat_cells = pattern
+    # no answer depends on this test, as a heavier pattern also fails in
+    # the row scan; it spares the association sweep that scan on the pairs
+    # whose weights refuse them, about a tenth of the sweep's time
+    # (test_a_heavier_pattern_reads_no_host_row pins it)
+    if pat_weight > host_weight:
+        return None
     k1 = pat_extents[0]
     n1 = host_extents[0]
     table, sels = placements
@@ -336,11 +338,16 @@ def matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> MatrixEmbeddin
     """Find a submatrix of the host representing the pattern, or None.
 
     Returns the lexicographically least embedding (axis 1 indices first).
-    A size mismatch simply yields None, before either form is prepared.
-    Raises :class:`CapacityError` for shapes past ``MAX_PLACEMENT_BITS``,
-    before either form is prepared.
+    A pattern with more 1-entries than the host, another dimension or an
+    extent above the host's yields None before anything is built.  Only
+    then does a shape past ``MAX_TABLE_BITS`` raise
+    :class:`CapacityError`, before either form is prepared.
     """
-    if not _matrix_sizes_fit(host.extents, host.weight, pattern.extents, pattern.weight):
+    if (
+        pattern.weight > host.weight
+        or len(pattern.extents) != len(host.extents)
+        or any(map(gt, pattern.extents, host.extents))
+    ):
         return None
     placements = _placement_table(pattern.extents[1:], host.extents[1:])
     found = _matrix_embedding_search(
@@ -355,29 +362,39 @@ def matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> MatrixEmbeddin
 # hypergraph containment
 
 
-# (n, edge count, fit, at_least), edges numbered in lexicographic order:
-# bit i of fit[w - 1][r] is set when edge i holds vertex w and at least r
-# vertices above it, and bit i of at_least[s] when edge i has at least s
-# vertices (s >= 1).
-_HyperHost = tuple[int, int, list[list[int]], list[int]]
-# (n, sizes, touches, in_edges), edges numbered in lexicographic order and
-# vertex u as bit u - 1 of a vertex mask: sizes[i] is the size of edge i,
-# touches[u - 1] lists (i, r, below) for each edge i holding u, where r
-# counts the vertices of edge i above u and below is the mask of those
-# under u, and in_edges is the mask of the vertices in some edge.
-_HyperPattern = tuple[int, list[int], list[list[tuple[int, int, int]]], int]
+# (n, edge count, width, fit), edges numbered in lexicographic order:
+# width is the largest edge size, and bit i of fit[w - 1][r] is set when
+# edge i holds vertex w and at least r vertices above it (r < width).
+_HyperHost = tuple[int, int, int, list[list[int]]]
+# (n, edge count, largest, touches, in_edges), edges numbered in
+# lexicographic order and vertex u as bit u - 1 of a vertex mask: largest
+# is the largest edge size, touches[u - 1] lists (i, r, below) for each
+# edge i holding u, where r counts the vertices of edge i above u and
+# below is the mask of those under u, and in_edges is the mask of the
+# vertices in some edge.
+_HyperPattern = tuple[int, int, int, list[list[tuple[int, int, int]]], int]
 
 
 def _hyper_host_form(n: int, edges: list[Edge]) -> _HyperHost:
     """Prepare a host with lexicographically sorted edges for
-    :func:`_hyper_embedding_search`."""
+    :func:`_hyper_embedding_search`.
+
+    Raises :class:`CapacityError` when ``fit``, n rows of width ints of
+    one bit per edge, would take more than ``MAX_TABLE_BITS``, each int
+    counted with a 64-bit reference.  The count is arithmetic and comes
+    first, so a refusal builds nothing.
+    """
     width = max(map(len, edges), default=0)
+    bits = n * width * (len(edges) + 64)
+    if bits > MAX_TABLE_BITS:
+        raise CapacityError(
+            f"the host form of n={n}, m={len(edges)} and edges of up to {width} vertices "
+            f"takes {bits} bits, over the limit {MAX_TABLE_BITS}"
+        )
     fit = [[0] * width for _ in range(n)]
-    at_least = [0] * (width + 1)
     for idx, edge in enumerate(edges):
         bit = 1 << idx
         above = len(edge)
-        at_least[above] |= bit
         for w in edge:
             above -= 1
             fit[w - 1][above] |= bit
@@ -385,9 +402,7 @@ def _hyper_host_form(n: int, edges: list[Edge]) -> _HyperHost:
     for row in fit:
         for r in down:
             row[r - 1] |= row[r]
-    for size in down:
-        at_least[size] |= at_least[size + 1]
-    return n, len(edges), fit, at_least
+    return n, len(edges), width, fit
 
 
 def _hyper_pattern_form(n: int, edges: list[Edge]) -> _HyperPattern:
@@ -403,7 +418,7 @@ def _hyper_pattern_form(n: int, edges: list[Edge]) -> _HyperPattern:
             touches[v - 1].append((i, above, below))
             below |= 1 << (v - 1)
         in_edges |= below
-    return n, [len(edge) for edge in edges], touches, in_edges
+    return n, len(edges), max(map(len, edges), default=0), touches, in_edges
 
 
 def _hyper_embedding_search(
@@ -419,6 +434,16 @@ def _hyper_embedding_search(
     above it, where r counts the vertices of e above u; a map is dropped
     as soon as an edge has no candidate left.  The edge assignment
     backtracks over the candidates' set bits in index order.
+
+    The one size test comes first: a pattern with more vertices or edges
+    than the host, or an edge larger than every host edge, has no
+    embedding (and the last would index past ``fit``'s rows).  Every
+    pattern edge then starts from all host edges, with no filter by size.
+    None is needed: edge e is first narrowed at its first vertex, to
+    ``fit[w - 1][|e| - 1]``, which holds only host edges of at least |e|
+    vertices, and no candidate set is read before that.  The touch loop
+    reads only the edges that hold the vertex it maps, and the edge
+    assignment runs after every vertex is mapped.
 
     Before any AND, host vertex w is skipped for u when it is in fewer
     host edges (``fit[w - 1][0]``) than u is in pattern edges: the edge
@@ -443,18 +468,12 @@ def _hyper_embedding_search(
     failed edge assignments.  A count failure blames no vertex: it depends
     on u and w alone, so no other image of an earlier vertex lifts it.
     """
-    host_n, host_m, fit, at_least = host
-    pat_n, sizes, touches, in_edges = pattern
-    if pat_n > host_n or len(sizes) > host_m:
+    host_n, host_m, width, fit = host
+    pat_n, pat_m, largest, touches, in_edges = pattern
+    if pat_n > host_n or pat_m > host_m or largest > width:
         return None
-    width = len(at_least) - 1
-    cands = []
-    for size in sizes:
-        if size > width:
-            return None
-        cands.append(at_least[size])
     f = [0] * pat_n
-    levels = [cands] + [None] * pat_n
+    levels = [[(1 << host_m) - 1] * pat_m] + [None] * pat_n
     blame = [0] * pat_n
     conflict = 0  # the blame of the current level's failed images
     u = 0
@@ -546,9 +565,17 @@ def hypergraph_contains(
     tie-break).  Backtracking backjumps: when the subtree below a pattern
     vertex fails and no failure in it depended on that vertex's image, its
     later images are not tried, as they only shrink the range of the
-    vertices after it (see :func:`_hyper_embedding_search`).  A pattern
-    with more vertices or edges than the host yields None before either
-    form is prepared.
+    vertices after it (see :func:`_hyper_embedding_search`).
+
+    The steps run in this order:
+
+    1. A pattern with more vertices or edges than the host yields None,
+       before either form is prepared.
+    2. A host form past ``MAX_TABLE_BITS`` raises :class:`CapacityError`,
+       before it is built.
+    3. The search runs.
+
+    So a pattern that the counts alone refuse answers None on any host.
     """
     # _hyper_embedding_search repeats this check, but only after both forms are prepared
     if pattern.n > host.n or len(pattern.edges) > len(host.edges):
@@ -608,8 +635,8 @@ def association_disagreement(
     associated and prepared once; each pair then runs only the two search
     steps, read as module globals when the sweep starts.  Every graph has
     the same associated shape, so one placement table serves every pair
-    and only the weights are compared before the matrix search; a shape
-    past ``MAX_PLACEMENT_BITS`` raises :class:`CapacityError` first."""
+    and the matrix search tests the weights itself; a host form or a
+    shape past ``MAX_TABLE_BITS`` raises :class:`CapacityError` first."""
     if d < 2 or len({g.n for g in graphs}) > 1:
         raise InputError(f"the equivalence needs d >= 2 parts of one size, got d={d}")
     forms = [_partite_forms(g, d) for g in graphs]
@@ -622,10 +649,7 @@ def association_disagreement(
     for host, (host_matrix, host_hyper, _) in zip(graphs, forms):
         for pattern, (pattern_matrix, _, pattern_hyper) in zip(graphs, forms):
             hyper_side = hyper_search(host_hyper, pattern_hyper) is not None
-            matrix_side = (
-                pattern_matrix[1] <= host_matrix[1]
-                and matrix_search(host_matrix, pattern_matrix, placements) is not None
-            )
+            matrix_side = matrix_search(host_matrix, pattern_matrix, placements) is not None
             if hyper_side != matrix_side:
                 return host, pattern, _disagreement(hyper_side, host, pattern)
     return None
@@ -644,8 +668,8 @@ def klazar_marcus_check(
     via f=(1,2,3,4), yet the associated matrices do not contain.)
 
     Validates, associates and prepares both inputs and fetches their
-    placement table on every call, like the public deciders (a shape past
-    ``MAX_PLACEMENT_BITS`` raises :class:`CapacityError`);
+    placement table on every call, like the public deciders (a host form
+    or a shape past ``MAX_TABLE_BITS`` raises :class:`CapacityError`);
     :func:`association_disagreement` sweeps all pairs of a list of graphs
     and prepares each graph once.
 
@@ -675,10 +699,7 @@ def klazar_marcus_check(
     tail = host_matrix[0][1:]
     placements = _placement_table(tail, tail)
     hyper_side = _hyper_embedding_search(host_hyper, pattern_hyper) is not None
-    matrix_side = (
-        pattern_matrix[1] <= host_matrix[1]
-        and _matrix_embedding_search(host_matrix, pattern_matrix, placements) is not None
-    )
+    matrix_side = _matrix_embedding_search(host_matrix, pattern_matrix, placements) is not None
     if hyper_side != matrix_side:
         raise ConsistencyError(_disagreement(hyper_side, host, pattern))
     return hyper_side

@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from itertools import combinations, product
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -397,11 +398,7 @@ class TestKlazarMarcus:
     def test_sweep_matches_a_per_pair_loop(self, monkeypatch, matrix_defect, hyper_defect):
         # a planted defect (h, p) misses every copy when the host has at
         # least h and the pattern at least p 1-entries or edges; slot 1 of
-        # each prepared form holds its count (a weight, an edge count or a
-        # list of edge sizes)
-        def size(form):
-            return form[1] if isinstance(form[1], int) else len(form[1])
-
+        # each prepared form holds its count (a weight or an edge count)
         for name, defect in (
             ("_matrix_embedding_search", matrix_defect),
             ("_hyper_embedding_search", hyper_defect),
@@ -410,7 +407,7 @@ class TestKlazarMarcus:
                 engine = getattr(containment, name)
 
                 def search(host, pattern, *placements, engine=engine, defect=defect):
-                    if size(host) >= defect[0] and size(pattern) >= defect[1]:
+                    if host[1] >= defect[0] and pattern[1] >= defect[1]:
                         return None
                     return engine(host, pattern, *placements)
 
@@ -473,10 +470,10 @@ NON_PERMUTATION = {
 
 
 def _same_matrix_answer(host_extents, host_ones, pat_extents, pat_ones):
-    # the search's callers check the sizes first, and so does this one
-    fits = containment._matrix_sizes_fit(host_extents, len(host_ones), pat_extents, len(pat_ones))
+    # the search's callers test the shapes before they fetch the placement
+    # table, and so does this one; the search tests the weights
     found = None
-    if fits:
+    if len(pat_extents) == len(host_extents) and all(map(le, pat_extents, host_extents)):
         found = containment._matrix_embedding_search(
             containment._matrix_form(host_extents, host_ones),
             containment._matrix_form(pat_extents, pat_ones),
@@ -497,25 +494,27 @@ def _same_hyper_answer(host_n, host_edges, pat_n, pat_edges):
     return found is not None
 
 
+class CountingRows(list):
+    """A form's list of host rows that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
 def _path_row_reads(pat_n, pat_edges):
     """The host rows the hypergraph search reads to refuse a pattern in
     the 40-vertex path."""
-
-    class CountingRows(list):
-        reads = 0
-
-        def __getitem__(self, index):
-            CountingRows.reads += 1
-            return super().__getitem__(index)
-
     path = [(v, v + 1) for v in range(1, 40)]
-    host_n, host_m, fit, at_least = containment._hyper_host_form(40, path)
+    host_n, host_m, width, fit = containment._hyper_host_form(40, path)
+    rows = CountingRows(fit)
     found = containment._hyper_embedding_search(
-        (host_n, host_m, CountingRows(fit), at_least),
-        containment._hyper_pattern_form(pat_n, pat_edges),
+        (host_n, host_m, width, rows), containment._hyper_pattern_form(pat_n, pat_edges)
     )
     assert found is None
-    return CountingRows.reads
+    return rows.reads
 
 
 class TestEnginesMatchReferences:
@@ -656,9 +655,9 @@ class TestEnginesMatchReferences:
             n = rng.randint(1, 9)
             hosts.append((n, _random_edges(rng, n, rng.randint(1, 2 * n), 4)))
         for n, edges in hosts:
-            form_n, m, fit, at_least = containment._hyper_host_form(n, edges)
+            form_n, m, form_width, fit = containment._hyper_host_form(n, edges)
             width = max(map(len, edges), default=0)
-            assert (form_n, m, len(at_least)) == (n, len(edges), width + 1)
+            assert (form_n, m, form_width) == (n, len(edges), width)
             expected_fit = [
                 [
                     sum(
@@ -671,10 +670,35 @@ class TestEnginesMatchReferences:
                 for w in range(1, n + 1)
             ]
             assert fit == expected_fit, (n, edges)
-            for size in range(1, width + 1):
-                assert at_least[size] == sum(
-                    1 << i for i, edge in enumerate(edges) if len(edge) >= size
-                ), (n, edges, size)
+
+    def test_pattern_form_matches_its_definition(self):
+        rng = random.Random("pattern-form/definition")
+        patterns = [(0, []), (5, [])]
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            patterns.append((n, _random_edges(rng, n, rng.randint(1, 2 * n), 4)))
+        for n, edges in patterns:
+            touches = [
+                [
+                    (
+                        i,
+                        len(edge) - edge.index(u) - 1,
+                        sum(1 << (v - 1) for v in edge if v < u),
+                    )
+                    for i, edge in enumerate(edges)
+                    if u in edge
+                ]
+                for u in range(1, n + 1)
+            ]
+            in_edges = sum(1 << (v - 1) for v in {v for edge in edges for v in edge})
+            largest = max(map(len, edges), default=0)
+            assert containment._hyper_pattern_form(n, edges) == (
+                n,
+                len(edges),
+                largest,
+                touches,
+                in_edges,
+            ), (n, edges)
 
     def test_matrix_form_matches_its_definition(self):
         rng = random.Random("matrix-form/definition")
@@ -726,6 +750,41 @@ class TestEnginesMatchReferences:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_a_host_form_past_the_table_limit_is_refused_before_it_is_built(self):
+        # one edge on all n vertices: fit has n rows of n ints, counted as
+        # n * n * (1 + 64) bits, so 1240 vertices pass the limit and 1241
+        # do not; 6000 vertices took about 290 MiB before the limit
+        pattern = make_hypergraph(2, [(1, 2)])
+        found = hypergraph_contains(make_hypergraph(1240, [range(1, 1241)]), pattern)
+        assert found.vertex_map == (1, 2)
+        host = make_hypergraph(1241, [range(1, 1242)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="over the limit"):
+                hypergraph_contains(host, pattern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # a pattern that the counts alone refuse answers before any form
+        assert hypergraph_contains(host, make_hypergraph(1242, [])) is None
+
+    def test_a_heavier_pattern_reads_no_host_row(self):
+        # no answer depends on the matrix search's weight test, as the
+        # row scan refuses a heavier pattern too; it keeps the sweep from
+        # scanning the rows of the pairs whose weights refuse them
+        host_extents, host_weight, host_rows = containment._matrix_form(
+            (3, 3), [(1, 1), (2, 2), (3, 3)]
+        )
+        rows = CountingRows(host_rows)
+        found = containment._matrix_embedding_search(
+            (host_extents, host_weight, rows),
+            containment._matrix_form((2, 2), [(1, 1), (1, 2), (2, 1), (2, 2)]),
+            containment._placement_table((2,), (3,)),
+        )
+        assert found is None
+        assert rows.reads == 0
 
     def test_the_association_paths_refuse_a_shape_past_the_placement_limit(self):
         # one edge between two parts of 3000: the associated matrices are
@@ -783,14 +842,10 @@ class TestEnginesMatchReferences:
             host_matrix, host_hyper, _ = containment._partite_forms(host, 2)
             pattern_matrix, _, pattern_hyper = containment._partite_forms(pattern, 2)
             hyper = containment._hyper_embedding_search(host_hyper, pattern_hyper)
-            # validation makes the two shapes equal, so the sweep compares
-            # only the weights
+            # validation makes the two shapes equal, so the sweep runs the
+            # matrix search, which tests the weights, on every pair
             placements = containment._placement_table(host_matrix[0][1:], host_matrix[0][1:])
-            matrix = (
-                containment._matrix_embedding_search(host_matrix, pattern_matrix, placements)
-                if pattern_matrix[1] <= host_matrix[1]
-                else None
-            )
+            matrix = containment._matrix_embedding_search(host_matrix, pattern_matrix, placements)
             assert (hyper is not None) == (hypergraph_contains(host, pattern) is not None)
             assert (matrix is not None) == (matrix_contains(host_m, pattern_m) is not None)
             assert hyper == reference_hyper_embedding(

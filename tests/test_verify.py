@@ -203,9 +203,9 @@ def _defect_above_one(engine, pattern_size):
 @pytest.mark.parametrize(
     "engine,pattern_size,route",
     [
-        # the pattern forms are (extents, weight, rows) and (n, sizes, touches)
+        # the pattern forms are (extents, weight, rows) and (n, edge count, ...)
         ("_matrix_embedding_search", lambda form: form[1], "matrix=False"),
-        ("_hyper_embedding_search", lambda form: len(form[1]), "hypergraph=False"),
+        ("_hyper_embedding_search", lambda form: form[1], "hypergraph=False"),
     ],
     ids=["_matrix_embedding_search-matrix=False", "_hyper_embedding_search-hypergraph=False"],
 )
