@@ -39,7 +39,9 @@ RNG_ALGORITHM = "python-random-mt19937"
 
 CAP_MODES = ("kd", "(k+d)d")
 
-MAX_WINDOWS = 2_000_000
+# the most submatrix windows the deletion repair sweeps, and the most
+# vertex entries or coordinates a blow-up or a cyclic pattern may hold
+MAX_CONSTRUCTION_SIZE = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +90,19 @@ def blowup_graph(bipartite: OrderedHypergraph, t: int) -> OrderedHypergraph:
     """
     if t < 2:
         raise InputError(f"interval count t must be >= 2, got {t}")
+    if any(len(e) != 2 for e in bipartite.edges):
+        raise InputError("blowup_graph needs a 2-uniform graph")
     if bipartite.n % 2 != 0 or bipartite.n == 0:
         raise InputError(f"host must live on [2n], got {bipartite.n} vertices")
     n = bipartite.n // 2
     for u, v in sorted(bipartite.edges):
         if not (u <= n < v):
             raise InputError(f"edge {(u, v)} does not cross the parts [{n}] and [n+1..2n]")
+    entries = 2 * (t - 1) * bipartite.edge_count
+    if entries > MAX_CONSTRUCTION_SIZE:
+        raise CapacityError(
+            f"a blow-up of {entries} vertex entries exceeds the limit {MAX_CONSTRUCTION_SIZE}"
+        )
     edges = set()
     for u, v in bipartite.edges:
         j = v - n
@@ -109,6 +118,10 @@ def cyclic_pattern(d: int) -> BinaryMatrix:
     """The d-matrix of side d with 1s at all d cyclic shifts of (1, ..., d)."""
     if d < 2:
         raise InputError(f"dimension must be >= 2, got {d}")
+    if d * d > MAX_CONSTRUCTION_SIZE:
+        raise CapacityError(
+            f"a cyclic pattern of {d * d} coordinates exceeds the limit {MAX_CONSTRUCTION_SIZE}"
+        )
     ones = set()
     for shift in range(d):
         ones.add(tuple(((j + shift) % d) + 1 for j in range(d)))
@@ -389,8 +402,10 @@ def random_avoider(config: GeneratorConfig, trial: int = 0) -> tuple[BinaryMatri
     n = config.side
     d = pattern.d
     windows = math.prod(math.comb(n, k) for k in pattern.extents)
-    if windows > MAX_WINDOWS:
-        raise CapacityError(f"{windows} submatrix windows exceed the limit {MAX_WINDOWS}")
+    if windows > MAX_CONSTRUCTION_SIZE:
+        raise CapacityError(
+            f"{windows} submatrix windows exceed the limit {MAX_CONSTRUCTION_SIZE}"
+        )
     seed = config.seed ^ trial
     rng = random.Random(seed)
     ones = {

@@ -12,7 +12,7 @@ random-density check whose statistics are labeled empirical.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import combinations, permutations, product
+from itertools import combinations, pairwise, permutations, product
 
 from . import fileio
 from .constructions import (
@@ -39,7 +39,6 @@ from .structures import (
     associated_hypergraph,
     associated_matrix,
     d_permutation_matrix,
-    is_d_permutation_hypergraph,
     make_hypergraph,
     permutation_matrix,
 )
@@ -199,46 +198,30 @@ def corner_anchored_patterns() -> list[BinaryMatrix]:
     for k1 in range(1, extent_max + 1):
         for k2 in range(1, extent_max + 1):
             anchor = (k1, 1)
-            cells = sorted(
-                (i, j)
-                for i in range(1, k1 + 1)
-                for j in range(1, k2 + 1)
-                if (i, j) != anchor
-            )
+            cells = [(i, j) for i in range(1, k1 + 1) for j in range(1, k2 + 1) if (i, j) != anchor]
             for extra_count in range(min(weight_max, len(cells) + 1)):
                 for extra in combinations(cells, extra_count):
-                    out.append(
-                        BinaryMatrix((k1, k2), frozenset((anchor,) + extra))
-                    )
+                    out.append(BinaryMatrix((k1, k2), frozenset((anchor,) + extra)))
     return out
 
 
-def all_ordered_graphs(n: int) -> list[OrderedHypergraph]:
-    pairs = list(combinations(range(1, n + 1), 2))
-    out = []
-    for size in range(len(pairs) + 1):
-        for chosen in combinations(pairs, size):
-            out.append(OrderedHypergraph(n, frozenset(chosen)))
-    return out
+def all_graphs(n: int, pairs) -> list[OrderedHypergraph]:
+    """Every graph on [n] with edges from ``pairs``: by edge count, then in combinations order."""
+    pairs = list(pairs)
+    sizes = range(len(pairs) + 1)
+    return [OrderedHypergraph(n, frozenset(c)) for m in sizes for c in combinations(pairs, m)]
 
 
-def all_bipartite_graphs(part_size: int) -> list[OrderedHypergraph]:
-    """All 2-partite graphs on [2n] whose edges cross the two parts."""
-    n = part_size
-    crossing = [(i, n + j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    out = []
-    for size in range(len(crossing) + 1):
-        for chosen in combinations(crossing, size):
-            out.append(OrderedHypergraph(2 * n, frozenset(chosen)))
-    return out
+def permutation_hypergraphs(k: int, d: int = 2) -> list[tuple[tuple, OrderedHypergraph]]:
+    """Each (d - 1)-tuple of permutations of [k], in product order, with its hypergraph.
 
-
-def permutation_hypergraphs(k: int, d: int = 2) -> list[OrderedHypergraph]:
-    out = []
-    for perms in product(permutations(range(1, k + 1)), repeat=d - 1):
-        matrix = d_permutation_matrix(PermutationSpec(k, tuple(perms)))
-        out.append(associated_hypergraph(matrix)[0])
-    return sorted(set(out), key=lambda h: h.sorted_edges())
+    Distinct tuples give distinct hypergraphs, and for d = 2 product order
+    is also the order of their sorted edge lists.
+    """
+    tuples = product(permutations(range(1, k + 1)), repeat=d - 1)
+    return [
+        (p, associated_hypergraph(d_permutation_matrix(PermutationSpec(k, p)))[0]) for p in tuples
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +320,7 @@ def check_partite_edge_bound(budget: int) -> CheckResult:
         avoiders = 0
         worst = -1
         bad = None
-        for graph in all_ordered_graphs(n):
+        for graph in all_graphs(n, combinations(range(1, n + 1), 2)):
             if hypergraph_contains(graph, anchored) is None:
                 avoiders += 1
                 worst = max(worst, graph.edge_count)
@@ -359,33 +342,29 @@ def check_partite_edge_bound(budget: int) -> CheckResult:
 
 
 def check_padding_chain(budget: int) -> CheckResult:
-    """Cyclic padding plus chain growth, machine-verified step by step."""
+    """Cyclic padding plus chain growth, checked as one chain of containments.
+
+    The hypergraph engine re-checks that each step (the base, its padding,
+    each grown step) contains the one before it.  cyclic_pad and
+    chain_patterns check lengths and boundaries, raising on a wrong one.
+    """
     dimensions = (2, 3)
     k_max = min(3, budget)  # 3-d length 4 would add 576 bases
     extra_steps = 2
     instances = []
     for d in dimensions:
         for k in range(1, k_max + 1):
-            for perms in product(permutations(range(1, k + 1)), repeat=d - 1):
-                spec = PermutationSpec(k, tuple(perms))
-                base = associated_hypergraph(d_permutation_matrix(spec))[0]
+            for perms, base in permutation_hypergraphs(k, d):
                 params = {"d": d, "k": k, "perms": str(perms)}
                 try:
                     padded = cyclic_pad(base)
                     side = k + d - 1
-                    ok = (
-                        is_d_permutation_hypergraph(padded) == side
-                        and hypergraph_contains(padded, base) is not None
-                        and satisfies_boundary_condition(padded, d)
-                    )
                     padded_matrix = associated_matrix(padded, PartsSpec.equal(d, side))
+                    # the padded start anchors every part boundary, so chain_patterns
+                    # checks each step's boundaries
                     chain = chain_patterns(padded_matrix, side + extra_steps)
-                    for prev, grown in zip(chain, chain[1:]):
-                        grown_hyper = associated_hypergraph(grown)[0]
-                        ok = ok and satisfies_boundary_condition(grown_hyper, d)
-                        ok = ok and hypergraph_contains(
-                            grown_hyper, associated_hypergraph(prev)[0]
-                        ) is not None
+                    steps = [base] + [associated_hypergraph(m)[0] for m in chain]
+                    ok = all(hypergraph_contains(b, a) is not None for a, b in pairwise(steps))
                     instances.append(_instance(params, ok, {"base": base, "padded": padded}))
                 except (InputError, PostconditionError) as exc:
                     instances.append(_instance(params, False, {"base": base}, error=str(exc)))
@@ -519,7 +498,7 @@ def check_association_equivalence(budget: int) -> CheckResult:
     n_max = min(budget, 3)  # part size 4 has 2^16 graphs, 2^32 pairs
     instances = []
     for n in range(1, n_max + 1):
-        graphs = all_bipartite_graphs(n)
+        graphs = all_graphs(2 * n, product(range(1, n + 1), range(n + 1, 2 * n + 1)))
         disagreement = association_disagreement(graphs, 2)
         params = {"part_size": n, "pairs": len(graphs) ** 2}
         # a passed instance reads neither the objects nor the error
@@ -546,7 +525,7 @@ def check_weight_vs_edges(budget: int) -> CheckResult:
     n_max = min(budget, 4)
     factor = (2 * k * d - 1) * (k - 1)
     instances = []
-    for pat in permutation_hypergraphs(k, d):
+    for _, pat in permutation_hypergraphs(k, d):
         for n in range(1, n_max + 1):
             weight_value = exi_hyper(pat, n).value
             edge_value = exe_hyper(pat, n).value

@@ -529,6 +529,9 @@ GENERATE_FILE_INPUTS = {
     "interval-contract": ("--input", ["--t", "2"]),
 }
 
+# a graph on [4] whose edges are pairs across [2] and [3..4]
+CROSSING_PAIRS = "4\n1 3\n2 4\n"
+
 
 class TestFailedCommandWritesNothing:
     """A command that exits 2, 3 or 4 leaves no --out behind."""
@@ -542,21 +545,24 @@ class TestFailedCommandWritesNothing:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "construction, options, message",
+        "construction, options, message, graph_text",
         [
-            ("blowup", [], "blowup requires --t"),
-            ("blowup", ["--t", "1"], None),
-            ("chain", [], "chain requires --length"),
-            ("normalize-edges", ["--d", "2"], "normalize-edges requires --k"),
-            ("random-avoider", [], "random-avoider requires --n"),
-            ("interval-contract", ["--t", "3"], None),
+            ("blowup", [], "blowup requires --t", CROSSING_PAIRS),
+            ("blowup", ["--t", "1"], None, CROSSING_PAIRS),
+            ("chain", [], "chain requires --length", CROSSING_PAIRS),
+            ("normalize-edges", ["--d", "2"], "normalize-edges requires --k", CROSSING_PAIRS),
+            ("random-avoider", [], "random-avoider requires --n", CROSSING_PAIRS),
+            ("interval-contract", ["--t", "3"], None, CROSSING_PAIRS),
+            # an edge that is not a pair raised ValueError before it was refused
+            ("blowup", ["--t", "2"], "blowup_graph needs a 2-uniform graph", "4\n1 3 4\n"),
+            ("blowup", ["--t", "2"], "blowup_graph needs a 2-uniform graph", "4\n3\n"),
         ],
     )
     def test_generate_with_a_missing_or_bad_option(
-        self, tmp_path, identity_file, construction, options, message, capsys
+        self, tmp_path, identity_file, construction, options, message, graph_text, capsys
     ):
         graph = tmp_path / "g.txt"
-        graph.write_text("4\n1 3\n2 4\n")
+        graph.write_text(graph_text)
         option = GENERATE_FILE_INPUTS[construction][0]
         source = identity_file if option == "--pattern" else graph
         out = tmp_path / "out"
@@ -620,6 +626,19 @@ class TestFailedCommandWritesNothing:
         out = tmp_path / "out"
         assert main(["compute", "--kind", kind, "--pattern", str(path),
                      "--n", n, "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "options",
+        [["blowup", "--input", "{graph}", "--t", "1000000000"], ["cyclic-pattern", "--d", "100000"]],
+    )
+    def test_a_construction_past_its_size_limit_writes_nothing(
+        self, tmp_path, single_edge_file, options, capsys
+    ):
+        out = tmp_path / "out"
+        options = [o.format(graph=single_edge_file) for o in options]
+        assert main(["generate", *options, "--out", str(out)]) == 3
+        assert "exceeds the limit 2000000" in capsys.readouterr().err
         assert not out.exists()
 
     def test_a_huge_range_stops_at_its_first_row_past_the_limit(self, tmp_path, identity_file):

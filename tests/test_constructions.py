@@ -1,6 +1,7 @@
 """Constructions and their mechanically re-checked guarantees."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations, product
 from math import prod
@@ -118,6 +119,19 @@ class TestBlowup:
         with pytest.raises(InputError):
             blowup_graph(make_hypergraph(4, [(1, 2)]), 2)
 
+    @pytest.mark.parametrize("edge", [(1, 3, 4), (3,)])
+    def test_rejects_an_edge_that_is_not_a_pair(self, edge):
+        with pytest.raises(InputError, match="2-uniform"):
+            blowup_graph(make_hypergraph(4, [edge]), 2)
+
+    def test_output_size_limit(self, monkeypatch):
+        # the output holds 2 * (t - 1) * |E| vertex entries
+        monkeypatch.setattr(constructions, "MAX_CONSTRUCTION_SIZE", 8)
+        edge = make_hypergraph(2, [(1, 2)])
+        assert blowup_graph(edge, 5).edge_count == 4
+        with pytest.raises(CapacityError):
+            blowup_graph(edge, 6)
+
     def test_extremal_avoider_blowup_stays_avoiding(self):
         pattern = corner_pad(permutation_matrix((1, 2)))
         cert = ex_matrix(pattern, 3)
@@ -135,10 +149,34 @@ class TestCyclicPattern:
     def test_d3(self):
         assert cyclic_pattern(3).ones == {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
 
+    def test_size_limit(self, monkeypatch):
+        # the output holds d * d coordinates
+        monkeypatch.setattr(constructions, "MAX_CONSTRUCTION_SIZE", 9)
+        assert cyclic_pattern(3).weight == 3
+        with pytest.raises(CapacityError):
+            cyclic_pattern(4)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_is_permutation_hypergraph_after_association(self, d):
         hypergraph, _ = associated_hypergraph(cyclic_pattern(d))
         assert is_d_permutation_hypergraph(hypergraph) == d
+
+
+def test_oversized_outputs_are_refused_before_they_are_built():
+    # 2 * (10^9 - 1) vertex entries and 10^10 coordinates, both past the
+    # limit of 2,000,000; before the limit, under an 800 MB address-space
+    # cap, each ended in MemoryError
+    edge = make_hypergraph(2, [(1, 2)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="exceeds the limit 2000000"):
+            blowup_graph(edge, 10**9)
+        with pytest.raises(CapacityError, match="exceeds the limit 2000000"):
+            cyclic_pattern(100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestCyclicPad:

@@ -2,10 +2,12 @@
 
 import json
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
 from patternex import InputError, PostconditionError, constructions, containment, fileio, make_hypergraph, verify
+from patternex import PartsSpec, associated_hypergraph, associated_matrix, chain_patterns, cyclic_pad
 from patternex.verify import (
     CLAIM_NAMES,
     CheckResult,
@@ -19,7 +21,9 @@ from patternex.verify import (
     check_partite_edge_bound,
     check_random_density,
     check_weight_vs_edges,
+    all_graphs,
     corner_anchored_patterns,
+    permutation_hypergraphs,
     run_checks,
 )
 
@@ -131,6 +135,63 @@ def test_padding_chain_fails_when_containment_misses_copies(monkeypatch):
     assert not result.passed
     assert len(result.failures) == 8
     assert all("padded" in inst.payload["objects"] for inst in result.failures)
+
+
+def _padding_links(k_max):
+    """The base -> padded link and the last chain link of every Lemma6 instance."""
+    first, last = set(), set()
+    for d in (2, 3):
+        for k in range(1, k_max + 1):
+            for _, base in permutation_hypergraphs(k, d):
+                padded = cyclic_pad(base)
+                start = associated_matrix(padded, PartsSpec.equal(d, k + d - 1))
+                chain = chain_patterns(start, k + d + 1)
+                first.add((base, padded))
+                last.add(tuple(associated_hypergraph(m)[0] for m in chain[-2:]))
+    return first, last
+
+
+@pytest.mark.parametrize("link", [0, 1], ids=["base-to-padded", "last-chain-step"])
+def test_padding_chain_fails_when_containment_misses_one_link(monkeypatch, link):
+    # a defect that misses a single link of the containment chain fails
+    # every instance, whichever link it is
+    missed = _padding_links(3)[link]
+    original = verify.hypergraph_contains
+
+    def defect(host, pattern):
+        return None if (pattern, host) in missed else original(host, pattern)
+
+    monkeypatch.setattr(verify, "hypergraph_contains", defect)
+    result = check_padding_chain(3)
+    assert len(result.instances) == len(missed) == 50
+    assert len(result.failures) == 50
+
+
+@pytest.mark.parametrize(
+    "n, pairs",
+    [(4, list(combinations(range(1, 5), 2))), (4, [(1, 3), (1, 4), (2, 3), (2, 4)])],
+    ids=["ordered", "crossing"],
+)
+def test_all_graphs_lists_every_subset_of_the_pairs_by_size_then_combinations_order(n, pairs):
+    graphs = all_graphs(n, iter(pairs))
+    assert len(set(graphs)) == len(graphs) == 2 ** len(pairs)
+    assert all(g.n == n for g in graphs)
+    positions = [sorted(pairs.index(e) for e in g.edges) for g in graphs]
+    assert positions == sorted(positions, key=lambda p: (len(p), p))
+
+
+def test_permutation_hypergraphs_pair_each_tuple_in_product_order_with_its_hypergraph():
+    listed = permutation_hypergraphs(2, 3)
+    assert [perms for perms, _ in listed] == [
+        ((1, 2), (1, 2)),
+        ((1, 2), (2, 1)),
+        ((2, 1), (1, 2)),
+        ((2, 1), (2, 1)),
+    ]
+    for (second, third), hypergraph in listed:
+        # entry (i, second[i], third[i]) is the edge {i, 2 + second[i], 4 + third[i]}
+        edges = {(i, 2 + second[i - 1], 4 + third[i - 1]) for i in (1, 2)}
+        assert hypergraph == make_hypergraph(6, edges)
 
 
 def test_contraction_recurrence_reports_both_variants():
