@@ -21,6 +21,7 @@ from .containment import (
     MatrixEmbedding,
     hypergraph_contains,
     matrix_contains,
+    placement_table_bits,
     verify_hypergraph_embedding,
 )
 from .errors import CapacityError, InputError, PostconditionError
@@ -189,12 +190,18 @@ def chain_patterns(start: BinaryMatrix, up_to_length: int) -> list[BinaryMatrix]
     output contains its predecessor.  When the starting hypergraph
     anchors every part boundary, every step must preserve that and is
     re-checked.  The returned list starts with the input.
+
+    Raises :class:`CapacityError` before building any step when the last
+    step's containment re-check would need a placement table past
+    ``MAX_TABLE_BITS``; that table is the largest of the chain.
     """
     hypergraph = associated_hypergraph(start)[0]
     length = is_d_permutation_hypergraph(hypergraph)
     if length is None:
         raise InputError("chain_patterns needs a d-permutation matrix")
     d = start.d
+    if up_to_length > length:
+        placement_table_bits((up_to_length - 1,) * (d - 1), (up_to_length,) * (d - 1))
     boundary_required = satisfies_boundary_condition(hypergraph, d)
     chain = [start]
     current = start

@@ -26,7 +26,8 @@ search runs host rows first, keeping the placements that still fit as
 one int: a positive answer stops at its first complete path, and a
 negative one costs at most one big-int operation per step of a greedy
 row scan for each of the prod C(n_i, k_i) placements.  The placement
-table, an LRU cache of 64 shapes, is the engine's only per-shape state.
+table, in an LRU cache of at most 64 shapes and ``MAX_TABLE_BITS`` in
+all, is the engine's only per-shape state.
 
 The hypergraph engine, shared by ``hypergraph_contains`` and
 ``klazar_marcus_check``, backtracks over increasing vertex maps,
@@ -51,9 +52,8 @@ weight up to ~8, host side up to ~12 for d=2), not polynomial time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
-from math import comb, prod
+from math import prod
 from operator import gt, lt
 
 from .errors import CapacityError, ConsistencyError, InputError
@@ -184,7 +184,45 @@ def represents(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
 _Placements = tuple[list[list[int]], list[tuple[tuple[int, ...], ...]]]
 
 
-@lru_cache(maxsize=64)
+def placement_table_bits(pat_tail: tuple[int, ...], host_tail: tuple[int, ...]) -> int:
+    """The bits the placement table of a pattern tail shape in a host tail
+    shape, each extent at most the host's, takes (see
+    :func:`_placement_table`): each of its prod(pat_tail) x prod(host_tail)
+    entries counted as a 64-bit reference to an int of one bit per
+    placement, prod C(n_i, k_i) placements.
+
+    Raises :class:`CapacityError` when that is more than
+    ``MAX_TABLE_BITS``.  The count is arithmetic, so it builds nothing,
+    and it multiplies the binomials up one factor at a time and stops
+    once past the limit: C(1000000, 500000), 10^6 bits long, took 6 s to
+    compute and raised ValueError when the message printed it.
+    """
+    cells = prod(pat_tail) * prod(host_tail)
+    placements = 1
+    # placements * C(n, i) * (n - i) is divisible by i + 1
+    for n, i in ((n, i) for k, n in zip(pat_tail, host_tail) for i in range(min(k, n - k))):
+        if cells * (placements + 64) > MAX_TABLE_BITS:
+            break
+        placements = placements * (n - i) // (i + 1)
+    bits = cells * (placements + 64)
+    if bits > MAX_TABLE_BITS:
+        raise CapacityError(
+            f"the placement table of tail shape {pat_tail} in {host_tail} takes at least "
+            f"{bits} bits, over the limit {MAX_TABLE_BITS}"
+        )
+    return bits
+
+
+# pat_tail + host_tail -> (bits, placements) in the order of last use,
+# least recent first, and the sum of the cached tables' bits; the two
+# tails have the same length, and a flat key hashes faster than a pair.
+# Plain dict steps keep a hit at about 130 ns where an OrderedDict took
+# 200 (and functools.lru_cache, which cannot weigh its entries, 80); they
+# assume one thread at a time, as the package runs.
+_placement_cache: dict[tuple[int, ...], tuple[int, _Placements]] = {}
+_placement_cache_bits = 0
+
+
 def _placement_table(pat_tail: tuple[int, ...], host_tail: tuple[int, ...]) -> _Placements:
     """The placements of axes 2..d, numbered in lexicographic order.
 
@@ -194,16 +232,29 @@ def _placement_table(pat_tail: tuple[int, ...], host_tail: tuple[int, ...]) -> _
     placement p as 1-based index lists.
 
     Raises :class:`CapacityError` when the table would take more than
-    ``MAX_TABLE_BITS``.  The count is arithmetic and comes first, so a
-    refusal builds nothing; a refusal is not cached, a table is.
+    ``MAX_TABLE_BITS`` (:func:`placement_table_bits`), before it builds
+    anything; a refusal is not cached, a table is.  The cache keeps at
+    most 64 tables and, counted the same way, at most ``MAX_TABLE_BITS``
+    in all: the least recently used tables make room for a new one.
     """
-    placements = prod(map(comb, host_tail, pat_tail))
-    bits = prod(pat_tail) * prod(host_tail) * (placements + 64)
-    if bits > MAX_TABLE_BITS:
-        raise CapacityError(
-            f"the placement table of tail shape {pat_tail} in {host_tail} takes {bits} "
-            f"bits, over the limit {MAX_TABLE_BITS}"
-        )
+    global _placement_cache_bits
+    key = pat_tail + host_tail
+    # a hit is moved to the end by taking it out and putting it back
+    cached = _placement_cache.pop(key, None)
+    if cached is None:
+        bits = placement_table_bits(pat_tail, host_tail)
+        while _placement_cache and (
+            len(_placement_cache) >= 64 or _placement_cache_bits + bits > MAX_TABLE_BITS
+        ):
+            _placement_cache_bits -= _placement_cache.pop(next(iter(_placement_cache)))[0]
+        cached = bits, _build_placements(pat_tail, host_tail)
+        _placement_cache_bits += bits
+    _placement_cache[key] = cached
+    return cached[1]
+
+
+def _build_placements(pat_tail: tuple[int, ...], host_tail: tuple[int, ...]) -> _Placements:
+    """The ``(table, sels)`` of :func:`_placement_table`, built anew."""
     choices = [list(combinations(range(n), k)) for k, n in zip(pat_tail, host_tail)]
     pat_cells = list(product(*(range(k) for k in pat_tail)))
     table = [[0] * prod(host_tail) for _ in pat_cells]

@@ -8,17 +8,87 @@ Conventions used throughout the package:
 * hypergraph edges are canonicalized as strictly increasing vertex tuples,
 * every object is immutable and hashable, so values can be shared freely
   between concurrent workers.
+
+Every matrix and hypergraph is checked when it is built.  A shape whose
+valid cells or edges hold at most ``MAX_CACHED_ENTRIES`` ints accepts
+its 1-entries or edges with one subset test against a cached set of
+them; anything else, and every input that test refuses, goes through
+the per-entry check, the only one that raises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, combinations, product
 from typing import Iterable, Sequence
 
 from .errors import InputError
 
 Coord = tuple[int, ...]
 Edge = tuple[int, ...]
+
+# The most ints (members times their length) in one cached set of the
+# valid cells of a box or the valid edges on [n] for a set of edge sizes;
+# counting members alone would let the one cell of a box of a million
+# axes of extent 1 cache a tuple of a million ints.  It covers every shape of the tests and the benchmark: a 12x12 host
+# (288), the 364 triples on [14] (1,092), a 64-cell witness (at most
+# 384).  Each cache keeps its 32 most recently used sets.  The largest
+# set in bytes, the 2,048 one-vertex edges on [2048], takes 0.23 MiB
+# (tracemalloc), so the two caches hold at most about 16 MiB.
+MAX_CACHED_ENTRIES = 2048
+
+
+@lru_cache(maxsize=32)
+def _valid_cells(extents: tuple[int, ...]) -> frozenset[Coord]:
+    return frozenset(product(*(range(1, n + 1) for n in extents)))
+
+
+@lru_cache(maxsize=32)
+def _valid_edges(n: int, sizes: frozenset[int]) -> frozenset[Edge]:
+    return frozenset(chain.from_iterable(combinations(range(1, n + 1), k) for k in sizes))
+
+
+def _cached_cells(extents: tuple[int, ...]) -> frozenset[Coord] | None:
+    """The valid cells of positive ``extents``, or None when an extent is
+    not an int or the cells hold more than ``MAX_CACHED_ENTRIES`` ints."""
+    entries = len(extents)
+    for n in extents:
+        if type(n) is not int:
+            return None
+        entries *= n
+        if entries > MAX_CACHED_ENTRIES:
+            return None
+    return _valid_cells(tuple(extents))
+
+
+def _cached_edges(n: int, edges) -> frozenset[Edge] | None:
+    """The valid edges on [n] of the sizes in ``edges``, or None when n
+    is not an int, there is no edge, an edge is empty or longer than n,
+    or the valid edges hold more than ``MAX_CACHED_ENTRIES`` ints.  Each
+    binomial is counted up from C(n, 0) and dropped once past the bound,
+    so a long edge on many vertices costs a few small multiplications."""
+    if type(n) is not int:
+        return None
+    try:
+        sizes = frozenset(map(len, edges))
+    except TypeError:  # an edge with no length: the per-entry check raises
+        return None
+    if not sizes:
+        return None
+    entries = 0
+    for k in sizes:
+        if not 0 < k <= n:
+            return None
+        count = 1
+        for i in range(min(k, n - k)):
+            count = count * (n - i) // (i + 1)
+            if count * k > MAX_CACHED_ENTRIES:
+                return None
+        entries += count * k
+        if entries > MAX_CACHED_ENTRIES:
+            return None
+    return _valid_edges(n, sizes)
 
 
 @dataclass(frozen=True)
@@ -37,6 +107,9 @@ class BinaryMatrix:
             raise InputError(f"matrix dimension must be >= 2, got {len(self.extents)}")
         if any(n < 1 for n in self.extents):
             raise InputError(f"extents must be positive, got {self.extents}")
+        valid = _cached_cells(self.extents)
+        if valid is not None and valid.issuperset(self.ones):
+            return
         d = len(self.extents)
         for coord in self.ones:
             if len(coord) != d:
@@ -75,6 +148,9 @@ class OrderedHypergraph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise InputError(f"vertex count must be nonnegative, got {self.n}")
+        valid = _cached_edges(self.n, self.edges)
+        if valid is not None and valid.issuperset(self.edges):
+            return
         for edge in self.edges:
             if len(edge) == 0:
                 raise InputError("empty edges are not allowed")

@@ -23,6 +23,29 @@ from itertools import combinations, permutations, product
 from patternex import BinaryMatrix, OrderedHypergraph, PartsSpec
 
 
+def is_matrix(extents, ones) -> bool:
+    """A d-dimensional 0-1 matrix by definition: d >= 2 positive extents,
+    and each 1-entry a d-tuple whose i-th entry lies in 1..n_i."""
+    d = len(extents)
+    return (
+        d >= 2
+        and min(extents) >= 1
+        and all(
+            len(cell) == d and all(1 <= cell[i] <= extents[i] for i in range(d)) for cell in ones
+        )
+    )
+
+
+def is_ordered_hypergraph(n, edges) -> bool:
+    """An ordered hypergraph on [n] by definition, with edges written as
+    increasing tuples: n >= 0, and each edge a nonempty tuple of distinct
+    vertices of 1..n in increasing order."""
+    return n >= 0 and all(
+        len(edge) > 0 and list(edge) == sorted(set(edge)) and all(1 <= v <= n for v in edge)
+        for edge in edges
+    )
+
+
 def brute_least_embedding(host: BinaryMatrix, pattern: BinaryMatrix):
     """The first selection of per-axis index lists, in product order, whose
     submatrix represents the pattern; None when there is none."""

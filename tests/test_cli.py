@@ -641,6 +641,15 @@ class TestFailedCommandWritesNothing:
         assert "exceeds the limit 2000000" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_chain_past_the_placement_limit_writes_nothing(self, tmp_path, identity_file, capsys):
+        out = tmp_path / "out"
+        assert main(["generate", "chain", "--pattern", str(identity_file),
+                     "--length", "1000", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "the placement table of tail shape (999,) in (1000,)" in err
+        assert "over the limit" in err
+        assert not out.exists()
+
     def test_a_huge_range_stops_at_its_first_row_past_the_limit(self, tmp_path, identity_file):
         # the rows are drawn from the range one at a time: a list of all
         # 10**12 of them raised MemoryError before row 9 was refused

@@ -1,6 +1,7 @@
 """Constructions and their mechanically re-checked guarantees."""
 
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations, product
@@ -43,7 +44,7 @@ from patternex import (
     random_avoider_trials,
     satisfies_boundary_condition,
 )
-from patternex import constructions
+from patternex import constructions, containment
 
 from oracles import brute_matrix_contains, sweep_repair
 
@@ -240,6 +241,19 @@ class TestChainPatterns:
     def test_rejects_non_permutation_matrix(self):
         with pytest.raises(InputError):
             chain_patterns(make_matrix([2, 2], [(1, 1)]), 3)
+
+    def test_a_length_past_the_placement_limit_is_refused_before_any_step(self):
+        # the last step's re-check, (999,) in (1000,), needs the largest
+        # placement table of the chain; refused only when a step reached
+        # it, length 1000 ran 9.1 s and 336 MiB to step 445
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"placement table .* over the limit"):
+            chain_patterns(permutation_matrix((1, 2)), 1000)
+        assert time.perf_counter() - start < 1
+        # lengths 445 and 444 are the first past the limit and the last under it
+        with pytest.raises(CapacityError, match=r"\(444,\) in \(445,\)"):
+            chain_patterns(permutation_matrix((1, 2)), 445)
+        assert containment.placement_table_bits((443,), (444,)) <= containment.MAX_TABLE_BITS
 
     def test_permutation_test_matches_the_matrix_definition(self):
         # the hypergraph test that chain_patterns runs must accept exactly

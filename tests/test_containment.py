@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 from itertools import combinations, product
 from operator import le
@@ -751,6 +752,16 @@ class TestEnginesMatchReferences:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_a_shape_with_a_huge_placement_count_is_refused_at_once(self):
+        # C(1000000, 500000) placements: computing the binomial took 6 s,
+        # and printing its 10^6-bit count raised ValueError
+        host = make_matrix([1, 1_000_000], [(1, 1)])
+        pattern = make_matrix([1, 500_000], [(1, 1)])
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"\(500000,\) in \(1000000,\) takes at least"):
+            matrix_contains(host, pattern)
+        assert time.perf_counter() - start < 0.5
+
     def test_a_host_form_past_the_table_limit_is_refused_before_it_is_built(self):
         # one edge on all n vertices: fit has n rows of n ints, counted as
         # n * n * (1 + 64) bits, so 1240 vertices pass the limit and 1241
@@ -769,6 +780,26 @@ class TestEnginesMatchReferences:
         assert peak < 2**20
         # a pattern that the counts alone refuse answers before any form
         assert hypergraph_contains(host, make_hypergraph(1242, [])) is None
+
+    def test_the_placement_cache_keeps_its_total_within_the_limit(self, monkeypatch):
+        # 21 tables of (k - 1,) in (k,), each about 0.2 MiB traced and
+        # under a limit lowered to 700,000 bits, but not two of them; a
+        # cache bounded only by its 64 entries kept every one, about
+        # 4 MiB, and a chain of the 2x2 identity to length 400 peaked at
+        # 251 MiB RSS
+        monkeypatch.setattr(containment, "MAX_TABLE_BITS", 700_000)
+        tracemalloc.start()
+        try:
+            for k in range(50, 71):
+                containment._placement_table((k - 1,), (k,))
+                cached = containment._placement_cache.values()
+                assert containment._placement_cache_bits == sum(bits for bits, _ in cached)
+                assert containment._placement_cache_bits <= 700_000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert list(containment._placement_cache) == [(69, 70)]
 
     def test_a_heavier_pattern_reads_no_host_row(self):
         # no answer depends on the matrix search's weight test, as the

@@ -1,5 +1,7 @@
 """Core object construction, predicates, and their invariants."""
 
+import random
+import time
 from itertools import product
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from patternex import (
     BinaryMatrix,
     InputError,
+    OrderedHypergraph,
     PartsSpec,
     PermutationSpec,
     associated_hypergraph,
@@ -19,6 +22,9 @@ from patternex import (
     make_hypergraph,
     make_matrix,
 )
+from patternex import structures
+
+from oracles import is_matrix, is_ordered_hypergraph
 
 
 @st.composite
@@ -189,3 +195,143 @@ class TestPartsSpec:
         assert spec.sizes == (2, 3)
         assert spec.part_of(3) == 2
         assert spec.part_of(2) == 1
+
+
+class TestConstructionCheck:
+    """Construction accepts exactly the objects of the definitions, whether
+    the shape's valid cells or edges are cached or the per-entry check
+    decides, and raises the per-entry check's text."""
+
+    @staticmethod
+    def _entry(rng: random.Random, n) -> object:
+        """A vertex or coordinate value for extent or vertex count n: in
+        1..n mostly, else 0, n + 1 or a float, whole or not."""
+        top = max(1, int(n))
+        roll = rng.random()
+        if roll < 0.9:
+            return rng.randint(1, top)
+        if roll < 0.93:
+            return 0
+        if roll < 0.96:
+            return top + 1
+        return rng.randint(1, top) + rng.choice((0.0, 0.5))
+
+    def _matrix_case(self, rng):
+        d = rng.choice((1, 2, 2, 2, 3, 3, 4))
+        kind = rng.choice(("cached", "cached", "cached", "large", "float"))
+        if kind == "large":
+            extents = [rng.randint(33, 60) for _ in range(d)]
+        else:
+            extents = [0 if rng.random() < 0.03 else rng.randint(1, 4) for _ in range(d)]
+            if kind == "float":
+                extents[0] = rng.choice((3.0, 2.5))
+        ones = set()
+        for _ in range(rng.randint(0, 6)):
+            length = d if rng.random() < 0.95 else d + rng.choice((-1, 1))
+            ones.add(tuple(self._entry(rng, extents[i % d]) for i in range(length)))
+        return tuple(extents), frozenset(ones)
+
+    def _hypergraph_case(self, rng):
+        kind = rng.choice(("cached", "cached", "cached", "large", "float"))
+        if kind == "float":
+            n = 5.0
+        else:
+            n = rng.randint(46, 60) if kind == "large" else rng.randint(0, 7)
+        edges = set()
+        for _ in range(rng.randint(0, 6)):
+            size = rng.choice((0, 1, 2, 2, 3, 3, 4)) if rng.random() < 0.1 else rng.randint(1, 3)
+            vertices = list(range(1, int(n) + 1))
+            if size <= len(vertices) and rng.random() < 0.85:
+                edge = sorted(rng.sample(vertices, size))
+                if edge and kind == "float" and rng.random() < 0.3:
+                    edge[-1] += rng.choice((0.0, 0.5))
+            else:
+                edge = [self._entry(rng, n) for _ in range(size)]
+                if rng.random() < 0.5:
+                    edge.sort()
+            edges.add(tuple(edge))
+        return n, frozenset(edges)
+
+    def test_seeded_objects_are_accepted_exactly_by_the_definitions(self):
+        rng = random.Random(20181)
+        cells_before = structures._valid_cells.cache_info().hits
+        edges_before = structures._valid_edges.cache_info().hits
+        verdicts = []
+        for _ in range(3000):
+            extents, ones = self._matrix_case(rng)
+            try:
+                BinaryMatrix(extents, ones)
+                accepted = True
+            except InputError:
+                accepted = False
+            assert accepted == is_matrix(extents, ones), (extents, ones)
+            n, edges = self._hypergraph_case(rng)
+            try:
+                OrderedHypergraph(n, edges)
+                accepted_h = True
+            except InputError:
+                accepted_h = False
+            assert accepted_h == is_ordered_hypergraph(n, edges), (n, edges)
+            verdicts += [accepted, accepted_h]
+        # both verdicts are common, and both caches answered
+        assert 0.2 < sum(verdicts) / len(verdicts) < 0.9
+        assert structures._valid_cells.cache_info().hits > cells_before
+        assert structures._valid_edges.cache_info().hits > edges_before
+
+    @pytest.mark.parametrize(
+        "extents, ones, message",
+        [
+            ((2, 2), {(1, 3)}, "coordinate (1, 3) out of range on axis 2 (extent 2)"),
+            ((60, 60), {(61, 1)}, "coordinate (61, 1) out of range on axis 1 (extent 60)"),
+            ((2, 2), {(1,)}, "coordinate (1,) has length 1, expected 2"),
+            ((2, 0), set(), "extents must be positive, got (2, 0)"),
+            ((3,), {(1,)}, "matrix dimension must be >= 2, got 1"),
+        ],
+    )
+    def test_matrix_error_text(self, extents, ones, message):
+        BinaryMatrix((2, 2), frozenset({(1, 1)}))  # caches the 2x2 cells
+        with pytest.raises(InputError) as info:
+            BinaryMatrix(extents, frozenset(ones))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (3, {()}, "empty edges are not allowed"),
+            (3, {(2, 1)}, "edge (2, 1) is not strictly increasing"),
+            (3, {(1, 4)}, "edge (1, 4) out of range for n=3"),
+            (2, {(1, 2, 3)}, "edge (1, 2, 3) out of range for n=2"),
+            (-1, set(), "vertex count must be nonnegative, got -1"),
+        ],
+    )
+    def test_hypergraph_error_text(self, n, edges, message):
+        OrderedHypergraph(3, frozenset({(1, 2)}))  # caches the pairs on [3]
+        with pytest.raises(InputError) as info:
+            OrderedHypergraph(n, frozenset(edges))
+        assert str(info.value) == message
+
+    def test_each_cache_stays_at_its_size_past_its_size_in_shapes(self):
+        for k in range(1, 2 * structures._valid_cells.cache_info().maxsize + 1):
+            BinaryMatrix((2, k), frozenset({(1, 1)}))
+            OrderedHypergraph(k, frozenset({(1,)}))
+        for cache in (structures._valid_cells, structures._valid_edges):
+            info = cache.cache_info()
+            assert info.currsize == info.maxsize
+
+    def test_large_shapes_build_no_cached_set(self):
+        # 2,000,000 ints of 1000x1000 cells, and C(100000, 50000) edges;
+        # the bound is decided after one small multiplication
+        diagonal = frozenset((i, i) for i in range(1, 1001))
+        half = frozenset({tuple(range(1, 50_001))})
+        misses = (
+            structures._valid_cells.cache_info().misses,
+            structures._valid_edges.cache_info().misses,
+        )
+        start = time.perf_counter()
+        assert BinaryMatrix((1000, 1000), diagonal).weight == 1000
+        assert OrderedHypergraph(100_000, half).weight == 50_000
+        assert time.perf_counter() - start < 0.5
+        assert misses == (
+            structures._valid_cells.cache_info().misses,
+            structures._valid_edges.cache_info().misses,
+        )
