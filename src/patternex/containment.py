@@ -44,13 +44,25 @@ same candidates over a smaller range, so its subtree fails too.  No
 failure blames a vertex in no edge, so its later images are never tried.
 Only failing subtrees are cut, and answers and least embeddings are those
 of the full search.  Single calls prepare both forms inline; the
-all-pairs sweep prepares each graph once per part size.  Containment is
+all-pairs sweep prepares each graph once per part size.
+
+The all-pairs sweep, ``association_disagreement``, splits its hosts into
+stripes, host h in stripe h mod w, where w is the number of available
+CPUs but at most one per ``MIN_PAIRS_PER_WORKER`` pairs.  It runs stripe
+0 itself and each other stripe in a forked child, and answers with the
+least (host, pattern) pair over the stripes, the first pair of the
+serial sweep.  A failed child's stripe is re-run in the parent; where a
+search or a fork raises, the serial sweep runs instead.  The sweep stays
+serial with one worker, without ``os.fork`` and while another Python
+thread is alive.  Containment is
 NP-hard in general; the contract is correctness at desk scale (pattern
 weight up to ~8, host side up to ~12 for d=2), not polynomial time.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
@@ -78,6 +90,12 @@ from .structures import (
 # sweep.  The largest shape of the tests, verify up to budget 6 and the
 # benchmark, a 2x1 pattern on a 1000x1000 host, counts about 10**6.
 MAX_TABLE_BITS = 10**8
+
+# The fewest ordered pairs an association_disagreement sweep gives each
+# process: forking a child and reaping it costs about 1 ms, and 2**15
+# pairs of the part-size-3 sweep about 50 ms (shared 2-core Xeon), so
+# part sizes 1 and 2 (4 and 256 pairs) stay in one process.
+MIN_PAIRS_PER_WORKER = 2**15
 
 # ---------------------------------------------------------------------------
 # witness types
@@ -683,11 +701,24 @@ def association_disagreement(
     which the two routes of :func:`klazar_marcus_check` disagree, or None.
 
     Each graph, d-partite d-uniform with d equal parts, is validated,
-    associated and prepared once; each pair then runs only the two search
-    steps, read as module globals when the sweep starts.  Every graph has
-    the same associated shape, so one placement table serves every pair
-    and the matrix search tests the weights itself; a host form or a
-    shape past ``MAX_TABLE_BITS`` raises :class:`CapacityError` first."""
+    associated and prepared once, in this process; each pair then runs
+    only the two search steps, read as module globals when a stripe
+    starts.  Every graph has the same associated shape, so one placement
+    table serves every pair and the matrix search tests the weights
+    itself; a host form or a shape past ``MAX_TABLE_BITS`` raises
+    :class:`CapacityError` first.
+
+    The hosts are split into ``workers`` stripes by index, host h in
+    stripe h mod ``workers``, with ``workers`` the available CPUs but at
+    most one per ``MIN_PAIRS_PER_WORKER`` pairs.  This process runs
+    stripe 0 and a forked child each other stripe (see
+    :func:`_forked_stripes`); the answer is the least (host, pattern)
+    index pair over all stripes, the first pair of the serial sweep.
+    Where a search or a fork raises, the serial sweep runs once the
+    children are gone: it raises the search's exception, or returns a
+    pair before the one that raised.  The sweep stays in one process
+    when ``workers`` is 1, where ``os.fork`` is missing and while another
+    Python thread is alive, as forking a threaded process is unsafe."""
     if d < 2 or len({g.n for g in graphs}) > 1:
         raise InputError(f"the equivalence needs d >= 2 parts of one size, got d={d}")
     forms = [_partite_forms(g, d) for g in graphs]
@@ -695,15 +726,108 @@ def association_disagreement(
         return None
     tail = forms[0][0][0][1:]
     placements = _placement_table(tail, tail)
+    workers = min(_available_cpus(), len(forms) ** 2 // MIN_PAIRS_PER_WORKER)
+    found = None
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        try:
+            found = [r for r in _forked_stripes(forms, placements, workers) if r is not None]
+        except Exception:
+            pass  # a search or a fork raised: the serial sweep decides
+    first = _stripe(forms, placements, 0, 1) if found is None else min(found, default=None)
+    if first is None:
+        return None
+    host, pattern = graphs[first[0]], graphs[first[1]]
+    return host, pattern, _disagreement(first[2], host, pattern)
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _stripe(
+    forms: list, placements: _Placements, start: int, step: int
+) -> tuple[int, int, bool] | None:
+    """The first (host index, pattern index, hypergraph answer), host-major,
+    among hosts start, start + step, ... and every pattern, on which the
+    two routes disagree, or None."""
     hyper_search = _hyper_embedding_search
     matrix_search = _matrix_embedding_search
-    for host, (host_matrix, host_hyper, _) in zip(graphs, forms):
-        for pattern, (pattern_matrix, _, pattern_hyper) in zip(graphs, forms):
+    for h in range(start, len(forms), step):
+        host_matrix, host_hyper, _ = forms[h]
+        for p, (pattern_matrix, _, pattern_hyper) in enumerate(forms):
             hyper_side = hyper_search(host_hyper, pattern_hyper) is not None
             matrix_side = matrix_search(host_matrix, pattern_matrix, placements) is not None
             if hyper_side != matrix_side:
-                return host, pattern, _disagreement(hyper_side, host, pattern)
+                return h, p, hyper_side
     return None
+
+
+def _forked_stripes(
+    forms: list, placements: _Placements, workers: int
+) -> list[tuple[int, int, bool] | None]:
+    """Each stripe's :func:`_stripe` result: stripe 0 from this process,
+    stripes 1 to ``workers - 1`` from forked children.
+
+    Fork rather than a spawned pool: a spawned worker takes about 35 ms
+    to start and 50 ms to import this package, against about 0.2 s that
+    the part-size-3 sweep saves, and it would not see this module's
+    globals as the caller left them (tests plant defects there).  Each
+    child writes its result to a pipe as ASCII integers, or ``none``, and
+    leaves with ``os._exit``: with 0 once the result is written, with 1
+    otherwise.  A child that exits non-zero or is killed has its stripe
+    re-run here, so a search that raises in a child raises here.  On any
+    exception, ``KeyboardInterrupt`` included, every child still running
+    is killed, and every child is reaped."""
+    children = []  # [pid, or None once reaped or not forked; read end; stripe]
+    try:
+        for start in range(1, workers):
+            read, write = os.pipe()
+            child = [None, os.fdopen(read, "rb"), start]
+            children.append(child)
+            try:
+                child[0] = _fork_stripe(forms, placements, start, workers, write)
+            finally:
+                os.close(write)
+        results = [_stripe(forms, placements, 0, workers)]
+        for child in children:
+            pid, reader, start = child
+            text = reader.read()
+            status = os.waitpid(pid, 0)[1]
+            child[0] = None
+            if os.waitstatus_to_exitcode(status) != 0:
+                results.append(_stripe(forms, placements, start, workers))
+            elif text == b"none":
+                results.append(None)
+            else:
+                h, p, hyper_side = map(int, text.split())
+                results.append((h, p, hyper_side == 1))
+        return results
+    finally:
+        for pid, reader, _ in children:
+            reader.close()
+            if pid is not None:
+                from signal import SIGKILL
+
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_stripe(forms: list, placements: _Placements, start: int, step: int, write: int) -> int:
+    """Fork a child that runs one stripe, writes its result to ``write``
+    and exits; return the child's pid."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            found = _stripe(forms, placements, start, step)
+            text = "none" if found is None else f"{found[0]} {found[1]} {int(found[2])}"
+            os.write(write, text.encode("ascii"))
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
 
 
 def klazar_marcus_check(

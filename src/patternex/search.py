@@ -836,28 +836,33 @@ def _certify_hypergraph(
     return SearchCertificate(value, witness, True)
 
 
-def _candidate_edges(n: int, smallest: int, largest: int, limit: int) -> list[Edge]:
+def _candidate_edges(n: int, smallest: int, largest: int, limit: int) -> tuple[Edge, ...]:
     """The edges on [n] of sizes ``smallest`` to ``largest``, in
     lexicographic order.  They are counted with ``math.comb`` first, and
     more than ``limit`` of them raise :class:`CapacityError` before any is
-    listed, so a refusal costs at most ``limit + 1`` binomials whatever n."""
-    sizes = range(smallest, min(largest, n) + 1)
+    listed or cached, so a refusal costs at most ``limit + 1`` binomials
+    whatever n.  The listing is shared by every row with the same range."""
     count = 0
-    for size in sizes:
+    for size in range(smallest, min(largest, n) + 1):
         count += math.comb(n, size)
         if count > limit:
             raise CapacityError(
                 f"at least {count} candidate edges of size at most {largest} "
                 f"on {n} vertices exceed the limit {limit}"
             )
-    edges: list[Edge] = []
-    for size in sizes:
-        edges += combinations(range(1, n + 1), size)
-    edges.sort()
-    return edges
+    return _listed_edges(n, smallest, largest)
 
 
-def _hyper_copies(n: int, candidates: list[Edge], pattern: OrderedHypergraph) -> set[int]:
+# keyed by the range only: a range is listed only after its count is
+# within a caller's limit, so each listing holds at most
+# MAX_GRAPH_CANDIDATES edges
+@lru_cache(maxsize=256)
+def _listed_edges(n: int, smallest: int, largest: int) -> tuple[Edge, ...]:
+    sizes = range(smallest, min(largest, n) + 1)
+    return tuple(sorted(e for size in sizes for e in combinations(range(1, n + 1), size)))
+
+
+def _hyper_copies(n: int, candidates: tuple[Edge, ...], pattern: OrderedHypergraph) -> set[int]:
     """Each copy of the pattern among the candidate edges, as a bitmask over
     the candidates: for each increasing vertex map f, each injective choice
     of a candidate containing f(e) for every pattern edge e.  The empty

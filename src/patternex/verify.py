@@ -11,6 +11,7 @@ random-density check whose statistics are labeled empirical.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from itertools import combinations, pairwise, permutations, product
 
@@ -205,11 +206,13 @@ def corner_anchored_patterns() -> list[BinaryMatrix]:
     return out
 
 
-def all_graphs(n: int, pairs) -> list[OrderedHypergraph]:
-    """Every graph on [n] with edges from ``pairs``: by edge count, then in combinations order."""
+def all_graphs(n: int, pairs) -> Iterator[OrderedHypergraph]:
+    """Every graph on [n] with edges from ``pairs``, built one at a time: by
+    edge count, then in combinations order."""
     pairs = list(pairs)
-    sizes = range(len(pairs) + 1)
-    return [OrderedHypergraph(n, frozenset(c)) for m in sizes for c in combinations(pairs, m)]
+    for m in range(len(pairs) + 1):
+        for chosen in combinations(pairs, m):
+            yield OrderedHypergraph(n, frozenset(chosen))
 
 
 def permutation_hypergraphs(k: int, d: int = 2) -> list[tuple[tuple, OrderedHypergraph]]:
@@ -498,7 +501,7 @@ def check_association_equivalence(budget: int) -> CheckResult:
     n_max = min(budget, 3)  # part size 4 has 2^16 graphs, 2^32 pairs
     instances = []
     for n in range(1, n_max + 1):
-        graphs = all_graphs(2 * n, product(range(1, n + 1), range(n + 1, 2 * n + 1)))
+        graphs = list(all_graphs(2 * n, product(range(1, n + 1), range(n + 1, 2 * n + 1))))
         disagreement = association_disagreement(graphs, 2)
         params = {"part_size": n, "pairs": len(graphs) ** 2}
         # a passed instance reads neither the objects nor the error

@@ -1,7 +1,9 @@
 """Containment relations checked against definition-level brute force."""
 
 import math
+import os
 import random
+import threading
 import time
 import tracemalloc
 from itertools import combinations, product
@@ -443,6 +445,154 @@ class TestKlazarMarcus:
     def test_sweep_rejects_fewer_than_two_parts_and_mixed_sizes(self, graphs, d):
         with pytest.raises(InputError):
             containment.association_disagreement(graphs, d)
+
+
+class TestStripedSweep:
+    """The part-size-3 sweep split over two processes against the same
+    sweep in one process, which test_sweep_matches_a_per_pair_loop ties to
+    the per-pair loop.  Host h lies in stripe h mod 2: stripe 0 runs in
+    this process, stripe 1 in a forked child."""
+
+    GRAPHS = _all_bipartite(3)
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _plant(monkeypatch, missed=(), raising=(), raise_in_child=False):
+        # the matrix search misses every copy in a host of ``missed``, so
+        # the first disagreement is (min(missed), 0); it raises on a host
+        # of ``raising`` (every host for None), and on every pair in a
+        # process other than this one when ``raise_in_child`` is set
+        graphs = TestStripedSweep.GRAPHS
+        form = lambda h: containment._partite_forms(graphs[h], 2)[0]
+        missed_forms = [form(h) for h in missed]
+        raising_forms = None if raising is None else [form(h) for h in raising]
+        parent = os.getpid()
+        engine = containment._matrix_embedding_search
+
+        def search(host, pattern, placements):
+            if raise_in_child and os.getpid() != parent:
+                raise RuntimeError("planted in a child")
+            if raising_forms is None or host in raising_forms:
+                raise RuntimeError(f"planted at weights {host[1]} {pattern[1]}")
+            if host in missed_forms:
+                return None
+            return engine(host, pattern, placements)
+
+        monkeypatch.setattr(containment, "_matrix_embedding_search", search)
+
+    @staticmethod
+    def _sweep(monkeypatch, cpus, graphs=GRAPHS):
+        # the sweep's answer, or a planted error's text, and the forks made
+        monkeypatch.setattr(containment, "_available_cpus", lambda: cpus)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        try:
+            return containment.association_disagreement(graphs, 2), len(forks)
+        except RuntimeError as exc:
+            return str(exc), len(forks)
+
+    @pytest.mark.parametrize(
+        "missed,raising,first",
+        [
+            ((46,), (), 46),
+            ((511,), (), 511),
+            ((131, 256), (), 131),
+            ((130, 257), (), 130),
+            ((130,), (301,), 130),
+            ((256,), (131,), None),
+            ((), None, None),
+        ],
+        ids=[
+            "stripe0",
+            "stripe1",
+            "child_first",
+            "parent_first",
+            "raise_after_disagreement",
+            "raise_before_disagreement",
+            "raise_everywhere",
+        ],
+    )
+    def test_two_stripes_give_the_serial_answer(self, monkeypatch, missed, raising, first):
+        self._plant(monkeypatch, missed, raising)
+        serial, serial_forks = self._sweep(monkeypatch, 1)
+        striped, striped_forks = self._sweep(monkeypatch, 2)
+        assert (serial_forks, striped_forks) == (0, 1)
+        assert striped == serial
+        if first is None:
+            assert serial.startswith("planted at weights")
+        else:
+            assert serial[:2] == (self.GRAPHS[first], self.GRAPHS[0])
+
+    def test_a_failed_child_has_its_stripe_re_run(self, monkeypatch):
+        self._plant(monkeypatch, missed=(131,))
+        serial, _ = self._sweep(monkeypatch, 1)
+        self._plant(monkeypatch, missed=(131,), raise_in_child=True)
+        striped, forks = self._sweep(monkeypatch, 2)
+        assert forks == 1
+        assert striped == serial
+        assert serial[0] == self.GRAPHS[131]
+
+    def test_a_child_that_exits_non_zero_is_not_believed(self, monkeypatch):
+        # the child's engine misses every copy, so it writes a disagreement
+        # at host 1, then exits 3: the parent re-runs stripe 1 soundly
+        parent = os.getpid()
+        engine = containment._matrix_embedding_search
+        exit_now = os._exit
+
+        def search(host, pattern, placements):
+            return None if os.getpid() != parent else engine(host, pattern, placements)
+
+        monkeypatch.setattr(containment, "_matrix_embedding_search", search)
+        monkeypatch.setattr(os, "_exit", lambda code: exit_now(3))
+        assert self._sweep(monkeypatch, 2) == (None, 1)
+
+    def test_a_failed_fork_gives_the_serial_answer(self, monkeypatch):
+        self._plant(monkeypatch, missed=(131,))
+        serial, _ = self._sweep(monkeypatch, 1)
+
+        def no_fork():
+            raise OSError("planted")
+
+        monkeypatch.setattr(containment, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert containment.association_disagreement(self.GRAPHS, 2) == serial
+
+    def test_an_interrupt_kills_and_reaps_the_child(self, monkeypatch):
+        parent = os.getpid()
+        engine = containment._matrix_embedding_search
+
+        def search(host, pattern, placements):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return engine(host, pattern, placements)
+
+        monkeypatch.setattr(containment, "_matrix_embedding_search", search)
+        monkeypatch.setattr(containment, "_available_cpus", lambda: 2)
+        with pytest.raises(KeyboardInterrupt):
+            containment.association_disagreement(self.GRAPHS, 2)
+
+    def test_a_second_thread_keeps_the_sweep_in_one_process(self, monkeypatch):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            assert self._sweep(monkeypatch, 2) == (None, 0)
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+
+    def test_each_process_gets_at_least_min_pairs_per_worker(self, monkeypatch):
+        for part_size in (1, 2):
+            assert self._sweep(monkeypatch, 64, _all_bipartite(part_size)) == (None, 0)
+        # 512 ** 2 pairs make 8 stripes of MIN_PAIRS_PER_WORKER
+        assert self._sweep(monkeypatch, 64) == (None, 7)
 
 
 @pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 3)])

@@ -1058,6 +1058,19 @@ class TestCapacityRefusal:
             solve(10**6)
         assert time.perf_counter() - start < 1.0
 
+    def test_a_refused_range_caches_nothing(self):
+        before = search._listed_edges.cache_info()
+        with pytest.raises(CapacityError):
+            search._candidate_edges(60, 1, 4, search.MAX_HYPER_CANDIDATES)
+        assert search._listed_edges.cache_info() == before
+
+    def test_each_range_is_listed_once_and_shared_read_only(self):
+        edges = search._candidate_edges(4, 1, 3, search.MAX_HYPER_CANDIDATES)
+        expected = sorted(e for size in (1, 2, 3) for e in combinations(range(1, 5), size))
+        assert isinstance(edges, tuple)
+        assert list(edges) == expected
+        assert search._candidate_edges(4, 1, 3, search.MAX_HYPER_CANDIDATES) is edges
+
 
 class TestTables:
     def _identity_table(self):

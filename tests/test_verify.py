@@ -1,6 +1,7 @@
 """The claim checkers themselves, run at reduced budgets."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -97,6 +98,19 @@ def test_partite_edge_bound():
     assert [inst.params["n"] for inst in result.instances] == [1, 2, 3]
 
 
+def test_partite_edge_bound_takes_its_graphs_one_at_a_time():
+    # the 1,024 graphs on [5], held in one list, peaked at about 0.67 MiB
+    # traced (25 MiB at budget 6); one at a time the peak is about 0.06 MiB
+    tracemalloc.start()
+    try:
+        result = check_partite_edge_bound(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 2**18
+
+
 def test_partite_edge_bound_fails_when_containment_misses_copies(monkeypatch):
     # every graph then counts as an avoider; the bound 2n - 1 has slack 2
     # over the true avoiders, so only K5's 10 edges break it (bound 9), but
@@ -173,7 +187,7 @@ def test_padding_chain_fails_when_containment_misses_one_link(monkeypatch, link)
     ids=["ordered", "crossing"],
 )
 def test_all_graphs_lists_every_subset_of_the_pairs_by_size_then_combinations_order(n, pairs):
-    graphs = all_graphs(n, iter(pairs))
+    graphs = list(all_graphs(n, iter(pairs)))
     assert len(set(graphs)) == len(graphs) == 2 ** len(pairs)
     assert all(g.n == n for g in graphs)
     positions = [sorted(pairs.index(e) for e in g.edges) for g in graphs]
