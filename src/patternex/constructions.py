@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 
 from .containment import (
@@ -31,6 +30,7 @@ from .structures import (
     Edge,
     OrderedHypergraph,
     PartsSpec,
+    _Record,
     associated_hypergraph,
     associated_matrix,
     is_d_permutation_hypergraph,
@@ -77,7 +77,8 @@ def bipartite_double(graph: OrderedHypergraph) -> BinaryMatrix:
         raise InputError("bipartite_double needs at least one vertex")
     ones = frozenset((u, v) for u, v in graph.edges)
     out = BinaryMatrix((graph.n, graph.n), ones)
-    assert out.weight == graph.edge_count
+    if out.weight != graph.edge_count:
+        raise PostconditionError("bipartite_double output lost an edge")
     return out
 
 
@@ -224,15 +225,24 @@ def chain_patterns(start: BinaryMatrix, up_to_length: int) -> list[BinaryMatrix]
     return chain
 
 
-@dataclass(frozen=True)
-class NormalizeReport:
+class NormalizeReport(_Record):
     """Bookkeeping for the edge-normalization step."""
 
-    cap_mode: str
-    cap: int
-    removed_small: int
-    truncated: int
-    multiplicities: tuple[tuple[Edge, int], ...]
+    __slots__ = ("cap_mode", "cap", "removed_small", "truncated", "multiplicities")
+
+    def __init__(
+        self,
+        cap_mode: str,
+        cap: int,
+        removed_small: int,
+        truncated: int,
+        multiplicities: tuple[tuple[Edge, int], ...],
+    ) -> None:
+        object.__setattr__(self, "cap_mode", cap_mode)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "removed_small", removed_small)
+        object.__setattr__(self, "truncated", truncated)
+        object.__setattr__(self, "multiplicities", multiplicities)
 
     @property
     def max_multiplicity(self) -> int:
@@ -333,17 +343,19 @@ def graph_copy_from_doubling(
 # randomized construction
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(_Record):
     """Parameters of the seeded random deletion-repair generator."""
 
-    pattern: BinaryMatrix
-    side: int
-    p: float
-    seed: int
-    trials: int = 1
+    __slots__ = ("pattern", "side", "p", "seed", "trials")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, pattern: BinaryMatrix, side: int, p: float, seed: int, trials: int = 1
+    ) -> None:
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "trials", trials)
         if self.side < 1:
             raise InputError(f"side must be positive, got {self.side}")
         if not 0.0 < self.p <= 1.0:
@@ -358,18 +370,39 @@ class GeneratorConfig:
             )
 
 
-@dataclass(frozen=True)
-class TrialStats:
+class TrialStats(_Record):
     """Empirical statistics of one deletion-repair trial."""
 
-    trial: int
-    seed: int
-    p: float
-    initial_weight: int
-    deletions: int
-    final_weight: int
-    analytic_target: float
-    rng_algorithm: str = RNG_ALGORITHM
+    __slots__ = (
+        "trial",
+        "seed",
+        "p",
+        "initial_weight",
+        "deletions",
+        "final_weight",
+        "analytic_target",
+        "rng_algorithm",
+    )
+
+    def __init__(
+        self,
+        trial: int,
+        seed: int,
+        p: float,
+        initial_weight: int,
+        deletions: int,
+        final_weight: int,
+        analytic_target: float,
+        rng_algorithm: str = RNG_ALGORITHM,
+    ) -> None:
+        object.__setattr__(self, "trial", trial)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "initial_weight", initial_weight)
+        object.__setattr__(self, "deletions", deletions)
+        object.__setattr__(self, "final_weight", final_weight)
+        object.__setattr__(self, "analytic_target", analytic_target)
+        object.__setattr__(self, "rng_algorithm", rng_algorithm)
 
 
 def default_density(pattern: BinaryMatrix, side: int) -> float:

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
 from operator import gt, lt
@@ -74,6 +73,7 @@ from .structures import (
     Edge,
     OrderedHypergraph,
     PartsSpec,
+    _Record,
     associated_matrix,
     is_d_partite,
 )
@@ -101,28 +101,32 @@ MIN_PAIRS_PER_WORKER = 2**15
 # witness types
 
 
-@dataclass(frozen=True)
-class MatrixEmbedding:
+class MatrixEmbedding(_Record):
     """Per-axis strictly increasing index lists selecting a submatrix."""
 
-    axis_indices: tuple[tuple[int, ...], ...]
+    __slots__ = ("axis_indices",)
 
-    def __post_init__(self) -> None:
-        for axis, sel in enumerate(self.axis_indices, start=1):
+    def __init__(self, axis_indices: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "axis_indices", axis_indices)
+        for axis, sel in enumerate(axis_indices, start=1):
             if not all(map(lt, sel, sel[1:])):
                 raise InputError(f"axis {axis} indices {sel} are not strictly increasing")
 
 
-@dataclass(frozen=True)
-class HypergraphEmbedding:
+class HypergraphEmbedding(_Record):
     """Increasing vertex injection f and injective edge map g with f(e) <= g(e).
 
     ``edge_map`` pairs each pattern edge with its host edge, sorted by
     pattern edge.
     """
 
-    vertex_map: tuple[int, ...]
-    edge_map: tuple[tuple[Edge, Edge], ...]
+    __slots__ = ("vertex_map", "edge_map")
+
+    def __init__(
+        self, vertex_map: tuple[int, ...], edge_map: tuple[tuple[Edge, Edge], ...]
+    ) -> None:
+        object.__setattr__(self, "vertex_map", vertex_map)
+        object.__setattr__(self, "edge_map", edge_map)
 
     def as_dict(self) -> dict[Edge, Edge]:
         return dict(self.edge_map)

@@ -122,7 +122,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -136,7 +135,7 @@ from .containment import (
     matrix_contains,
 )
 from .errors import CapacityError, InputError, PostconditionError
-from .structures import BinaryMatrix, Edge, OrderedHypergraph
+from .structures import BinaryMatrix, Edge, OrderedHypergraph, _Record
 
 MAX_CELLS = 64
 MAX_GRAPH_CANDIDATES = 28
@@ -144,28 +143,33 @@ MAX_HYPER_CANDIDATES = 20
 RANKED_COPIES = 100
 
 
-@dataclass(frozen=True)
-class SearchCertificate:
+class SearchCertificate(_Record):
     """An extremal value, a witness achieving it, and a re-check flag.
 
     ``verified`` is set only after the witness has passed an independent
     avoidance re-check and its weight has been compared to the value.
     """
 
-    value: int
-    witness: BinaryMatrix | OrderedHypergraph
-    verified: bool
+    __slots__ = ("value", "witness", "verified")
+
+    def __init__(
+        self, value: int, witness: BinaryMatrix | OrderedHypergraph, verified: bool
+    ) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "verified", verified)
 
 
-@dataclass(frozen=True)
-class TableRow:
-    n: int
-    value: int
-    witness_ref: str | None = None
+class TableRow(_Record):
+    __slots__ = ("n", "value", "witness_ref")
+
+    def __init__(self, n: int, value: int, witness_ref: str | None = None) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness_ref", witness_ref)
 
 
-@dataclass(frozen=True)
-class ExtremalTable:
+class ExtremalTable(_Record):
     """Rows of (n, value, witness reference) for one pattern.
 
     ``dimension`` is the pattern dimension (2 for graph kinds).  For the
@@ -174,12 +178,19 @@ class ExtremalTable:
     patterns with trailing isolated vertices.
     """
 
-    pattern_id: str
-    kind: str  # ex | f | gex | exe | exi | count
-    dimension: int
-    rows: tuple[TableRow, ...]
+    __slots__ = ("pattern_id", "kind", "dimension", "rows")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        pattern_id: str,
+        kind: str,  # ex | f | gex | exe | exi | count
+        dimension: int,
+        rows: tuple[TableRow, ...],
+    ) -> None:
+        object.__setattr__(self, "pattern_id", pattern_id)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "rows", rows)
         ns = [r.n for r in self.rows]
         if ns != sorted(set(ns)):
             raise PostconditionError(f"table rows not strictly sorted by n: {ns}")

@@ -12,7 +12,6 @@ random-density check whose statistics are labeled empirical.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
 from itertools import combinations, pairwise, permutations, product
 
 from . import fileio
@@ -25,7 +24,6 @@ from .constructions import (
     cyclic_pad,
     default_density,
     random_avoider,
-    satisfies_boundary_condition,
 )
 # klazar_marcus_check is unused here: perfbench/tracing.py rebinds the name
 # in this module, and CI's traced smoke run fails without it
@@ -37,6 +35,7 @@ from .structures import (
     OrderedHypergraph,
     PartsSpec,
     PermutationSpec,
+    _Record,
     associated_hypergraph,
     associated_matrix,
     d_permutation_matrix,
@@ -90,19 +89,29 @@ CLAIMS = {
 CLAIM_NAMES = tuple(CLAIMS)
 
 
-@dataclass(frozen=True)
-class InstanceResult:
-    params: dict
-    passed: bool
-    payload: dict = field(default_factory=dict)
+class InstanceResult(_Record):
+    __slots__ = ("params", "passed", "payload")
+
+    def __init__(self, params: dict, passed: bool, payload: dict | None = None) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "payload", {} if payload is None else payload)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    claim: str
-    parameters: dict
-    instances: tuple[InstanceResult, ...]
-    notes: tuple[str, ...] = ()
+class CheckResult(_Record):
+    __slots__ = ("claim", "parameters", "instances", "notes")
+
+    def __init__(
+        self,
+        claim: str,
+        parameters: dict,
+        instances: tuple[InstanceResult, ...],
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "instances", instances)
+        object.__setattr__(self, "notes", notes)
 
     @property
     def passed(self) -> bool:
@@ -113,11 +122,13 @@ class CheckResult:
         return [inst for inst in self.instances if not inst.passed]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CheckResult, ...]
-    budget: int
-    seed: int
+class VerificationReport(_Record):
+    __slots__ = ("checks", "budget", "seed")
+
+    def __init__(self, checks: tuple[CheckResult, ...], budget: int, seed: int) -> None:
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def passed(self) -> bool:
@@ -129,7 +140,7 @@ class VerificationReport:
             "seed": self.seed,
             "overall_pass": self.passed,
             "checks": [
-                {**asdict(c), "summary": CLAIMS[c.claim][0], "passed": c.passed}
+                {**_plain(c), "summary": CLAIMS[c.claim][0], "passed": c.passed}
                 for c in self.checks
             ],
         }
@@ -153,6 +164,19 @@ class VerificationReport:
         lines.append("")
         lines.append("overall: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines) + "\n"
+
+
+def _plain(value):
+    """``value`` with each record turned into a dict of its fields, and
+    every dict, list and tuple copied, recursively, so that editing the
+    result leaves the records as they were."""
+    if isinstance(value, _Record):
+        return {name: _plain(getattr(value, name)) for name in value.__slots__}
+    if isinstance(value, dict):
+        return {_plain(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(v) for v in value)
+    return value
 
 
 def _fmt_dict(d: dict) -> str:
@@ -314,7 +338,6 @@ def check_partite_edge_bound(budget: int) -> CheckResult:
     matrix bound leaves slack.
     """
     anchored = make_hypergraph(4, [(1, 4), (2, 3)])
-    assert satisfies_boundary_condition(anchored, 2)
     pattern = associated_matrix(anchored, PartsSpec.equal(2, 2))
     instances = []
     for n in range(1, budget + 1):

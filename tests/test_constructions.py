@@ -3,7 +3,6 @@
 import random
 import time
 import tracemalloc
-from dataclasses import replace
 from itertools import combinations, product
 from math import prod
 
@@ -12,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patternex import (
+    BinaryMatrix,
     CapacityError,
     GeneratorConfig,
     InputError,
@@ -98,6 +98,15 @@ class TestBipartiteDouble:
     def test_rejects_hyperedges(self):
         with pytest.raises(InputError):
             bipartite_double(make_hypergraph(3, [(1, 2, 3)]))
+
+    def test_a_lost_edge_raises_postcondition_error(self, monkeypatch):
+        # an explicit re-check, which python -O keeps
+        def lossy(extents, ones):
+            return BinaryMatrix(extents, frozenset(sorted(ones)[1:]))
+
+        monkeypatch.setattr(constructions, "BinaryMatrix", lossy)
+        with pytest.raises(PostconditionError, match="lost an edge"):
+            bipartite_double(make_hypergraph(3, [(1, 2), (2, 3)]))
 
 
 class TestBlowup:
@@ -373,7 +382,7 @@ class TestRandomAvoider:
         config = GeneratorConfig(pattern=ALL_ONES_2, side=53, p=1e-9, seed=0)
         assert random_avoider(config)[0].weight == 0
         with pytest.raises(CapacityError):
-            random_avoider(replace(config, side=54))
+            random_avoider(GeneratorConfig(pattern=ALL_ONES_2, side=54, p=1e-9, seed=0))
 
     def test_reproducible_per_seed(self):
         config = GeneratorConfig(pattern=ALL_ONES_2, side=8, p=0.25, seed=3, trials=2)

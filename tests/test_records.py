@@ -8,7 +8,11 @@ pickle, copy and deepcopy.
 """
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -294,3 +298,16 @@ def test_to_dict_copies_every_field_so_editing_it_leaves_the_report_unchanged():
     assert FAILED.payload == {"error": "boom", "objects": {"host": "2\n1 2\n"}}
     assert CHECK.instances[0].payload == {}
 
+
+def test_importing_the_package_and_cli_loads_neither_dataclasses_nor_inspect():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys\n"
+        "import patternex.verify, patternex.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout == "[]\n"

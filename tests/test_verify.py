@@ -2,13 +2,13 @@
 
 import json
 import tracemalloc
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from patternex import InputError, PostconditionError, constructions, containment, fileio, make_hypergraph, verify
-from patternex import PartsSpec, associated_hypergraph, associated_matrix, chain_patterns, cyclic_pad
+from patternex import PartsSpec, SearchCertificate, associated_hypergraph, associated_matrix, chain_patterns, cyclic_pad
+from patternex import satisfies_boundary_condition
 from patternex.verify import (
     CLAIM_NAMES,
     CheckResult,
@@ -49,7 +49,7 @@ def test_doubling_upper_bound_small():
 def _under_count_by_one(solver):
     def defective(*args, **kwargs):
         certificate = solver(*args, **kwargs)
-        return replace(certificate, value=certificate.value - 1)
+        return SearchCertificate(certificate.value - 1, certificate.witness, certificate.verified)
 
     return defective
 
@@ -96,6 +96,15 @@ def test_partite_edge_bound():
     result = check_partite_edge_bound(3)
     assert result.passed
     assert [inst.params["n"] for inst in result.instances] == [1, 2, 3]
+
+
+def test_partite_edge_bound_pattern_anchors_its_boundary_pair():
+    # the lemma bounds the avoiders of a boundary-anchored pattern only: the
+    # check's {14, 23} holds the boundary pair {2, 3} in an edge, {13, 24} does not
+    anchored = make_hypergraph(4, [(1, 4), (2, 3)])
+    assert check_partite_edge_bound(1).parameters["pattern"] == verify._hypergraph_id(anchored)
+    assert satisfies_boundary_condition(anchored, 2)
+    assert not satisfies_boundary_condition(make_hypergraph(4, [(1, 3), (2, 4)]), 2)
 
 
 def test_partite_edge_bound_takes_its_graphs_one_at_a_time():
