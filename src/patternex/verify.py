@@ -173,7 +173,7 @@ def _plain(value):
     if isinstance(value, _Record):
         return {name: _plain(getattr(value, name)) for name in value.__slots__}
     if isinstance(value, dict):
-        return {_plain(k): _plain(v) for k, v in value.items()}
+        return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return type(value)(_plain(v) for v in value)
     return value
