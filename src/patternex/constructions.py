@@ -33,6 +33,7 @@ from .structures import (
     _Record,
     associated_hypergraph,
     associated_matrix,
+    binomial_product,
     is_d_permutation_hypergraph,
 )
 
@@ -435,17 +436,25 @@ def random_avoider(config: GeneratorConfig, trial: int = 0) -> tuple[BinaryMatri
     call costs at most a greedy row scan for each of the
     windows / C(n, k_1) placements of axes 2..d, and a call that finds a
     copy stops at it.
+
+    Raises :class:`CapacityError` before it samples any cell when the
+    windows, counted by :func:`~patternex.structures.binomial_product`,
+    pass ``MAX_CONSTRUCTION_SIZE``, or when the pattern fits and the
+    placement table its first :func:`matrix_contains` call fetches
+    passes ``MAX_TABLE_BITS`` (:func:`placement_table_bits`).
     """
     if not 0 <= trial < config.trials:
         raise InputError(f"trial {trial} outside 0..{config.trials - 1}")
     pattern = config.pattern
     n = config.side
     d = pattern.d
-    windows = math.prod(math.comb(n, k) for k in pattern.extents)
+    windows = binomial_product([(n, k) for k in pattern.extents], MAX_CONSTRUCTION_SIZE)
     if windows > MAX_CONSTRUCTION_SIZE:
         raise CapacityError(
-            f"{windows} submatrix windows exceed the limit {MAX_CONSTRUCTION_SIZE}"
+            f"at least {windows} submatrix windows exceed the limit {MAX_CONSTRUCTION_SIZE}"
         )
+    if windows:
+        placement_table_bits(pattern.extents[1:], (n,) * (d - 1))
     seed = config.seed ^ trial
     rng = random.Random(seed)
     ones = {

@@ -75,6 +75,7 @@ from .structures import (
     PartsSpec,
     _Record,
     associated_matrix,
+    binomial_product,
     is_d_partite,
 )
 
@@ -214,18 +215,13 @@ def placement_table_bits(pat_tail: tuple[int, ...], host_tail: tuple[int, ...]) 
     placement, prod C(n_i, k_i) placements.
 
     Raises :class:`CapacityError` when that is more than
-    ``MAX_TABLE_BITS``.  The count is arithmetic, so it builds nothing,
-    and it multiplies the binomials up one factor at a time and stops
-    once past the limit: C(1000000, 500000), 10^6 bits long, took 6 s to
-    compute and raised ValueError when the message printed it.
+    ``MAX_TABLE_BITS``.  The placements are counted by
+    :func:`~patternex.structures.binomial_product`, which builds nothing
+    and stops once past the limit, so a refusal costs microseconds
+    whatever the extents, and its message gives the bits counted so far.
     """
     cells = prod(pat_tail) * prod(host_tail)
-    placements = 1
-    # placements * C(n, i) * (n - i) is divisible by i + 1
-    for n, i in ((n, i) for k, n in zip(pat_tail, host_tail) for i in range(min(k, n - k))):
-        if cells * (placements + 64) > MAX_TABLE_BITS:
-            break
-        placements = placements * (n - i) // (i + 1)
+    placements = binomial_product(tuple(zip(host_tail, pat_tail)), MAX_TABLE_BITS // cells - 64)
     bits = cells * (placements + 64)
     if bits > MAX_TABLE_BITS:
         raise CapacityError(

@@ -120,7 +120,6 @@ computed arithmetically, before anything is listed.
 
 from __future__ import annotations
 
-import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -135,7 +134,7 @@ from .containment import (
     matrix_contains,
 )
 from .errors import CapacityError, InputError, PostconditionError
-from .structures import BinaryMatrix, Edge, OrderedHypergraph, _Record
+from .structures import BinaryMatrix, Edge, OrderedHypergraph, _Record, binomial_product
 
 MAX_CELLS = 64
 MAX_GRAPH_CANDIDATES = 28
@@ -727,7 +726,7 @@ def _cheapest_image(
     of k axis-1 slices of side n - 1, which caps the 2-d value search at
     side n (:func:`_matrix_extremal`).
     """
-    if math.prod(math.comb(n, k) for k in pattern.extents) < RANKED_COPIES:
+    if binomial_product([(n, k) for k in pattern.extents], RANKED_COPIES) < RANKED_COPIES:
         return pattern, None, []
     index = _matrix_index(pattern, n - 1)
     value, _, own, own_boxes = _matrix_search(pattern, n - 1, index, sys.maxsize)
@@ -849,13 +848,14 @@ def _certify_hypergraph(
 
 def _candidate_edges(n: int, smallest: int, largest: int, limit: int) -> tuple[Edge, ...]:
     """The edges on [n] of sizes ``smallest`` to ``largest``, in
-    lexicographic order.  They are counted with ``math.comb`` first, and
-    more than ``limit`` of them raise :class:`CapacityError` before any is
-    listed or cached, so a refusal costs at most ``limit + 1`` binomials
-    whatever n.  The listing is shared by every row with the same range."""
+    lexicographic order.  They are counted first, one size at a time by
+    :func:`~patternex.structures.binomial_product`, and more than ``limit``
+    of them raise :class:`CapacityError` before any is listed or cached,
+    so a refusal costs at most ``limit + 1`` small steps whatever n.  The
+    listing is shared by every row with the same range."""
     count = 0
     for size in range(smallest, min(largest, n) + 1):
-        count += math.comb(n, size)
+        count += binomial_product(((n, size),), limit - count)
         if count > limit:
             raise CapacityError(
                 f"at least {count} candidate edges of size at most {largest} "

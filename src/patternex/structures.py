@@ -61,12 +61,38 @@ def _cached_cells(extents: tuple[int, ...]) -> frozenset[Coord] | None:
     return _valid_cells(tuple(extents))
 
 
+def binomial_product(pairs: Sequence[tuple[int, int]], cap: int) -> int:
+    """The product of C(n, k) over the (n, k) pairs, 0 when some k > n,
+    counted without building anything, and exact when it is at most
+    ``cap``.
+
+    Each binomial is multiplied in one factor at a time, up from C(n, 0),
+    and the count stops at the first partial product past ``cap``.  The
+    partial products only grow, so a count past the cap is a lower bound
+    on the product, and it costs a few small multiplications whatever n
+    and k: C(1000000, 500000), 10^6 bits long, took 6 s to compute and
+    could not be printed in a message.  The package's limits on windows,
+    placements, candidate edges and cached edges are all checked on this
+    count, before what it counts is built.
+    """
+    for n, k in pairs:
+        if k > n:
+            return 0
+    product = 1
+    for n, k in pairs:
+        # product * C(n, i) * (n - i) is divisible by i + 1
+        for i in range(min(k, n - k)):
+            if product > cap:
+                return product
+            product = product * (n - i) // (i + 1)
+    return product
+
+
 def _cached_edges(n: int, edges) -> frozenset[Edge] | None:
     """The valid edges on [n] of the sizes in ``edges``, or None when n
     is not an int, there is no edge, an edge is empty or longer than n,
-    or the valid edges hold more than ``MAX_CACHED_ENTRIES`` ints.  Each
-    binomial is counted up from C(n, 0) and dropped once past the bound,
-    so a long edge on many vertices costs a few small multiplications."""
+    or the valid edges hold more than ``MAX_CACHED_ENTRIES`` ints, as
+    counted by :func:`binomial_product`."""
     if type(n) is not int:
         return None
     try:
@@ -79,12 +105,7 @@ def _cached_edges(n: int, edges) -> frozenset[Edge] | None:
     for k in sizes:
         if not 0 < k <= n:
             return None
-        count = 1
-        for i in range(min(k, n - k)):
-            count = count * (n - i) // (i + 1)
-            if count * k > MAX_CACHED_ENTRIES:
-                return None
-        entries += count * k
+        entries += k * binomial_product(((n, k),), MAX_CACHED_ENTRIES)
         if entries > MAX_CACHED_ENTRIES:
             return None
     return _valid_edges(n, sizes)

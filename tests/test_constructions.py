@@ -384,6 +384,38 @@ class TestRandomAvoider:
         with pytest.raises(CapacityError):
             random_avoider(GeneratorConfig(pattern=ALL_ONES_2, side=54, p=1e-9, seed=0))
 
+    def test_a_huge_window_count_is_refused_at_once(self):
+        # C(400000, 1) * C(400000, 200000) windows: math.comb took 2.4 s on
+        # them, and printing the 4,300-digit count raised ValueError
+        pattern = make_matrix([1, 200_000], [(1, 1), (1, 200_000)])
+        config = GeneratorConfig(pattern=pattern, side=400_000, p=0.5, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="^at least [0-9]+ submatrix windows exceed"):
+                random_avoider(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("p", [0.5, 1e-9])
+    def test_a_placement_table_past_the_limit_is_refused_before_sampling(self, p):
+        # one window, but the first engine call needs the placement table
+        # of tail shape 2^19 in 2^19, 2^38 entries; sampling the 2^20
+        # cells first took 2.35 s and 170 MiB, and a sparse sample that
+        # never reached the engine was accepted
+        d = 20
+        pattern = make_matrix([2] * d, [(1,) * d, (2,) * d])
+        config = GeneratorConfig(pattern=pattern, side=2, p=p, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="placement table"):
+                random_avoider(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_reproducible_per_seed(self):
         config = GeneratorConfig(pattern=ALL_ONES_2, side=8, p=0.25, seed=3, trials=2)
         first = random_avoider(config, 1)

@@ -53,6 +53,8 @@ IDENTITY2 = permutation_matrix((1, 2))
 ALL_ONES_2 = make_matrix([2, 2], [(1, 1), (1, 2), (2, 1), (2, 2)])
 SINGLE_EDGE = make_hypergraph(2, [(1, 2)])
 IDENTITY_HYPERGRAPH = make_hypergraph(4, [(1, 3), (2, 4)])
+CROSSING = IDENTITY_HYPERGRAPH
+SEPARATED = make_hypergraph(4, [(1, 2), (3, 4)])
 
 
 def _solved(pattern, n):
@@ -212,21 +214,84 @@ class TestPublishedValues:
 
     @pytest.mark.parametrize("edges", [[(1, 3), (2, 4)], [(1, 4), (2, 3)]])
     def test_crossing_and_nesting_matchings(self, edges):
-        # graphs with no two crossing (nesting) edges are the outerplanar
-        # (1-queue) ordered graphs, which have at most 2n - 3 edges
-        # (Heath & Rosenberg 1992)
+        # gex = 2n - 3 for n >= 2, for either pair.  Crossing {13,24}: an
+        # ordered graph with no two crossing edges is an outerplanar drawing
+        # of n points in convex position, which has at most 2n - 3 edges (a
+        # triangulation of the n-gon).  Nesting {14,23}: an ordered graph
+        # with no two nesting edges is a 1-queue layout, which has at most
+        # 2n - 3 edges (Heath & Rosenberg, SIAM J. Comput. 21, 1992).  n = 8
+        # is the MAX_GRAPH_CANDIDATES limit of 28 pairs
         matching = make_hypergraph(4, edges)
         for n in range(2, 9):
             assert gex_graph(matching, n).value == 2 * n - 3
 
     def test_separated_matching(self):
-        # in an avoider every two edges overlap as closed intervals, so all
-        # of them share a point p (Helly's theorem on the line); the edges
-        # a < b with a <= p <= b number p(n + 1 - p) - 1, greatest at
-        # p = (n + 1) / 2
-        separated = make_hypergraph(4, [(1, 2), (3, 4)])
+        # gex({12,34}, n) = floor((n + 1)^2 / 4) - 1.  A copy is two edges
+        # a < b < c < d, one wholly left of the other.  So in an avoider
+        # every two edges, read as closed intervals [a, b], meet, and by
+        # Helly's theorem on the line all of them share a point: max a,
+        # which is at most min b.  That point is a vertex p, and the edges
+        # a < b with a <= p <= b number p(n + 1 - p) - 1.  Those edges
+        # pairwise meet at p, so each such star avoids the pattern, and the
+        # greatest star, at p = floor((n + 1) / 2), holds the closed form
         for n in range(1, 9):
-            assert gex_graph(separated, n).value == (n + 1) ** 2 // 4 - 1
+            stars = [
+                make_hypergraph(
+                    n, [(a, b) for a in range(1, p + 1) for b in range(p, n + 1) if a < b]
+                )
+                for p in range(1, n + 1)
+            ]
+            assert all(hypergraph_contains(star, SEPARATED) is None for star in stars)
+            assert max(star.edge_count for star in stars) == (n + 1) ** 2 // 4 - 1
+            assert gex_graph(SEPARATED, n).value == (n + 1) ** 2 // 4 - 1
+
+    def test_noncrossing_graph_counts(self):
+        # count_avoiders({13,24}, n, edge_size_cap=2) = 2^n A054726(n).  A
+        # singleton edge holds no pattern edge, so each of the n singletons
+        # doubles the count, and the 2-edges of an avoider are a graph with
+        # no two crossing edges: a non-crossing graph on n points in convex
+        # position.  A054726 counts those: 1, 2, 8, 48, 352 (Flajolet & Noy,
+        # Discrete Math. 204, 1999).  n = 6 has 21 candidate edges, past
+        # MAX_HYPER_CANDIDATES
+        for n, graphs in enumerate([1, 2, 8, 48, 352], start=1):
+            assert count_avoiders(CROSSING, n, edge_size_cap=2) == 2**n * graphs
+
+
+class TestPlantedSpuriousCopy:
+    """A spurious copy in the copy index makes the graph solvers count too
+    low.  The certificate re-check cannot see it, because the witness
+    still avoids the pattern and has the stated size; the published rows
+    must."""
+
+    @pytest.fixture(autouse=True)
+    def spurious_copy(self, monkeypatch):
+        hyper_copies = search._hyper_copies
+
+        def with_spurious_copy(n, candidates, pattern):
+            # the first candidate edge alone, which holds no copy of a
+            # two-edge pattern
+            copies = hyper_copies(n, candidates, pattern)
+            return copies | {1} if candidates else copies
+
+        monkeypatch.setattr(search, "_hyper_copies", with_spurious_copy)
+
+    def test_the_certificate_re_check_accepts_it(self):
+        cert = gex_graph(CROSSING, 4)
+        assert cert.verified and cert.value == 4  # 2n - 3 is 5
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            lambda rows: rows.test_crossing_and_nesting_matchings([(1, 3), (2, 4)]),
+            lambda rows: rows.test_crossing_and_nesting_matchings([(1, 4), (2, 3)]),
+            lambda rows: rows.test_separated_matching(),
+            lambda rows: rows.test_noncrossing_graph_counts(),
+        ],
+        ids=["crossing", "nesting", "separated", "noncrossing-counts"],
+    )
+    def test_the_published_rows_reject_it(self, row):
+        with pytest.raises(AssertionError):
+            row(TestPublishedValues())
 
 
 class TestSuffixBound:

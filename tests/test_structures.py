@@ -1,5 +1,6 @@
 """Core object construction, predicates, and their invariants."""
 
+import math
 import random
 import time
 from itertools import product
@@ -335,3 +336,47 @@ class TestConstructionCheck:
             structures._valid_cells.cache_info().misses,
             structures._valid_edges.cache_info().misses,
         )
+
+
+class TestBinomialProduct:
+    """The one count every size limit is checked on: exact up to the cap,
+    a lower bound past it, and 0 when some k > n."""
+
+    def test_exact_at_the_cap_and_a_lower_bound_just_below_it(self):
+        # C(53, 2)^2 = 1,898,884, the most windows random_avoider accepts
+        pairs = ((53, 2), (53, 2))
+        assert structures.binomial_product(pairs, 1_898_884) == 1_898_884
+        below = structures.binomial_product(pairs, 1_898_883)
+        assert 1_898_883 < below <= 1_898_884
+
+    def test_agrees_with_math_comb(self):
+        rng = random.Random(36)
+        for _ in range(500):
+            pairs = tuple(
+                (n, rng.randint(0, n + 1))
+                for n in (rng.randint(0, 12) for _ in range(rng.randint(0, 3)))
+            )
+            cap = rng.randint(0, 5000)
+            exact = math.prod(math.comb(n, k) for n, k in pairs)
+            got = structures.binomial_product(pairs, cap)
+            if exact <= cap:
+                assert got == exact, (pairs, cap)
+            else:
+                assert cap < got <= exact, (pairs, cap)
+
+    def test_a_huge_binomial_stops_once_past_the_cap(self):
+        # C(10^6, 5 * 10^5) is 10^6 bits long; math.comb took 6 s on it
+        pairs = ((10**6, 5 * 10**5),)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            count = structures.binomial_product(pairs, 10**8)
+            times.append(time.perf_counter() - start)
+        assert 10**8 < count < 10**18
+        assert min(times) < 1e-3
+
+    def test_zero_when_some_k_exceeds_n(self):
+        assert structures.binomial_product(((3, 4),), 10) == 0
+        # a later factor that cannot fit wins over an earlier one past the cap
+        assert structures.binomial_product(((10**6, 5 * 10**5), (3, 4)), 100) == 0
+        assert structures.binomial_product(((5, 5), (0, 0)), 0) == 1
