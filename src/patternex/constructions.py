@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 from itertools import product
 
@@ -27,7 +28,6 @@ from .errors import CapacityError, InputError, PostconditionError
 from .structures import (
     BinaryMatrix,
     Coord,
-    Edge,
     OrderedHypergraph,
     PartsSpec,
     _Record,
@@ -41,8 +41,9 @@ RNG_ALGORITHM = "python-random-mt19937"
 
 CAP_MODES = ("kd", "(k+d)d")
 
-# the most submatrix windows the deletion repair sweeps, and the most
-# vertex entries or coordinates a blow-up or a cyclic pattern may hold
+# the most submatrix windows the deletion repair sweeps and the most
+# cells it samples, and the most vertex entries or coordinates a blow-up
+# or a cyclic pattern may hold
 MAX_CONSTRUCTION_SIZE = 2_000_000
 
 
@@ -231,20 +232,6 @@ class NormalizeReport(_Record):
 
     __slots__ = ("cap_mode", "cap", "removed_small", "truncated", "multiplicities")
 
-    def __init__(
-        self,
-        cap_mode: str,
-        cap: int,
-        removed_small: int,
-        truncated: int,
-        multiplicities: tuple[tuple[Edge, int], ...],
-    ) -> None:
-        object.__setattr__(self, "cap_mode", cap_mode)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "removed_small", removed_small)
-        object.__setattr__(self, "truncated", truncated)
-        object.__setattr__(self, "multiplicities", multiplicities)
-
     @property
     def max_multiplicity(self) -> int:
         return max((m for _, m in self.multiplicities), default=0)
@@ -348,15 +335,9 @@ class GeneratorConfig(_Record):
     """Parameters of the seeded random deletion-repair generator."""
 
     __slots__ = ("pattern", "side", "p", "seed", "trials")
+    _defaults = {"trials": 1}
 
-    def __init__(
-        self, pattern: BinaryMatrix, side: int, p: float, seed: int, trials: int = 1
-    ) -> None:
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "trials", trials)
+    def _check(self) -> None:
         if self.side < 1:
             raise InputError(f"side must be positive, got {self.side}")
         if not 0.0 < self.p <= 1.0:
@@ -384,26 +365,7 @@ class TrialStats(_Record):
         "analytic_target",
         "rng_algorithm",
     )
-
-    def __init__(
-        self,
-        trial: int,
-        seed: int,
-        p: float,
-        initial_weight: int,
-        deletions: int,
-        final_weight: int,
-        analytic_target: float,
-        rng_algorithm: str = RNG_ALGORITHM,
-    ) -> None:
-        object.__setattr__(self, "trial", trial)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "initial_weight", initial_weight)
-        object.__setattr__(self, "deletions", deletions)
-        object.__setattr__(self, "final_weight", final_weight)
-        object.__setattr__(self, "analytic_target", analytic_target)
-        object.__setattr__(self, "rng_algorithm", rng_algorithm)
+    _defaults = {"rng_algorithm": RNG_ALGORITHM}
 
 
 def default_density(pattern: BinaryMatrix, side: int) -> float:
@@ -415,14 +377,24 @@ def default_density(pattern: BinaryMatrix, side: int) -> float:
 
 
 def analytic_expected_weight(pattern: BinaryMatrix, side: int, p: float) -> float:
-    """n^d p - (e n)^(sum k_i) / prod(k_i^k_i) * p^w, the repair lower-bound target."""
+    """n^d p - (e n)^(sum k_i) / prod(k_i^k_i) * p^w, the repair lower-bound target.
+
+    Where (e n)^(sum k_i) or some k_i^k_i passes the float range, the
+    second term is exp(sum k_i log(e n / k_i) + w log p) instead, and
+    infinite when that passes the float range too.
+    """
     d = pattern.d
     w = pattern.weight
-    numerator = (math.e * side) ** sum(pattern.extents)
-    denominator = 1.0
-    for k in pattern.extents:
-        denominator *= float(k) ** k
-    return side**d * p - numerator / denominator * p**w
+    try:
+        numerator = (math.e * side) ** sum(pattern.extents)
+        denominator = 1.0
+        for k in pattern.extents:
+            denominator *= float(k) ** k
+        term = numerator / denominator * p**w
+    except OverflowError:
+        log_term = sum(k * math.log(math.e * side / k) for k in pattern.extents) + w * math.log(p)
+        term = math.exp(log_term) if log_term <= math.log(sys.float_info.max) else math.inf
+    return side**d * p - term
 
 
 def random_avoider(config: GeneratorConfig, trial: int = 0) -> tuple[BinaryMatrix, TrialStats]:
@@ -439,9 +411,10 @@ def random_avoider(config: GeneratorConfig, trial: int = 0) -> tuple[BinaryMatri
 
     Raises :class:`CapacityError` before it samples any cell when the
     windows, counted by :func:`~patternex.structures.binomial_product`,
-    pass ``MAX_CONSTRUCTION_SIZE``, or when the pattern fits and the
+    pass ``MAX_CONSTRUCTION_SIZE``, when the pattern fits and the
     placement table its first :func:`matrix_contains` call fetches
-    passes ``MAX_TABLE_BITS`` (:func:`placement_table_bits`).
+    passes ``MAX_TABLE_BITS`` (:func:`placement_table_bits`), or when
+    the n^d cells, counted the same way, pass ``MAX_CONSTRUCTION_SIZE``.
     """
     if not 0 <= trial < config.trials:
         raise InputError(f"trial {trial} outside 0..{config.trials - 1}")
@@ -455,6 +428,11 @@ def random_avoider(config: GeneratorConfig, trial: int = 0) -> tuple[BinaryMatri
         )
     if windows:
         placement_table_bits(pattern.extents[1:], (n,) * (d - 1))
+    cells = binomial_product([(n, 1)] * d, MAX_CONSTRUCTION_SIZE)
+    if cells > MAX_CONSTRUCTION_SIZE:
+        raise CapacityError(
+            f"at least {cells} sampled cells exceed the limit {MAX_CONSTRUCTION_SIZE}"
+        )
     seed = config.seed ^ trial
     rng = random.Random(seed)
     ones = {

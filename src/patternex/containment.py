@@ -107,9 +107,8 @@ class MatrixEmbedding(_Record):
 
     __slots__ = ("axis_indices",)
 
-    def __init__(self, axis_indices: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "axis_indices", axis_indices)
-        for axis, sel in enumerate(axis_indices, start=1):
+    def _check(self) -> None:
+        for axis, sel in enumerate(self.axis_indices, start=1):
             if not all(map(lt, sel, sel[1:])):
                 raise InputError(f"axis {axis} indices {sel} are not strictly increasing")
 
@@ -122,12 +121,6 @@ class HypergraphEmbedding(_Record):
     """
 
     __slots__ = ("vertex_map", "edge_map")
-
-    def __init__(
-        self, vertex_map: tuple[int, ...], edge_map: tuple[tuple[Edge, Edge], ...]
-    ) -> None:
-        object.__setattr__(self, "vertex_map", vertex_map)
-        object.__setattr__(self, "edge_map", edge_map)
 
     def as_dict(self) -> dict[Edge, Edge]:
         return dict(self.edge_map)

@@ -151,27 +151,17 @@ class SearchCertificate(_Record):
 
     __slots__ = ("value", "witness", "verified")
 
-    def __init__(
-        self, value: int, witness: BinaryMatrix | OrderedHypergraph, verified: bool
-    ) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "verified", verified)
-
 
 class TableRow(_Record):
     __slots__ = ("n", "value", "witness_ref")
-
-    def __init__(self, n: int, value: int, witness_ref: str | None = None) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness_ref", witness_ref)
+    _defaults = {"witness_ref": None}
 
 
 class ExtremalTable(_Record):
     """Rows of (n, value, witness reference) for one pattern.
 
-    ``dimension`` is the pattern dimension (2 for graph kinds).  For the
+    ``kind`` is one of ex, f, gex, exe, exi and count, and ``dimension``
+    is the pattern dimension (2 for graph kinds).  For the
     extremal kinds the values must be nondecreasing in n; avoider counts
     are exempt because adding isolated vertices can flip containment for
     patterns with trailing isolated vertices.
@@ -179,17 +169,7 @@ class ExtremalTable(_Record):
 
     __slots__ = ("pattern_id", "kind", "dimension", "rows")
 
-    def __init__(
-        self,
-        pattern_id: str,
-        kind: str,  # ex | f | gex | exe | exi | count
-        dimension: int,
-        rows: tuple[TableRow, ...],
-    ) -> None:
-        object.__setattr__(self, "pattern_id", pattern_id)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "rows", rows)
+    def _check(self) -> None:
         ns = [r.n for r in self.rows]
         if ns != sorted(set(ns)):
             raise PostconditionError(f"table rows not strictly sorted by n: {ns}")

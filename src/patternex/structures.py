@@ -113,9 +113,16 @@ def _cached_edges(n: int, edges) -> frozenset[Edge] | None:
 
 class _Record:
     """An immutable record whose fields are the names in its class's
-    ``__slots__``, set once by the class's ``__init__``.
+    ``__slots__``.
 
-    It compares and hashes by class and fields, prints as
+    Every record is built by this ``__init__``: it binds the positional
+    and keyword arguments to the fields in ``__slots__`` order, fills the
+    trailing fields the arguments leave out from the class's
+    ``_defaults`` (a dict default is copied, so no two records share it),
+    raises ``TypeError`` for a missing, repeated or unknown argument, and
+    then runs the class's ``_check``, which validates the fields.
+
+    A record compares and hashes by class and fields, prints as
     ``Name(field=value, ...)``, refuses assignment and deletion, and
     pickles and copies through ``__init__``.  The records are not
     dataclasses because the decorator generates and compiles about
@@ -123,6 +130,46 @@ class _Record:
     """
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        # the slot descriptors' setters: calling them directly skips the
+        # refusing __setattr__ and the name lookup of object.__setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+        self._check()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call that is not all positional."""
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given"
+            )
+        values = list(args)
+        for name in names[len(args) :]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                value = cls._defaults[name]
+                values.append(value.copy() if type(value) is dict else value)
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        for name in kwargs:
+            if name in names:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+        return values
+
+    def _check(self) -> None:
+        """Validate the fields; a record without a check accepts any values."""
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -158,9 +205,8 @@ class BinaryMatrix(_Record):
 
     __slots__ = ("extents", "ones")
 
-    def __init__(self, extents: tuple[int, ...], ones: frozenset[Coord]) -> None:
-        object.__setattr__(self, "extents", extents)
-        object.__setattr__(self, "ones", ones)
+    def _check(self) -> None:
+        extents, ones = self.extents, self.ones
         if len(extents) < 2:
             raise InputError(f"matrix dimension must be >= 2, got {len(extents)}")
         if any(n < 1 for n in extents):
@@ -201,9 +247,8 @@ class OrderedHypergraph(_Record):
 
     __slots__ = ("n", "edges")
 
-    def __init__(self, n: int, edges: frozenset[Edge]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
+    def _check(self) -> None:
+        n, edges = self.n, self.edges
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         valid = _cached_edges(n, edges)
@@ -238,9 +283,7 @@ class PermutationSpec(_Record):
 
     __slots__ = ("k", "perms")
 
-    def __init__(self, k: int, perms: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "perms", perms)
+    def _check(self) -> None:
         if self.k < 1:
             raise InputError(f"length must be positive, got {self.k}")
         if not self.perms:
@@ -262,9 +305,8 @@ class PartsSpec(_Record):
 
     __slots__ = ("boundaries",)
 
-    def __init__(self, boundaries: tuple[int, ...]) -> None:
-        object.__setattr__(self, "boundaries", boundaries)
-        b = boundaries
+    def _check(self) -> None:
+        b = self.boundaries
         if len(b) < 2 or b[0] != 0:
             raise InputError(f"boundaries must start at 0 and contain >= 1 part, got {b}")
         if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):

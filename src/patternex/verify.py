@@ -91,27 +91,12 @@ CLAIM_NAMES = tuple(CLAIMS)
 
 class InstanceResult(_Record):
     __slots__ = ("params", "passed", "payload")
-
-    def __init__(self, params: dict, passed: bool, payload: dict | None = None) -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "payload", {} if payload is None else payload)
+    _defaults = {"payload": {}}
 
 
 class CheckResult(_Record):
     __slots__ = ("claim", "parameters", "instances", "notes")
-
-    def __init__(
-        self,
-        claim: str,
-        parameters: dict,
-        instances: tuple[InstanceResult, ...],
-        notes: tuple[str, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "claim", claim)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "instances", instances)
-        object.__setattr__(self, "notes", notes)
+    _defaults = {"notes": ()}
 
     @property
     def passed(self) -> bool:
@@ -124,11 +109,6 @@ class CheckResult(_Record):
 
 class VerificationReport(_Record):
     __slots__ = ("checks", "budget", "seed")
-
-    def __init__(self, checks: tuple[CheckResult, ...], budget: int, seed: int) -> None:
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "seed", seed)
 
     @property
     def passed(self) -> bool:

@@ -1,5 +1,6 @@
 """Constructions and their mechanically re-checked guarantees."""
 
+import math
 import random
 import time
 import tracemalloc
@@ -415,6 +416,41 @@ class TestRandomAvoider:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "extents,side",
+        [((3,) + (2,) * 21, 2), ((2, 1416), 1415)],
+        ids=["22-axes-2^22-cells", "2-axes-1415^2-cells"],
+    )
+    def test_sampled_cells_past_the_limit_are_refused_before_sampling(self, extents, side):
+        # the pattern fits no window, so no other limit applies; sampling
+        # the 2^22 cells first took 0.92 s, doubling with each axis
+        pattern = make_matrix(extents, [(1,) * len(extents), extents])
+        config = GeneratorConfig(pattern=pattern, side=side, p=1e-9, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="^at least [0-9]+ sampled cells exceed"):
+                random_avoider(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_a_target_past_the_float_range_is_computed_from_logs(self):
+        # (e * 100)^200 overflows a float; the term is e^200 * 0.5^2
+        pattern = make_matrix([100, 100], [(1, 1), (100, 100)])
+        matrix, stats = random_avoider(GeneratorConfig(pattern=pattern, side=100, p=0.5, seed=0))
+        assert stats.final_weight == matrix.weight
+        assert stats.analytic_target == pytest.approx(5000 - math.exp(200) / 4, rel=1e-12)
+        assert -1.807e86 < stats.analytic_target < -1.806e86
+        # a term past the float range even in logs is infinite
+        wide = make_matrix([1000, 1000], [(1, 1), (1000, 1000)])
+        assert analytic_expected_weight(wide, 1000, 0.5) == -math.inf
+
+    @pytest.mark.parametrize("side,p", [(8, 0.125), (6, 0.3), (53, 1e-9)])
+    def test_a_target_inside_the_float_range_keeps_the_float_expression(self, side, p):
+        term = (math.e * side) ** 4 / (2.0**2 * 2.0**2) * p**4
+        assert analytic_expected_weight(ALL_ONES_2, side, p) == side**2 * p - term
 
     def test_reproducible_per_seed(self):
         config = GeneratorConfig(pattern=ALL_ONES_2, side=8, p=0.25, seed=3, trials=2)

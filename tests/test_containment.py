@@ -99,6 +99,19 @@ class TestMatrixEmbedding:
     def test_accepts_empty_single_and_increasing_axes(self, axes):
         assert MatrixEmbedding(axes).axis_indices == axes
 
+    @pytest.mark.parametrize(
+        "axes",
+        [((1, 3),), ((1, 3), (2, 3), (1,)), ((1, 4), (1, 3)), ((1, 2, 3), (1, 3)), ((1, 3), (3,))],
+        ids=["too-few-axes", "too-many-axes", "index-out-of-range", "wrong-extent", "short-extent"],
+    )
+    def test_witness_check_refuses_a_misshapen_embedding(self, axes):
+        # the re-check behind the exit 4 of `contains` and the benchmark's
+        # embedding check; each selection holds the pattern's two 1-entries
+        host = make_matrix([3, 3], [(1, 1), (2, 2), (3, 3)])
+        pattern = make_matrix([2, 2], [(1, 1), (2, 2)])
+        assert verify_matrix_embedding(host, pattern, MatrixEmbedding(((1, 3), (1, 3))))
+        assert not verify_matrix_embedding(host, pattern, MatrixEmbedding(axes))
+
 
 class TestMatrixContains:
     def test_self_containment_uses_full_index_lists(self):
@@ -221,6 +234,40 @@ class TestHypergraphContains:
         assert not verify_hypergraph_embedding(host, pattern, HypergraphEmbedding((1, 2), edge_map))
 
     @pytest.mark.parametrize(
+        "pattern_edges,vertex_map,edge_map",
+        [
+            ([(1, 2)], (1, 2, 3), {(1, 2): (1, 2)}),
+            ([(1, 2)], (2, 1), {(1, 2): (1, 2)}),
+            ([(1, 2)], (2, 2), {(1, 2): (2, 3)}),
+            ([(1, 2)], (0, 1), {(1, 2): (1, 2)}),
+            ([(1, 2)], (4, 5), {(1, 2): (3, 4)}),
+            ([(1,), (1, 2)], (1, 2), {(1,): (1, 2), (1, 2): (1, 2)}),
+            ([(1, 2)], (1, 3), {(1, 2): (1, 3)}),
+        ],
+        ids=[
+            "f-of-wrong-length",
+            "f-decreasing",
+            "f-repeated",
+            "f-below-1",
+            "f-above-n",
+            "repeated-edge-image",
+            "image-not-a-host-edge",
+        ],
+    )
+    def test_witness_check_refuses_a_bad_vertex_or_edge_map(
+        self, pattern_edges, vertex_map, edge_map
+    ):
+        # every image holds the image of its pattern edge under f, so the
+        # one fault named by the id is what the re-check refuses
+        host = make_hypergraph(4, [(1, 2), (2, 3), (3, 4)])
+        pattern = make_hypergraph(2, pattern_edges)
+        assert verify_hypergraph_embedding(
+            host, pattern, HypergraphEmbedding((1, 2), (((1, 2), (1, 2)),))
+        ) == (pattern_edges == [(1, 2)])
+        embedding = HypergraphEmbedding(vertex_map, tuple(sorted(edge_map.items())))
+        assert not verify_hypergraph_embedding(host, pattern, embedding)
+
+    @pytest.mark.parametrize(
         "host_n,host_edges,pattern_edges,vertex_map,edge_map",
         [
             # host vertex 2 is in exactly the three edges the claw's centre needs
@@ -307,6 +354,25 @@ class TestKlazarMarcus:
     def test_never_raises_random(self, host, pattern):
         if host.n == pattern.n:
             klazar_marcus_check(host, pattern, 2)
+
+    def test_edgeless_inputs_without_d_are_trivially_equivalent(self):
+        edgeless = make_hypergraph(4, [])
+        assert klazar_marcus_check(edgeless, edgeless) is True
+
+    @pytest.mark.parametrize(
+        "host_edges,pattern_edges,d,message",
+        [
+            ([(1, 4)], [(1, 2, 4)], None, "inputs are not uniform: edge sizes [2, 3]"),
+            ([(1, 4)], [(1, 4)], 3, "edge size 2 does not match d=3"),
+        ],
+        ids=["not-uniform", "edge-size-not-d"],
+    )
+    def test_input_messages(self, host_edges, pattern_edges, d, message):
+        host = make_hypergraph(6, host_edges)
+        pattern = make_hypergraph(6, pattern_edges)
+        with pytest.raises(InputError) as info:
+            klazar_marcus_check(host, pattern, d)
+        assert str(info.value) == message
 
     def test_unequal_sizes_rejected(self):
         host = make_hypergraph(6, [(1, 4)])

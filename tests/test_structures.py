@@ -198,6 +198,47 @@ class TestPartsSpec:
         assert spec.part_of(2) == 1
 
 
+class TestRecordArguments:
+    """The one record constructor binds arguments as a signature of the
+    record's fields would, and checks before it returns."""
+
+    ONES = frozenset({(1, 1)})
+
+    @pytest.mark.parametrize(
+        "args,kwargs,message",
+        [
+            (((2, 2),), {}, "missing argument 'ones'"),
+            ((), {"ones": ONES}, "missing argument 'extents'"),
+            (((2, 2), ONES), {"ones": ONES}, "got multiple values for argument 'ones'"),
+            (((2, 2),), {"ones": ONES, "extents": (2, 2)}, "got multiple values for argument 'extents'"),
+            (((2, 2), ONES), {"weight": 1}, "got an unexpected keyword argument 'weight'"),
+            (((2, 2), ONES, 1), {}, "takes 2 arguments but 3 were given"),
+        ],
+        ids=["missing-last", "missing-first", "repeated", "repeated-positional", "unknown", "too-many"],
+    )
+    def test_a_bad_argument_list_raises_type_error(self, args, kwargs, message):
+        with pytest.raises(TypeError) as info:
+            BinaryMatrix(*args, **kwargs)
+        assert str(info.value) == f"BinaryMatrix() {message}"
+
+    def test_positional_keyword_and_mixed_calls_build_the_same_record(self):
+        built = [
+            BinaryMatrix((2, 2), self.ONES),
+            BinaryMatrix((2, 2), ones=self.ONES),
+            BinaryMatrix(ones=self.ONES, extents=(2, 2)),
+        ]
+        assert all(m == built[0] and m.extents == (2, 2) and m.ones == self.ONES for m in built)
+
+    def test_every_call_form_runs_the_check(self):
+        for build in (
+            lambda: PartsSpec((0, 2, 2)),
+            lambda: PartsSpec(boundaries=(0, 2, 2)),
+            lambda: BinaryMatrix(ones=frozenset({(1, 3)}), extents=(2, 2)),
+        ):
+            with pytest.raises(InputError):
+                build()
+
+
 class TestConstructionCheck:
     """Construction accepts exactly the objects of the definitions, whether
     the shape's valid cells or edges are cached or the per-entry check
