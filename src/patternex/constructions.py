@@ -46,6 +46,9 @@ CAP_MODES = ("kd", "(k+d)d")
 # or a cyclic pattern may hold
 MAX_CONSTRUCTION_SIZE = 2_000_000
 
+# the largest x with exp(x) a finite float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 # ---------------------------------------------------------------------------
 # deterministic constructions
@@ -381,10 +384,23 @@ def analytic_expected_weight(pattern: BinaryMatrix, side: int, p: float) -> floa
 
     Where (e n)^(sum k_i) or some k_i^k_i passes the float range, the
     second term is exp(sum k_i log(e n / k_i) + w log p) instead, and
-    infinite when that passes the float range too.
+    infinite when that passes the float range too.  Where n^d passes the
+    float range, both terms are compared in logs: the target is their
+    difference when both fit a float, and otherwise +inf or -inf as the
+    first or the second is larger (-inf on a tie).  For sides >= 1 and
+    densities in (0, 1] it is never NaN.
     """
     d = pattern.d
     w = pattern.weight
+    try:
+        first = side**d * p
+    except OverflowError:
+        log_first = d * math.log(side) + math.log(p)
+        log_term = sum(k * (1 + math.log(side) - math.log(k)) for k in pattern.extents)
+        log_term += w * math.log(p)
+        if max(log_first, log_term) <= _LOG_FLOAT_MAX:
+            return math.exp(log_first) - math.exp(log_term)
+        return math.inf if log_first > log_term else -math.inf
     try:
         numerator = (math.e * side) ** sum(pattern.extents)
         denominator = 1.0
@@ -393,8 +409,8 @@ def analytic_expected_weight(pattern: BinaryMatrix, side: int, p: float) -> floa
         term = numerator / denominator * p**w
     except OverflowError:
         log_term = sum(k * math.log(math.e * side / k) for k in pattern.extents) + w * math.log(p)
-        term = math.exp(log_term) if log_term <= math.log(sys.float_info.max) else math.inf
-    return side**d * p - term
+        term = math.exp(log_term) if log_term <= _LOG_FLOAT_MAX else math.inf
+    return first - term
 
 
 def random_avoider(config: GeneratorConfig, trial: int = 0) -> tuple[BinaryMatrix, TrialStats]:

@@ -49,12 +49,13 @@ all-pairs sweep prepares each graph once per part size.
 The all-pairs sweep, ``association_disagreement``, splits its hosts into
 stripes, host h in stripe h mod w, where w is the number of available
 CPUs but at most one per ``MIN_PAIRS_PER_WORKER`` pairs.  It runs stripe
-0 itself and each other stripe in a forked child, and answers with the
-least (host, pattern) pair over the stripes, the first pair of the
-serial sweep.  A failed child's stripe is re-run in the parent; where a
-search or a fork raises, the serial sweep runs instead.  The sweep stays
-serial with one worker, without ``os.fork`` and while another Python
-thread is alive.  Containment is
+0 itself and each other stripe in a forked child, which reports only
+through its exit status: 0 when its stripe holds no disagreement.  When
+every child exits 0, stripe 0's answer is the first pair of the serial
+sweep.  Any other status, and a search or a fork that raises, runs the
+serial sweep over all pairs instead.  The sweep stays serial with one
+worker, without ``os.fork`` and while another Python thread is alive.
+Containment is
 NP-hard in general; the contract is correctness at desk scale (pattern
 weight up to ~8, host side up to ~12 for d=2), not polynomial time.
 """
@@ -705,13 +706,15 @@ def association_disagreement(
     stripe h mod ``workers``, with ``workers`` the available CPUs but at
     most one per ``MIN_PAIRS_PER_WORKER`` pairs.  This process runs
     stripe 0 and a forked child each other stripe (see
-    :func:`_forked_stripes`); the answer is the least (host, pattern)
-    index pair over all stripes, the first pair of the serial sweep.
-    Where a search or a fork raises, the serial sweep runs once the
-    children are gone: it raises the search's exception, or returns a
-    pair before the one that raised.  The sweep stays in one process
-    when ``workers`` is 1, where ``os.fork`` is missing and while another
-    Python thread is alive, as forking a threaded process is unsafe."""
+    :func:`_forked_stripes`).  When every child reports a stripe with no
+    disagreement, stripe 0's answer is the least (host, pattern) index
+    pair, the first pair of the serial sweep.  Anything else, a child
+    that finds a disagreement or fails, or a search or a fork that
+    raises, runs the serial sweep once the children are gone: it raises
+    the search's exception, or returns its first pair.  The sweep stays
+    in one process when ``workers`` is 1, where ``os.fork`` is missing
+    and while another Python thread is alive, as forking a threaded
+    process is unsafe."""
     if d < 2 or len({g.n for g in graphs}) > 1:
         raise InputError(f"the equivalence needs d >= 2 parts of one size, got d={d}")
     forms = [_partite_forms(g, d) for g in graphs]
@@ -720,13 +723,14 @@ def association_disagreement(
     tail = forms[0][0][0][1:]
     placements = _placement_table(tail, tail)
     workers = min(_available_cpus(), len(forms) ** 2 // MIN_PAIRS_PER_WORKER)
-    found = None
+    serial = True
     if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
         try:
-            found = [r for r in _forked_stripes(forms, placements, workers) if r is not None]
+            first, serial = _forked_stripes(forms, placements, workers), False
         except Exception:
-            pass  # a search or a fork raised: the serial sweep decides
-    first = _stripe(forms, placements, 0, 1) if found is None else min(found, default=None)
+            pass  # a child reported or failed, or a search or a fork raised
+    if serial:
+        first = _stripe(forms, placements, 0, 1)
     if first is None:
         return None
     host, pattern = graphs[first[0]], graphs[first[1]]
@@ -759,68 +763,43 @@ def _stripe(
 
 def _forked_stripes(
     forms: list, placements: _Placements, workers: int
-) -> list[tuple[int, int, bool] | None]:
-    """Each stripe's :func:`_stripe` result: stripe 0 from this process,
-    stripes 1 to ``workers - 1`` from forked children.
+) -> tuple[int, int, bool] | None:
+    """Stripe 0's :func:`_stripe` result, run in this process, once the
+    children that run stripes 1 to ``workers - 1`` have all exited with 0.
 
     Fork rather than a spawned pool: a spawned worker takes about 35 ms
     to start and 50 ms to import this package, against about 0.2 s that
     the part-size-3 sweep saves, and it would not see this module's
-    globals as the caller left them (tests plant defects there).  Each
-    child writes its result to a pipe as ASCII integers, or ``none``, and
-    leaves with ``os._exit``: with 0 once the result is written, with 1
-    otherwise.  A child that exits non-zero or is killed has its stripe
-    re-run here, so a search that raises in a child raises here.  On any
-    exception, ``KeyboardInterrupt`` included, every child still running
-    is killed, and every child is reaped."""
-    children = []  # [pid, or None once reaped or not forked; read end; stripe]
+    globals as the caller left them (tests plant defects there).  A
+    child reports only through its exit status, with ``os._exit``: 0 when
+    its stripe holds no disagreement, 1 when it holds one or the search
+    raised.  A child that exits non-zero or is killed raises
+    :class:`ChildProcessError` here.  On any exception,
+    ``KeyboardInterrupt`` included, every child still running is killed,
+    and every child is reaped."""
+    pids = []
     try:
         for start in range(1, workers):
-            read, write = os.pipe()
-            child = [None, os.fdopen(read, "rb"), start]
-            children.append(child)
-            try:
-                child[0] = _fork_stripe(forms, placements, start, workers, write)
-            finally:
-                os.close(write)
-        results = [_stripe(forms, placements, 0, workers)]
-        for child in children:
-            pid, reader, start = child
-            text = reader.read()
-            status = os.waitpid(pid, 0)[1]
-            child[0] = None
-            if os.waitstatus_to_exitcode(status) != 0:
-                results.append(_stripe(forms, placements, start, workers))
-            elif text == b"none":
-                results.append(None)
-            else:
-                h, p, hyper_side = map(int, text.split())
-                results.append((h, p, hyper_side == 1))
-        return results
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os._exit(0 if _stripe(forms, placements, start, workers) is None else 1)
+                finally:
+                    os._exit(1)  # the search raised
+            pids.append(pid)
+        first = _stripe(forms, placements, 0, workers)
+        while pids:
+            status = os.waitpid(pids[-1], 0)[1]
+            pids.pop()
+            if status != 0:
+                raise ChildProcessError(f"a stripe's child ended with wait status {status}")
+        return first
     finally:
-        for pid, reader, _ in children:
-            reader.close()
-            if pid is not None:
-                from signal import SIGKILL
+        for pid in pids:
+            from signal import SIGKILL
 
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _fork_stripe(forms: list, placements: _Placements, start: int, step: int, write: int) -> int:
-    """Fork a child that runs one stripe, writes its result to ``write``
-    and exits; return the child's pid."""
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            found = _stripe(forms, placements, start, step)
-            text = "none" if found is None else f"{found[0]} {found[1]} {int(found[2])}"
-            os.write(write, text.encode("ascii"))
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def klazar_marcus_check(

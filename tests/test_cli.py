@@ -100,6 +100,24 @@ class TestCompute:
             "--n", "1..2", "--out", str(out),
         ]) == 2
 
+    def test_unparsable_range_exit_2(self, tmp_path, identity_file, capsys):
+        out = tmp_path / "out"
+        assert main([
+            "compute", "--kind", "ex", "--pattern", str(identity_file),
+            "--n", "a..b", "--out", str(out),
+        ]) == 2
+        assert "cannot parse range 'a..b'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_one_number_matrix_header_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2\n1 1\n")
+        assert main([
+            "compute", "--kind", "ex", "--pattern", str(bad),
+            "--n", "1..2", "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert "header must be 'd n_1 ... n_d'" in capsys.readouterr().err
+
     def test_invalid_range_leaves_no_output_directory(self, tmp_path, identity_file):
         out = tmp_path / "out"
         assert main([
@@ -301,6 +319,21 @@ class TestGenerate:
         attestation = (out / "attestation.txt").read_text()
         assert "edges: 3" in attestation
         assert "expected-edges: 3" in attestation
+
+    def test_blowup_that_avoids_its_pattern(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("4\n1 3\n2 4\n")
+        nesting = tmp_path / "nesting.txt"
+        nesting.write_text("4\n1 4\n2 3\n")
+        out = tmp_path / "out"
+        # the blow-up of the crossing pair is a union of crossing pairs with
+        # no nested edge pair
+        assert main([
+            "generate", "blowup", "--input", str(graph), "--t", "3",
+            "--avoid", str(nesting), "--out", str(out),
+        ]) == 0
+        attestation = (out / "attestation.txt").read_text()
+        assert attestation.endswith("avoids-pattern: yes\n")
 
     def test_blowup_avoid_recheck_failure_exit_4(self, tmp_path, single_edge_file):
         graph = tmp_path / "g.txt"

@@ -17,6 +17,7 @@ from patternex import (
     GeneratorConfig,
     InputError,
     MatrixEmbedding,
+    OrderedHypergraph,
     PartsSpec,
     PostconditionError,
     PermutationSpec,
@@ -50,6 +51,13 @@ from patternex import constructions, containment
 from oracles import brute_matrix_contains, sweep_repair
 
 ALL_ONES_2 = make_matrix([2, 2], [(1, 1), (1, 2), (2, 1), (2, 2)])
+
+
+def _plant(monkeypatch, name, *answers):
+    # constructions' ``name`` gives the answers in turn, then the last one
+    # on every later call
+    calls = iter(answers[:-1])
+    monkeypatch.setattr(constructions, name, lambda *args: next(calls, answers[-1]))
 
 
 @st.composite
@@ -143,6 +151,16 @@ class TestBlowup:
         with pytest.raises(CapacityError):
             blowup_graph(edge, 6)
 
+    def test_a_lost_edge_fails_the_edge_count_identity(self, monkeypatch):
+        # the identity holds for every input: only a constructor that drops
+        # an edge can break it
+        def lossy(n, edges):
+            return OrderedHypergraph(n, frozenset(sorted(edges)[1:]))
+
+        monkeypatch.setattr(constructions, "OrderedHypergraph", lossy)
+        with pytest.raises(PostconditionError, match="edge count identity"):
+            blowup_graph(make_hypergraph(2, [(1, 2)]), 3)
+
     def test_extremal_avoider_blowup_stays_avoiding(self):
         pattern = corner_pad(permutation_matrix((1, 2)))
         cert = ex_matrix(pattern, 3)
@@ -224,6 +242,19 @@ class TestCyclicPad:
         with pytest.raises(InputError):
             cyclic_pad(make_hypergraph(4, [(1, 3)]))
 
+    @pytest.mark.parametrize(
+        "name,answers,message",
+        [
+            ("is_d_permutation_hypergraph", (2, None), "not a permutation hypergraph"),
+            ("hypergraph_contains", (None,), "does not contain its input"),
+            ("satisfies_boundary_condition", (False,), "misses a part boundary pair"),
+        ],
+    )
+    def test_each_re_check_catches_a_planted_defect(self, monkeypatch, name, answers, message):
+        _plant(monkeypatch, name, *answers)
+        with pytest.raises(PostconditionError, match=message):
+            cyclic_pad(make_hypergraph(4, [(1, 3), (2, 4)]))
+
 
 class TestChainPatterns:
     def test_one_step_from_identity(self):
@@ -251,6 +282,20 @@ class TestChainPatterns:
     def test_rejects_non_permutation_matrix(self):
         with pytest.raises(InputError):
             chain_patterns(make_matrix([2, 2], [(1, 1)]), 3)
+
+    @pytest.mark.parametrize(
+        "name,answers,message",
+        [
+            ("is_d_permutation_hypergraph", (2, None), "non-permutation matrix"),
+            ("matrix_contains", (None,), "does not contain its predecessor"),
+            # the start is taken to anchor every boundary, its step not
+            ("satisfies_boundary_condition", (True, False), "lost the part boundary"),
+        ],
+    )
+    def test_each_re_check_catches_a_planted_defect(self, monkeypatch, name, answers, message):
+        _plant(monkeypatch, name, *answers)
+        with pytest.raises(PostconditionError, match=message):
+            chain_patterns(permutation_matrix((1, 2)), 3)
 
     def test_a_length_past_the_placement_limit_is_refused_before_any_step(self):
         # the last step's re-check, (999,) in (1000,), needs the largest
@@ -447,6 +492,25 @@ class TestRandomAvoider:
         wide = make_matrix([1000, 1000], [(1, 1), (1000, 1000)])
         assert analytic_expected_weight(wide, 1000, 0.5) == -math.inf
 
+    @pytest.mark.parametrize(
+        "pattern,side,p,target",
+        [
+            # n^d p and the second term are e^920 and e^1842
+            (permutation_matrix((1, 2)), 10**200, 0.5, -math.inf),
+            # a side past the float range
+            (ALL_ONES_2, 10**400, 0.5, -math.inf),
+            # e^806 and e^462
+            (ALL_ONES_2, 10**300, 1e-250, math.inf),
+            # e^576 and e^462 both fit a float
+            (ALL_ONES_2, 10**200, 1e-150, pytest.approx(1e250, rel=1e-9)),
+        ],
+        ids=["second_larger", "side_past_the_range", "first_larger", "both_fit"],
+    )
+    def test_n_to_the_d_past_the_float_range_compares_the_terms_in_logs(
+        self, pattern, side, p, target
+    ):
+        assert analytic_expected_weight(pattern, side, p) == target
+
     @pytest.mark.parametrize("side,p", [(8, 0.125), (6, 0.3), (53, 1e-9)])
     def test_a_target_inside_the_float_range_keeps_the_float_expression(self, side, p):
         term = (math.e * side) ** 4 / (2.0**2 * 2.0**2) * p**4
@@ -562,3 +626,91 @@ class TestDoublingRederivation:
         assert embedding is not None
         with pytest.raises(InputError):
             graph_copy_from_doubling(graph, no_anchor, embedding)
+
+    def test_rows_that_do_not_precede_the_columns_are_refused(self):
+        graph = make_hypergraph(6, [(1, 5), (2, 6), (3, 4)])
+        embedding = MatrixEmbedding(((1, 2, 4), (3, 5, 6)))
+        with pytest.raises(PostconditionError, match="rows do not precede"):
+            graph_copy_from_doubling(graph, self.PATTERN, embedding)
+
+    def test_an_edge_missing_from_the_graph_is_refused(self):
+        graph = make_hypergraph(6, [(1, 5), (2, 6)])
+        embedding = MatrixEmbedding(((1, 2, 3), (4, 5, 6)))
+        with pytest.raises(PostconditionError, match=r"rebuilt edge \(3, 4\) is missing"):
+            graph_copy_from_doubling(graph, self.PATTERN, embedding)
+
+    def test_a_rebuilt_embedding_that_fails_verification_raises(self, monkeypatch):
+        graph = make_hypergraph(6, [(1, 5), (2, 6), (3, 4)])
+        embedding = matrix_contains(bipartite_double(graph), self.PATTERN)
+        _plant(monkeypatch, "verify_hypergraph_embedding", False)
+        with pytest.raises(PostconditionError, match="failed verification"):
+            graph_copy_from_doubling(graph, self.PATTERN, embedding)
+
+
+class TestBoundaryCondition:
+    @pytest.mark.parametrize(
+        "graph,anchored",
+        [
+            (make_hypergraph(4, [(1, 3), (2, 4)]), False),
+            (cyclic_pad(make_hypergraph(4, [(1, 3), (2, 4)])), True),
+        ],
+    )
+    def test_d_is_inferred_from_a_uniform_input(self, graph, anchored):
+        assert satisfies_boundary_condition(graph) is anchored
+        assert satisfies_boundary_condition(graph, 2) is anchored
+
+    def test_d_is_not_inferred_from_a_non_uniform_input(self):
+        with pytest.raises(InputError, match="cannot infer d from a non-uniform hypergraph"):
+            satisfies_boundary_condition(make_hypergraph(3, [(1,), (2, 3)]))
+
+
+DOUBLING_PATTERN = TestDoublingRederivation.PATTERN
+
+
+@pytest.mark.parametrize(
+    "refused,message",
+    [
+        (lambda: corner_pad(make_matrix([1, 1, 1], [(1, 1, 1)])), "needs a 2-dimensional"),
+        (lambda: bipartite_double(make_hypergraph(0, [])), "needs at least one vertex"),
+        (lambda: blowup_graph(make_hypergraph(3, []), 2), r"live on \[2n\], got 3 vertices"),
+        (lambda: blowup_graph(make_hypergraph(0, []), 2), r"live on \[2n\], got 0 vertices"),
+        (lambda: cyclic_pattern(1), "dimension must be >= 2, got 1"),
+        (
+            lambda: satisfies_boundary_condition(make_hypergraph(3, [(1, 3)]), 2),
+            "3 vertices do not split into d=2 equal parts",
+        ),
+        (
+            lambda: satisfies_boundary_condition(make_hypergraph(2, [(1,)])),
+            "2 vertices do not split into d=1 equal parts",
+        ),
+        (lambda: normalize_edges(make_hypergraph(2, []), 0, 2), "need k >= 1 and d >= 2"),
+        (lambda: normalize_edges(make_hypergraph(2, []), 1, 1), "need k >= 1 and d >= 2"),
+        (lambda: normalize_edges(make_hypergraph(2, []), 1, 2, "k"), "cap mode must be one of"),
+        (lambda: interval_contract(make_hypergraph(2, []), 0), "interval length must be >= 1"),
+        (
+            lambda: graph_copy_from_doubling(
+                make_hypergraph(2, []),
+                make_matrix([1, 1, 1], [(1, 1, 1)]),
+                MatrixEmbedding(((1,), (2,), (3,))),
+            ),
+            "a 2-dimensional pattern is required",
+        ),
+        (
+            lambda: graph_copy_from_doubling(
+                make_hypergraph(6, []), DOUBLING_PATTERN, MatrixEmbedding(((1, 2), (4, 5, 6)))
+            ),
+            "embedding shape does not match the pattern",
+        ),
+        (
+            lambda: default_density(make_matrix([2, 2], [(1, 1)]), 4),
+            "pattern weight must be >= 2, got 1",
+        ),
+        (
+            lambda: random_avoider(GeneratorConfig(pattern=ALL_ONES_2, side=4, p=0.5, seed=0), 1),
+            r"trial 1 outside 0\.\.0",
+        ),
+    ],
+)
+def test_each_input_refusal_names_its_fault(refused, message):
+    with pytest.raises(InputError, match=message):
+        refused()

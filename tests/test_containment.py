@@ -503,6 +503,9 @@ class TestKlazarMarcus:
             containment.association_disagreement(graphs, 2)
         assert str(sweep.value) == str(per_pair.value) == "input is not d-partite with equal parts"
 
+    def test_an_empty_sweep_finds_no_disagreement(self):
+        assert containment.association_disagreement([], 2) is None
+
     @pytest.mark.parametrize(
         "graphs,d",
         [(_all_bipartite(1), 0), (_all_bipartite(1), 1), (_all_bipartite(1) + _all_bipartite(2), 2)],
@@ -517,7 +520,8 @@ class TestStripedSweep:
     """The part-size-3 sweep split over two processes against the same
     sweep in one process, which test_sweep_matches_a_per_pair_loop ties to
     the per-pair loop.  Host h lies in stripe h mod 2: stripe 0 runs in
-    this process, stripe 1 in a forked child."""
+    this process, stripe 1 in a forked child, which reports only through
+    its exit status."""
 
     GRAPHS = _all_bipartite(3)
 
@@ -595,7 +599,7 @@ class TestStripedSweep:
         else:
             assert serial[:2] == (self.GRAPHS[first], self.GRAPHS[0])
 
-    def test_a_failed_child_has_its_stripe_re_run(self, monkeypatch):
+    def test_a_failed_child_sends_the_sweep_to_the_serial_sweep(self, monkeypatch):
         self._plant(monkeypatch, missed=(131,))
         serial, _ = self._sweep(monkeypatch, 1)
         self._plant(monkeypatch, missed=(131,), raise_in_child=True)
@@ -605,8 +609,8 @@ class TestStripedSweep:
         assert serial[0] == self.GRAPHS[131]
 
     def test_a_child_that_exits_non_zero_is_not_believed(self, monkeypatch):
-        # the child's engine misses every copy, so it writes a disagreement
-        # at host 1, then exits 3: the parent re-runs stripe 1 soundly
+        # the child's engine misses every copy, so it finds a disagreement
+        # at host 1 and exits 3: the parent re-runs every pair soundly
         parent = os.getpid()
         engine = containment._matrix_embedding_search
         exit_now = os._exit

@@ -1137,6 +1137,33 @@ class TestCapacityRefusal:
         assert search._candidate_edges(4, 1, 3, search.MAX_HYPER_CANDIDATES) is edges
 
 
+EDGE = make_hypergraph(2, [(1, 2)])
+
+
+@pytest.mark.parametrize(
+    "refused,message",
+    [
+        (lambda: ex_matrix(IDENTITY2, 0), "n must be positive, got 0"),
+        (lambda: gex_graph(EDGE, 0), "n must be positive, got 0"),
+        (lambda: exi_hyper(EDGE, 0), "n must be positive, got 0"),
+        (lambda: count_avoiders(EDGE, -1), "n must be nonnegative, got -1"),
+        (
+            lambda: ex_matrix(make_matrix([2, 2, 2], [(1, 1, 1), (2, 2, 2)]), 2),
+            "ex_matrix needs a 2-dimensional pattern, got d=3",
+        ),
+        (lambda: exe_hyper(EDGE, 2, edge_cap=0), "edge size cap must be >= 1, got 0"),
+        (
+            lambda: estimate_limit(ExtremalTable("empty", "ex", 2, ())),
+            "cannot estimate a limit from an empty table",
+        ),
+    ],
+    ids=["ex_n0", "gex_n0", "exi_n0", "count_n_minus_1", "ex_3d", "edge_cap_0", "empty_table"],
+)
+def test_each_input_refusal_names_its_fault(refused, message):
+    with pytest.raises(InputError, match=message):
+        refused()
+
+
 class TestTables:
     def _identity_table(self):
         rows = tuple(

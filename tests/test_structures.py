@@ -179,6 +179,35 @@ class TestPartiteness:
         assert is_d_partite(h, PartsSpec((0, 2, 4)))
         assert not is_d_partite(make_hypergraph(4, [(1, 2)]), PartsSpec((0, 2, 4)))
 
+    def test_a_non_uniform_input_is_no_permutation_hypergraph(self):
+        assert is_d_permutation_hypergraph(make_hypergraph(4, [(1, 3), (2,)])) is None
+
+    @pytest.mark.parametrize(
+        "refused,message",
+        [
+            (
+                lambda: is_d_partite(make_hypergraph(3, []), PartsSpec.equal(2, 2)),
+                "parts cover 4 vertices but hypergraph has 3",
+            ),
+            (
+                lambda: associated_matrix(make_hypergraph(3, []), PartsSpec.equal(2, 2)),
+                "parts cover 4 vertices but hypergraph has 3",
+            ),
+            (
+                lambda: associated_matrix(make_hypergraph(2, [(1, 2)]), PartsSpec.equal(1, 2)),
+                "associated matrix needs at least 2 parts",
+            ),
+            (
+                lambda: associated_matrix(make_hypergraph(4, [(1, 3), (2,)]), PartsSpec.equal(2, 2)),
+                r"edge \(2,\) has size 1, expected 2-uniform",
+            ),
+        ],
+        ids=["partite_size", "matrix_size", "one_part", "non_uniform"],
+    )
+    def test_refusals(self, refused, message):
+        with pytest.raises(InputError, match=message):
+            refused()
+
     @settings(max_examples=40, deadline=None)
     @given(permutation_specs())
     def test_associated_permutation_matrix_is_accepted(self, spec):
@@ -196,6 +225,11 @@ class TestPartsSpec:
         assert spec.sizes == (2, 3)
         assert spec.part_of(3) == 2
         assert spec.part_of(2) == 1
+
+    @pytest.mark.parametrize("vertex", [0, 6])
+    def test_part_of_a_vertex_out_of_range(self, vertex):
+        with pytest.raises(InputError, match=f"vertex {vertex} out of range for n=5"):
+            PartsSpec((0, 2, 5)).part_of(vertex)
 
 
 class TestRecordArguments:

@@ -331,6 +331,11 @@ def test_run_checks_rejects_unknown_claim():
         run_checks(["NoSuchClaim"], budget=2)
 
 
+def test_run_checks_rejects_a_budget_below_one():
+    with pytest.raises(InputError, match="budget must be >= 1, got 0"):
+        run_checks(budget=0)
+
+
 def test_run_checks_rejects_an_empty_selection():
     with pytest.raises(InputError):
         run_checks([], budget=2)
