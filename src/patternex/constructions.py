@@ -341,10 +341,7 @@ class GeneratorConfig(_Record):
     _defaults = {"trials": 1}
 
     def _check(self) -> None:
-        if self.side < 1:
-            raise InputError(f"side must be positive, got {self.side}")
-        if not 0.0 < self.p <= 1.0:
-            raise InputError(f"density must lie in (0, 1], got {self.p}")
+        _check_side_and_density(self.side, self.p)
         if not 0 <= self.seed < 2**64:
             raise InputError("seed must be an unsigned 64-bit integer")
         if self.trials < 1:
@@ -353,6 +350,13 @@ class GeneratorConfig(_Record):
             raise InputError(
                 f"pattern weight must be >= 2, got {self.pattern.weight}"
             )
+
+
+def _check_side_and_density(side: int, p: float) -> None:
+    if side < 1:
+        raise InputError(f"side must be positive, got {side}")
+    if not 0.0 < p <= 1.0:
+        raise InputError(f"density must lie in (0, 1], got {p}")
 
 
 class TrialStats(_Record):
@@ -387,9 +391,12 @@ def analytic_expected_weight(pattern: BinaryMatrix, side: int, p: float) -> floa
     infinite when that passes the float range too.  Where n^d passes the
     float range, both terms are compared in logs: the target is their
     difference when both fit a float, and otherwise +inf or -inf as the
-    first or the second is larger (-inf on a tie).  For sides >= 1 and
-    densities in (0, 1] it is never NaN.
+    first or the second is larger (-inf on a tie).  It is never NaN.
+
+    Raises :class:`InputError` for a side below 1 or a density outside
+    (0, 1], as :class:`GeneratorConfig` does, before any arithmetic.
     """
+    _check_side_and_density(side, p)
     d = pattern.d
     w = pattern.weight
     try:

@@ -5,9 +5,14 @@ cells or its candidate edges in lexicographic order.  Before it searches
 it numbers every copy of the pattern once and indexes the copies by
 decision (the copy index): for each decision, the copies that do not use
 it, as an int over copy numbers.  The graph and hypergraph solvers list
-each copy as a bitmask over the decisions and parse the index from
-them; the matrix solvers build it from the placements of the pattern's
-axes without listing a copy.  The copies whose greatest decision it is,
+each copy as a bitmask over the decisions, in one flat loop over the
+increasing vertex maps, and OR each copy into the index entry of every
+decision it uses.  Their candidates are every edge of a range of sizes,
+so once every pattern edge fits the largest size each map has a copy
+and no map could be cut early; a pattern edge larger than every
+candidate gives no copy at all, found by one size test.  The matrix
+solvers build the index from the placements of the pattern's axes
+without listing a copy.  The copies whose greatest decision it is,
 and those that use no earlier one, follow by one pass of ANDs over the
 index.  A host contains the pattern exactly when it holds one of these
 copies, so a search node checks containment with one big-integer AND
@@ -226,30 +231,26 @@ class _OverBudget(Exception):
     """Raised when a search makes more ``dfs`` calls than it is allowed."""
 
 
-# _DIGIT[s] maps each byte value to the digit b"0" or b"1" of its bit s
-_DIGIT = [bytes(48 + (v >> s & 1) for v in range(256)) for s in range(8)]
-
-
 def _copy_index(copies: set[int], total: int) -> tuple[list[int], int]:
     """Index the copies, each a nonempty bitmask over ``total`` decisions.
 
     Returns ``keep`` and the number of copies: ``keep[i]``, an int over
     copy numbers, holds the copies that do not use decision i.  Copies are
     numbered in any order, as every search reads only set operations on
-    copy numbers.  Each ``keep[i]`` is parsed as a binary numeral from
-    one column of a byte table of all masks, so no step costs a Python
-    operation per copy and decision.
+    copy numbers.  Each copy ORs its bit into the entry of every decision
+    it uses, one OR per used decision.  The graph and hypergraph solvers
+    index their listed copies here; the matrix solvers build the index
+    from placements instead (:func:`_matrix_index`).
     """
-    if not copies:
-        return [0] * total, 0
-    width = (total + 7) // 8
-    table = b"".join([mask.to_bytes(width, "little") for mask in copies])
-    everything = (1 << len(copies)) - 1
-    keep = [
-        everything ^ int(table[i >> 3 :: width].translate(_DIGIT[i & 7]), 2)
-        for i in range(total)
-    ]
-    return keep, len(copies)
+    uses = [0] * total  # per decision, the copies that use it
+    bit = 1
+    for mask in copies:
+        while mask:
+            low = mask & -mask
+            uses[low.bit_length() - 1] |= bit
+            mask ^= low
+        bit <<= 1
+    return [(bit - 1) ^ used for used in uses], len(copies)
 
 
 def _tops(keep: list[int], everything: int) -> list[int]:
@@ -859,45 +860,34 @@ def _hyper_copies(n: int, candidates: tuple[Edge, ...], pattern: OrderedHypergra
     of a candidate containing f(e) for every pattern edge e.  The empty
     mask is a copy when the pattern has no edges and fits.
 
-    f is built one vertex at a time, and each pattern edge is given its
-    candidates as soon as its greatest vertex is mapped, so maps that
-    share a prefix share that work and a prefix with no choice is cut.
+    One loop lists the maps, as the ``pattern.n``-subsets of [n], and
+    expands each map's choices edge by edge.  The solvers' candidates are
+    every edge on [n] of a range of sizes, so when every pattern edge fits
+    the largest size, each f(e) is itself a candidate and every map has a
+    choice (f(e) for each e): cutting the maps that share a prefix with no
+    choice would never cut one.  When some pattern edge is larger than
+    every candidate, no map has a choice, and one size test returns no
+    copies before the loop.
     """
     pn = pattern.n
     if pn > n:  # no increasing map
         return set()
-    containing = [0] * (n + 1)  # per host vertex, the candidates holding it
+    if max(map(len, pattern.edges), default=0) > max(map(len, candidates), default=0):
+        return set()  # that edge lies in no candidate
+    holding = [0] * n  # per host vertex, the candidates holding it
     for i, edge in enumerate(candidates):
         for v in edge:
-            containing[v] |= 1 << i
-    ending: list[list[Edge]] = [[] for _ in range(pn + 1)]
-    for edge in pattern.sorted_edges():
-        ending[edge[-1]].append(edge)
-    f = [0] * (pn + 1)
+            holding[v - 1] |= 1 << i
+    edges = [[u - 1 for u in edge] for edge in pattern.sorted_edges()]
     copies: set[int] = set()
-
-    def extend(u: int, chosen: list[int]) -> None:
-        # chosen: the injective choices for the edges of vertices below u
-        if u > pn:
-            copies.update(chosen)
-            return
-        for w in range(f[u - 1] + 1, n - pn + u + 1):
-            f[u] = w
-            now = chosen
-            for edge in ending[u]:
-                fits = containing[w]
-                for v in edge[:-1]:
-                    fits &= containing[f[v]]
-                if fits & (fits - 1):
-                    now = [c | b for c in now for b in _bits(fits & ~c)]
-                else:  # one candidate or none
-                    now = [c | fits for c in now if fits and not c & fits]
-                if not now:
-                    break
-            else:
-                extend(u + 1, now)
-
-    extend(1, [0])
+    for f in combinations(holding, pn):  # f[u - 1]: the candidates holding u's image
+        chosen = [0]
+        for edge in edges:
+            fits = -1
+            for u in edge:
+                fits &= f[u]
+            chosen = [c | b for c in chosen for b in _bits(fits & ~c)]
+        copies.update(chosen)
     return copies
 
 

@@ -511,6 +511,27 @@ class TestRandomAvoider:
     ):
         assert analytic_expected_weight(pattern, side, p) == target
 
+    @pytest.mark.parametrize(
+        "pattern,side,p,message",
+        [
+            # math.log(0) raised ValueError here: the term overflows a float
+            (
+                make_matrix([1000, 1000], [(1, 1), (1000, 1000)]),
+                1000,
+                0,
+                r"density must lie in \(0, 1\], got 0",
+            ),
+            # the float expression returned 0.0 here
+            (permutation_matrix((1, 2)), 5, 0, r"density must lie in \(0, 1\], got 0"),
+            (permutation_matrix((1, 2)), 5, 1.5, r"density must lie in \(0, 1\], got 1.5"),
+            (permutation_matrix((1, 2)), 0, 0.5, "side must be positive, got 0"),
+        ],
+        ids=["p0_term_overflows", "p0_term_fits", "p_above_1", "side_0"],
+    )
+    def test_a_side_or_density_outside_the_domain_is_refused(self, pattern, side, p, message):
+        with pytest.raises(InputError, match=message):
+            analytic_expected_weight(pattern, side, p)
+
     @pytest.mark.parametrize("side,p", [(8, 0.125), (6, 0.3), (53, 1e-9)])
     def test_a_target_inside_the_float_range_keeps_the_float_expression(self, side, p):
         term = (math.e * side) ** 4 / (2.0**2 * 2.0**2) * p**4

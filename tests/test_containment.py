@@ -34,7 +34,7 @@ from patternex import (
     verify_matrix_embedding,
 )
 from patternex import containment
-from patternex.verify import check_association_equivalence
+from patternex.verify import all_graphs, check_association_equivalence
 
 from oracles import (
     brute_hypergraph_contains,
@@ -317,16 +317,9 @@ class TestHypergraphContains:
 
 
 def _all_bipartite(part_size):
-    crossing = [
-        (i, part_size + j)
-        for i in range(1, part_size + 1)
-        for j in range(1, part_size + 1)
-    ]
-    out = []
-    for count in range(len(crossing) + 1):
-        for chosen in combinations(crossing, count):
-            out.append(OrderedHypergraph(2 * part_size, frozenset(chosen)))
-    return out
+    # every graph on the crossing pairs (i, part_size + j), as verify's sweep lists them
+    crossing = product(range(1, part_size + 1), range(part_size + 1, 2 * part_size + 1))
+    return list(all_graphs(2 * part_size, crossing))
 
 
 class TestKlazarMarcus:
@@ -348,6 +341,28 @@ class TestKlazarMarcus:
                 for pattern in graphs:
                     expected = pattern.edges <= host.edges
                     assert klazar_marcus_check(host, pattern, 2) == expected
+
+    def test_both_engines_answer_edge_inclusion_at_part_size_3(self):
+        # the sweep's 262,144 pairs against a reference that runs no
+        # engine: equal part sizes force the identity vertex map, so each
+        # route contains exactly when pattern.edges <= host.edges.  Each of
+        # the 9 crossing pairs lies in neither graph, the host only, or
+        # both, so 3^9 pairs are contained
+        graphs = _all_bipartite(3)
+        forms = [containment._partite_forms(g, 2) for g in graphs]
+        tail = forms[0][0][0][1:]
+        placements = containment._placement_table(tail, tail)
+        hyper_search = containment._hyper_embedding_search
+        matrix_search = containment._matrix_embedding_search
+        contained = 0
+        for host, (host_matrix, host_hyper, _) in zip(graphs, forms):
+            for pattern, (pattern_matrix, _, pattern_hyper) in zip(graphs, forms):
+                expected = pattern.edges <= host.edges
+                assert (hyper_search(host_hyper, pattern_hyper) is not None) == expected
+                found = matrix_search(host_matrix, pattern_matrix, placements)
+                assert (found is not None) == expected
+                contained += expected
+        assert contained == 3**9
 
     @settings(max_examples=80, deadline=None)
     @given(bipartite_graphs(max_part=3), bipartite_graphs(max_part=3))
@@ -668,15 +683,27 @@ class TestStripedSweep:
 @pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 3)])
 def test_unequal_parts_matrix_containment_is_part_respecting(k, n):
     # the regime where the Klazar-Marcus equivalence with plain order
-    # containment fails: pattern parts of size k, host parts of size n > k
+    # containment fails: pattern parts of size k, host parts of size n > k.
+    # Matrix containment is part-respecting containment, and it implies
+    # order containment.  order_only pairs order-contain without it: the
+    # vertex map sends a pattern vertex across the part boundary.  At
+    # k = 1 the pattern has at most one edge, which both routes map onto
+    # any host edge, so there are none
+    order_only = {(1, 2): 0, (1, 3): 0, (2, 3): 120}[k, n]
     pattern_parts, host_parts = PartsSpec.equal(2, k), PartsSpec.equal(2, n)
     hosts = [(h, associated_matrix(h, host_parts)) for h in _all_bipartite(n)]
+    found = 0
     for pattern in _all_bipartite(k):
         pattern_m = associated_matrix(pattern, pattern_parts)
         for host, host_m in hosts:
-            assert (matrix_contains(host_m, pattern_m) is not None) == (
-                brute_part_respecting_contains(host, host_parts, pattern, pattern_parts)
+            matrix_side = matrix_contains(host_m, pattern_m) is not None
+            assert matrix_side == brute_part_respecting_contains(
+                host, host_parts, pattern, pattern_parts
             )
+            order_side = hypergraph_contains(host, pattern) is not None
+            assert order_side or not matrix_side
+            found += order_side and not matrix_side
+    assert found == order_only
 
 
 

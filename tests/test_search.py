@@ -256,6 +256,16 @@ class TestPublishedValues:
         for n, graphs in enumerate([1, 2, 8, 48, 352], start=1):
             assert count_avoiders(CROSSING, n, edge_size_cap=2) == 2**n * graphs
 
+    def test_nonnesting_graph_counts(self):
+        # count_avoiders({14,23}, n, edge_size_cap=2) = 2^n A054726(n) too.
+        # The 2-edges of an avoider are a graph with no two nesting edges,
+        # and de Mier (Combinatorica 27, 2007) shows that the k-nonnesting
+        # and the k-noncrossing graphs on [n] are equinumerous, here with
+        # k = 2.  {12,34} has no such proof and is not pinned
+        nesting = make_hypergraph(4, [(1, 4), (2, 3)])
+        for n, graphs in enumerate([1, 2, 8, 48, 352], start=1):
+            assert count_avoiders(nesting, n, edge_size_cap=2) == 2**n * graphs
+
 
 class TestPlantedSpuriousCopy:
     """A spurious copy in the copy index makes the graph solvers count too
@@ -778,6 +788,17 @@ class TestCopyIndex:
                 cert = solver(pattern, n, edge_cap=cap)
                 assert (cert.value, cert.witness.edges) == (value, frozenset(edges))
         assert mixed and isolated and oversized
+
+    def test_an_edge_larger_than_every_candidate_lists_no_map(self, monkeypatch):
+        # {1,2} fits no singleton, so no host on [20] holds a copy: every
+        # singleton is taken, and none of the C(20, 10) maps is expanded
+        expanded = []
+        bits = search._bits
+        monkeypatch.setattr(search, "_bits", lambda mask: expanded.append(mask) or bits(mask))
+        pattern = make_hypergraph(10, [(1, 2)])
+        cert = exe_hyper(pattern, 20, edge_cap=1)
+        assert cert.value == 20 and cert.witness.edges == {(v,) for v in range(1, 21)}
+        assert expanded == []
 
     @pytest.mark.parametrize("seed", range(2))
     def test_gex_matches_the_engine(self, seed):
