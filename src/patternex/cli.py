@@ -347,39 +347,45 @@ def cmd_generate(args) -> int:
 # contains
 
 
+def _matrix_lines(embedding) -> list[str]:
+    return [
+        f"axis {axis}: " + " ".join(map(str, sel))
+        for axis, sel in enumerate(embedding.axis_indices, start=1)
+    ]
+
+
+def _hypergraph_lines(embedding) -> list[str]:
+    return ["f: " + " ".join(map(str, embedding.vertex_map))] + [
+        "g: {" + ",".join(map(str, pat_edge)) + "} -> {" + ",".join(map(str, host_edge)) + "}"
+        for pat_edge, host_edge in embedding.edge_map
+    ]
+
+
+# each contains kind: its reader, decider, re-checker and embedding lines
+CONTAINS_KINDS = {
+    "matrix": (fileio.read_matrix, matrix_contains, verify_matrix_embedding, _matrix_lines),
+    "hypergraph": (
+        fileio.read_hypergraph,
+        hypergraph_contains,
+        verify_hypergraph_embedding,
+        _hypergraph_lines,
+    ),
+}
+
+
 def cmd_contains(args) -> int:
     """Print the least embedding, after re-checking it against the definition."""
-    if args.kind == "matrix":
-        host = fileio.read_matrix(args.host)
-        pattern = fileio.read_matrix(args.pattern)
-        embedding = matrix_contains(host, pattern)
-        if embedding is None:
-            print("avoids")
-        else:
-            if not verify_matrix_embedding(host, pattern, embedding):
-                raise PostconditionError(f"the embedding {embedding} fails its re-check")
-            print("contains")
-            for axis, sel in enumerate(embedding.axis_indices, start=1):
-                print(f"axis {axis}: " + " ".join(map(str, sel)))
-    else:
-        host = fileio.read_hypergraph(args.host)
-        pattern = fileio.read_hypergraph(args.pattern)
-        embedding = hypergraph_contains(host, pattern)
-        if embedding is None:
-            print("avoids")
-        else:
-            if not verify_hypergraph_embedding(host, pattern, embedding):
-                raise PostconditionError(f"the embedding {embedding} fails its re-check")
-            print("contains")
-            print("f: " + " ".join(map(str, embedding.vertex_map)))
-            for pat_edge, host_edge in embedding.edge_map:
-                print(
-                    "g: {"
-                    + ",".join(map(str, pat_edge))
-                    + "} -> {"
-                    + ",".join(map(str, host_edge))
-                    + "}"
-                )
+    read, contains, recheck, lines = CONTAINS_KINDS[args.kind]
+    host = read(args.host)
+    pattern = read(args.pattern)
+    embedding = contains(host, pattern)
+    if embedding is None:
+        print("avoids")
+        return 0
+    if not recheck(host, pattern, embedding):
+        raise PostconditionError(f"the embedding {embedding} fails its re-check")
+    print("contains")
+    print("\n".join(lines(embedding)))
     return 0
 
 
@@ -434,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.set_defaults(func=cmd_generate)
 
     p_contains = sub.add_parser("contains", help="decide containment of two files")
-    p_contains.add_argument("kind", choices=("matrix", "hypergraph"))
+    p_contains.add_argument("kind", choices=CONTAINS_KINDS)
     p_contains.add_argument("host")
     p_contains.add_argument("pattern")
     p_contains.set_defaults(func=cmd_contains)

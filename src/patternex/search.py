@@ -223,10 +223,6 @@ def table_to_csv(table: ExtremalTable) -> str:
 # the copy index and the branch-and-bound driver
 
 
-class _Reached(Exception):
-    """Raised at the first leaf that reaches a search's ceiling."""
-
-
 class _OverBudget(Exception):
     """Raised when a search makes more ``dfs`` calls than it is allowed."""
 
@@ -290,6 +286,12 @@ def _branch_and_bound(
     leaf's gain equals it.  With ``value`` the greatest gain, the set is
     the value search's.  No leaf reaches a value above the greatest gain,
     and that raises :class:`PostconditionError`.
+
+    The search stops by its return value: ``dfs`` returns True from the
+    leaf that reaches the ceiling, every call above it returns True as
+    soon as its include branch did, and every other return is False.  No
+    statement of any frame runs after that leaf, so the search ends with
+    the value, set, calls and boundary values it had there.
 
     ``index`` is the copy index, ``keep`` and the number of copies
     (:func:`_copy_index`).  The search derives from ``keep`` ``top[i]``,
@@ -430,20 +432,18 @@ def _branch_and_bound(
     best_set = everything
     floor = later = 0  # the slice bound of the current start's box
 
-    def dfs(idx: int, score: int, live: int, chosen: int, edge: int) -> None:
+    def dfs(idx: int, score: int, live: int, chosen: int, edge: int) -> bool:
         nonlocal best, best_set
         while score + suffix[idx] > best:
             if not live:
                 best = score + rest[idx]
                 best_set = chosen | everything >> idx << idx
-                if best >= ceiling:
-                    raise _Reached
-                return
+                return best >= ceiling
             if idx == edge:  # the slice that ends at idx is decided
                 least = best + 1 - floor
                 weight = (chosen >> idx - slice_size).bit_count()
                 if weight < least or weight + (later - 1) * least > floor:
-                    return
+                    return False
                 edge += slice_size
             rest_live = live & keep[idx]
             if rest_live == live:  # no live copy uses idx: include it only
@@ -451,24 +451,24 @@ def _branch_and_bound(
                 chosen |= 1 << idx
             else:
                 if not live & top[idx]:
-                    descend(idx + 1, score + gain[idx], live, chosen | 1 << idx, edge)
+                    if descend(idx + 1, score + gain[idx], live, chosen | 1 << idx, edge):
+                        return True
                 live = rest_live  # the exclude branch, as a loop
             idx += 1
+        return False
 
-    def counted(idx: int, score: int, live: int, chosen: int, edge: int) -> None:
+    def counted(idx: int, score: int, live: int, chosen: int, edge: int) -> bool:
         nonlocal calls
         calls += 1
         if calls > most_calls:
             raise _OverBudget
-        dfs(idx, score, live, chosen, edge)
+        return dfs(idx, score, live, chosen, edge)
 
     # the count costs an uncounted search nothing
     descend = dfs if most_calls is None else counted
     if value is not None:  # the first-leaf search: start 0, suffix still rest
         best, ceiling = value - 1, value
-        try:
-            descend(0, 0, copies, 0, -1)
-        except _Reached:
+        if descend(0, 0, copies, 0, -1):
             return best, best_set, calls, []
         raise PostconditionError(
             f"no set of decisions that holds no copy reaches the value {value}"
@@ -499,10 +499,7 @@ def _branch_and_bound(
             continue
         # start 0 keeps the first leaf of the optimal gain, maybe suffix[1]
         best = suffix[1] - 1 if start == 0 else suffix[start + 1]
-        try:
-            descend(start, 0, starts[start], 0, edge)
-        except _Reached:
-            pass
+        descend(start, 0, starts[start], 0, edge)
         suffix[start] = best
     return suffix[0], best_set, calls, suffix[::-slice_size] if slice_size else []
 

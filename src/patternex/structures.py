@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations, product
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -136,6 +137,10 @@ class _Record:
         # the slot descriptors' setters: calling them directly skips the
         # refusing __setattr__ and the name lookup of object.__setattr__
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        # the fields as one tuple, for ==, hash and pickle, read by one C
+        # call; attrgetter of one name returns the bare value
+        get = attrgetter(*cls.__slots__)
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda record: (get(record),))
 
     def __init__(self, *args, **kwargs) -> None:
         setters = self._setters
@@ -171,16 +176,14 @@ class _Record:
     def _check(self) -> None:
         """Validate the fields; a record without a check accepts any values."""
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
+            fields = self._fields
+            return fields(self) == fields(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -193,7 +196,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), self._fields(self)
 
 
 class BinaryMatrix(_Record):

@@ -12,7 +12,9 @@ candidate host edges), the containment engines before their bitmask
 candidate sets; ``trivial_bound_max_weight``, the matrix solver before
 its suffix bound; and ``engine_max_hyper`` and
 ``engine_count_avoiders``, the hypergraph solvers before the copy index,
-which ask the containment engine at every search node.
+which ask the containment engine at every search node.  And
+``transfer_max_weight`` reaches the 2-d values of the benchmark's
+tables by a transfer over the host's columns, with no search.
 """
 
 from __future__ import annotations
@@ -310,6 +312,50 @@ def brute_max_weight(pattern: BinaryMatrix, extents: tuple[int, ...]) -> int | N
             if best is None or m.weight > best:
                 best = m.weight
     return best
+
+
+def transfer_max_weight(pattern: BinaryMatrix, rows: int, cols: int) -> int:
+    """Max 1-entries of a rows x cols matrix avoiding the 2-d pattern, by a
+    transfer over the host's columns, left to right.
+
+    Fix the host rows r_1 < ... < r_k that the pattern's k rows go to.
+    The pattern's columns then embed exactly when greedy earliest
+    matching places all l of them: scan the host columns and advance past
+    pattern column j + 1 at the first host column that holds a 1-entry at
+    r_i for each of its 1-entries (i, j + 1).  The state after some host
+    columns is that greedy progress, 0..l - 1, for every choice of host
+    rows; a host avoids the pattern exactly when no progress reaches l.
+    Each step adds one column with every subset of the rows as its
+    1-entries, and keeps the greatest weight per state.  Only usable at
+    tiny sizes; a pattern larger than the host fits nowhere, so every
+    cell is taken.
+    """
+    k, l = pattern.extents
+    if k > rows or l > cols:
+        return rows * cols
+    choices = list(combinations(range(rows), k))
+    # per choice of host rows and pattern column, the host rows the
+    # column's 1-entries need
+    needs = [
+        [sum(1 << chosen[i - 1] for i, j in pattern.ones if j == col) for col in range(1, l + 1)]
+        for chosen in choices
+    ]
+    # per host column (a bitmask over rows), its weight and, per choice,
+    # whether it holds the pattern column that each progress waits for
+    steps = [
+        (mask.bit_count(), [tuple(need & mask == need for need in wanted) for wanted in needs])
+        for mask in range(1 << rows)
+    ]
+    best = {(0,) * len(choices): 0}
+    for _ in range(cols):
+        after = {}
+        for state, weight in best.items():
+            for gain, fits in steps:
+                moved = tuple(p + fit[p] for p, fit in zip(state, fits))
+                if l not in moved and after.get(moved, -1) < weight + gain:
+                    after[moved] = weight + gain
+        best = after
+    return max(best.values())
 
 
 def brute_canonical_witness(

@@ -46,6 +46,7 @@ from oracles import (
     engine_max_hyper,
     hyper_candidates,
     matrix_copy_masks,
+    transfer_max_weight,
     trivial_bound_max_weight,
 )
 
@@ -748,6 +749,77 @@ class TestImageRanking:
             calls = search._branch_and_bound(gain, copies, sys.maxsize, value=value)[2]
             assert calls == first_leaf_calls
 
+
+
+P123 = permutation_matrix((1, 2, 3))
+P132 = permutation_matrix((1, 3, 2))
+# the 2-d rows of the extremal_tables benchmark that cost the most, the
+# n = 5 rows of its 2x2, 2x3 and 3x3 patterns and I2 at n = 6
+TRANSFER_ROWS = [
+    *[(pattern, 5) for pattern in (IDENTITY2, P123, P132, ALL_ONES_2, L3, Z23, Q23)],
+    (IDENTITY2, 6),
+]
+TRANSFER_IDS = ["I2", "P123", "P132", "J2", "L3", "Z23", "Q23", "I2-n6"]
+
+
+class TestColumnTransfer:
+    """2-d values against the column-by-column transfer, which fixes the
+    host rows of the pattern's rows and matches its columns greedily, and
+    shares no code with the search or the containment engine."""
+
+    def test_every_small_pattern_without_an_empty_line(self):
+        patterns = [
+            pattern
+            for extents in ((2, 2), (2, 3), (3, 2))
+            for pattern in all_matrices(extents)
+            if _no_empty_line(pattern)
+        ]
+        assert len(patterns) == 57
+        for pattern in patterns:
+            for n in range(1, 5):
+                assert ex_matrix(pattern, n).value == transfer_max_weight(pattern, n, n)
+
+    @pytest.mark.parametrize("pattern, n", TRANSFER_ROWS, ids=TRANSFER_IDS)
+    def test_benchmark_rows(self, pattern, n):
+        assert ex_matrix(pattern, n).value == transfer_max_weight(pattern, n, n)
+
+    @pytest.mark.parametrize("pattern, n", TRANSFER_ROWS, ids=TRANSFER_IDS)
+    def test_the_ranking_boxes(self, pattern, n):
+        # boxes[k] is the value of the k x (n - 1) box of the chosen image
+        image, _, boxes = search._cheapest_image(pattern, n)
+        assert boxes == [transfer_max_weight(image, k, n - 1) for k in range(n)]
+
+
+class TestPlantedMatrixCopy:
+    """A spurious copy in the matrix copy index, the one cell (1, 2),
+    makes ``ex_matrix`` count too low.  The certificate re-check cannot
+    see it, because the witness still avoids the pattern and has the
+    stated weight; the column transfer must."""
+
+    @pytest.fixture(autouse=True)
+    def spurious_copy(self, monkeypatch):
+        matrix_index = search._matrix_index
+
+        def with_spurious_copy(pattern, n):
+            # one more copy, which uses decision 1 alone
+            keep, count = matrix_index(pattern, n)
+            extra = 1 << count
+            return [k if i == 1 else k | extra for i, k in enumerate(keep)], count + 1
+
+        monkeypatch.setattr(search, "_matrix_index", with_spurious_copy)
+
+    @pytest.mark.parametrize(
+        "pattern, n, value, truth", [(IDENTITY2, 2, 2, 3), (P132, 3, 7, 8)], ids=["I2", "P132"]
+    )
+    def test_the_certificate_re_check_accepts_it(self, pattern, n, value, truth):
+        cert = ex_matrix(pattern, n)
+        assert cert.verified and cert.value == value
+        assert search._certify_matrix(cert.value, cert.witness, pattern) == cert
+        assert transfer_max_weight(pattern, n, n) == truth
+
+    def test_the_transfer_rejects_it(self):
+        with pytest.raises(AssertionError):
+            TestColumnTransfer().test_every_small_pattern_without_an_empty_line()
 
 def _random_hypergraph(rng, pn, sizes, most):
     pool = [e for size in sizes for e in combinations(range(1, pn + 1), size)]
