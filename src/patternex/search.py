@@ -223,10 +223,6 @@ def table_to_csv(table: ExtremalTable) -> str:
 # the copy index and the branch-and-bound driver
 
 
-class _OverBudget(Exception):
-    """Raised when a search makes more ``dfs`` calls than it is allowed."""
-
-
 def _copy_index(copies: set[int], total: int) -> tuple[list[int], int]:
     """Index the copies, each a nonempty bitmask over ``total`` decisions.
 
@@ -269,12 +265,12 @@ def _branch_and_bound(
     slice_size: int | None = None,
     column_caps: list[int] | None = None,
     value: int | None = None,
-) -> tuple[int, int, int, list[int]]:
+) -> tuple[int, int, int, list[int]] | None:
     """The greatest total gain of a set of decisions that holds no copy,
     the first such set of the include-first order, as a bitmask, and the
     number of ``dfs`` calls the search made (the value search).  The
     calls are counted only when ``most_calls`` is given (0 otherwise),
-    and a search that needs more raises :class:`_OverBudget`.
+    and a search that needs more returns None.
 
     With ``value`` given, the search is the first-leaf search: the first
     set of the include-first order that holds no copy and whose total
@@ -288,10 +284,13 @@ def _branch_and_bound(
     and that raises :class:`PostconditionError`.
 
     The search stops by its return value: ``dfs`` returns True from the
-    leaf that reaches the ceiling, every call above it returns True as
-    soon as its include branch did, and every other return is False.  No
-    statement of any frame runs after that leaf, so the search ends with
-    the value, set, calls and boundary values it had there.
+    leaf that reaches the ceiling, the counted call past ``most_calls``
+    returns True without a ``dfs``, every call above either returns True
+    as soon as its include branch did, and every other return is False.
+    No statement of any frame runs after that leaf or that call, so the
+    search ends with the value, set, calls and boundary values it had
+    there.  The count tells the two apart: once it has passed
+    ``most_calls``, the search returns None in place of a result.
 
     ``index`` is the copy index, ``keep`` and the number of copies
     (:func:`_copy_index`).  The search derives from ``keep`` ``top[i]``,
@@ -460,19 +459,17 @@ def _branch_and_bound(
     def counted(idx: int, score: int, live: int, chosen: int, edge: int) -> bool:
         nonlocal calls
         calls += 1
-        if calls > most_calls:
-            raise _OverBudget
-        return dfs(idx, score, live, chosen, edge)
+        return calls > most_calls or dfs(idx, score, live, chosen, edge)
 
-    # the count costs an uncounted search nothing
-    descend = dfs if most_calls is None else counted
+    # the count costs an uncounted search nothing; its calls stay 0, within a budget of 0
+    descend, most_calls = (dfs, 0) if most_calls is None else (counted, most_calls)
     if value is not None:  # the first-leaf search: start 0, suffix still rest
         best, ceiling = value - 1, value
-        if descend(0, 0, copies, 0, -1):
-            return best, best_set, calls, []
-        raise PostconditionError(
-            f"no set of decisions that holds no copy reaches the value {value}"
-        )
+        if not descend(0, 0, copies, 0, -1):
+            raise PostconditionError(
+                f"no set of decisions that holds no copy reaches the value {value}"
+            )
+        return None if calls > most_calls else (best, best_set, calls, [])
     # starts[i]: the copies that use no decision before i
     starts = [copies]
     for i in range(total - 1):
@@ -499,7 +496,8 @@ def _branch_and_bound(
             continue
         # start 0 keeps the first leaf of the optimal gain, maybe suffix[1]
         best = suffix[1] - 1 if start == 0 else suffix[start + 1]
-        descend(start, 0, starts[start], 0, edge)
+        if descend(start, 0, starts[start], 0, edge) and calls > most_calls:
+            return None
         suffix[start] = best
     return suffix[0], best_set, calls, suffix[::-slice_size] if slice_size else []
 
@@ -647,7 +645,7 @@ def _matrix_search(
     most_calls: int | None = None,
     value: int | None = None,
     boxes: list[int] | None = None,
-) -> tuple[int, int, int, list[int]]:
+) -> tuple[int, int, int, list[int]] | None:
     """:func:`_branch_and_bound` over the n^d cells of a side-n host in
     lexicographic order, each of gain 1, with ``index`` the copy index of
     the pattern's copies: the value search, or with ``value`` the
@@ -697,12 +695,16 @@ def _cheapest_image(
     the image's copies are the pattern's, decided in another order.  An
     image other than the pattern also needs the first-leaf search over
     the pattern's copies, so it is taken only if its calls and that
-    search's, at n - 1, stay below the pattern's own.  Each search stops
-    once it can no longer win, so an image that is slow at n - 1 costs no
-    more than the cheapest one.  The winner's search ran to the end, so
-    its boundary values are exact: ``boxes[k]`` is the value of the box
-    of k axis-1 slices of side n - 1, which caps the 2-d value search at
-    side n (:func:`_matrix_extremal`).
+    search's, at n - 1, stay below the pattern's own.  The pattern's own
+    search sets that budget, so it always runs to the end, however slow
+    it is: at n = 7 the L-shape given as (1,2)(2,1)(2,2) makes 2,987,114
+    calls there, and the image it picks 32,315.  Only the searches after
+    it stop once they can no longer win: each returns None past the
+    calls it has left, and then the image is skipped, or, for the
+    first-leaf search, the pattern is kept.  The winner's search ran to
+    the end, so its boundary values are exact: ``boxes[k]`` is the value
+    of the box of k axis-1 slices of side n - 1, which caps the 2-d value
+    search at side n (:func:`_matrix_extremal`).
     """
     if binomial_product([(n, k) for k in pattern.extents], RANKED_COPIES) < RANKED_COPIES:
         return pattern, None, []
@@ -711,16 +713,14 @@ def _cheapest_image(
     cheapest, fewest, boxes, turned = pattern, own, own_boxes, None
     for image, symmetry in _matrix_images(pattern)[1:]:
         image_index = _image_index(index, pattern.d, n - 1, symmetry)
-        try:
-            _, _, calls, image_boxes = _matrix_search(image, n - 1, image_index, fewest - 1)
-        except _OverBudget:
+        found = _matrix_search(image, n - 1, image_index, fewest - 1)
+        if found is None:  # over budget: it cannot win
             continue
+        _, _, calls, image_boxes = found
         if calls < fewest:  # a row with no copies at n - 1 makes no call
             cheapest, fewest, boxes, turned = image, calls, image_boxes, symmetry
     if cheapest is not pattern:
-        try:
-            _matrix_search(pattern, n - 1, index, own - fewest - 1, value=value)
-        except _OverBudget:
+        if _matrix_search(pattern, n - 1, index, own - fewest - 1, value=value) is None:
             return pattern, None, own_boxes
     return cheapest, turned, boxes
 

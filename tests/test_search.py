@@ -535,19 +535,12 @@ def _own_search(image, n, most):
     # the image's value search over its own copies, listed by the oracle,
     # or None over the budget
     index = search._copy_index(matrix_copy_masks(image, n), n**image.d)
-    try:
-        return search._matrix_search(image, n, index, most)
-    except search._OverBudget:
-        return None
+    return search._matrix_search(image, n, index, most)
 
 
 def _shared_search(index, d, image, symmetry, n, most):
     # the same search through the pattern's copy index in the image's cell order
-    index = search._image_index(index, d, n, symmetry)
-    try:
-        return search._matrix_search(image, n, index, most)
-    except search._OverBudget:
-        return None
+    return search._matrix_search(image, n, search._image_index(index, d, n, symmetry), most)
 
 
 class TestSharedCopyIndex:
@@ -575,6 +568,31 @@ class TestSharedCopyIndex:
                 ending = [j for j, m in enumerate(masks) if m.bit_length() == i + 1]
                 assert top[i] == sum(1 << j for j in ending)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_value_search_budget_boundary(self, seed):
+        # given one call fewer than it makes, the value search returns
+        # None; given exactly its calls, what it returns with no limit
+        rng = random.Random(seed)
+        for _ in range(100):
+            total = rng.randint(1, 20)
+            gain = [rng.randint(1, 3) for _ in range(total)]
+            copies = {rng.randint(1, (1 << total) - 1) for _ in range(rng.randint(1, 30))}
+            index = search._copy_index(copies, total)
+            value, chosen, calls, boxes = search._branch_and_bound(gain, index, sys.maxsize)
+            assert search._branch_and_bound(gain, index) == (value, chosen, 0, boxes)
+            assert search._branch_and_bound(gain, index, calls - 1) is None
+            assert search._branch_and_bound(gain, index, calls) == (value, chosen, calls, boxes)
+
+    def test_ranked_row_budget_boundary(self):
+        # the L-shape given as (1,2)(2,1)(2,2) is ranked at side 4 for
+        # n = 5, where its own value search makes 864 calls with slices
+        pattern = make_matrix([2, 2], [(1, 2), (2, 1), (2, 2)])
+        index = search._matrix_index(pattern, 4)
+        assert search._matrix_search(pattern, 4, index, 863) is None
+        found = search._matrix_search(pattern, 4, index, 864)
+        assert found == search._matrix_search(pattern, 4, index, sys.maxsize)
+        assert found[2] == 864 and found[3] == [0, 4, 5, 6, 7]
+
     @pytest.mark.parametrize("extents", [(2, 2), (2, 3), (3, 2)], ids=["2x2", "2x3", "3x2"])
     def test_every_image_of_small_patterns(self, extents):
         # at side 5 within 5,000 calls, which 43 of the 162 searches of the
@@ -590,7 +608,7 @@ class TestSharedCopyIndex:
                     assert shared == _own_search(image, n, most)
 
     def test_random_3d_patterns(self):
-        # a search over its budget raises in both ways or in neither
+        # a search over its budget returns None in both ways or in neither
         rng = random.Random(31)
         done = over = 0
         for _ in range(60):
@@ -693,7 +711,10 @@ class TestImageRanking:
         solve = search._branch_and_bound
 
         def one_too_high(gain, *args, **kwargs):
-            value, *others = solve(gain, *args, **kwargs)
+            found = solve(gain, *args, **kwargs)
+            if found is None:  # a ranking search over its budget has no value
+                return None
+            value, *others = found
             return value + (math.isqrt(len(gain)) in sides), *others
 
         monkeypatch.setattr(search, "_branch_and_bound", one_too_high)
@@ -712,8 +733,7 @@ class TestImageRanking:
             value, chosen, _, _ = search._branch_and_bound(gain, index)
             found, first, calls, _ = search._branch_and_bound(gain, index, sys.maxsize, value=value)
             assert (found, first) == (value, chosen)
-            with pytest.raises(search._OverBudget):
-                search._branch_and_bound(gain, index, calls - 1, value=value)
+            assert search._branch_and_bound(gain, index, calls - 1, value=value) is None
             assert search._branch_and_bound(gain, index, calls, value=value)[1] == chosen
             with pytest.raises(PostconditionError):
                 search._branch_and_bound(gain, index, value=value + 1)
