@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import fileio
@@ -90,6 +91,18 @@ def _parse_n_range(text: str) -> range:
     if lo < 1 or hi < lo:
         raise InputError(f"invalid range {text!r}")
     return range(lo, hi + 1)
+
+
+def _parse_density(text: str) -> Fraction:
+    """``--p`` as an exact rational, from a decimal such as 0.3 or a
+    ratio such as 1/8; a refusal quotes the text as given."""
+    try:
+        p = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"cannot parse density {text!r}, expected a decimal or a ratio") from exc
+    if not 0 < p <= 1:
+        raise InputError(f"density must lie in (0, 1], got {text}")
+    return p
 
 
 def _check_out(args) -> None:
@@ -300,31 +313,37 @@ def cmd_generate(args) -> int:
         files["normalize_report.txt"] = "\n".join(report_lines) + "\n"
         lines = report_lines[:6]
     elif name == "random-avoider":
-        p = args.p if args.p is not None else default_density(given, args.n)
+        p = default_density(given, args.n) if args.p is None else _parse_density(args.p)
         seed = 0 if args.seed is None else args.seed
         trials = 1 if args.trials is None else args.trials
         config = GeneratorConfig(pattern=given, side=args.n, p=p, seed=seed, trials=trials)
         csv_lines = ["trial,seed,initial_weight,deletions,final_weight"]
         text_lines = []
-        for matrix, stats in random_avoider_trials(config):
-            files[f"avoider_trial{stats.trial}.txt"] = fileio.format_matrix(matrix)
-            csv_lines.append(
-                f"{stats.trial},{stats.seed},{stats.initial_weight},"
-                f"{stats.deletions},{stats.final_weight}"
-            )
-            text_lines.extend(
-                [
+        # an exact target can pass the 4,300 digits that str writes by
+        # default: it is 9,397 characters long for the 17x17 all-ones
+        # pattern at side 20
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for matrix, stats in random_avoider_trials(config):
+                files[f"avoider_trial{stats.trial}.txt"] = fileio.format_matrix(matrix)
+                csv_lines.append(
+                    f"{stats.trial},{stats.seed},{stats.initial_weight},"
+                    f"{stats.deletions},{stats.final_weight}"
+                )
+                text_lines += [
                     f"trial: {stats.trial}",
                     f"seed: {stats.seed}",
                     f"rng: {stats.rng_algorithm}",
-                    f"p: {stats.p!r}",
+                    f"p: {stats.p}",
                     f"initial-weight: {stats.initial_weight}",
                     f"deletions: {stats.deletions}",
                     f"final-weight: {stats.final_weight}",
-                    f"analytic-target: {stats.analytic_target!r}",
+                    f"analytic-target: {stats.analytic_target}",
                     "",
                 ]
-            )
+        finally:
+            sys.set_int_max_str_digits(limit)
         files["stats.csv"] = "\n".join(csv_lines) + "\n"
         files["stats.txt"] = "\n".join(text_lines).rstrip("\n") + "\n"
         lines = [f"trials: {trials}", "avoids: yes"]
@@ -429,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--d", type=int, default=None)
     p_generate.add_argument("--k", type=int, default=None)
     p_generate.add_argument("--n", type=int, default=None)
-    p_generate.add_argument("--p", type=float, default=None)
+    p_generate.add_argument("--p", default=None, help="density, such as 0.3 or 1/8")
     p_generate.add_argument("--length", type=int, default=None)
     # defaults None, so that an unread option is seen; random-avoider
     # takes seed 0 and 1 trial, normalize-edges cap mode kd

@@ -5,15 +5,15 @@ avoidance, counts, boundary conditions) through the containment module
 on the object it just built, raising PostconditionError instead of
 returning an unverified object.  Randomized constructions are
 reproducible: the generator algorithm is named in the emitted
-statistics and per-trial seeds are derived as seed XOR trial index.
+statistics, and trial t of seed s draws from the seed s * 2^32 + t, so
+no two (seed, trial) pairs share a sample.
 """
 
 from __future__ import annotations
 
-import math
 import random
-import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 from .containment import (
@@ -45,9 +45,6 @@ CAP_MODES = ("kd", "(k+d)d")
 # cells it samples, and the most vertex entries or coordinates a blow-up
 # or a cyclic pattern may hold
 MAX_CONSTRUCTION_SIZE = 2_000_000
-
-# the largest x with exp(x) a finite float
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +343,18 @@ class GeneratorConfig(_Record):
             raise InputError("seed must be an unsigned 64-bit integer")
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
+        if self.trials >= 2**32:
+            raise InputError(f"trials must be below 2^32, got {self.trials}")
         if self.pattern.weight <= 1:
             raise InputError(
                 f"pattern weight must be >= 2, got {self.pattern.weight}"
             )
 
 
-def _check_side_and_density(side: int, p: float) -> None:
+def _check_side_and_density(side: int, p) -> None:
     if side < 1:
         raise InputError(f"side must be positive, got {side}")
-    if not 0.0 < p <= 1.0:
+    if not 0 < p <= 1:
         raise InputError(f"density must lie in (0, 1], got {p}")
 
 
@@ -375,62 +374,52 @@ class TrialStats(_Record):
     _defaults = {"rng_algorithm": RNG_ALGORITHM}
 
 
-def default_density(pattern: BinaryMatrix, side: int) -> float:
-    """The density (1/2) * n^(-(sum k_i - d) / (w - 1)) used by the generator."""
+def default_density(pattern: BinaryMatrix, side: int) -> Fraction:
+    """The density (1/2) * n^(-(sum k_i - d) / (w - 1)) used by the generator.
+
+    The power is taken in floats, and the result is the exact value of
+    that float, the package's one rounded density: a run at the default
+    density draws the cells that comparing each draw with the float
+    draws.  It is 1/8 exactly for the 2x2 all-ones pattern at side 8.
+    """
     if pattern.weight <= 1:
         raise InputError(f"pattern weight must be >= 2, got {pattern.weight}")
     exponent = (sum(pattern.extents) - pattern.d) / (pattern.weight - 1)
-    return 0.5 * side ** (-exponent)
+    return Fraction(0.5 * side ** (-exponent))
 
 
-def analytic_expected_weight(pattern: BinaryMatrix, side: int, p: float) -> float:
-    """n^d p - (e n)^(sum k_i) / prod(k_i^k_i) * p^w, the repair lower-bound target.
+def analytic_expected_weight(pattern: BinaryMatrix, side: int, p) -> Fraction:
+    """n^d p - W p^w, the repair's lower bound on the expected final weight,
+    as an exact rational for any real p, taken as ``Fraction(p)``.
 
-    Where (e n)^(sum k_i) or some k_i^k_i passes the float range, the
-    second term is exp(sum k_i log(e n / k_i) + w log p) instead, and
-    infinite when that passes the float range too.  Where n^d passes the
-    float range, both terms are compared in logs: the target is their
-    difference when both fit a float, and otherwise +inf or -inf as the
-    first or the second is larger (-inf on a tie).  It is never NaN.
+    W = prod C(n, k_i) is the number of submatrix windows, counted by
+    :func:`~patternex.structures.binomial_product`, and W p^w is the
+    expected number of the sample's copies.  Every repair step deletes a
+    1-entry of a copy that the sample still holds, and no deletion
+    creates a copy, so the deletions are at most the sample's copies.
+    The paper's form bounds C(n, k) by (e n / k)^k and is smaller.
 
     Raises :class:`InputError` for a side below 1 or a density outside
     (0, 1], as :class:`GeneratorConfig` does, before any arithmetic.
     """
     _check_side_and_density(side, p)
-    d = pattern.d
-    w = pattern.weight
-    try:
-        first = side**d * p
-    except OverflowError:
-        log_first = d * math.log(side) + math.log(p)
-        log_term = sum(k * (1 + math.log(side) - math.log(k)) for k in pattern.extents)
-        log_term += w * math.log(p)
-        if max(log_first, log_term) <= _LOG_FLOAT_MAX:
-            return math.exp(log_first) - math.exp(log_term)
-        return math.inf if log_first > log_term else -math.inf
-    try:
-        numerator = (math.e * side) ** sum(pattern.extents)
-        denominator = 1.0
-        for k in pattern.extents:
-            denominator *= float(k) ** k
-        term = numerator / denominator * p**w
-    except OverflowError:
-        log_term = sum(k * math.log(math.e * side / k) for k in pattern.extents) + w * math.log(p)
-        term = math.exp(log_term) if log_term <= _LOG_FLOAT_MAX else math.inf
-    return first - term
+    p = Fraction(p)
+    # C(n, k) <= n^k, so no partial product passes this cap: the count is exact
+    windows = binomial_product([(side, k) for k in pattern.extents], side ** sum(pattern.extents))
+    return side**pattern.d * p - windows * p**pattern.weight
 
 
 def random_avoider(config: GeneratorConfig, trial: int = 0) -> tuple[BinaryMatrix, TrialStats]:
     """Sample a random d-matrix and repair it into a guaranteed avoider.
 
-    Entries are 1 independently with probability p (seeded, one trial
-    uses seed XOR trial index).  While :func:`matrix_contains` finds a
-    copy, the image of the pattern's greatest 1-entry in the least copy
-    is cleared: the deletions of one lexicographic sweep over the
-    submatrix windows, as a passed window never holds a copy again.  One
-    call costs at most a greedy row scan for each of the
-    windows / C(n, k_1) placements of axes 2..d, and a call that finds a
-    copy stops at it.
+    Entries are 1 independently with probability p (seeded: trial t of
+    seed s draws from the seed s * 2^32 + t).  While
+    :func:`matrix_contains` finds a copy, the image of the pattern's
+    greatest 1-entry in the least copy is cleared: the deletions of one
+    lexicographic sweep over the submatrix windows, as a passed window
+    never holds a copy again.  One call costs at most a greedy row scan
+    for each of the windows / C(n, k_1) placements of axes 2..d, and a
+    call that finds a copy stops at it.
 
     Raises :class:`CapacityError` before it samples any cell when the
     windows, counted by :func:`~patternex.structures.binomial_product`,
@@ -456,11 +445,13 @@ def random_avoider(config: GeneratorConfig, trial: int = 0) -> tuple[BinaryMatri
         raise CapacityError(
             f"at least {cells} sampled cells exceed the limit {MAX_CONSTRUCTION_SIZE}"
         )
-    seed = config.seed ^ trial
+    seed = config.seed << 32 | trial
     rng = random.Random(seed)
-    ones = {
-        cell for cell in product(range(1, n + 1), repeat=d) if rng.random() < config.p
-    }
+    p = Fraction(config.p)
+    # random() draws k / 2^53 for an int k, so it is below p exactly when
+    # it is below p rounded up to that grid, a float
+    threshold = -(-p * 2**53 // 1) / 2**53
+    ones = {cell for cell in product(range(1, n + 1), repeat=d) if rng.random() < threshold}
     initial = len(ones)
     anchor = max(pattern.ones)
     while (found := matrix_contains(BinaryMatrix((n,) * d, frozenset(ones)), pattern)) is not None:
@@ -469,16 +460,15 @@ def random_avoider(config: GeneratorConfig, trial: int = 0) -> tuple[BinaryMatri
             raise PostconditionError(f"the engine's pattern copy uses the 0-entry {cell}")
         ones.remove(cell)
     result = BinaryMatrix((n,) * d, frozenset(ones))
-    stats = TrialStats(
+    return result, TrialStats(
         trial=trial,
         seed=seed,
-        p=config.p,
+        p=p,
         initial_weight=initial,
         deletions=initial - result.weight,
         final_weight=result.weight,
-        analytic_target=analytic_expected_weight(pattern, n, config.p),
+        analytic_target=analytic_expected_weight(pattern, n, p),
     )
-    return result, stats
 
 
 def random_avoider_trials(config: GeneratorConfig) -> list[tuple[BinaryMatrix, TrialStats]]:

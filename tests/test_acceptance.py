@@ -1,8 +1,7 @@
 """Acceptance criteria, one test per criterion.
 
-Each test prints a single pass/fail line.  Values are exact; the only
-floating-point comparison is the random-density criterion, whose
-threshold is part of the criterion itself.
+Each test prints a single pass/fail line.  Values are exact, the
+random-density criterion's mean, target and threshold included.
 """
 
 import time

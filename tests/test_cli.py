@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -308,6 +309,57 @@ class TestGenerate:
             outs.append(_tree(out))
         assert outs[0] == outs[1]
         assert "stats.csv" in outs[0]
+
+    def test_random_avoider_takes_a_ratio_and_writes_exact_stats(self, tmp_path):
+        pattern = tmp_path / "p.txt"
+        pattern.write_text("2 2 2\n1 1\n1 2\n2 1\n2 2\n")
+        trees = []
+        for p in ("1/8", "0.125"):
+            out = tmp_path / p.replace("/", "_")
+            assert main([
+                "generate", "random-avoider", "--pattern", str(pattern),
+                "--n", "8", "--p", p, "--trials", "2", "--out", str(out),
+            ]) == 0
+            trees.append(_tree(out))
+        assert trees[0] == trees[1]
+        stats = trees[0]["stats.txt"].decode()
+        assert stats.count("p: 1/8\n") == stats.count("analytic-target: 1999/256\n") == 2
+
+    def test_random_avoider_writes_a_target_past_the_int_text_limit(self, tmp_path):
+        # the default density's denominator is 2^54 here, so p^289 has
+        # more than the 4,300 digits that str writes by default
+        pattern = tmp_path / "full17.txt"
+        cells = "".join(f"{i} {j}\n" for i in range(1, 18) for j in range(1, 18))
+        pattern.write_text("2 17 17\n" + cells)
+        out = tmp_path / "out"
+        limit = sys.get_int_max_str_digits()
+        assert main([
+            "generate", "random-avoider", "--pattern", str(pattern),
+            "--n", "20", "--out", str(out),
+        ]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        target = (out / "stats.txt").read_text().split("analytic-target: ")[1].strip()
+        assert len(target) == 9397
+
+    @pytest.mark.parametrize(
+        "p,message",
+        [
+            ("abc", "error: cannot parse density 'abc', expected a decimal or a ratio"),
+            ("1/0", "error: cannot parse density '1/0', expected a decimal or a ratio"),
+            ("1.5", r"error: density must lie in \(0, 1\], got 1.5$"),
+            ("0.0", r"error: density must lie in \(0, 1\], got 0.0$"),
+        ],
+    )
+    def test_random_avoider_density_refusal_quotes_the_value(self, tmp_path, capsys, p, message):
+        pattern = tmp_path / "p.txt"
+        pattern.write_text("2 2 2\n1 1\n1 2\n2 1\n2 2\n")
+        out = tmp_path / "out"
+        assert main([
+            "generate", "random-avoider", "--pattern", str(pattern),
+            "--n", "8", "--p", p, "--out", str(out),
+        ]) == 2
+        assert re.search(message, capsys.readouterr().err.strip())
+        assert not out.exists()
 
     def test_blowup_edge_count_line(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"

@@ -4,6 +4,7 @@ import math
 import random
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
@@ -403,7 +404,7 @@ class TestRandomAvoider:
             config = GeneratorConfig(pattern=pattern, side=side, p=p, seed=seed, trials=3)
             for trial in range(3):
                 matrix, stats = random_avoider(config, trial)
-                rng = random.Random(seed ^ trial)
+                rng = random.Random(seed * 2**32 + trial)
                 ones = {
                     cell
                     for cell in product(range(1, side + 1), repeat=pattern.d)
@@ -481,35 +482,37 @@ class TestRandomAvoider:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_a_target_past_the_float_range_is_computed_from_logs(self):
-        # (e * 100)^200 overflows a float; the term is e^200 * 0.5^2
+    def test_a_target_of_a_wide_pattern_is_exact(self):
+        # the target is n^2 p - 1 * p^2 with one window; as a float,
+        # (e * 100)^200 overflowed, and at side 1000 the term was infinite
         pattern = make_matrix([100, 100], [(1, 1), (100, 100)])
         matrix, stats = random_avoider(GeneratorConfig(pattern=pattern, side=100, p=0.5, seed=0))
         assert stats.final_weight == matrix.weight
-        assert stats.analytic_target == pytest.approx(5000 - math.exp(200) / 4, rel=1e-12)
-        assert -1.807e86 < stats.analytic_target < -1.806e86
-        # a term past the float range even in logs is infinite
+        assert stats.analytic_target == Fraction(19999, 4)
         wide = make_matrix([1000, 1000], [(1, 1), (1000, 1000)])
-        assert analytic_expected_weight(wide, 1000, 0.5) == -math.inf
+        assert analytic_expected_weight(wide, 1000, Fraction(1, 2)) == Fraction(1999999, 4)
 
     @pytest.mark.parametrize(
-        "pattern,side,p,target",
+        "pattern,side,p,sign",
         [
-            # n^d p and the second term are e^920 and e^1842
-            (permutation_matrix((1, 2)), 10**200, 0.5, -math.inf),
+            # as floats, n^d p and the second term were e^920 and e^1842
+            (permutation_matrix((1, 2)), 10**200, 0.5, -1),
             # a side past the float range
-            (ALL_ONES_2, 10**400, 0.5, -math.inf),
+            (ALL_ONES_2, 10**400, 0.5, -1),
             # e^806 and e^462
-            (ALL_ONES_2, 10**300, 1e-250, math.inf),
-            # e^576 and e^462 both fit a float
-            (ALL_ONES_2, 10**200, 1e-150, pytest.approx(1e250, rel=1e-9)),
+            (ALL_ONES_2, 10**300, 1e-250, 1),
+            # e^576 and e^462
+            (ALL_ONES_2, 10**200, 1e-150, 1),
         ],
         ids=["second_larger", "side_past_the_range", "first_larger", "both_fit"],
     )
-    def test_n_to_the_d_past_the_float_range_compares_the_terms_in_logs(
-        self, pattern, side, p, target
-    ):
+    def test_a_target_past_the_float_range_is_exact(self, pattern, side, p, sign):
+        # a float p counts as the exact value of that float
+        p = Fraction(p)
+        windows = prod(math.comb(side, k) for k in pattern.extents)
+        target = side**pattern.d * p - windows * p**pattern.weight
         assert analytic_expected_weight(pattern, side, p) == target
+        assert (target > 0) - (target < 0) == sign
 
     @pytest.mark.parametrize(
         "pattern,side,p,message",
@@ -532,10 +535,16 @@ class TestRandomAvoider:
         with pytest.raises(InputError, match=message):
             analytic_expected_weight(pattern, side, p)
 
-    @pytest.mark.parametrize("side,p", [(8, 0.125), (6, 0.3), (53, 1e-9)])
-    def test_a_target_inside_the_float_range_keeps_the_float_expression(self, side, p):
-        term = (math.e * side) ** 4 / (2.0**2 * 2.0**2) * p**4
-        assert analytic_expected_weight(ALL_ONES_2, side, p) == side**2 * p - term
+    @pytest.mark.parametrize(
+        "side,p", [(8, Fraction(1, 8)), (6, Fraction(3, 10)), (53, Fraction(1, 10**9))]
+    )
+    def test_the_target_counts_the_windows_and_beats_the_papers_form(self, side, p):
+        target = analytic_expected_weight(ALL_ONES_2, side, p)
+        assert target == side**2 * p - math.comb(side, 2) ** 2 * p**4
+        # the paper's form bounds the C(n, 2)^2 windows by (e n / 2)^4
+        assert math.comb(side, 2) ** 2 < (math.e * side / 2) ** 4
+        if side == 8:
+            assert target == Fraction(1999, 256)
 
     def test_reproducible_per_seed(self):
         config = GeneratorConfig(pattern=ALL_ONES_2, side=8, p=0.25, seed=3, trials=2)
@@ -543,14 +552,34 @@ class TestRandomAvoider:
         second = random_avoider(config, 1)
         assert first == second
 
-    def test_trial_seed_is_xor_of_seed_and_index(self):
+    def test_trial_seed_is_the_seed_shifted_past_the_trial_index(self):
         config = GeneratorConfig(pattern=ALL_ONES_2, side=6, p=0.3, seed=12, trials=4)
         _, stats = random_avoider(config, 3)
-        assert stats.seed == 12 ^ 3
+        assert stats.seed == 12 * 2**32 + 3
+        # seed 0 keeps trial seeds 0, 1, 2, ...; with the old seed XOR
+        # trial index, seeds 0 and 1 shared every sample
+        zero = GeneratorConfig(pattern=ALL_ONES_2, side=6, p=0.3, seed=0, trials=2)
+        one = GeneratorConfig(pattern=ALL_ONES_2, side=6, p=0.3, seed=1, trials=2)
+        seeds = [stats.seed for c in (zero, one) for _, stats in random_avoider_trials(c)]
+        assert seeds == [0, 1, 2**32, 2**32 + 1]
+
+    @pytest.mark.parametrize(
+        "p", [Fraction(1, 8), Fraction(1, 3), Fraction(3, 10), Fraction(1, 10**20), 0.3, 1]
+    )
+    def test_the_grid_threshold_samples_as_the_exact_comparison(self, p):
+        # random() < p with p a Fraction compares exactly, but about 30
+        # times slower than with a float
+        side = 7
+        config = GeneratorConfig(pattern=ALL_ONES_2, side=side, p=p, seed=5, trials=20)
+        for trial, (_, stats) in enumerate(random_avoider_trials(config)):
+            rng = random.Random(5 * 2**32 + trial)
+            exact = sum(rng.random() < Fraction(p) for _ in range(side * side))
+            assert stats.initial_weight == exact
+            assert stats.p == Fraction(p)
 
     def test_default_density_formula(self):
         # (1/2) * 8^(-(2+2-2)/(4-1)) = (1/2) * 8^(-2/3) = 1/8
-        assert default_density(ALL_ONES_2, 8) == pytest.approx(0.125)
+        assert default_density(ALL_ONES_2, 8) == Fraction(1, 8)
 
     def test_weight_one_pattern_rejected(self):
         with pytest.raises(InputError):
@@ -564,7 +593,7 @@ class TestRandomAvoider:
         config = GeneratorConfig(pattern=ALL_ONES_2, side=side, p=p, seed=5, trials=30)
         total = sum(stats.final_weight for _, stats in random_avoider_trials(config))
         target = analytic_expected_weight(ALL_ONES_2, side, p)
-        assert total / 30 >= 0.9 * target
+        assert Fraction(total, 30) >= Fraction(4, 5) * target
 
 
 class TestIntervalContract:

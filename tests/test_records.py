@@ -240,6 +240,11 @@ ERRORS = [
     (lambda: GeneratorConfig(MATRIX, 4, 0.5, -1), InputError, "seed must be an unsigned 64-bit integer"),
     (lambda: GeneratorConfig(MATRIX, 4, 0.5, 1, 0), InputError, "trials must be >= 1, got 0"),
     (
+        lambda: GeneratorConfig(MATRIX, 4, 0.5, 1, 2**32),
+        InputError,
+        "trials must be below 2^32, got 4294967296",
+    ),
+    (
         lambda: GeneratorConfig(BinaryMatrix((2, 2), frozenset({(1, 1)})), 4, 0.5, 1),
         InputError,
         "pattern weight must be >= 2, got 1",

@@ -2,13 +2,14 @@
 
 import json
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from patternex import InputError, PostconditionError, constructions, containment, fileio, make_hypergraph, verify
 from patternex import PartsSpec, SearchCertificate, associated_hypergraph, associated_matrix, chain_patterns, cyclic_pad
-from patternex import satisfies_boundary_condition
+from patternex import BinaryMatrix, TrialStats, satisfies_boundary_condition
 from patternex.verify import (
     CLAIM_NAMES,
     CheckResult,
@@ -257,6 +258,61 @@ def test_contraction_recurrence_fails_when_count_misses_copies(monkeypatch):
 def test_random_density_quick():
     result = check_random_density(1)
     assert result.passed
+
+
+def test_random_density_seeds_draw_independent_samples():
+    # with trial seeds seed XOR trial index, seeds 0..3 drew the same 100
+    # samples and all four read 7.98
+    means = [check_random_density(seed).instances[0].params for seed in range(4)]
+    assert [m["mean_final_weight_empirical"] for m in means] == [
+        Fraction(399, 50),
+        Fraction(761, 100),
+        Fraction(747, 100),
+        Fraction(192, 25),
+    ]
+
+
+def test_random_density_reports_exact_rationals():
+    (entry,) = run_checks(["Lemma8-density"], seed=0).to_dict()["checks"]
+    params = entry["instances"][0]["params"]
+    assert params["p"] == "1/8"
+    assert params["mean_final_weight_empirical"] == "399/50"
+    # 8 - C(8, 2)^2 / 8^4 = 8 - 784/4096
+    assert params["analytic_target"] == "1999/256"
+    assert params["threshold"] == entry["parameters"]["threshold"] == "4/5"
+
+
+def _deleting_extra(extra):
+    """A repair that deletes ``extra`` more 1-entries of each sample than
+    it must; its outputs still avoid."""
+
+    def repair(config, trial):
+        sample, stats = constructions.random_avoider(config, trial)
+        ones = sorted(sample.ones)[extra:]
+        removed = sample.weight - len(ones)
+        return BinaryMatrix(sample.extents, frozenset(ones)), TrialStats(
+            stats.trial,
+            stats.seed,
+            stats.p,
+            stats.initial_weight,
+            stats.deletions + removed,
+            len(ones),
+            stats.analytic_target,
+        )
+
+    return repair
+
+
+@pytest.mark.parametrize("extra,passed", [(0, True), (2, False)])
+def test_random_density_fails_when_the_repair_deletes_two_extra_entries(
+    monkeypatch, extra, passed
+):
+    # at 0.9 of the paper's looser target 4.59, a repair needed about 4
+    # extra deletions per trial to fail
+    monkeypatch.setattr(verify, "random_avoider", _deleting_extra(extra))
+    result = check_random_density(0)
+    assert result.passed is passed
+    assert result.instances[0].params["mean_final_weight_empirical"] == Fraction(399, 50) - extra
 
 
 def test_random_density_fails_when_the_repair_misses_copies(monkeypatch):
