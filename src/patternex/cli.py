@@ -21,7 +21,9 @@ from pathlib import Path
 from . import fileio
 from .constructions import (
     CAP_MODES,
+    RNG_ALGORITHM,
     GeneratorConfig,
+    analytic_expected_weight,
     blowup_graph,
     chain_patterns,
     corner_pad,
@@ -317,33 +319,34 @@ def cmd_generate(args) -> int:
         seed = 0 if args.seed is None else args.seed
         trials = 1 if args.trials is None else args.trials
         config = GeneratorConfig(pattern=given, side=args.n, p=p, seed=seed, trials=trials)
-        csv_lines = ["trial,seed,initial_weight,deletions,final_weight"]
-        text_lines = []
         # an exact target can pass the 4,300 digits that str writes by
         # default: it is 9,397 characters long for the 17x17 all-ones
         # pattern at side 20
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            for matrix, stats in random_avoider_trials(config):
-                files[f"avoider_trial{stats.trial}.txt"] = fileio.format_matrix(matrix)
-                csv_lines.append(
-                    f"{stats.trial},{stats.seed},{stats.initial_weight},"
-                    f"{stats.deletions},{stats.final_weight}"
-                )
-                text_lines += [
-                    f"trial: {stats.trial}",
-                    f"seed: {stats.seed}",
-                    f"rng: {stats.rng_algorithm}",
-                    f"p: {stats.p}",
-                    f"initial-weight: {stats.initial_weight}",
-                    f"deletions: {stats.deletions}",
-                    f"final-weight: {stats.final_weight}",
-                    f"analytic-target: {stats.analytic_target}",
-                    "",
-                ]
+            target = str(analytic_expected_weight(given, args.n, p))
         finally:
             sys.set_int_max_str_digits(limit)
+        csv_lines = ["trial,seed,initial_weight,deletions,final_weight"]
+        text_lines = []
+        for matrix, stats in random_avoider_trials(config):
+            files[f"avoider_trial{stats.trial}.txt"] = fileio.format_matrix(matrix)
+            csv_lines.append(
+                f"{stats.trial},{stats.seed},{stats.initial_weight},"
+                f"{stats.deletions},{stats.final_weight}"
+            )
+            text_lines += [
+                f"trial: {stats.trial}",
+                f"seed: {stats.seed}",
+                f"rng: {RNG_ALGORITHM}",
+                f"p: {p}",
+                f"initial-weight: {stats.initial_weight}",
+                f"deletions: {stats.deletions}",
+                f"final-weight: {stats.final_weight}",
+                f"analytic-target: {target}",
+                "",
+            ]
         files["stats.csv"] = "\n".join(csv_lines) + "\n"
         files["stats.txt"] = "\n".join(text_lines).rstrip("\n") + "\n"
         lines = [f"trials: {trials}", "avoids: yes"]

@@ -24,7 +24,7 @@ from .containment import (
     placement_table_bits,
     verify_hypergraph_embedding,
 )
-from .errors import CapacityError, InputError, PostconditionError
+from .errors import CapacityError, InputError, PostconditionError, int_text
 from .structures import (
     BinaryMatrix,
     Coord,
@@ -45,6 +45,12 @@ CAP_MODES = ("kd", "(k+d)d")
 # cells it samples, and the most vertex entries or coordinates a blow-up
 # or a cyclic pattern may hold
 MAX_CONSTRUCTION_SIZE = 2_000_000
+
+# the most bits of the deletion repair's analytic target, counted as the
+# pattern's weight times the bits of p's denominator: str writes the
+# largest accepted target of a 53-bit p in about 1 s on a shared 2-core
+# Xeon, and the time grows as the square of the bits
+MAX_TARGET_BITS = 550_000
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +111,8 @@ def blowup_graph(bipartite: OrderedHypergraph, t: int) -> OrderedHypergraph:
     entries = 2 * (t - 1) * bipartite.edge_count
     if entries > MAX_CONSTRUCTION_SIZE:
         raise CapacityError(
-            f"a blow-up of {entries} vertex entries exceeds the limit {MAX_CONSTRUCTION_SIZE}"
+            f"a blow-up of {int_text(entries)} vertex entries exceeds the limit "
+            f"{MAX_CONSTRUCTION_SIZE}"
         )
     edges = set()
     for u, v in bipartite.edges:
@@ -124,7 +131,8 @@ def cyclic_pattern(d: int) -> BinaryMatrix:
         raise InputError(f"dimension must be >= 2, got {d}")
     if d * d > MAX_CONSTRUCTION_SIZE:
         raise CapacityError(
-            f"a cyclic pattern of {d * d} coordinates exceeds the limit {MAX_CONSTRUCTION_SIZE}"
+            f"a cyclic pattern of {int_text(d * d)} coordinates exceeds the limit "
+            f"{MAX_CONSTRUCTION_SIZE}"
         )
     ones = set()
     for shift in range(d):
@@ -332,46 +340,68 @@ def graph_copy_from_doubling(
 
 
 class GeneratorConfig(_Record):
-    """Parameters of the seeded random deletion-repair generator."""
+    """Parameters of the seeded random deletion-repair generator.
+
+    Every refusal of a run comes from here, when the config is built, so
+    every config runs.  Raises :class:`CapacityError`, before any power
+    or sample, when the analytic target passes ``MAX_TARGET_BITS``, when
+    the submatrix windows, counted by
+    :func:`~patternex.structures.binomial_product`, pass
+    ``MAX_CONSTRUCTION_SIZE``, when the pattern fits and the placement
+    table the first :func:`matrix_contains` call of a trial fetches
+    passes ``MAX_TABLE_BITS`` (:func:`placement_table_bits`), or when the
+    n^d sampled cells, counted the same way, pass
+    ``MAX_CONSTRUCTION_SIZE``.
+    """
 
     __slots__ = ("pattern", "side", "p", "seed", "trials")
     _defaults = {"trials": 1}
 
     def _check(self) -> None:
-        _check_side_and_density(self.side, self.p)
+        pattern, n = self.pattern, self.side
+        _check_density(pattern, n, self.p)
         if not 0 <= self.seed < 2**64:
             raise InputError("seed must be an unsigned 64-bit integer")
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
         if self.trials >= 2**32:
             raise InputError(f"trials must be below 2^32, got {self.trials}")
-        if self.pattern.weight <= 1:
-            raise InputError(
-                f"pattern weight must be >= 2, got {self.pattern.weight}"
+        if pattern.weight <= 1:
+            raise InputError(f"pattern weight must be >= 2, got {pattern.weight}")
+        windows = binomial_product([(n, k) for k in pattern.extents], MAX_CONSTRUCTION_SIZE)
+        if windows > MAX_CONSTRUCTION_SIZE:
+            raise CapacityError(
+                f"at least {windows} submatrix windows exceed the limit {MAX_CONSTRUCTION_SIZE}"
+            )
+        if windows:
+            placement_table_bits(pattern.extents[1:], (n,) * (pattern.d - 1))
+        cells = binomial_product([(n, 1)] * pattern.d, MAX_CONSTRUCTION_SIZE)
+        if cells > MAX_CONSTRUCTION_SIZE:
+            raise CapacityError(
+                f"at least {cells} sampled cells exceed the limit {MAX_CONSTRUCTION_SIZE}"
             )
 
 
-def _check_side_and_density(side: int, p) -> None:
+def _check_density(pattern: BinaryMatrix, side: int, p) -> None:
+    """Refuse a side below 1 or a density outside (0, 1] with
+    :class:`InputError`, and an analytic target of more than
+    ``MAX_TARGET_BITS`` with :class:`CapacityError`."""
     if side < 1:
         raise InputError(f"side must be positive, got {side}")
     if not 0 < p <= 1:
         raise InputError(f"density must lie in (0, 1], got {p}")
+    # W p^w has a denominator of about w times the bits of p's
+    bits = pattern.weight * Fraction(p).denominator.bit_length()
+    if bits > MAX_TARGET_BITS:
+        raise CapacityError(
+            f"an analytic target of about {bits} bits exceeds the limit {MAX_TARGET_BITS}"
+        )
 
 
 class TrialStats(_Record):
-    """Empirical statistics of one deletion-repair trial."""
+    """One deletion-repair trial's row of ``stats.csv``."""
 
-    __slots__ = (
-        "trial",
-        "seed",
-        "p",
-        "initial_weight",
-        "deletions",
-        "final_weight",
-        "analytic_target",
-        "rng_algorithm",
-    )
-    _defaults = {"rng_algorithm": RNG_ALGORITHM}
+    __slots__ = ("trial", "seed", "initial_weight", "deletions", "final_weight")
 
 
 def default_density(pattern: BinaryMatrix, side: int) -> Fraction:
@@ -381,11 +411,23 @@ def default_density(pattern: BinaryMatrix, side: int) -> Fraction:
     that float, the package's one rounded density: a run at the default
     density draws the cells that comparing each draw with the float
     draws.  It is 1/8 exactly for the 2x2 all-ones pattern at side 8.
+
+    Raises :class:`InputError` for a side below 1 and
+    :class:`CapacityError` for a side past the float range, about
+    1.8 * 10^308, whose power cannot be taken; :class:`GeneratorConfig`
+    refuses every side past ``MAX_CONSTRUCTION_SIZE`` anyway.
     """
+    if side < 1:
+        raise InputError(f"side must be positive, got {side}")
     if pattern.weight <= 1:
         raise InputError(f"pattern weight must be >= 2, got {pattern.weight}")
     exponent = (sum(pattern.extents) - pattern.d) / (pattern.weight - 1)
-    return Fraction(0.5 * side ** (-exponent))
+    try:
+        return Fraction(0.5 * side ** (-exponent))
+    except OverflowError:
+        raise CapacityError(
+            f"a side of {side.bit_length()} bits is past the float range of the default density"
+        ) from None
 
 
 def analytic_expected_weight(pattern: BinaryMatrix, side: int, p) -> Fraction:
@@ -400,9 +442,11 @@ def analytic_expected_weight(pattern: BinaryMatrix, side: int, p) -> Fraction:
     The paper's form bounds C(n, k) by (e n / k)^k and is smaller.
 
     Raises :class:`InputError` for a side below 1 or a density outside
-    (0, 1], as :class:`GeneratorConfig` does, before any arithmetic.
+    (0, 1], and :class:`CapacityError` for a target past
+    ``MAX_TARGET_BITS``, as :class:`GeneratorConfig` does, before any
+    arithmetic.
     """
-    _check_side_and_density(side, p)
+    _check_density(pattern, side, p)
     p = Fraction(p)
     # C(n, k) <= n^k, so no partial product passes this cap: the count is exact
     windows = binomial_product([(side, k) for k in pattern.extents], side ** sum(pattern.extents))
@@ -421,36 +465,20 @@ def random_avoider(config: GeneratorConfig, trial: int = 0) -> tuple[BinaryMatri
     for each of the windows / C(n, k_1) placements of axes 2..d, and a
     call that finds a copy stops at it.
 
-    Raises :class:`CapacityError` before it samples any cell when the
-    windows, counted by :func:`~patternex.structures.binomial_product`,
-    pass ``MAX_CONSTRUCTION_SIZE``, when the pattern fits and the
-    placement table its first :func:`matrix_contains` call fetches
-    passes ``MAX_TABLE_BITS`` (:func:`placement_table_bits`), or when
-    the n^d cells, counted the same way, pass ``MAX_CONSTRUCTION_SIZE``.
+    The config refused every run past a limit when it was built, so the
+    one refusal left is :class:`InputError` for a trial outside
+    0..trials - 1.
     """
     if not 0 <= trial < config.trials:
         raise InputError(f"trial {trial} outside 0..{config.trials - 1}")
     pattern = config.pattern
     n = config.side
     d = pattern.d
-    windows = binomial_product([(n, k) for k in pattern.extents], MAX_CONSTRUCTION_SIZE)
-    if windows > MAX_CONSTRUCTION_SIZE:
-        raise CapacityError(
-            f"at least {windows} submatrix windows exceed the limit {MAX_CONSTRUCTION_SIZE}"
-        )
-    if windows:
-        placement_table_bits(pattern.extents[1:], (n,) * (d - 1))
-    cells = binomial_product([(n, 1)] * d, MAX_CONSTRUCTION_SIZE)
-    if cells > MAX_CONSTRUCTION_SIZE:
-        raise CapacityError(
-            f"at least {cells} sampled cells exceed the limit {MAX_CONSTRUCTION_SIZE}"
-        )
     seed = config.seed << 32 | trial
     rng = random.Random(seed)
-    p = Fraction(config.p)
     # random() draws k / 2^53 for an int k, so it is below p exactly when
     # it is below p rounded up to that grid, a float
-    threshold = -(-p * 2**53 // 1) / 2**53
+    threshold = -(-Fraction(config.p) * 2**53 // 1) / 2**53
     ones = {cell for cell in product(range(1, n + 1), repeat=d) if rng.random() < threshold}
     initial = len(ones)
     anchor = max(pattern.ones)
@@ -459,15 +487,8 @@ def random_avoider(config: GeneratorConfig, trial: int = 0) -> tuple[BinaryMatri
         if cell not in ones:
             raise PostconditionError(f"the engine's pattern copy uses the 0-entry {cell}")
         ones.remove(cell)
-    result = BinaryMatrix((n,) * d, frozenset(ones))
-    return result, TrialStats(
-        trial=trial,
-        seed=seed,
-        p=p,
-        initial_weight=initial,
-        deletions=initial - result.weight,
-        final_weight=result.weight,
-        analytic_target=analytic_expected_weight(pattern, n, p),
+    return BinaryMatrix((n,) * d, frozenset(ones)), TrialStats(
+        trial, seed, initial, initial - len(ones), len(ones)
     )
 
 

@@ -68,7 +68,7 @@ from itertools import combinations, product
 from math import prod
 from operator import gt, lt
 
-from .errors import CapacityError, ConsistencyError, InputError
+from .errors import CapacityError, ConsistencyError, InputError, int_text
 from .structures import (
     BinaryMatrix,
     Edge,
@@ -218,9 +218,14 @@ def placement_table_bits(pat_tail: tuple[int, ...], host_tail: tuple[int, ...]) 
     placements = binomial_product(tuple(zip(host_tail, pat_tail)), MAX_TABLE_BITS // cells - 64)
     bits = cells * (placements + 64)
     if bits > MAX_TABLE_BITS:
+        # each tail as its tuple prints, through int_text
+        pat, host = (
+            f"({', '.join(map(int_text, tail))}{',' * (len(tail) == 1)})"
+            for tail in (pat_tail, host_tail)
+        )
         raise CapacityError(
-            f"the placement table of tail shape {pat_tail} in {host_tail} takes at least "
-            f"{bits} bits, over the limit {MAX_TABLE_BITS}"
+            f"the placement table of tail shape {pat} in {host} takes at least "
+            f"{int_text(bits)} bits, over the limit {MAX_TABLE_BITS}"
         )
     return bits
 

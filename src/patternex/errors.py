@@ -24,3 +24,13 @@ class PostconditionError(PatternexError, RuntimeError):
 
 class ConsistencyError(PostconditionError):
     """Two independent computations of the same fact disagreed."""
+
+
+def int_text(n: int) -> str:
+    """n as a refusal message writes it: in decimal, or as ~10^k past
+    13,000 bits, as ``str`` raises ValueError on more than 4,300 digits
+    by default, so that a refusal of a huge argument still raises the
+    package's error."""
+    if n.bit_length() <= 13_000:
+        return str(n)
+    return f"~10^{n.bit_length() * 30103 // 100000}"

@@ -138,7 +138,7 @@ from .containment import (
     hypergraph_contains,
     matrix_contains,
 )
-from .errors import CapacityError, InputError, PostconditionError
+from .errors import CapacityError, InputError, PostconditionError, int_text
 from .structures import BinaryMatrix, Edge, OrderedHypergraph, _Record, binomial_product
 
 MAX_CELLS = 64
@@ -746,7 +746,7 @@ def _solve_matrix_extremal(pattern: BinaryMatrix, n: int) -> SearchCertificate:
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
     if n**d > MAX_CELLS:
-        shape = "x".join([str(n)] * d)
+        shape = "x".join([int_text(n)] * d)
         raise CapacityError(f"{shape} exceeds the cell limit {MAX_CELLS}")
     if max(pattern.extents) > n:
         value, ones = n**d, frozenset(product(range(1, n + 1), repeat=d))  # never fits
@@ -836,8 +836,8 @@ def _candidate_edges(n: int, smallest: int, largest: int, limit: int) -> tuple[E
         count += binomial_product(((n, size),), limit - count)
         if count > limit:
             raise CapacityError(
-                f"at least {count} candidate edges of size at most {largest} "
-                f"on {n} vertices exceed the limit {limit}"
+                f"at least {count} candidate edges of size at most {int_text(largest)} "
+                f"on {int_text(n)} vertices exceed the limit {limit}"
             )
     return _listed_edges(n, smallest, largest)
 

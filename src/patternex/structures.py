@@ -68,24 +68,27 @@ def binomial_product(pairs: Sequence[tuple[int, int]], cap: int) -> int:
     ``cap``.
 
     Each binomial is multiplied in one factor at a time, up from C(n, 0),
-    and the count stops at the first partial product past ``cap``.  The
-    partial products only grow, so a count past the cap is a lower bound
-    on the product, and it costs a few small multiplications whatever n
+    and the count stops at the first partial product past ``cap``.  A
+    factor n above cap + 1 counts as cap + 1: the product passes the cap
+    there either way.  The partial products only grow, so a count past
+    the cap is a lower bound on the product, at most cap * (cap + 1) for
+    a positive cap, and it costs a few small multiplications whatever n
     and k: C(1000000, 500000), 10^6 bits long, took 6 s to compute and
-    could not be printed in a message.  The package's limits on windows,
-    placements, candidate edges and cached edges are all checked on this
-    count, before what it counts is built.
+    could not be printed in a message, and neither could C(10^5000, 1).  The
+    package's limits on windows, placements, candidate edges and cached
+    edges are all checked on this count, before what it counts is built.
     """
     for n, k in pairs:
         if k > n:
             return 0
     product = 1
     for n, k in pairs:
-        # product * C(n, i) * (n - i) is divisible by i + 1
+        # product * C(n, i) * (n - i) is divisible by i + 1; a factor is
+        # cut only at i = 0, as C(n, 1) = n then passes the cap
         for i in range(min(k, n - k)):
             if product > cap:
                 return product
-            product = product * (n - i) // (i + 1)
+            product = product * min(n - i, cap + 1) // (i + 1)
     return product
 
 

@@ -361,6 +361,58 @@ class TestGenerate:
         assert re.search(message, capsys.readouterr().err.strip())
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "options,code,message",
+        [
+            # the default density's float power raised OverflowError; with
+            # --p 1/2 the same side exited 3
+            (
+                ["random-avoider", "--pattern", "{j2}", "--n", str(10**400)],
+                3,
+                "capacity error: a side of 1329 bits is past the float range of the default density",
+            ),
+            # 0.0 ** -x raised ZeroDivisionError
+            (["random-avoider", "--pattern", "{j2}", "--n=0"], 2, "error: side must be positive, got 0"),
+            # exited 0 after 4.1 s with a 664 KB stats.txt
+            (
+                ["random-avoider", "--pattern", "{j150}", "--n", "150"],
+                3,
+                "capacity error: an analytic target of about 1125000 bits exceeds the limit 550000",
+            ),
+            # a size past the 4,300 digits of str in the refusal raised ValueError
+            (
+                ["blowup", "--input", "{edge}", "--t", str(9 * 10**4299)],
+                3,
+                "capacity error: a blow-up of ~10^4300 vertex entries exceeds the limit 2000000",
+            ),
+            (
+                ["cyclic-pattern", "--d", str(10**4000)],
+                3,
+                "capacity error: a cyclic pattern of ~10^8000 coordinates exceeds the limit 2000000",
+            ),
+            (
+                ["chain", "--pattern", "{id}", "--length", str(10**4000)],
+                3,
+                "capacity error: the placement table of tail shape (~10^4000,) in (~10^4000,) "
+                "takes at least ~10^8001 bits, over the limit 100000000",
+            ),
+        ],
+        ids=["side_past_the_float_range", "side_0", "heavy_target", "blowup", "cyclic", "chain"],
+    )
+    def test_a_refused_construction_exits_without_a_traceback(
+        self, tmp_path, identity_file, single_edge_file, options, code, message
+    ):
+        j2 = tmp_path / "j2.txt"
+        j2.write_text("2 2 2\n1 1\n1 2\n2 1\n2 2\n")
+        j150 = tmp_path / "j150.txt"
+        cells = "".join(f"{i} {j}\n" for i in range(1, 151) for j in range(1, 151))
+        j150.write_text("2 150 150\n" + cells)
+        files = {"j2": j2, "j150": j150, "edge": single_edge_file, "id": identity_file}
+        out = tmp_path / "out"
+        run = _run_cli("generate", *[o.format(**files) for o in options], "--out", str(out))
+        assert (run.returncode, run.stderr) == (code, message + "\n")
+        assert not out.exists()
+
     def test_blowup_edge_count_line(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"
         graph.write_text("4\n1 3\n1 4\n2 3\n")

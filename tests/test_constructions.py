@@ -29,11 +29,13 @@ from patternex import (
     blowup_graph,
     chain_patterns,
     corner_pad,
+    count_avoiders,
     cyclic_pad,
     cyclic_pattern,
     d_permutation_matrix,
     default_density,
     ex_matrix,
+    exe_hyper,
     graph_copy_from_doubling,
     hypergraph_contains,
     interval_contract,
@@ -428,18 +430,17 @@ class TestRandomAvoider:
         # and C(54, 2)^2 = 2,047,761 do not; the density leaves no 1-entry
         config = GeneratorConfig(pattern=ALL_ONES_2, side=53, p=1e-9, seed=0)
         assert random_avoider(config)[0].weight == 0
-        with pytest.raises(CapacityError):
-            random_avoider(GeneratorConfig(pattern=ALL_ONES_2, side=54, p=1e-9, seed=0))
+        with pytest.raises(CapacityError, match="^at least 2047761 submatrix windows exceed"):
+            GeneratorConfig(pattern=ALL_ONES_2, side=54, p=1e-9, seed=0)
 
     def test_a_huge_window_count_is_refused_at_once(self):
         # C(400000, 1) * C(400000, 200000) windows: math.comb took 2.4 s on
         # them, and printing the 4,300-digit count raised ValueError
         pattern = make_matrix([1, 200_000], [(1, 1), (1, 200_000)])
-        config = GeneratorConfig(pattern=pattern, side=400_000, p=0.5, seed=0)
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="^at least [0-9]+ submatrix windows exceed"):
-                random_avoider(config)
+                GeneratorConfig(pattern=pattern, side=400_000, p=0.5, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -453,11 +454,10 @@ class TestRandomAvoider:
         # never reached the engine was accepted
         d = 20
         pattern = make_matrix([2] * d, [(1,) * d, (2,) * d])
-        config = GeneratorConfig(pattern=pattern, side=2, p=p, seed=0)
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="placement table"):
-                random_avoider(config)
+                GeneratorConfig(pattern=pattern, side=2, p=p, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -472,11 +472,10 @@ class TestRandomAvoider:
         # the pattern fits no window, so no other limit applies; sampling
         # the 2^22 cells first took 0.92 s, doubling with each axis
         pattern = make_matrix(extents, [(1,) * len(extents), extents])
-        config = GeneratorConfig(pattern=pattern, side=side, p=1e-9, seed=0)
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="^at least [0-9]+ sampled cells exceed"):
-                random_avoider(config)
+                GeneratorConfig(pattern=pattern, side=side, p=1e-9, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -488,7 +487,7 @@ class TestRandomAvoider:
         pattern = make_matrix([100, 100], [(1, 1), (100, 100)])
         matrix, stats = random_avoider(GeneratorConfig(pattern=pattern, side=100, p=0.5, seed=0))
         assert stats.final_weight == matrix.weight
-        assert stats.analytic_target == Fraction(19999, 4)
+        assert analytic_expected_weight(pattern, 100, 0.5) == Fraction(19999, 4)
         wide = make_matrix([1000, 1000], [(1, 1), (1000, 1000)])
         assert analytic_expected_weight(wide, 1000, Fraction(1, 2)) == Fraction(1999999, 4)
 
@@ -575,11 +574,67 @@ class TestRandomAvoider:
             rng = random.Random(5 * 2**32 + trial)
             exact = sum(rng.random() < Fraction(p) for _ in range(side * side))
             assert stats.initial_weight == exact
-            assert stats.p == Fraction(p)
 
     def test_default_density_formula(self):
         # (1/2) * 8^(-(2+2-2)/(4-1)) = (1/2) * 8^(-2/3) = 1/8
         assert default_density(ALL_ONES_2, 8) == Fraction(1, 8)
+
+    @pytest.mark.parametrize("side", [1, 2, 7, 53, 10**6, 10**300, 2**1023])
+    def test_default_density_is_the_exact_value_of_the_float_power(self, side):
+        # seed-0 samples and stats.txt depend on this float
+        assert default_density(ALL_ONES_2, side) == Fraction(0.5 * side ** (-2 / 3))
+
+    def test_default_density_refuses_a_side_past_the_float_range(self):
+        # the power converted the side to a float and raised OverflowError,
+        # which generate random-avoider showed as a traceback
+        with pytest.raises(CapacityError, match="^a side of 1329 bits is past the float range"):
+            default_density(ALL_ONES_2, 10**400)
+        # 0.0 ** -x raised ZeroDivisionError and a negative side gave a
+        # complex power
+        for side in (0, -3):
+            with pytest.raises(InputError, match=f"^side must be positive, got {side}$"):
+                default_density(ALL_ONES_2, side)
+
+    def test_a_trial_only_samples_and_repairs(self, monkeypatch):
+        # every limit is checked when the config is built, and the run's
+        # target is its caller's: no trial counts or computes either
+        def refuse(*args):
+            raise AssertionError("a trial repeated a check of its run")
+
+        config = GeneratorConfig(pattern=ALL_ONES_2, side=8, p=Fraction(1, 8), seed=0, trials=3)
+        for name in ("analytic_expected_weight", "binomial_product", "placement_table_bits"):
+            monkeypatch.setattr(constructions, name, refuse)
+        assert [stats.trial for _, stats in random_avoider_trials(config)] == [0, 1, 2]
+        for trial in (-1, 3):
+            with pytest.raises(InputError, match=f"^trial {trial} outside 0..2$"):
+                random_avoider(config, trial)
+
+    def test_a_target_past_the_bit_limit_is_refused(self):
+        # the weight times the bits of p's denominator: 4 * 137,500 is the
+        # limit, and one more bit of the denominator passes it
+        limit = constructions.MAX_TARGET_BITS
+        assert limit == 4 * 137_500
+        at_limit = Fraction(1, 2**137_499)
+        assert analytic_expected_weight(ALL_ONES_2, 8, at_limit) > 0
+        GeneratorConfig(pattern=ALL_ONES_2, side=8, p=at_limit, seed=0)
+        message = f"^an analytic target of about 550004 bits exceeds the limit {limit}$"
+        with pytest.raises(CapacityError, match=message):
+            analytic_expected_weight(ALL_ONES_2, 8, at_limit / 2)
+        with pytest.raises(CapacityError, match=message):
+            GeneratorConfig(pattern=ALL_ONES_2, side=8, p=at_limit / 2, seed=0)
+
+    def test_the_target_of_a_heavy_pattern_is_refused_at_once(self):
+        # the 150x150 all-ones pattern at side 150 and its default density,
+        # with a 50-bit denominator: its 1.1-Mbit target took 4.1 s to
+        # compute and print into a 664 KB stats.txt
+        heavy = make_matrix([150, 150], list(product(range(1, 151), repeat=2)))
+        p = default_density(heavy, 150)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="^an analytic target of about 1125000 bits"):
+            GeneratorConfig(pattern=heavy, side=150, p=p, seed=0)
+        with pytest.raises(CapacityError, match="^an analytic target of about 1125000 bits"):
+            analytic_expected_weight(heavy, 150, p)
+        assert time.perf_counter() - start < 0.5
 
     def test_weight_one_pattern_rejected(self):
         with pytest.raises(InputError):
@@ -764,3 +819,37 @@ DOUBLING_PATTERN = TestDoublingRederivation.PATTERN
 def test_each_input_refusal_names_its_fault(refused, message):
     with pytest.raises(InputError, match=message):
         refused()
+
+
+HUGE = 10**5000  # more than the 4,300 digits that str writes by default
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda: exe_hyper(make_hypergraph(2, [(1, 2)]), HUGE),
+        lambda: count_avoiders(make_hypergraph(2, [(1, 2)]), HUGE, edge_size_cap=1),
+        lambda: count_avoiders(make_hypergraph(2, [(1, 2)]), HUGE),
+        lambda: ex_matrix(permutation_matrix((1, 2)), HUGE),
+        lambda: GeneratorConfig(pattern=ALL_ONES_2, side=HUGE, p=Fraction(1, 2), seed=0),
+        lambda: blowup_graph(make_hypergraph(2, [(1, 2)]), HUGE),
+        lambda: cyclic_pattern(HUGE),
+        lambda: chain_patterns(permutation_matrix((1, 2)), HUGE),
+    ],
+    ids=[
+        "exe_hyper",
+        "count_avoiders_capped",
+        "count_avoiders",
+        "ex_matrix",
+        "GeneratorConfig",
+        "blowup_graph",
+        "cyclic_pattern",
+        "chain_patterns",
+    ],
+)
+def test_a_refusal_of_a_huge_argument_is_a_capacity_error(refused):
+    # each message printed the side, a count past the limit or both, and
+    # str raised ValueError on them
+    with pytest.raises(CapacityError) as refusal:
+        refused()
+    assert len(str(refusal.value)) < 300

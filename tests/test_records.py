@@ -78,18 +78,8 @@ RECORDS = [
     ),
     (
         TrialStats,
-        {
-            "trial": 0,
-            "seed": 7,
-            "p": 0.25,
-            "initial_weight": 10,
-            "deletions": 2,
-            "final_weight": 8,
-            "analytic_target": 6.5,
-            "rng_algorithm": "x",
-        },
-        "TrialStats(trial=0, seed=7, p=0.25, initial_weight=10, deletions=2, final_weight=8, "
-        "analytic_target=6.5, rng_algorithm='x')",
+        {"trial": 0, "seed": 7, "initial_weight": 10, "deletions": 2, "final_weight": 8},
+        "TrialStats(trial=0, seed=7, initial_weight=10, deletions=2, final_weight=8)",
     ),
     (
         InstanceResult,
@@ -190,8 +180,11 @@ def test_defaults():
     assert first.payload == {} and first.payload is not second.payload
     assert CheckResult("Lemma2", {}, ()).notes == ()
     assert GeneratorConfig(MATRIX, 8, 0.25, 7).trials == 1
-    stats = TrialStats(0, 7, 0.25, 10, 2, 8, 6.5)
-    assert stats.rng_algorithm == "python-random-mt19937"
+    # a trial's row of stats.csv, with no default: the run's p, target
+    # and generator name are the config's
+    assert TrialStats.__slots__ == ("trial", "seed", "initial_weight", "deletions", "final_weight")
+    with pytest.raises(TypeError, match="missing argument 'final_weight'"):
+        TrialStats(0, 7, 10, 2)
 
 
 ERRORS = [

@@ -418,7 +418,7 @@ class TestBinomialProduct:
     a lower bound past it, and 0 when some k > n."""
 
     def test_exact_at_the_cap_and_a_lower_bound_just_below_it(self):
-        # C(53, 2)^2 = 1,898,884, the most windows random_avoider accepts
+        # C(53, 2)^2 = 1,898,884, the most windows a GeneratorConfig accepts
         pairs = ((53, 2), (53, 2))
         assert structures.binomial_product(pairs, 1_898_884) == 1_898_884
         below = structures.binomial_product(pairs, 1_898_883)
@@ -437,7 +437,7 @@ class TestBinomialProduct:
             if exact <= cap:
                 assert got == exact, (pairs, cap)
             else:
-                assert cap < got <= exact, (pairs, cap)
+                assert cap < got <= min(exact, max(1, cap * (cap + 1))), (pairs, cap)
 
     def test_a_huge_binomial_stops_once_past_the_cap(self):
         # C(10^6, 5 * 10^5) is 10^6 bits long; math.comb took 6 s on it
@@ -449,6 +449,15 @@ class TestBinomialProduct:
             times.append(time.perf_counter() - start)
         assert 10**8 < count < 10**18
         assert min(times) < 1e-3
+
+    def test_a_factor_past_the_cap_counts_as_one_past_it(self):
+        # C(10^5000, 1) was the count past the cap, and printing it in a
+        # refusal raised ValueError; the cap keeps the count short
+        assert structures.binomial_product(((10**5000, 1),), 10) == 11
+        assert structures.binomial_product(((3, 1), (10**5000, 2)), 10) == 33
+        # a factor up to cap + 1 is exact, as before
+        assert structures.binomial_product(((11, 1), (5, 2)), 10) == 11
+        assert structures.binomial_product(((400_000, 1), (400_000, 2)), 2_000_000) == 400_000**2
 
     def test_zero_when_some_k_exceeds_n(self):
         assert structures.binomial_product(((3, 4),), 10) == 0

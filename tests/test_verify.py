@@ -291,13 +291,7 @@ def _deleting_extra(extra):
         ones = sorted(sample.ones)[extra:]
         removed = sample.weight - len(ones)
         return BinaryMatrix(sample.extents, frozenset(ones)), TrialStats(
-            stats.trial,
-            stats.seed,
-            stats.p,
-            stats.initial_weight,
-            stats.deletions + removed,
-            len(ones),
-            stats.analytic_target,
+            stats.trial, stats.seed, stats.initial_weight, stats.deletions + removed, len(ones)
         )
 
     return repair
