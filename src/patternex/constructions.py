@@ -99,7 +99,7 @@ def blowup_graph(bipartite: OrderedHypergraph, t: int) -> OrderedHypergraph:
     (t-1) * |E| edges.
     """
     if t < 2:
-        raise InputError(f"interval count t must be >= 2, got {t}")
+        raise InputError(f"interval count t must be >= 2, got {int_text(t)}")
     if any(len(e) != 2 for e in bipartite.edges):
         raise InputError("blowup_graph needs a 2-uniform graph")
     if bipartite.n % 2 != 0 or bipartite.n == 0:
@@ -128,7 +128,7 @@ def blowup_graph(bipartite: OrderedHypergraph, t: int) -> OrderedHypergraph:
 def cyclic_pattern(d: int) -> BinaryMatrix:
     """The d-matrix of side d with 1s at all d cyclic shifts of (1, ..., d)."""
     if d < 2:
-        raise InputError(f"dimension must be >= 2, got {d}")
+        raise InputError(f"dimension must be >= 2, got {int_text(d)}")
     if d * d > MAX_CONSTRUCTION_SIZE:
         raise CapacityError(
             f"a cyclic pattern of {int_text(d * d)} coordinates exceeds the limit "
@@ -256,7 +256,7 @@ def normalize_edges(
     asserting a bound.
     """
     if k < 1 or d < 2:
-        raise InputError(f"need k >= 1 and d >= 2, got k={k}, d={d}")
+        raise InputError(f"need k >= 1 and d >= 2, got k={int_text(k)}, d={int_text(d)}")
     if cap_mode not in CAP_MODES:
         raise InputError(f"cap mode must be one of {CAP_MODES}, got {cap_mode!r}")
     cap = k * d if cap_mode == "kd" else (k + d) * d
@@ -288,7 +288,7 @@ def interval_contract(hypergraph: OrderedHypergraph, t: int) -> OrderedHypergrap
     images are merged.
     """
     if t < 1:
-        raise InputError(f"interval length must be >= 1, got {t}")
+        raise InputError(f"interval length must be >= 1, got {int_text(t)}")
     if hypergraph.n % t != 0:
         raise InputError(f"{hypergraph.n} vertices do not split into intervals of {t}")
     edges = {
@@ -363,9 +363,9 @@ class GeneratorConfig(_Record):
         if not 0 <= self.seed < 2**64:
             raise InputError("seed must be an unsigned 64-bit integer")
         if self.trials < 1:
-            raise InputError(f"trials must be >= 1, got {self.trials}")
+            raise InputError(f"trials must be >= 1, got {int_text(self.trials)}")
         if self.trials >= 2**32:
-            raise InputError(f"trials must be below 2^32, got {self.trials}")
+            raise InputError(f"trials must be below 2^32, got {int_text(self.trials)}")
         if pattern.weight <= 1:
             raise InputError(f"pattern weight must be >= 2, got {pattern.weight}")
         windows = binomial_product([(n, k) for k in pattern.extents], MAX_CONSTRUCTION_SIZE)
@@ -387,7 +387,7 @@ def _check_density(pattern: BinaryMatrix, side: int, p) -> None:
     :class:`InputError`, and an analytic target of more than
     ``MAX_TARGET_BITS`` with :class:`CapacityError`."""
     if side < 1:
-        raise InputError(f"side must be positive, got {side}")
+        raise InputError(f"side must be positive, got {int_text(side)}")
     if not 0 < p <= 1:
         raise InputError(f"density must lie in (0, 1], got {p}")
     # W p^w has a denominator of about w times the bits of p's
@@ -414,20 +414,26 @@ def default_density(pattern: BinaryMatrix, side: int) -> Fraction:
 
     Raises :class:`InputError` for a side below 1 and
     :class:`CapacityError` for a side past the float range, about
-    1.8 * 10^308, whose power cannot be taken; :class:`GeneratorConfig`
+    1.8 * 10^308, whose power cannot be taken, or for a density below the
+    float range, whose power rounds to 0; :class:`GeneratorConfig`
     refuses every side past ``MAX_CONSTRUCTION_SIZE`` anyway.
     """
     if side < 1:
-        raise InputError(f"side must be positive, got {side}")
+        raise InputError(f"side must be positive, got {int_text(side)}")
     if pattern.weight <= 1:
         raise InputError(f"pattern weight must be >= 2, got {pattern.weight}")
     exponent = (sum(pattern.extents) - pattern.d) / (pattern.weight - 1)
     try:
-        return Fraction(0.5 * side ** (-exponent))
+        density = Fraction(0.5 * side ** (-exponent))
     except OverflowError:
         raise CapacityError(
             f"a side of {side.bit_length()} bits is past the float range of the default density"
         ) from None
+    if not density:
+        raise CapacityError(
+            f"the default density at side {side} is below the float range; --p sets the density"
+        )
+    return density
 
 
 def analytic_expected_weight(pattern: BinaryMatrix, side: int, p) -> Fraction:
@@ -470,7 +476,7 @@ def random_avoider(config: GeneratorConfig, trial: int = 0) -> tuple[BinaryMatri
     0..trials - 1.
     """
     if not 0 <= trial < config.trials:
-        raise InputError(f"trial {trial} outside 0..{config.trials - 1}")
+        raise InputError(f"trial {int_text(trial)} outside 0..{config.trials - 1}")
     pattern = config.pattern
     n = config.side
     d = pattern.d

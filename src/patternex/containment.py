@@ -26,8 +26,8 @@ search runs host rows first, keeping the placements that still fit as
 one int: a positive answer stops at its first complete path, and a
 negative one costs at most one big-int operation per step of a greedy
 row scan for each of the prod C(n_i, k_i) placements.  The placement
-table, in an LRU cache of at most 64 shapes and ``MAX_TABLE_BITS`` in
-all, is the engine's only per-shape state.
+table, in a cache of at most 64 shapes and ``MAX_TABLE_BITS`` in all that
+is emptied at its limit, is the engine's only per-shape state.
 
 The hypergraph engine, shared by ``hypergraph_contains`` and
 ``klazar_marcus_check``, backtracks over increasing vertex maps,
@@ -230,14 +230,10 @@ def placement_table_bits(pat_tail: tuple[int, ...], host_tail: tuple[int, ...]) 
     return bits
 
 
-# pat_tail + host_tail -> (bits, placements) in the order of last use,
-# least recent first, and the sum of the cached tables' bits; the two
-# tails have the same length, and a flat key hashes faster than a pair.
-# Plain dict steps keep a hit at about 130 ns where an OrderedDict took
-# 200 (and functools.lru_cache, which cannot weigh its entries, 80); they
-# assume one thread at a time, as the package runs.
+# pat_tail + host_tail -> (bits, placements); the two tails have the same
+# length, and a flat key hashes faster than a pair.  It assumes one thread
+# at a time, as the package runs.
 _placement_cache: dict[tuple[int, ...], tuple[int, _Placements]] = {}
-_placement_cache_bits = 0
 
 
 def _placement_table(pat_tail: tuple[int, ...], host_tail: tuple[int, ...]) -> _Placements:
@@ -250,23 +246,18 @@ def _placement_table(pat_tail: tuple[int, ...], host_tail: tuple[int, ...]) -> _
 
     Raises :class:`CapacityError` when the table would take more than
     ``MAX_TABLE_BITS`` (:func:`placement_table_bits`), before it builds
-    anything; a refusal is not cached, a table is.  The cache keeps at
+    anything; a refusal is not cached, a table is.  The cache holds at
     most 64 tables and, counted the same way, at most ``MAX_TABLE_BITS``
-    in all: the least recently used tables make room for a new one.
+    in all: it is emptied at its limit, when a new table would pass either.
     """
-    global _placement_cache_bits
     key = pat_tail + host_tail
-    # a hit is moved to the end by taking it out and putting it back
-    cached = _placement_cache.pop(key, None)
+    cached = _placement_cache.get(key)
     if cached is None:
         bits = placement_table_bits(pat_tail, host_tail)
-        while _placement_cache and (
-            len(_placement_cache) >= 64 or _placement_cache_bits + bits > MAX_TABLE_BITS
-        ):
-            _placement_cache_bits -= _placement_cache.pop(next(iter(_placement_cache)))[0]
-        cached = bits, _build_placements(pat_tail, host_tail)
-        _placement_cache_bits += bits
-    _placement_cache[key] = cached
+        total = bits + sum(b for b, _ in _placement_cache.values())
+        if len(_placement_cache) >= 64 or total > MAX_TABLE_BITS:
+            _placement_cache.clear()
+        cached = _placement_cache[key] = bits, _build_placements(pat_tail, host_tail)
     return cached[1]
 
 
@@ -721,7 +712,7 @@ def association_disagreement(
     and while another Python thread is alive, as forking a threaded
     process is unsafe."""
     if d < 2 or len({g.n for g in graphs}) > 1:
-        raise InputError(f"the equivalence needs d >= 2 parts of one size, got d={d}")
+        raise InputError(f"the equivalence needs d >= 2 parts of one size, got d={int_text(d)}")
     forms = [_partite_forms(g, d) for g in graphs]
     if not forms:
         return None
@@ -843,9 +834,9 @@ def klazar_marcus_check(
         # both edgeless on the same vertices: trivially order-isomorphic
         return True
     if d < 2:
-        raise InputError(f"the equivalence needs d >= 2 parts, got d={d}")
+        raise InputError(f"the equivalence needs d >= 2 parts, got d={int_text(d)}")
     if inferred is not None and inferred != d:
-        raise InputError(f"edge size {inferred} does not match d={d}")
+        raise InputError(f"edge size {inferred} does not match d={int_text(d)}")
     host_matrix, host_hyper, _ = _partite_forms(host, d)
     pattern_matrix, _, pattern_hyper = _partite_forms(pattern, d)
     tail = host_matrix[0][1:]

@@ -27,10 +27,10 @@ class ConsistencyError(PostconditionError):
 
 
 def int_text(n: int) -> str:
-    """n as a refusal message writes it: in decimal, or as ~10^k past
-    13,000 bits, as ``str`` raises ValueError on more than 4,300 digits
-    by default, so that a refusal of a huge argument still raises the
-    package's error."""
+    """n as a refusal message writes it: in decimal, or as ~10^k (~-10^k
+    when negative) past 13,000 bits, as ``str`` raises ValueError on more
+    than 4,300 digits by default, so that a refusal of a huge argument
+    still raises the package's error."""
     if n.bit_length() <= 13_000:
         return str(n)
-    return f"~10^{n.bit_length() * 30103 // 100000}"
+    return f"~{'-' * (n < 0)}10^{n.bit_length() * 30103 // 100000}"

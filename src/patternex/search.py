@@ -744,7 +744,7 @@ def _solve_matrix_extremal(pattern: BinaryMatrix, n: int) -> SearchCertificate:
     :func:`_matrix_extremal` solves the row."""
     d = pattern.d
     if n < 1:
-        raise InputError(f"n must be positive, got {n}")
+        raise InputError(f"n must be positive, got {int_text(n)}")
     if n**d > MAX_CELLS:
         shape = "x".join([int_text(n)] * d)
         raise CapacityError(f"{shape} exceeds the cell limit {MAX_CELLS}")
@@ -805,7 +805,7 @@ def ex_matrix(pattern: BinaryMatrix, n: int) -> SearchCertificate:
 def f_multi(pattern: BinaryMatrix, d: int, n: int) -> SearchCertificate:
     """Maximum 1-entries of a side-length-n d-matrix avoiding the pattern."""
     if d != pattern.d:
-        raise InputError(f"d={d} does not match pattern dimension {pattern.d}")
+        raise InputError(f"d={int_text(d)} does not match pattern dimension {pattern.d}")
     return _solve_matrix_extremal(pattern, n)
 
 
@@ -902,7 +902,7 @@ def _size_cap(edge_cap: int | None, default: int) -> int:
     if edge_cap is None:
         return default
     if edge_cap < 1:
-        raise InputError(f"edge size cap must be >= 1, got {edge_cap}")
+        raise InputError(f"edge size cap must be >= 1, got {int_text(edge_cap)}")
     return edge_cap
 
 
@@ -916,7 +916,7 @@ def _solve_hyper_extremal(
     candidates, each of gain 1 or its size, and its copies are the
     pattern's copies."""
     if n < 1:
-        raise InputError(f"n must be positive, got {n}")
+        raise InputError(f"n must be positive, got {int_text(n)}")
     candidates = _candidate_edges(n, smallest, largest, limit)
     if not pattern.edges and pattern.n <= n:
         raise InputError(
@@ -981,7 +981,7 @@ def count_avoiders(
     and its count doubled.
     """
     if n < 0:
-        raise InputError(f"n must be nonnegative, got {n}")
+        raise InputError(f"n must be nonnegative, got {int_text(n)}")
     cap = _size_cap(edge_size_cap, n)
     candidates = _candidate_edges(n, 1, cap, MAX_HYPER_CANDIDATES)
     copies = _hyper_copies(n, candidates, pattern)

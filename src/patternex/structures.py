@@ -23,7 +23,7 @@ from itertools import chain, combinations, product
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, int_text
 
 Coord = tuple[int, ...]
 Edge = tuple[int, ...]
@@ -256,7 +256,7 @@ class OrderedHypergraph(_Record):
     def _check(self) -> None:
         n, edges = self.n, self.edges
         if n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {n}")
+            raise InputError(f"vertex count must be nonnegative, got {int_text(n)}")
         valid = _cached_edges(n, edges)
         if valid is not None and valid.issuperset(edges):
             return
@@ -291,7 +291,7 @@ class PermutationSpec(_Record):
 
     def _check(self) -> None:
         if self.k < 1:
-            raise InputError(f"length must be positive, got {self.k}")
+            raise InputError(f"length must be positive, got {int_text(self.k)}")
         if not self.perms:
             raise InputError("at least one permutation is required (d >= 2)")
         for perm in self.perms:

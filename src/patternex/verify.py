@@ -29,7 +29,7 @@ from .constructions import (
 # klazar_marcus_check is unused here: perfbench/tracing.py rebinds the name
 # in this module, and CI's traced smoke run fails without it
 from .containment import association_disagreement, hypergraph_contains, klazar_marcus_check
-from .errors import InputError, PostconditionError
+from .errors import InputError, PostconditionError, int_text
 from .search import count_avoiders, ex_matrix, exe_hyper, exi_hyper, gex_graph
 from .structures import (
     BinaryMatrix,
@@ -570,7 +570,7 @@ def run_checks(
 ) -> VerificationReport:
     """Run the selected claims (all by default) at the given size budget."""
     if budget < 1:
-        raise InputError(f"budget must be >= 1, got {budget}")
+        raise InputError(f"budget must be >= 1, got {int_text(budget)}")
     selected = list(CLAIM_NAMES) if claims is None else list(claims)
     if not selected:
         raise InputError(f"no claim selected; available: {', '.join(CLAIM_NAMES)}")

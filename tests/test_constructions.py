@@ -50,6 +50,7 @@ from patternex import (
     satisfies_boundary_condition,
 )
 from patternex import constructions, containment
+from patternex.verify import run_checks
 
 from oracles import brute_matrix_contains, sweep_repair
 
@@ -595,6 +596,20 @@ class TestRandomAvoider:
             with pytest.raises(InputError, match=f"^side must be positive, got {side}$"):
                 default_density(ALL_ONES_2, side)
 
+    def test_default_density_refuses_a_power_below_the_float_range(self):
+        # 0.5 * 100^-198 rounds to 0.0, and the config then refused a
+        # density of 0 that its caller never gave
+        corners = make_matrix([100, 100], [(1, 1), (100, 100)])
+        with pytest.raises(
+            CapacityError,
+            match=r"^the default density at side 100 is below the float range; --p sets",
+        ):
+            default_density(corners, 100)
+        # the least positive float, 2^-1074, is a density
+        assert default_density(make_matrix([2, 1073], [(1, 1), (2, 1073)]), 2) == Fraction(
+            1, 2**1074
+        )
+
     def test_a_trial_only_samples_and_repairs(self, monkeypatch):
         # every limit is checked when the config is built, and the run's
         # target is its caller's: no trial counts or computes either
@@ -853,3 +868,50 @@ def test_a_refusal_of_a_huge_argument_is_a_capacity_error(refused):
     with pytest.raises(CapacityError) as refusal:
         refused()
     assert len(str(refusal.value)) < 300
+
+
+_EDGE = make_hypergraph(2, [(1, 2)])
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        lambda: GeneratorConfig(pattern=ALL_ONES_2, side=-HUGE, p=Fraction(1, 2), seed=0),
+        lambda: GeneratorConfig(pattern=ALL_ONES_2, side=4, p=Fraction(1, 2), seed=0, trials=-HUGE),
+        lambda: analytic_expected_weight(ALL_ONES_2, -HUGE, Fraction(1, 2)),
+        lambda: default_density(ALL_ONES_2, -HUGE),
+        lambda: ex_matrix(permutation_matrix((1, 2)), -HUGE),
+        lambda: exe_hyper(_EDGE, -HUGE),
+        lambda: count_avoiders(_EDGE, -HUGE),
+        lambda: exe_hyper(_EDGE, 3, edge_cap=-HUGE),
+        lambda: blowup_graph(_EDGE, -HUGE),
+        lambda: interval_contract(_EDGE, -HUGE),
+        lambda: cyclic_pattern(-HUGE),
+        lambda: normalize_edges(_EDGE, -HUGE, 2),
+        lambda: run_checks(budget=-HUGE),
+        lambda: random_avoider(
+            GeneratorConfig(pattern=ALL_ONES_2, side=4, p=Fraction(1, 2), seed=0), -HUGE
+        ),
+    ],
+    ids=[
+        "GeneratorConfig_side",
+        "GeneratorConfig_trials",
+        "analytic_expected_weight",
+        "default_density",
+        "ex_matrix",
+        "exe_hyper",
+        "count_avoiders",
+        "exe_hyper_edge_cap",
+        "blowup_graph",
+        "interval_contract",
+        "cyclic_pattern",
+        "normalize_edges",
+        "run_checks",
+        "random_avoider",
+    ],
+)
+def test_a_refusal_of_a_huge_negative_argument_writes_it_short(refused):
+    # each message printed the argument, and str raised ValueError on it
+    with pytest.raises(InputError, match="~-10\\^5000") as refusal:
+        refused()
+    assert len(str(refusal.value)) < 100

@@ -1039,14 +1039,28 @@ class TestEnginesMatchReferences:
         try:
             for k in range(50, 71):
                 containment._placement_table((k - 1,), (k,))
-                cached = containment._placement_cache.values()
-                assert containment._placement_cache_bits == sum(bits for bits, _ in cached)
-                assert containment._placement_cache_bits <= 700_000
+                assert sum(bits for bits, _ in containment._placement_cache.values()) <= 700_000
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
         assert list(containment._placement_cache) == [(69, 70)]
+
+    def test_a_placement_cache_hit_builds_nothing_and_a_65th_table_empties_it(self, monkeypatch):
+        builds = []
+        build = containment._build_placements
+        monkeypatch.setattr(
+            containment, "_build_placements", lambda *tails: builds.append(tails) or build(*tails)
+        )
+        monkeypatch.setattr(containment, "_placement_cache", {})
+        first = containment._placement_table((1,), (1,))
+        assert containment._placement_table((1,), (1,)) is first
+        for n in range(2, 65):
+            containment._placement_table((1,), (n,))
+            assert len(containment._placement_cache) == n
+        containment._placement_table((1,), (65,))
+        assert list(containment._placement_cache) == [(1, 65)]
+        assert len(builds) == 65
 
     def test_a_heavier_pattern_reads_no_host_row(self):
         # no answer depends on the matrix search's weight test, as the
