@@ -34,3 +34,17 @@ def int_text(n: int) -> str:
     if n.bit_length() <= 13_000:
         return str(n)
     return f"~{'-' * (n < 0)}10^{n.bit_length() * 30103 // 100000}"
+
+
+def value_text(value) -> str:
+    """``value`` as ``repr`` writes it, but with every int, also one in a
+    tuple or a list, written by :func:`int_text`, so that a message that
+    shows a coordinate, an edge or a tuple of extents of huge ints still
+    raises the package's error."""
+    kind = type(value)
+    if kind is int:
+        return int_text(value)
+    if kind is tuple or kind is list:
+        items = ", ".join(map(value_text, value))
+        return f"({items}{',' * (len(value) == 1)})" if kind is tuple else f"[{items}]"
+    return repr(value)

@@ -111,7 +111,7 @@ and more than 60 s searched over the whole cube.
 Every matrix row takes one path: ``_solve_matrix_extremal`` takes every
 cell when the pattern does not fit, and ``_matrix_extremal`` drops
 extent-1 axes and makes each search of the row through
-``_matrix_search``, which builds the unit gains, applies the slice guard
+``_matrix_search``, which reads the unit gains, applies the slice guard
 and, in 2-d, turns the side-(n - 1) boundary values into column caps.
 
 A returned :class:`SearchCertificate` is always re-checked through the
@@ -120,7 +120,16 @@ exact integer arithmetic throughout.
 
 Capacity limits are fixed module constants with hard errors, and
 nothing is silently truncated.  Every limit is checked on a count
-computed arithmetically, before anything is listed.
+computed arithmetically, before anything is listed.  Each shape's
+count is made once per process and kept with what it counts: every
+table that depends only on a row's shape, never on its pattern, sits in
+a bounded LRU cache.  These are a hypergraph row's candidates with
+their per-vertex masks, largest size, gains and suffix sums
+(``_candidates``), a matrix row's ranking gate per side and extents
+(``_ranked``), the unit gains with their suffix sums per decision count
+and the cube's cells per dimension and side.  A refused count raises
+and is never kept.  The tables are tuples, shared read-only, and the
+search copies the suffix sums before it writes.
 """
 
 from __future__ import annotations
@@ -129,6 +138,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from typing import Sequence
 
 from .containment import (
     # unused here: perfbench/tracing.py rebinds both names in this module,
@@ -139,7 +149,7 @@ from .containment import (
     matrix_contains,
 )
 from .errors import CapacityError, InputError, PostconditionError, int_text
-from .structures import BinaryMatrix, Edge, OrderedHypergraph, _Record, binomial_product
+from .structures import BinaryMatrix, Coord, Edge, OrderedHypergraph, _Record, binomial_product
 
 MAX_CELLS = 64
 MAX_GRAPH_CANDIDATES = 28
@@ -262,6 +272,7 @@ def _branch_and_bound(
     index: tuple[list[int], int],
     most_calls: int | None = None,
     *,
+    rest: tuple[int, ...] | None = None,
     slice_size: int | None = None,
     column_caps: list[int] | None = None,
     value: int | None = None,
@@ -293,7 +304,10 @@ def _branch_and_bound(
     ``most_calls``, the search returns None in place of a result.
 
     ``index`` is the copy index, ``keep`` and the number of copies
-    (:func:`_copy_index`).  The search derives from ``keep`` ``top[i]``,
+    (:func:`_copy_index`).  ``rest``, the suffix sums of ``gain``
+    (:func:`_rest`), is computed when not given; the solvers pass the
+    read-only tables of their shape, and the search copies them before it
+    writes.  The search derives from ``keep`` ``top[i]``,
     the copies whose greatest decision is i, by one backward pass of ANDs
     (:func:`_tops`), and the value search ``starts[i]``, the copies that
     use no decision before i, by one forward pass.  It reads only set
@@ -419,11 +433,12 @@ def _branch_and_bound(
     """
     total = len(gain)
     everything = (1 << total) - 1
-    rest = _rest(gain)
+    if rest is None:
+        rest = _rest(gain)
     keep, count = index
     # the search gives the same; without this return a zero-copy gex row runs ~20% slower
     if not count and value is None:
-        return rest[0], everything, 0, rest[::-slice_size] if slice_size else []
+        return rest[0], everything, 0, list(rest[::-slice_size]) if slice_size else []
     copies = (1 << count) - 1
     top = _tops(keep, copies)
     suffix = rest  # until the value search copies it
@@ -474,7 +489,7 @@ def _branch_and_bound(
     starts = [copies]
     for i in range(total - 1):
         starts.append(starts[-1] & keep[i])
-    suffix = rest[:]  # final for every start with no copy
+    suffix = list(rest)  # final for every start with no copy; rest may be shared
     caps = column_caps if slice_size and column_caps else []
     # no row cap and no slice bound in the last slice
     cap = caps[0] if caps else rest[0]
@@ -502,12 +517,25 @@ def _branch_and_bound(
     return suffix[0], best_set, calls, suffix[::-slice_size] if slice_size else []
 
 
-def _rest(gain: list[int]) -> list[int]:
+def _rest(gain: Sequence[int]) -> tuple[int, ...]:
     """``rest[i]``: the total gain of decisions i.., with ``rest[len(gain)]`` 0."""
     rest = [0] * (len(gain) + 1)
     for i in range(len(gain) - 1, -1, -1):
         rest[i] = rest[i + 1] + gain[i]
-    return rest
+    return tuple(rest)
+
+
+Gains = tuple[tuple[int, ...], tuple[int, ...]]  # gains and their suffix sums (_rest)
+
+
+# keyed by the decision count only: a matrix row has at most MAX_CELLS
+# cells and a hypergraph row at most MAX_GRAPH_CANDIDATES candidates
+@lru_cache(maxsize=128)
+def _unit_gains(total: int) -> Gains:
+    """Gain 1 for each of ``total`` decisions, with its suffix sums
+    (:func:`_rest`), made once per count and shared read-only."""
+    gain = (1,) * total
+    return gain, _rest(gain)
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +637,13 @@ def _matrix_images(pattern: BinaryMatrix) -> list[tuple[BinaryMatrix, Symmetry]]
     return list(images.items())
 
 
+# keyed by (d, side) only: n^d is at most MAX_CELLS
+@lru_cache(maxsize=64)
+def _cube_cells(d: int, n: int) -> tuple[Coord, ...]:
+    """The cells of the side-n cube of dimension d, in lexicographic order."""
+    return tuple(product(range(1, n + 1), repeat=d))
+
+
 # keyed by (d, side, symmetry) only, never by the pattern: with the cell
 # limit, the ranking gate reads 2-d tables at sides 4-8 and 3-d ones at
 # sides 3 and 4, at most 5 * 8 + 2 * 48 = 136 of them
@@ -620,7 +655,7 @@ def _cell_order(d: int, n: int, symmetry: Symmetry) -> tuple[int, ...]:
     The symmetry sends each copy of a pattern, as a set of cells, to a
     copy of its image, one to one, so the image's copy index is the
     pattern's read through this table (:func:`_image_index`)."""
-    cells = list(product(range(1, n + 1), repeat=d))
+    cells = _cube_cells(d, n)
     number = {cell: i for i, cell in enumerate(cells)}
     order = [0] * len(cells)
     for i, cell in enumerate(cells):
@@ -664,14 +699,23 @@ def _matrix_search(
     (n - 1) for each box of k = 1..n-1 slices; :func:`_branch_and_bound`
     says why it holds, and why only in 2-d.
     """
-    gain = [1] * n**pattern.d
+    gain, rest = _unit_gains(n**pattern.d)
     if value is not None:
-        return _branch_and_bound(gain, index, most_calls, value=value)
+        return _branch_and_bound(gain, index, most_calls, rest=rest, value=value)
     slice_size = n ** (pattern.d - 1) if min(pattern.ones)[0] == 1 else None
     caps = [n * v // (n - 1) for v in boxes[1:]] if boxes and pattern.d == 2 else None
     return _branch_and_bound(
-        gain, index, most_calls, slice_size=slice_size, column_caps=caps
+        gain, index, most_calls, rest=rest, slice_size=slice_size, column_caps=caps
     )
+
+
+# keyed by the side and the extents of a pattern that fits a side-n host
+# within the cell limit
+@lru_cache(maxsize=256)
+def _ranked(n: int, extents: tuple[int, ...]) -> bool:
+    """Whether a side-n row of a pattern with these extents has at least
+    ``RANKED_COPIES`` copies, prod C(n, k_i) counted before any is listed."""
+    return binomial_product([(n, k) for k in extents], RANKED_COPIES) >= RANKED_COPIES
 
 
 def _cheapest_image(
@@ -706,7 +750,7 @@ def _cheapest_image(
     of the box of k axis-1 slices of side n - 1, which caps the 2-d value
     search at side n (:func:`_matrix_extremal`).
     """
-    if binomial_product([(n, k) for k in pattern.extents], RANKED_COPIES) < RANKED_COPIES:
+    if not _ranked(n, tuple(pattern.extents)):
         return pattern, None, []
     index = _matrix_index(pattern, n - 1)
     value, _, own, own_boxes = _matrix_search(pattern, n - 1, index, sys.maxsize)
@@ -749,7 +793,7 @@ def _solve_matrix_extremal(pattern: BinaryMatrix, n: int) -> SearchCertificate:
         shape = "x".join([int_text(n)] * d)
         raise CapacityError(f"{shape} exceeds the cell limit {MAX_CELLS}")
     if max(pattern.extents) > n:
-        value, ones = n**d, frozenset(product(range(1, n + 1), repeat=d))  # never fits
+        value, ones = n**d, frozenset(_cube_cells(d, n))  # never fits
     elif not pattern.ones:
         raise InputError(
             "pattern weight 0: every matrix of this size contains it, "
@@ -791,7 +835,7 @@ def _matrix_extremal(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
     value, chosen, _, _ = _matrix_search(image, n, image_index, boxes=boxes)
     if symmetry is not None:
         chosen = _matrix_search(pattern, n, index, value=value)[1]
-    cells = product(range(1, n + 1), repeat=d)
+    cells = _cube_cells(d, n)
     return value, frozenset(cell for i, cell in enumerate(cells) if chosen >> i & 1)
 
 
@@ -824,38 +868,53 @@ def _certify_hypergraph(
     return SearchCertificate(value, witness, True)
 
 
-def _candidate_edges(n: int, smallest: int, largest: int, limit: int) -> tuple[Edge, ...]:
-    """The edges on [n] of sizes ``smallest`` to ``largest``, in
-    lexicographic order.  They are counted first, one size at a time by
-    :func:`~patternex.structures.binomial_product`, and more than ``limit``
-    of them raise :class:`CapacityError` before any is listed or cached,
-    so a refusal costs at most ``limit + 1`` small steps whatever n.  The
-    listing is shared by every row with the same range."""
+# keyed by the range and the limit: a raise keeps nothing, so each entry
+# is an admitted range of at most MAX_GRAPH_CANDIDATES edges
+@lru_cache(maxsize=256)
+def _candidates(
+    n: int, smallest: int, largest: int, limit: int
+) -> tuple[tuple[Edge, ...], tuple[int, ...], int, Gains]:
+    """The tables of the edges on [n] of sizes ``smallest`` to
+    ``largest``, the candidates of a hypergraph row: the edges in
+    lexicographic order; ``holding[v - 1]``, the candidates holding vertex
+    v, as a bitmask over the candidates; the largest candidate size, 0
+    with none; and the weight mode's gains, each candidate's size, with
+    their suffix sums.  They depend on the range only, never on the
+    pattern, so they are made once per process and shared read-only by
+    every row with this range.
+
+    The edges are counted first, one size at a time by
+    :func:`~patternex.structures.binomial_product`, and more than
+    ``limit`` of them raise :class:`CapacityError` before any is listed.
+    A raise is never cached, so a refused range is counted again on every
+    call, at most ``limit + 1`` small steps whatever n."""
+    sizes = range(smallest, min(largest, n) + 1)
     count = 0
-    for size in range(smallest, min(largest, n) + 1):
+    for size in sizes:
         count += binomial_product(((n, size),), limit - count)
         if count > limit:
             raise CapacityError(
                 f"at least {count} candidate edges of size at most {int_text(largest)} "
                 f"on {int_text(n)} vertices exceed the limit {limit}"
             )
-    return _listed_edges(n, smallest, largest)
+    edges = tuple(sorted(e for size in sizes for e in combinations(range(1, n + 1), size)))
+    holding = [0] * n
+    for i, edge in enumerate(edges):
+        for v in edge:
+            holding[v - 1] |= 1 << i
+    gain = tuple(map(len, edges))
+    return edges, tuple(holding), max(gain, default=0), (gain, _rest(gain))
 
 
-# keyed by the range only: a range is listed only after its count is
-# within a caller's limit, so each listing holds at most
-# MAX_GRAPH_CANDIDATES edges
-@lru_cache(maxsize=256)
-def _listed_edges(n: int, smallest: int, largest: int) -> tuple[Edge, ...]:
-    sizes = range(smallest, min(largest, n) + 1)
-    return tuple(sorted(e for size in sizes for e in combinations(range(1, n + 1), size)))
-
-
-def _hyper_copies(n: int, candidates: tuple[Edge, ...], pattern: OrderedHypergraph) -> set[int]:
+def _hyper_copies(
+    holding: tuple[int, ...], widest: int, pattern: OrderedHypergraph
+) -> set[int]:
     """Each copy of the pattern among the candidate edges, as a bitmask over
     the candidates: for each increasing vertex map f, each injective choice
     of a candidate containing f(e) for every pattern edge e.  The empty
-    mask is a copy when the pattern has no edges and fits.
+    mask is a copy when the pattern has no edges and fits.  ``holding``
+    and ``widest`` are the host's tables from :func:`_candidates`: per
+    host vertex the candidates holding it, and the largest candidate size.
 
     One loop lists the maps, as the ``pattern.n``-subsets of [n], and
     expands each map's choices edge by edge.  The solvers' candidates are
@@ -867,14 +926,10 @@ def _hyper_copies(n: int, candidates: tuple[Edge, ...], pattern: OrderedHypergra
     copies before the loop.
     """
     pn = pattern.n
-    if pn > n:  # no increasing map
+    if pn > len(holding):  # no increasing map
         return set()
-    if max(map(len, pattern.edges), default=0) > max(map(len, candidates), default=0):
+    if max(map(len, pattern.edges), default=0) > widest:
         return set()  # that edge lies in no candidate
-    holding = [0] * n  # per host vertex, the candidates holding it
-    for i, edge in enumerate(candidates):
-        for v in edge:
-            holding[v - 1] |= 1 << i
     edges = [[u - 1 for u in edge] for edge in pattern.sorted_edges()]
     copies: set[int] = set()
     for f in combinations(holding, pn):  # f[u - 1]: the candidates holding u's image
@@ -917,15 +972,15 @@ def _solve_hyper_extremal(
     pattern's copies."""
     if n < 1:
         raise InputError(f"n must be positive, got {int_text(n)}")
-    candidates = _candidate_edges(n, smallest, largest, limit)
+    candidates, holding, widest, sized = _candidates(n, smallest, largest, limit)
     if not pattern.edges and pattern.n <= n:
         raise InputError(
             "pattern with no edges is contained in every host on this many "
             "vertices, the extremal value is undefined"
         )
-    gain = [len(e) if mode == "weight" else 1 for e in candidates]
-    index = _copy_index(_hyper_copies(n, candidates, pattern), len(candidates))
-    value, chosen, _, _ = _branch_and_bound(gain, index)
+    gain, rest = sized if mode == "weight" else _unit_gains(len(candidates))
+    index = _copy_index(_hyper_copies(holding, widest, pattern), len(candidates))
+    value, chosen, _, _ = _branch_and_bound(gain, index, rest=rest)
     edges = frozenset(e for i, e in enumerate(candidates) if chosen >> i & 1)
     return _certify_hypergraph(value, OrderedHypergraph(n, edges), pattern, mode)
 
@@ -983,8 +1038,8 @@ def count_avoiders(
     if n < 0:
         raise InputError(f"n must be nonnegative, got {int_text(n)}")
     cap = _size_cap(edge_size_cap, n)
-    candidates = _candidate_edges(n, 1, cap, MAX_HYPER_CANDIDATES)
-    copies = _hyper_copies(n, candidates, pattern)
+    candidates, holding, widest, _ = _candidates(n, 1, cap, MAX_HYPER_CANDIDATES)
+    copies = _hyper_copies(holding, widest, pattern)
     if not copies:  # the walk gives the same, but a zero-copy row runs ~50% slower
         return 1 << len(candidates)
     if 0 in copies:

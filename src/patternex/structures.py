@@ -23,7 +23,7 @@ from itertools import chain, combinations, product
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .errors import InputError, int_text
+from .errors import InputError, value_text
 
 Coord = tuple[int, ...]
 Edge = tuple[int, ...]
@@ -31,11 +31,13 @@ Edge = tuple[int, ...]
 # The most ints (members times their length) in one cached set of the
 # valid cells of a box or the valid edges on [n] for a set of edge sizes;
 # counting members alone would let the one cell of a box of a million
-# axes of extent 1 cache a tuple of a million ints.  It covers every shape of the tests and the benchmark: a 12x12 host
-# (288), the 364 triples on [14] (1,092), a 64-cell witness (at most
-# 384).  Each cache keeps its 32 most recently used sets.  The largest
-# set in bytes, the 2,048 one-vertex edges on [2048], takes 0.23 MiB
-# (tracemalloc), so the two caches hold at most about 16 MiB.
+# axes of extent 1 cache a tuple of a million ints.  It covers every
+# shape of the tests and the benchmark: a 12x12 host (288), the 364
+# triples on [14] (1,092), a 64-cell witness (at most 384).  Each cache
+# keeps its 32 most recently used shapes; the edge cache keeps a shape
+# past this limit as None, so each shape's count is made once.  The
+# largest set in bytes, the 2,048 one-vertex edges on [2048], takes
+# 0.23 MiB (tracemalloc), so the two caches hold at most about 16 MiB.
 MAX_CACHED_ENTRIES = 2048
 
 
@@ -45,7 +47,16 @@ def _valid_cells(extents: tuple[int, ...]) -> frozenset[Coord]:
 
 
 @lru_cache(maxsize=32)
-def _valid_edges(n: int, sizes: frozenset[int]) -> frozenset[Edge]:
+def _valid_edges(n: int, sizes: frozenset[int]) -> frozenset[Edge] | None:
+    """The edges on [n] of these sizes, each in 1..n, or None when they
+    hold more than ``MAX_CACHED_ENTRIES`` ints, as counted by
+    :func:`binomial_product` before any is built.  The count is made once
+    per shape and kept with what it counts, a set or None."""
+    entries = 0
+    for k in sizes:
+        entries += k * binomial_product(((n, k),), MAX_CACHED_ENTRIES)
+        if entries > MAX_CACHED_ENTRIES:
+            return None
     return frozenset(chain.from_iterable(combinations(range(1, n + 1), k) for k in sizes))
 
 
@@ -95,23 +106,16 @@ def binomial_product(pairs: Sequence[tuple[int, int]], cap: int) -> int:
 def _cached_edges(n: int, edges) -> frozenset[Edge] | None:
     """The valid edges on [n] of the sizes in ``edges``, or None when n
     is not an int, there is no edge, an edge is empty or longer than n,
-    or the valid edges hold more than ``MAX_CACHED_ENTRIES`` ints, as
-    counted by :func:`binomial_product`."""
+    or the valid edges hold more than ``MAX_CACHED_ENTRIES`` ints
+    (:func:`_valid_edges`)."""
     if type(n) is not int:
         return None
     try:
         sizes = frozenset(map(len, edges))
     except TypeError:  # an edge with no length: the per-entry check raises
         return None
-    if not sizes:
+    if not sizes or not 0 < min(sizes) <= max(sizes) <= n:
         return None
-    entries = 0
-    for k in sizes:
-        if not 0 < k <= n:
-            return None
-        entries += k * binomial_product(((n, k),), MAX_CACHED_ENTRIES)
-        if entries > MAX_CACHED_ENTRIES:
-            return None
     return _valid_edges(n, sizes)
 
 
@@ -216,18 +220,21 @@ class BinaryMatrix(_Record):
         if len(extents) < 2:
             raise InputError(f"matrix dimension must be >= 2, got {len(extents)}")
         if any(n < 1 for n in extents):
-            raise InputError(f"extents must be positive, got {extents}")
+            raise InputError(f"extents must be positive, got {value_text(extents)}")
         valid = _cached_cells(extents)
         if valid is not None and valid.issuperset(ones):
             return
         d = len(extents)
         for coord in ones:
             if len(coord) != d:
-                raise InputError(f"coordinate {coord} has length {len(coord)}, expected {d}")
+                raise InputError(
+                    f"coordinate {value_text(coord)} has length {len(coord)}, expected {d}"
+                )
             for axis, (c, n) in enumerate(zip(coord, extents), start=1):
                 if not 1 <= c <= n:
                     raise InputError(
-                        f"coordinate {coord} out of range on axis {axis} (extent {n})"
+                        f"coordinate {value_text(coord)} out of range on axis {axis} "
+                        f"(extent {value_text(n)})"
                     )
 
     @property
@@ -256,7 +263,7 @@ class OrderedHypergraph(_Record):
     def _check(self) -> None:
         n, edges = self.n, self.edges
         if n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {int_text(n)}")
+            raise InputError(f"vertex count must be nonnegative, got {value_text(n)}")
         valid = _cached_edges(n, edges)
         if valid is not None and valid.issuperset(edges):
             return
@@ -264,9 +271,9 @@ class OrderedHypergraph(_Record):
             if len(edge) == 0:
                 raise InputError("empty edges are not allowed")
             if any(edge[i] >= edge[i + 1] for i in range(len(edge) - 1)):
-                raise InputError(f"edge {edge} is not strictly increasing")
+                raise InputError(f"edge {value_text(edge)} is not strictly increasing")
             if edge[0] < 1 or edge[-1] > n:
-                raise InputError(f"edge {edge} out of range for n={n}")
+                raise InputError(f"edge {value_text(edge)} out of range for n={value_text(n)}")
 
     @property
     def weight(self) -> int:
@@ -291,12 +298,15 @@ class PermutationSpec(_Record):
 
     def _check(self) -> None:
         if self.k < 1:
-            raise InputError(f"length must be positive, got {int_text(self.k)}")
+            raise InputError(f"length must be positive, got {value_text(self.k)}")
         if not self.perms:
             raise InputError("at least one permutation is required (d >= 2)")
         for perm in self.perms:
-            if sorted(perm) != list(range(1, self.k + 1)):
-                raise InputError(f"{perm} is not a permutation of [{self.k}]")
+            # the length first: a short perm of a huge k would list 1..k
+            if len(perm) != self.k or sorted(perm) != list(range(1, self.k + 1)):
+                raise InputError(
+                    f"{value_text(perm)} is not a permutation of [{value_text(self.k)}]"
+                )
 
     @property
     def d(self) -> int:
@@ -314,9 +324,11 @@ class PartsSpec(_Record):
     def _check(self) -> None:
         b = self.boundaries
         if len(b) < 2 or b[0] != 0:
-            raise InputError(f"boundaries must start at 0 and contain >= 1 part, got {b}")
+            raise InputError(
+                f"boundaries must start at 0 and contain >= 1 part, got {value_text(b)}"
+            )
         if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
-            raise InputError(f"boundaries must be strictly increasing, got {b}")
+            raise InputError(f"boundaries must be strictly increasing, got {value_text(b)}")
 
     @property
     def d(self) -> int:
@@ -339,7 +351,9 @@ class PartsSpec(_Record):
     def part_of(self, vertex: int) -> int:
         """1-based index of the part containing the vertex."""
         if not 1 <= vertex <= self.n:
-            raise InputError(f"vertex {vertex} out of range for n={self.n}")
+            raise InputError(
+                f"vertex {value_text(vertex)} out of range for n={value_text(self.n)}"
+            )
         for i in range(self.d):
             if vertex <= self.boundaries[i + 1]:
                 return i + 1
@@ -352,7 +366,7 @@ def make_matrix(extents: Sequence[int], ones: Iterable[Sequence[int]]) -> Binary
     for coord in ones:
         t = tuple(coord)
         if t in seen:
-            raise InputError(f"duplicate coordinate {t}")
+            raise InputError(f"duplicate coordinate {value_text(t)}")
         seen.add(t)
     return BinaryMatrix(tuple(extents), frozenset(seen))
 
@@ -367,9 +381,9 @@ def make_hypergraph(n: int, edges: Iterable[Iterable[int]]) -> OrderedHypergraph
         vs = list(edge)
         t = tuple(sorted(vs))
         if len(set(vs)) != len(vs):
-            raise InputError(f"edge {vs} repeats a vertex")
+            raise InputError(f"edge {value_text(vs)} repeats a vertex")
         if t in canonical:
-            raise InputError(f"duplicate edge {t}")
+            raise InputError(f"duplicate edge {value_text(t)}")
         canonical.add(t)
     return OrderedHypergraph(n, frozenset(canonical))
 
@@ -407,7 +421,8 @@ def is_d_partite(hypergraph: OrderedHypergraph, parts: PartsSpec) -> bool:
     """True when every edge has at most one vertex in each part."""
     if parts.n != hypergraph.n:
         raise InputError(
-            f"parts cover {parts.n} vertices but hypergraph has {hypergraph.n}"
+            f"parts cover {value_text(parts.n)} vertices but hypergraph has "
+            f"{value_text(hypergraph.n)}"
         )
     for edge in hypergraph.edges:
         used = [parts.part_of(v) for v in edge]
@@ -423,17 +438,20 @@ def associated_matrix(hypergraph: OrderedHypergraph, parts: PartsSpec) -> Binary
         raise InputError("associated matrix needs at least 2 parts")
     if parts.n != hypergraph.n:
         raise InputError(
-            f"parts cover {parts.n} vertices but hypergraph has {hypergraph.n}"
+            f"parts cover {value_text(parts.n)} vertices but hypergraph has "
+            f"{value_text(hypergraph.n)}"
         )
     ones = set()
     for edge in hypergraph.sorted_edges():
         if len(edge) != d:
-            raise InputError(f"edge {edge} has size {len(edge)}, expected {d}-uniform")
+            raise InputError(
+                f"edge {value_text(edge)} has size {len(edge)}, expected {d}-uniform"
+            )
         coord = []
         for j, v in enumerate(edge):
             lo, hi = parts.boundaries[j], parts.boundaries[j + 1]
             if not lo < v <= hi:
-                raise InputError(f"edge {edge} is not transversal to the parts")
+                raise InputError(f"edge {value_text(edge)} is not transversal to the parts")
             coord.append(v - lo)
         ones.add(tuple(coord))
     return BinaryMatrix(parts.sizes, frozenset(ones))

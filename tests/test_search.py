@@ -278,11 +278,11 @@ class TestPlantedSpuriousCopy:
     def spurious_copy(self, monkeypatch):
         hyper_copies = search._hyper_copies
 
-        def with_spurious_copy(n, candidates, pattern):
+        def with_spurious_copy(holding, widest, pattern):
             # the first candidate edge alone, which holds no copy of a
-            # two-edge pattern
-            copies = hyper_copies(n, candidates, pattern)
-            return copies | {1} if candidates else copies
+            # two-edge pattern; widest is 0 only with no candidate
+            copies = hyper_copies(holding, widest, pattern)
+            return copies | {1} if widest else copies
 
         monkeypatch.setattr(search, "_hyper_copies", with_spurious_copy)
 
@@ -1236,18 +1236,76 @@ class TestCapacityRefusal:
             solve(10**6)
         assert time.perf_counter() - start < 1.0
 
-    def test_a_refused_range_caches_nothing(self):
-        before = search._listed_edges.cache_info()
-        with pytest.raises(CapacityError):
-            search._candidate_edges(60, 1, 4, search.MAX_HYPER_CANDIDATES)
-        assert search._listed_edges.cache_info() == before
+    def test_a_refused_range_caches_nothing(self, monkeypatch):
+        # a refusal raises on every call and counts again each time: the
+        # one-vertex edges pass the limit at the first size
+        counts = _counted_binomials(monkeypatch)
+        size = search._candidates.cache_info().currsize
+        for calls in (1, 2):
+            with pytest.raises(CapacityError, match="at least 21 candidate edges .* on 60 "):
+                search._candidates(60, 1, 4, search.MAX_HYPER_CANDIDATES)
+            assert len(counts) == calls
+        assert search._candidates.cache_info().currsize == size
 
     def test_each_range_is_listed_once_and_shared_read_only(self):
-        edges = search._candidate_edges(4, 1, 3, search.MAX_HYPER_CANDIDATES)
+        tables = search._candidates(4, 1, 3, search.MAX_HYPER_CANDIDATES)
+        edges, holding, widest, (gain, rest) = tables
         expected = sorted(e for size in (1, 2, 3) for e in combinations(range(1, 5), size))
-        assert isinstance(edges, tuple)
         assert list(edges) == expected
-        assert search._candidate_edges(4, 1, 3, search.MAX_HYPER_CANDIDATES) is edges
+        assert list(holding) == [
+            sum(1 << i for i, e in enumerate(expected) if v in e) for v in range(1, 5)
+        ]
+        assert widest == 3
+        assert list(gain) == [len(e) for e in expected]
+        assert list(rest) == [sum(gain[i:]) for i in range(len(gain) + 1)]
+        for table in (tables, edges, holding, gain, rest):
+            assert isinstance(table, tuple)
+        again = search._candidates(4, 1, 3, search.MAX_HYPER_CANDIDATES)
+        assert again is tables and all(a is b for a, b in zip(again, tables))
+
+    def test_a_known_shape_is_neither_counted_nor_listed_again(self, monkeypatch):
+        # every hypergraph row on [4] with edges of size 1..4 shares one
+        # range, whatever its pattern and kind
+        nesting = make_hypergraph(4, [(1, 4), (2, 3)])
+        exe_hyper(CROSSING, 4)
+        counts = _counted_binomials(monkeypatch)
+        misses = search._candidates.cache_info().misses
+        rows = [exe_hyper(nesting, 4), exi_hyper(nesting, 4), count_avoiders(nesting, 4)]
+        assert counts == []
+        assert search._candidates.cache_info().misses == misses
+        candidates = hyper_candidates(4, 4)
+        assert [rows[0].value, rows[1].value, rows[2]] == [
+            engine_max_hyper(4, candidates, nesting, "edges")[0],
+            engine_max_hyper(4, candidates, nesting, "weight")[0],
+            engine_count_avoiders(4, candidates, nesting),
+        ]
+
+    def test_matrix_shape_tables_are_made_once_and_shared_read_only(self, monkeypatch):
+        # a ranked row's gate count, gains and cube cells, once per shape
+        ex_matrix(IDENTITY2, 5)
+        counts = _counted_binomials(monkeypatch)
+        assert ex_matrix(IDENTITY2, 5).value == 9  # 2n - 1
+        assert ex_matrix(permutation_matrix((2, 1)), 5).value == 9
+        assert counts == []
+        gain, rest = search._unit_gains(25)
+        assert gain == (1,) * 25 and rest == tuple(range(25, -1, -1))
+        assert search._unit_gains(25)[1] is rest
+        cells = search._cube_cells(2, 5)
+        assert cells == tuple(product(range(1, 6), repeat=2))
+        assert search._cube_cells(2, 5) is cells
+
+
+def _counted_binomials(monkeypatch) -> list:
+    """Count the solvers' calls of binomial_product: each call appends its pairs."""
+    counts = []
+    count = search.binomial_product
+
+    def counted(pairs, cap):
+        counts.append(pairs)
+        return count(pairs, cap)
+
+    monkeypatch.setattr(search, "binomial_product", counted)
+    return counts
 
 
 EDGE = make_hypergraph(2, [(1, 2)])

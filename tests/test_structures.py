@@ -27,6 +27,8 @@ from patternex import structures
 
 from oracles import is_matrix, is_ordered_hypergraph
 
+HUGE = 10**5000
+
 
 @st.composite
 def matrices(draw, max_d=3, max_extent=3):
@@ -386,6 +388,78 @@ class TestConstructionCheck:
             OrderedHypergraph(n, frozenset(edges))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: BinaryMatrix((HUGE, 0), frozenset()),
+                "extents must be positive, got (~10^5000, 0)",
+            ),
+            (
+                lambda: BinaryMatrix((2, 2), frozenset({(HUGE, 1)})),
+                "coordinate (~10^5000, 1) out of range on axis 1 (extent 2)",
+            ),
+            (
+                lambda: BinaryMatrix((2, HUGE), frozenset({(1, 0)})),
+                "coordinate (1, 0) out of range on axis 2 (extent ~10^5000)",
+            ),
+            (
+                lambda: BinaryMatrix((2, 2), frozenset({(HUGE,)})),
+                "coordinate (~10^5000,) has length 1, expected 2",
+            ),
+            (
+                lambda: OrderedHypergraph(3, frozenset({(HUGE, 1)})),
+                "edge (~10^5000, 1) is not strictly increasing",
+            ),
+            (
+                lambda: OrderedHypergraph(HUGE, frozenset({(0, 1)})),
+                "edge (0, 1) out of range for n=~10^5000",
+            ),
+            (lambda: make_matrix((2, 2), [(HUGE, 1)] * 2), "duplicate coordinate (~10^5000, 1)"),
+            (
+                lambda: make_hypergraph(3, [(HUGE, HUGE)]),
+                "edge [~10^5000, ~10^5000] repeats a vertex",
+            ),
+            (lambda: make_hypergraph(3, [(HUGE, 1), (1, HUGE)]), "duplicate edge (1, ~10^5000)"),
+            (
+                lambda: PartsSpec((0, HUGE, 1)),
+                "boundaries must be strictly increasing, got (0, ~10^5000, 1)",
+            ),
+            (lambda: PartsSpec((0, 2)).part_of(HUGE), "vertex ~10^5000 out of range for n=2"),
+            (lambda: PermutationSpec(HUGE, ((1,),)), "(1,) is not a permutation of [~10^5000]"),
+            (lambda: PermutationSpec(0.5, ((1,),)), "length must be positive, got 0.5"),
+            (
+                lambda: OrderedHypergraph(-0.5, frozenset()),
+                "vertex count must be nonnegative, got -0.5",
+            ),
+            (
+                lambda: is_d_partite(OrderedHypergraph(2, frozenset()), PartsSpec((0, HUGE))),
+                "parts cover ~10^5000 vertices but hypergraph has 2",
+            ),
+        ],
+        ids=[
+            "extents", "coordinate", "extent", "length", "edge-order", "edge-range",
+            "duplicate-coordinate", "repeated-vertex", "duplicate-edge", "boundaries",
+            "part-of", "permutation", "float-length", "float-n", "is-d-partite",
+        ],
+    )
+    def test_a_huge_int_or_a_float_is_refused_with_the_package_error(self, build, message):
+        # str of an int past 4,300 digits raises ValueError, and int_text of
+        # a float AttributeError; value_text writes ~10^k and the float
+        with pytest.raises(InputError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_a_known_edge_shape_is_counted_once(self, monkeypatch):
+        OrderedHypergraph(9, frozenset({(1, 2)}))
+        counts = []
+        count = structures.binomial_product
+        monkeypatch.setattr(
+            structures, "binomial_product", lambda *args: counts.append(args) or count(*args)
+        )
+        assert OrderedHypergraph(9, frozenset({(3, 9), (1, 4)})).edge_count == 2
+        assert counts == []
+
     def test_each_cache_stays_at_its_size_past_its_size_in_shapes(self):
         for k in range(1, 2 * structures._valid_cells.cache_info().maxsize + 1):
             BinaryMatrix((2, k), frozenset({(1, 1)}))
@@ -399,18 +473,14 @@ class TestConstructionCheck:
         # the bound is decided after one small multiplication
         diagonal = frozenset((i, i) for i in range(1, 1001))
         half = frozenset({tuple(range(1, 50_001))})
-        misses = (
-            structures._valid_cells.cache_info().misses,
-            structures._valid_edges.cache_info().misses,
-        )
+        misses = structures._valid_cells.cache_info().misses
         start = time.perf_counter()
         assert BinaryMatrix((1000, 1000), diagonal).weight == 1000
         assert OrderedHypergraph(100_000, half).weight == 50_000
         assert time.perf_counter() - start < 0.5
-        assert misses == (
-            structures._valid_cells.cache_info().misses,
-            structures._valid_edges.cache_info().misses,
-        )
+        assert structures._valid_cells.cache_info().misses == misses
+        # the edge shape's count is kept with it, as None in place of a set
+        assert structures._valid_edges(100_000, frozenset({50_000})) is None
 
 
 class TestBinomialProduct:
