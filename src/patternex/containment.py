@@ -27,7 +27,10 @@ one int: a positive answer stops at its first complete path, and a
 negative one costs at most one big-int operation per step of a greedy
 row scan for each of the prod C(n_i, k_i) placements.  The placement
 table, in a cache of at most 64 shapes and ``MAX_TABLE_BITS`` in all that
-is emptied at its limit, is the engine's only per-shape state.
+is emptied at its limit, is the engine's only per-shape state.  The bits
+are counted over the table alone: the index lists of the placements
+(``sels``), kept beside it, are not counted, and traced they take two
+to three times the table's memory (see ``MAX_TABLE_BITS``).
 
 The hypergraph engine, shared by ``hypergraph_contains`` and
 ``klazar_marcus_check``, backtracks over increasing vertex maps,
@@ -91,6 +94,13 @@ from .structures import (
 # hypergraph_contains or klazar_marcus_check call and once per graph of a
 # sweep.  The largest shape of the tests, verify up to budget 6 and the
 # benchmark, a 2x1 pattern on a 1000x1000 host, counts about 10**6.
+# The placements' index lists (sels) that _build_placements keeps beside
+# the table are not counted: tracemalloc (Python 3.11) traced 11.5 Mbit
+# for tail (3,) in (40,), counted as 1,193,280 bits, and 7.8 Mbit for
+# tail (2, 2) in (12, 12), counted as 2,545,920, most of each in sels.
+# So the limit and the cache's total bound the tables, not the memory
+# they hold; ROADMAP item 3 will count sels, which moves refusal
+# boundaries.
 MAX_TABLE_BITS = 10**8
 
 # The fewest ordered pairs an association_disagreement sweep gives each
@@ -245,6 +255,8 @@ def _placement_table(pat_tail: tuple[int, ...], host_tail: tuple[int, ...]) -> _
     anything; a refusal is not cached, a table is.  The cache holds at
     most 64 tables and, counted the same way, at most ``MAX_TABLE_BITS``
     in all: it is emptied at its limit, when a new table would pass either.
+    That count leaves out ``sels``, which takes more memory than the
+    table it sits beside (see ``MAX_TABLE_BITS``).
     """
     key = pat_tail + host_tail
     cached = _placement_cache.get(key)

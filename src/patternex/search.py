@@ -120,23 +120,36 @@ exact integer arithmetic throughout.
 
 Capacity limits are fixed module constants with hard errors, and
 nothing is silently truncated.  Every limit is checked on a count
-computed arithmetically, before anything is listed.  Each shape's
-count is made once per process and kept with what it counts: every
-table that depends only on a row's shape, never on its pattern, sits in
-a bounded LRU cache.  These are a hypergraph row's candidates with
-their per-vertex masks, largest size, gains and suffix sums
-(``_candidates``), a matrix row's ranking gate per side and extents
-(``_ranked``), the unit gains with their suffix sums per decision count
-and the cube's cells per dimension and side.  A refused count raises
-and is never kept.  The tables are tuples, shared read-only, and the
-search copies the suffix sums before it writes.
+computed arithmetically, before anything is listed.
+
+A table that depends only on a row's shape, never on its pattern, is
+cached only where an A/B showed that it pays; every other one is made
+on each row.  Uncaching each kept table alone, over 8 passes of the
+``extremal_tables`` benchmark's rows in one process (``perf_counter``,
+10 seeds, 2-CPU Xeon, Python 3.11.7), gave:
+
+- ``_candidates``, a hypergraph row's candidates with their per-vertex
+  masks, largest size, gains and suffix sums: the median row 71% slower
+  (10.9 to 18.7 µs) and the summed row time 10% more.  Its key carries
+  the caller's size cap, which no limit bounds, so it keeps 256 entries.
+  A refused count raises and is never kept.
+- ``_unit_gains``, the unit gains with their suffix sums per decision
+  count: the median row 7% slower (10.9 to 11.6 µs).
+- ``_cell_order``, an image's cell order per dimension, side and
+  symmetry: the 99th-percentile row 5% slower and the summed row time 3%
+  more.
+
+The capacity limits bound the last two keys, so their caches take no
+size.  The tables are tuples, shared read-only, and the search copies
+the suffix sums before it writes.  The ranking gate and the cube's cells
+are counted and listed on each row: cached, they moved no row.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations, product
 from typing import Sequence
 
@@ -149,7 +162,7 @@ from .containment import (
     matrix_contains,
 )
 from .errors import CapacityError, InputError, PostconditionError, int_text
-from .structures import BinaryMatrix, Coord, Edge, OrderedHypergraph, _Record, binomial_product
+from .structures import BinaryMatrix, Edge, OrderedHypergraph, _Record, binomial_product
 
 MAX_CELLS = 64
 MAX_GRAPH_CANDIDATES = 28
@@ -530,7 +543,7 @@ Gains = tuple[tuple[int, ...], tuple[int, ...]]  # gains and their suffix sums (
 
 # keyed by the decision count only: a matrix row has at most MAX_CELLS
 # cells and a hypergraph row at most MAX_GRAPH_CANDIDATES candidates
-@lru_cache(maxsize=128)
+@cache
 def _unit_gains(total: int) -> Gains:
     """Gain 1 for each of ``total`` decisions, with its suffix sums
     (:func:`_rest`), made once per count and shared read-only."""
@@ -637,17 +650,10 @@ def _matrix_images(pattern: BinaryMatrix) -> list[tuple[BinaryMatrix, Symmetry]]
     return list(images.items())
 
 
-# keyed by (d, side) only: n^d is at most MAX_CELLS
-@lru_cache(maxsize=64)
-def _cube_cells(d: int, n: int) -> tuple[Coord, ...]:
-    """The cells of the side-n cube of dimension d, in lexicographic order."""
-    return tuple(product(range(1, n + 1), repeat=d))
-
-
 # keyed by (d, side, symmetry) only, never by the pattern: with the cell
 # limit, the ranking gate reads 2-d tables at sides 4-8 and 3-d ones at
 # sides 3 and 4, at most 5 * 8 + 2 * 48 = 136 of them
-@lru_cache(maxsize=256)
+@cache
 def _cell_order(d: int, n: int, symmetry: Symmetry) -> tuple[int, ...]:
     """``order[i]``: the cell of the side-n cube that the symmetry sends
     to cell i, cells numbered in lexicographic order.
@@ -655,7 +661,7 @@ def _cell_order(d: int, n: int, symmetry: Symmetry) -> tuple[int, ...]:
     The symmetry sends each copy of a pattern, as a set of cells, to a
     copy of its image, one to one, so the image's copy index is the
     pattern's read through this table (:func:`_image_index`)."""
-    cells = _cube_cells(d, n)
+    cells = list(product(range(1, n + 1), repeat=d))
     number = {cell: i for i, cell in enumerate(cells)}
     order = [0] * len(cells)
     for i, cell in enumerate(cells):
@@ -709,15 +715,6 @@ def _matrix_search(
     )
 
 
-# keyed by the side and the extents of a pattern that fits a side-n host
-# within the cell limit
-@lru_cache(maxsize=256)
-def _ranked(n: int, extents: tuple[int, ...]) -> bool:
-    """Whether a side-n row of a pattern with these extents has at least
-    ``RANKED_COPIES`` copies, prod C(n, k_i) counted before any is listed."""
-    return binomial_product([(n, k) for k in extents], RANKED_COPIES) >= RANKED_COPIES
-
-
 def _cheapest_image(
     pattern: BinaryMatrix, n: int
 ) -> tuple[BinaryMatrix, Symmetry | None, list[int]]:
@@ -750,7 +747,7 @@ def _cheapest_image(
     of the box of k axis-1 slices of side n - 1, which caps the 2-d value
     search at side n (:func:`_matrix_extremal`).
     """
-    if not _ranked(n, tuple(pattern.extents)):
+    if binomial_product([(n, k) for k in pattern.extents], RANKED_COPIES) < RANKED_COPIES:
         return pattern, None, []
     index = _matrix_index(pattern, n - 1)
     value, _, own, own_boxes = _matrix_search(pattern, n - 1, index, sys.maxsize)
@@ -793,7 +790,7 @@ def _solve_matrix_extremal(pattern: BinaryMatrix, n: int) -> SearchCertificate:
         shape = "x".join([int_text(n)] * d)
         raise CapacityError(f"{shape} exceeds the cell limit {MAX_CELLS}")
     if max(pattern.extents) > n:
-        value, ones = n**d, frozenset(_cube_cells(d, n))  # never fits
+        value, ones = n**d, frozenset(product(range(1, n + 1), repeat=d))  # never fits
     elif not pattern.ones:
         raise InputError(
             "pattern weight 0: every matrix of this size contains it, "
@@ -835,7 +832,7 @@ def _matrix_extremal(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
     value, chosen, _, _ = _matrix_search(image, n, image_index, boxes=boxes)
     if symmetry is not None:
         chosen = _matrix_search(pattern, n, index, value=value)[1]
-    cells = _cube_cells(d, n)
+    cells = product(range(1, n + 1), repeat=d)
     return value, frozenset(cell for i, cell in enumerate(cells) if chosen >> i & 1)
 
 

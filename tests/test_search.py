@@ -1281,18 +1281,22 @@ class TestCapacityRefusal:
         ]
 
     def test_matrix_shape_tables_are_made_once_and_shared_read_only(self, monkeypatch):
-        # a ranked row's gate count, gains and cube cells, once per shape
+        # the unit gains once per cell count; the ranking gate is counted on
+        # every row, before any copy is listed (the index at n - 1 and n)
         ex_matrix(IDENTITY2, 5)
         counts = _counted_binomials(monkeypatch)
+        index = search._matrix_index
+        monkeypatch.setattr(
+            search, "_matrix_index", lambda p, n: counts.append(("listed", n)) or index(p, n)
+        )
+        row = [[(5, 2), (5, 2)], ("listed", 4), ("listed", 5)]
         assert ex_matrix(IDENTITY2, 5).value == 9  # 2n - 1
+        assert counts == row
         assert ex_matrix(permutation_matrix((2, 1)), 5).value == 9
-        assert counts == []
+        assert counts == row + row
         gain, rest = search._unit_gains(25)
         assert gain == (1,) * 25 and rest == tuple(range(25, -1, -1))
         assert search._unit_gains(25)[1] is rest
-        cells = search._cube_cells(2, 5)
-        assert cells == tuple(product(range(1, 6), repeat=2))
-        assert search._cube_cells(2, 5) is cells
 
 
 def _counted_binomials(monkeypatch) -> list:
