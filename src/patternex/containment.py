@@ -1,9 +1,11 @@
-"""Containment, representation, and order-isomorphism, with explicit witnesses.
+"""Containment and order-isomorphism, with explicit witnesses and their re-checks.
 
 Every decision procedure here returns an embedding object rather than a
 bare boolean, so downstream code can re-verify witnesses instead of
 trusting search.  Tie-breaking is lexicographic everywhere: repeated runs
-return identical embeddings.
+return identical embeddings.  The re-checks, ``verify_matrix_embedding``
+and ``verify_hypergraph_embedding``, test a witness against the
+containment definition directly and share no code with the engines.
 
 Both engines keep candidate sets as bitmask ints, and both come in two
 steps: a prepare step builds the form a search reads from a host or a
@@ -46,8 +48,9 @@ images are not tried.  A later image of u leaves every blamed edge the
 same candidates over a smaller range, so its subtree fails too.  No
 failure blames a vertex in no edge, so its later images are never tried.
 Only failing subtrees are cut, and answers and least embeddings are those
-of the full search.  Single calls prepare both forms inline; the
-all-pairs sweep prepares each graph once per part size.
+of the full search.  Single calls prepare the host's host form and the
+pattern's pattern form inline; the all-pairs sweep prepares both forms
+of each graph once per part size.
 
 The all-pairs sweep, ``association_disagreement``, splits its hosts into
 stripes, host h in stripe h mod w, where w is the number of available
@@ -133,38 +136,23 @@ class HypergraphEmbedding(_Record):
 
     __slots__ = ("vertex_map", "edge_map")
 
-    def as_dict(self) -> dict[Edge, Edge]:
-        return dict(self.edge_map)
-
-
-def submatrix(matrix: BinaryMatrix, embedding: MatrixEmbedding) -> BinaryMatrix:
-    """The submatrix of ``matrix`` selected by the embedding's index lists."""
-    if len(embedding.axis_indices) != matrix.d:
-        raise InputError("embedding dimension does not match matrix")
-    positions = []
-    for axis, sel in enumerate(embedding.axis_indices):
-        if sel and not 1 <= sel[0] <= sel[-1] <= matrix.extents[axis]:
-            raise InputError(f"axis {axis + 1} indices {sel} out of range")
-        positions.append({v: i + 1 for i, v in enumerate(sel)})
-    ones = set()
-    for coord in matrix.ones:
-        mapped = tuple(positions[ax].get(c) for ax, c in enumerate(coord))
-        if all(m is not None for m in mapped):
-            ones.add(mapped)
-    return BinaryMatrix(tuple(len(s) for s in embedding.axis_indices), frozenset(ones))
-
 
 def verify_matrix_embedding(
     host: BinaryMatrix, pattern: BinaryMatrix, embedding: MatrixEmbedding
 ) -> bool:
-    """Re-check a witness: the selected submatrix must represent the pattern."""
-    try:
-        sub = submatrix(host, embedding)
-    except InputError:
+    """Re-check a witness against the containment definition: one index
+    list per axis of both matrices, as long as the pattern's extent and
+    inside the host's range, sending every pattern 1-entry onto a host
+    1-entry."""
+    axes = embedding.axis_indices
+    if not len(axes) == host.d == pattern.d:
         return False
-    if sub.extents != pattern.extents:
-        return False
-    return pattern.ones <= sub.ones
+    for sel, k, n in zip(axes, pattern.extents, host.extents):
+        # the lists are strictly increasing (MatrixEmbedding checks it)
+        if len(sel) != k or (sel and not 1 <= sel[0] <= sel[-1] <= n):
+            return False
+    ones = host.ones
+    return all(tuple(sel[i - 1] for sel, i in zip(axes, cell)) in ones for cell in pattern.ones)
 
 
 def verify_hypergraph_embedding(
@@ -178,14 +166,14 @@ def verify_hypergraph_embedding(
         return False
     if f and not (1 <= f[0] and f[-1] <= host.n):
         return False
-    # one entry per pattern edge: as_dict keeps only the last image of a repeated edge
-    mapping = embedding.as_dict()
-    if len(embedding.edge_map) != len(pattern.edges) or set(mapping) != pattern.edges:
+    pairs = embedding.edge_map
+    # with as many pairs as pattern edges, this also refuses a repeated edge
+    if len(pairs) != len(pattern.edges) or {edge for edge, _ in pairs} != pattern.edges:
         return False
-    images = list(mapping.values())
+    images = [image for _, image in pairs]
     if len(set(images)) != len(images):
         return False
-    for edge, image in mapping.items():
+    for edge, image in pairs:
         if image not in host.edges:
             return False
         if not {f[v - 1] for v in edge} <= set(image):
@@ -195,15 +183,6 @@ def verify_hypergraph_embedding(
 
 # ---------------------------------------------------------------------------
 # matrix containment
-
-
-def represents(host: BinaryMatrix, pattern: BinaryMatrix) -> bool:
-    """True when the pattern arises from the host by clearing 1-entries."""
-    if host.extents != pattern.extents:
-        raise InputError(
-            f"extent mismatch: {host.extents} vs {pattern.extents}"
-        )
-    return pattern.ones <= host.ones
 
 
 # (table, sels), the placements of one pattern tail shape in one host tail
@@ -402,7 +381,8 @@ def _matrix_embedding_search(
 
 
 def matrix_contains(host: BinaryMatrix, pattern: BinaryMatrix) -> MatrixEmbedding | None:
-    """Find a submatrix of the host representing the pattern, or None.
+    """Find a submatrix of the host with a 1-entry wherever the pattern
+    has one, or None.
 
     Returns the lexicographically least embedding (axis 1 indices first).
     A pattern with more 1-entries than the host, another dimension or an
@@ -665,24 +645,27 @@ def hypergraph_contains(
 # association equivalence
 
 
-def _partite_forms(
-    h: OrderedHypergraph, d: int
-) -> tuple[_MatrixForm, _HyperHost, _HyperPattern]:
+def _associated_form(h: OrderedHypergraph, d: int) -> tuple[_MatrixForm, list[Edge]]:
     """Validate h as d-partite d-uniform with d equal parts (uniformity is
     checked by ``associated_matrix``) and prepare its associated matrix's
-    form and its hypergraph host and pattern forms."""
+    form; returned with h's sorted edges, from which the caller prepares
+    the hypergraph forms it reads."""
     if h.n % d != 0 or h.n == 0:
         raise InputError(f"vertex count {h.n} is not d*size for d={d}")
     parts = PartsSpec.equal(d, h.n // d)
     if not is_d_partite(h, parts):
         raise InputError("input is not d-partite with equal parts")
     matrix = associated_matrix(h, parts)
-    edges = h.sorted_edges()
-    return (
-        _matrix_form(matrix.extents, matrix.ones),
-        _hyper_host_form(h.n, edges),
-        _hyper_pattern_form(h.n, edges),
-    )
+    return _matrix_form(matrix.extents, matrix.ones), h.sorted_edges()
+
+
+def _partite_forms(
+    h: OrderedHypergraph, d: int
+) -> tuple[_MatrixForm, _HyperHost, _HyperPattern]:
+    """:func:`_associated_form`'s matrix form, with h's hypergraph host and
+    pattern forms: all three forms the sweep reads of a graph."""
+    matrix, edges = _associated_form(h, d)
+    return matrix, _hyper_host_form(h.n, edges), _hyper_pattern_form(h.n, edges)
 
 
 def _disagreement(hyper_side: bool, host: OrderedHypergraph, pattern: OrderedHypergraph) -> str:
@@ -818,9 +801,10 @@ def klazar_marcus_check(
     with parts of 3 order-contains pattern ([4],{{1,4}}) with parts of 2
     via f=(1,2,3,4), yet the associated matrices do not contain.)
 
-    Validates, associates and prepares both inputs and fetches their
-    placement table on every call, like the public deciders (a host form
-    or a shape past ``MAX_TABLE_BITS`` raises :class:`CapacityError`);
+    Validates and associates both inputs, prepares the host's host form
+    and the pattern's pattern form, and fetches their placement table on
+    every call, like the public deciders (the host's host form or a shape
+    past ``MAX_TABLE_BITS`` raises :class:`CapacityError`);
     :func:`association_disagreement` sweeps all pairs of a list of graphs
     and prepares each graph once.
 
@@ -845,8 +829,10 @@ def klazar_marcus_check(
         raise InputError(f"the equivalence needs d >= 2 parts, got d={int_text(d)}")
     if inferred is not None and inferred != d:
         raise InputError(f"edge size {inferred} does not match d={int_text(d)}")
-    host_matrix, host_hyper, _ = _partite_forms(host, d)
-    pattern_matrix, _, pattern_hyper = _partite_forms(pattern, d)
+    host_matrix, edges = _associated_form(host, d)
+    host_hyper = _hyper_host_form(host.n, edges)
+    pattern_matrix, edges = _associated_form(pattern, d)
+    pattern_hyper = _hyper_pattern_form(pattern.n, edges)
     tail = host_matrix[0][1:]
     placements = _placement_table(tail, tail)
     hyper_side = _hyper_embedding_search(host_hyper, pattern_hyper) is not None

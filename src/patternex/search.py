@@ -285,7 +285,7 @@ def _branch_and_bound(
     index: tuple[list[int], int],
     most_calls: int | None = None,
     *,
-    rest: tuple[int, ...] | None = None,
+    rest: tuple[int, ...],
     slice_size: int | None = None,
     column_caps: list[int] | None = None,
     value: int | None = None,
@@ -317,16 +317,16 @@ def _branch_and_bound(
     ``most_calls``, the search returns None in place of a result.
 
     ``index`` is the copy index, ``keep`` and the number of copies
-    (:func:`_copy_index`).  ``rest``, the suffix sums of ``gain``
-    (:func:`_rest`), is computed when not given; the solvers pass the
-    read-only tables of their shape, and the search copies them before it
-    writes.  The search derives from ``keep`` ``top[i]``,
-    the copies whose greatest decision is i, by one backward pass of ANDs
-    (:func:`_tops`), and the value search ``starts[i]``, the copies that
-    use no decision before i, by one forward pass.  It reads only set
-    operations on copy numbers, so its calls, value and set do not depend
-    on how the copies are numbered; the images of a matrix pattern share
-    one index that way (:func:`_image_index`).
+    (:func:`_copy_index`).  ``rest`` is the suffix sums of ``gain``
+    (:func:`_rest`): the solvers pass the read-only table of their shape,
+    and the search copies it before it writes.  The search derives from
+    ``keep`` ``top[i]``, the copies whose greatest decision is i, by one
+    backward pass of ANDs (:func:`_tops`), and the value search
+    ``starts[i]``, the copies that use no decision before i, by one
+    forward pass.  It reads only set operations on copy numbers, so its
+    calls, value and set do not depend on how the copies are numbered;
+    the images of a matrix pattern share one index that way
+    (:func:`_image_index`).
 
     The search takes the decisions in order, the include branch first,
     and updates its incumbent only on strict improvement.  Its state is
@@ -446,8 +446,6 @@ def _branch_and_bound(
     """
     total = len(gain)
     everything = (1 << total) - 1
-    if rest is None:
-        rest = _rest(gain)
     keep, count = index
     # the search gives the same; without this return a zero-copy gex row runs ~20% slower
     if not count and value is None:

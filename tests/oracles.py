@@ -48,6 +48,23 @@ def is_ordered_hypergraph(n, edges) -> bool:
     )
 
 
+def is_matrix_embedding(host: BinaryMatrix, pattern: BinaryMatrix, axis_indices) -> bool:
+    """Whether per-axis index lists embed the pattern in the host, by the
+    definition: one list per axis of both matrices, list i holding k_i
+    distinct indices of 1..n_i in increasing order, and the submatrix they
+    select holding a 1-entry at every position where the pattern does."""
+    if not len(axis_indices) == len(host.extents) == len(pattern.extents):
+        return False
+    for sel, k, n in zip(axis_indices, pattern.extents, host.extents):
+        if len(sel) != k or list(sel) != sorted(set(sel)) or not set(sel) <= set(range(1, n + 1)):
+            return False
+    for position in product(*(range(1, k + 1) for k in pattern.extents)):
+        selected = tuple(sel[i - 1] for sel, i in zip(axis_indices, position))
+        if position in pattern.ones and selected not in host.ones:
+            return False
+    return True
+
+
 def brute_least_embedding(host: BinaryMatrix, pattern: BinaryMatrix):
     """The first selection of per-axis index lists, in product order, whose
     submatrix represents the pattern; None when there is none."""

@@ -28,8 +28,6 @@ from patternex import (
     make_matrix,
     matrix_contains,
     permutation_matrix,
-    represents,
-    submatrix,
     verify_hypergraph_embedding,
     verify_matrix_embedding,
 )
@@ -41,6 +39,7 @@ from oracles import (
     brute_least_embedding,
     brute_matrix_contains,
     brute_part_respecting_contains,
+    is_matrix_embedding,
     reference_hyper_embedding,
     reference_matrix_embedding,
 )
@@ -58,29 +57,37 @@ def hypergraphs(draw, max_n=4, max_edges=4):
 
 
 @st.composite
+def index_lists(draw, host, pattern):
+    """Per-axis increasing index lists: the least embedding of the pattern
+    in the host, lists of the pattern's extents in the host's range, or
+    lists of any dimension and lengths near the pattern's, with indices
+    from 0 to one past the host's extent."""
+    kind = draw(st.sampled_from(["found", "shaped", "any"]))
+    found = matrix_contains(host, pattern) if kind == "found" else None
+    if found is not None:
+        return found.axis_indices
+    shaped = host.d == pattern.d and all(map(le, pattern.extents, host.extents))
+    if kind != "any" and shaped:
+        return tuple(
+            tuple(sorted(draw(st.sets(st.integers(1, n), min_size=k, max_size=k))))
+            for k, n in zip(pattern.extents, host.extents)
+        )
+    axes = []
+    for axis in range(draw(st.integers(host.d - 1, host.d + 1))):
+        n = host.extents[axis] if axis < host.d else 2
+        k = pattern.extents[axis] if axis < pattern.d else 1
+        size = min(draw(st.integers(max(k - 1, 0), k + 1)), n + 2)
+        indices = draw(st.sets(st.integers(0, n + 1), min_size=size, max_size=size))
+        axes.append(tuple(sorted(indices)))
+    return tuple(axes)
+
+
+@st.composite
 def bipartite_graphs(draw, max_part=3):
     n = draw(st.integers(1, max_part))
     crossing = [(i, n + j) for i in range(1, n + 1) for j in range(1, n + 1)]
     edges = draw(st.frozensets(st.sampled_from(crossing)))
     return OrderedHypergraph(2 * n, edges)
-
-
-class TestRepresents:
-    def test_reflexive(self):
-        m = make_matrix([2, 2], [(1, 2)])
-        assert represents(m, m)
-
-    def test_zero_host(self):
-        zero = make_matrix([2, 2], [])
-        assert not represents(zero, make_matrix([2, 2], [(1, 1)]))
-
-    def test_full_host(self):
-        full = make_matrix([2, 2], [(1, 1), (1, 2), (2, 1), (2, 2)])
-        assert represents(full, permutation_matrix((1, 2)))
-
-    def test_extent_mismatch(self):
-        with pytest.raises(InputError):
-            represents(make_matrix([2, 2], []), make_matrix([2, 3], []))
 
 
 class TestMatrixEmbedding:
@@ -111,6 +118,34 @@ class TestMatrixEmbedding:
         pattern = make_matrix([2, 2], [(1, 1), (2, 2)])
         assert verify_matrix_embedding(host, pattern, MatrixEmbedding(((1, 3), (1, 3))))
         assert not verify_matrix_embedding(host, pattern, MatrixEmbedding(axes))
+
+    @pytest.mark.parametrize(
+        "host_extents, host_ones, pattern, expected",
+        [
+            ([2, 2], [(1, 2)], make_matrix([2, 2], [(1, 2)]), True),
+            ([2, 2], [], make_matrix([2, 2], [(1, 1)]), False),
+            ([2, 2], [(1, 1), (1, 2), (2, 1), (2, 2)], permutation_matrix((1, 2)), True),
+            ([2, 2], [], make_matrix([2, 3], []), False),
+        ],
+        ids=["reflexive", "zero-host", "full-host", "extent-mismatch"],
+    )
+    def test_full_index_lists_compare_entrywise(self, host_extents, host_ones, pattern, expected):
+        # the pattern's own index lists select the host's leading submatrix:
+        # it embeds when each pattern 1-entry is a host 1-entry, and a
+        # pattern longer than the host on an axis lists an index past it
+        host = make_matrix(host_extents, host_ones)
+        axes = tuple(tuple(range(1, k + 1)) for k in pattern.extents)
+        assert verify_matrix_embedding(host, pattern, MatrixEmbedding(axes)) is expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices(), matrices(), st.data())
+    def test_witness_check_is_the_definition(self, host, pattern, data):
+        # valid embeddings, and lists out of range, of the wrong length or
+        # of the wrong dimension (see index_lists)
+        axes = data.draw(index_lists(host, pattern))
+        assert verify_matrix_embedding(host, pattern, MatrixEmbedding(axes)) == (
+            is_matrix_embedding(host, pattern, axes)
+        )
 
 
 class TestMatrixContains:
@@ -161,7 +196,6 @@ class TestMatrixContains:
         if emb is not None:
             assert emb.axis_indices == least
             assert verify_matrix_embedding(host, pattern, emb)
-            assert represents(submatrix(host, emb), pattern)
 
     @settings(max_examples=60, deadline=None)
     @given(matrices(max_d=3, max_extent=2), matrices(max_d=3, max_extent=2))
@@ -297,7 +331,7 @@ class TestHypergraphContains:
         pattern = make_hypergraph(4, pattern_edges)
         found = hypergraph_contains(host, pattern)
         assert found.vertex_map == vertex_map
-        assert found.as_dict() == edge_map
+        assert dict(found.edge_map) == edge_map
         assert verify_hypergraph_embedding(host, pattern, found)
         assert _same_hyper_answer(host_n, host_edges, 4, pattern_edges)
 
@@ -875,7 +909,7 @@ class TestEnginesMatchReferences:
             make_hypergraph(host_n, host_edges), make_hypergraph(pattern_n, pattern_edges)
         )
         assert found.vertex_map == vertex_map
-        assert found.as_dict() == edge_map
+        assert dict(found.edge_map) == edge_map
         assert _same_hyper_answer(host_n, host_edges, pattern_n, pattern_edges)
 
     def test_backjumps_past_vertices_no_failure_blames(self):
@@ -1077,6 +1111,19 @@ class TestEnginesMatchReferences:
         )
         assert found is None
         assert rows.reads == 0
+
+    def test_klazar_marcus_builds_only_the_hypergraph_forms_it_reads(self, monkeypatch):
+        # under a limit of 530 bits the host form of {13} takes 4 * 2 * 65 =
+        # 520 bits and that of {13,14,23,24} 544; the check reads only the
+        # host's host form, so a pattern whose host form is past the limit
+        # is still decided
+        monkeypatch.setattr(containment, "MAX_TABLE_BITS", 530)
+        monkeypatch.setattr(containment, "_placement_cache", {})
+        host = make_hypergraph(4, [(1, 3)])
+        pattern = make_hypergraph(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
+        assert klazar_marcus_check(host, pattern) is False
+        with pytest.raises(CapacityError, match="takes 544 bits, over the limit 530"):
+            klazar_marcus_check(pattern, host)
 
     def test_the_association_paths_refuse_a_shape_past_the_placement_limit(self):
         # one edge between two parts of 3000: the associated matrices are

@@ -341,7 +341,8 @@ def _capped_and_plain_calls(pattern, n):
     # bounds where the pattern allows them, and the plain search without them:
     # the same value and set, and no more calls with them
     index = search._matrix_index(pattern, n)
-    plain = search._branch_and_bound([1] * n**pattern.d, index, sys.maxsize)
+    gain = [1] * n**pattern.d
+    plain = search._branch_and_bound(gain, index, sys.maxsize, rest=search._rest(gain))
     capped = search._matrix_search(pattern, n, index, sys.maxsize)
     assert capped[:2] == plain[:2]
     assert capped[2] <= plain[2]
@@ -578,10 +579,15 @@ class TestSharedCopyIndex:
             gain = [rng.randint(1, 3) for _ in range(total)]
             copies = {rng.randint(1, (1 << total) - 1) for _ in range(rng.randint(1, 30))}
             index = search._copy_index(copies, total)
-            value, chosen, calls, boxes = search._branch_and_bound(gain, index, sys.maxsize)
-            assert search._branch_and_bound(gain, index) == (value, chosen, 0, boxes)
-            assert search._branch_and_bound(gain, index, calls - 1) is None
-            assert search._branch_and_bound(gain, index, calls) == (value, chosen, calls, boxes)
+            rest = search._rest(gain)
+            value, chosen, calls, boxes = search._branch_and_bound(
+                gain, index, sys.maxsize, rest=rest
+            )
+            assert search._branch_and_bound(gain, index, rest=rest) == (value, chosen, 0, boxes)
+            assert search._branch_and_bound(gain, index, calls - 1, rest=rest) is None
+            assert search._branch_and_bound(gain, index, calls, rest=rest) == (
+                value, chosen, calls, boxes
+            )
 
     def test_ranked_row_budget_boundary(self):
         # the L-shape given as (1,2)(2,1)(2,2) is ranked at side 4 for
@@ -691,9 +697,14 @@ class TestImageRanking:
         # several seconds and the pattern's own value search takes 0.7 s
         pattern = make_matrix([2, 3], [(1, 1), (1, 3), (2, 2), (2, 3)])
         gain = [1] * 25
-        own = search._branch_and_bound(gain, search._matrix_index(pattern, 5), sys.maxsize)[2]
+        rest = search._rest(gain)
+        own = search._branch_and_bound(
+            gain, search._matrix_index(pattern, 5), sys.maxsize, rest=rest
+        )[2]
         calls = [
-            search._branch_and_bound(gain, search._matrix_index(image, 5), sys.maxsize)[2]
+            search._branch_and_bound(
+                gain, search._matrix_index(image, 5), sys.maxsize, rest=rest
+            )[2]
             for image, _ in search._matrix_images(pattern)
         ]
         assert min(calls) < own == calls[0]
@@ -730,21 +741,20 @@ class TestImageRanking:
             gain = [rng.randint(1, 3) for _ in range(total)]
             copies = {rng.randint(1, (1 << total) - 1) for _ in range(rng.randint(1, 8))}
             index = search._copy_index(copies, total)
-            value, chosen, _, _ = search._branch_and_bound(gain, index)
-            found, first, calls, _ = search._branch_and_bound(gain, index, sys.maxsize, value=value)
+            solve = functools.partial(search._branch_and_bound, gain, rest=search._rest(gain))
+            value, chosen, _, _ = solve(index)
+            found, first, calls, _ = solve(index, sys.maxsize, value=value)
             assert (found, first) == (value, chosen)
-            assert search._branch_and_bound(gain, index, calls - 1, value=value) is None
-            assert search._branch_and_bound(gain, index, calls, value=value)[1] == chosen
+            assert solve(index, calls - 1, value=value) is None
+            assert solve(index, calls, value=value)[1] == chosen
             with pytest.raises(PostconditionError):
-                search._branch_and_bound(gain, index, value=value + 1)
+                solve(index, value=value + 1)
             # with no copies every decision is taken, and nothing reaches more
             everything = (1 << total) - 1
             none = search._copy_index(set(), total)
-            assert search._branch_and_bound(gain, none, value=sum(gain))[:2] == (
-                sum(gain), everything
-            )
+            assert solve(none, value=sum(gain))[:2] == (sum(gain), everything)
             with pytest.raises(PostconditionError):
-                search._branch_and_bound(gain, none, value=sum(gain) + 1)
+                solve(none, value=sum(gain) + 1)
 
     def test_the_gate_picks_the_same_images(self):
         # the six n = 5 rows whose image changed with the one-slice cap.
@@ -761,12 +771,13 @@ class TestImageRanking:
             ([3, 2], [(1, 1), (2, 1), (2, 2), (3, 2)], 2, 9),
         ]
         gain = [1] * 16
+        rest = search._rest(gain)
         for extents, ones, index, first_leaf_calls in rows:
             pattern = make_matrix(extents, ones)
             assert search._cheapest_image(pattern, 5)[0] == search._matrix_images(pattern)[index][0]
             copies = search._matrix_index(pattern, 4)
-            value = search._branch_and_bound(gain, copies)[0]
-            calls = search._branch_and_bound(gain, copies, sys.maxsize, value=value)[2]
+            value = search._branch_and_bound(gain, copies, rest=rest)[0]
+            calls = search._branch_and_bound(gain, copies, sys.maxsize, rest=rest, value=value)[2]
             assert calls == first_leaf_calls
 
 
