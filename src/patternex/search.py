@@ -108,8 +108,19 @@ with n times its value and its witness in every slice.  The 2x3x1
 pattern (1,2,1)(2,1,1)(2,2,1)(2,3,1) at n = 4 takes about 1 ms this way
 and more than 60 s searched over the whole cube.
 
-Every matrix row takes one path: ``_solve_matrix_extremal`` takes every
-cell when the pattern does not fit, and ``_matrix_extremal`` drops
+A row whose pattern has no copy is answered without a copy index or a
+search: the whole host avoids it, so the value is every decision's gain
+and the witness is the shape's full host, made once and shared by every
+such row.  A matrix pattern has no copy exactly when an extent is above
+n, and a hypergraph pattern when :func:`_hyper_copies` lists none.  In
+the ``extremal_tables`` benchmark 97 of the 180 rows of each pass have
+no copy, the median row among them: 82 extremal rows, which take the
+full host, and 15 avoider counts, which ``count_avoiders`` answers as
+2^(candidates) before it indexes a copy.  The full host is still
+re-checked on each row like any other witness.
+
+Every matrix row takes one path: ``_solve_matrix_extremal`` takes the
+full box when the pattern does not fit, and ``_matrix_extremal`` drops
 extent-1 axes and makes each search of the row through
 ``_matrix_search``, which reads the unit gains, applies the slice guard
 and, in 2-d, turns the side-(n - 1) boundary values into column caps.
@@ -132,17 +143,25 @@ on each row.  Uncaching each kept table alone, over 8 passes of the
   masks, largest size, gains and suffix sums: the median row 71% slower
   (10.9 to 18.7 µs) and the summed row time 10% more.  Its key carries
   the caller's size cap, which no limit bounds, so it keeps 256 entries.
-  A refused count raises and is never kept.
+  A refused count raises and is never kept.  It also holds the range's
+  full host: built on each row instead, the median row was 68% slower
+  (5.6 to 9.4 µs) and the summed row time 2% more.
+- ``_full_box``, the side-n d-matrix of all 1-entries: the median row
+  76% slower (5.6 to 9.8 µs) and the summed row time 6% more.  At n = 1
+  every d has a key, so it keeps 32 entries; the cell limit admits only
+  13 keys with n ≥ 2.
 - ``_unit_gains``, the unit gains with their suffix sums per decision
   count: the median row 7% slower (10.9 to 11.6 µs).
 - ``_cell_order``, an image's cell order per dimension, side and
   symmetry: the 99th-percentile row 5% slower and the summed row time 3%
   more.
 
-The capacity limits bound the last two keys, so their caches take no
-size.  The tables are tuples, shared read-only, and the search copies
-the suffix sums before it writes.  The ranking gate and the cube's cells
-are counted and listed on each row: cached, they moved no row.
+The full-host figures are from an A/B after the rows with no copy took
+the full host, run as above.  The capacity limits bound the last two
+keys, so their caches take no size.  The tables are tuples or records,
+shared read-only, and the search copies the suffix sums before it
+writes.  The ranking gate and the cube's cells are counted and listed on
+each row: cached, they moved no row.
 """
 
 from __future__ import annotations
@@ -447,9 +466,6 @@ def _branch_and_bound(
     total = len(gain)
     everything = (1 << total) - 1
     keep, count = index
-    # the search gives the same; without this return a zero-copy gex row runs ~20% slower
-    if not count and value is None:
-        return rest[0], everything, 0, list(rest[::-slice_size]) if slice_size else []
     copies = (1 << count) - 1
     top = _tops(keep, copies)
     suffix = rest  # until the value search copies it
@@ -756,7 +772,9 @@ def _cheapest_image(
         if found is None:  # over budget: it cannot win
             continue
         _, _, calls, image_boxes = found
-        if calls < fewest:  # a row with no copies at n - 1 makes no call
+        # no ranked row has an extent n under the cell limit, so every
+        # image has copies at n - 1 and its search makes a call
+        if calls < fewest:
             cheapest, fewest, boxes, turned = image, calls, image_boxes, symmetry
     if cheapest is not pattern:
         if _matrix_search(pattern, n - 1, index, own - fewest - 1, value=value) is None:
@@ -778,25 +796,36 @@ def _solve_matrix_extremal(pattern: BinaryMatrix, n: int) -> SearchCertificate:
     """The most 1-entries of a side-n host avoiding the pattern, with the
     first optimal host of the include-first order over the cells in
     lexicographic order as witness.  A pattern with an extent above n
-    never fits, and every cell is taken; one with no 1-entry that fits is
-    in every host, which is invalid input.  Otherwise
-    :func:`_matrix_extremal` solves the row."""
+    never fits: every cell is taken, and the witness is the shared full
+    box of the shape (:func:`_full_box`), with no copy index and no
+    search.  A pattern with no 1-entry that fits is in every host, which
+    is invalid input.  Otherwise :func:`_matrix_extremal` solves the
+    row.  Every witness is re-checked by :func:`_certify_matrix`."""
     d = pattern.d
     if n < 1:
         raise InputError(f"n must be positive, got {int_text(n)}")
     if n**d > MAX_CELLS:
         shape = "x".join([int_text(n)] * d)
         raise CapacityError(f"{shape} exceeds the cell limit {MAX_CELLS}")
-    if max(pattern.extents) > n:
-        value, ones = n**d, frozenset(product(range(1, n + 1), repeat=d))  # never fits
-    elif not pattern.ones:
+    if max(pattern.extents) > n:  # never fits
+        return _certify_matrix(n**d, _full_box(n, d), pattern)
+    if not pattern.ones:
         raise InputError(
             "pattern weight 0: every matrix of this size contains it, "
             "the extremal value is undefined"
         )
-    else:
-        value, ones = _matrix_extremal(pattern, n)
+    value, ones = _matrix_extremal(pattern, n)
     return _certify_matrix(value, BinaryMatrix((n,) * d, ones), pattern)
+
+
+# keyed by (n, d): the cell limit admits 13 keys with n >= 2, but n = 1
+# admits every d, so it keeps 32 entries, those 13 and 19 at n = 1
+@lru_cache(maxsize=32)
+def _full_box(n: int, d: int) -> BinaryMatrix:
+    """The side-n d-matrix with every cell a 1-entry, the witness of every
+    row whose pattern does not fit, made once per shape and shared
+    read-only."""
+    return BinaryMatrix((n,) * d, frozenset(product(range(1, n + 1), repeat=d)))
 
 
 def _matrix_extremal(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
@@ -868,15 +897,16 @@ def _certify_hypergraph(
 @lru_cache(maxsize=256)
 def _candidates(
     n: int, smallest: int, largest: int, limit: int
-) -> tuple[tuple[Edge, ...], tuple[int, ...], int, Gains]:
+) -> tuple[tuple[Edge, ...], tuple[int, ...], int, Gains, OrderedHypergraph]:
     """The tables of the edges on [n] of sizes ``smallest`` to
     ``largest``, the candidates of a hypergraph row: the edges in
     lexicographic order; ``holding[v - 1]``, the candidates holding vertex
     v, as a bitmask over the candidates; the largest candidate size, 0
-    with none; and the weight mode's gains, each candidate's size, with
-    their suffix sums.  They depend on the range only, never on the
-    pattern, so they are made once per process and shared read-only by
-    every row with this range.
+    with none; the weight mode's gains, each candidate's size, with
+    their suffix sums; and the host of every candidate, the witness of
+    every row whose pattern has no copy.  They depend on the range only,
+    never on the pattern, so they are made once per process and shared
+    read-only by every row with this range.
 
     The edges are counted first, one size at a time by
     :func:`~patternex.structures.binomial_product`, and more than
@@ -898,7 +928,8 @@ def _candidates(
         for v in edge:
             holding[v - 1] |= 1 << i
     gain = tuple(map(len, edges))
-    return edges, tuple(holding), max(gain, default=0), (gain, _rest(gain))
+    full = OrderedHypergraph(n, frozenset(edges))
+    return edges, tuple(holding), max(gain, default=0), (gain, _rest(gain)), full
 
 
 def _hyper_copies(
@@ -962,19 +993,23 @@ def _solve_hyper_extremal(
     """The greatest edge count or weight of a host on [n] that avoids the
     pattern, its edges drawn from the candidates of sizes ``smallest`` to
     ``largest``, with the first optimal host of the include-first order as
-    witness.  The decisions of :func:`_branch_and_bound` are the
-    candidates, each of gain 1 or its size, and its copies are the
-    pattern's copies."""
+    witness.  A pattern with no copy among the candidates takes every
+    candidate, the range's full host.  Otherwise the decisions of
+    :func:`_branch_and_bound` are the candidates, each of gain 1 or its
+    size, and its copies are the pattern's copies."""
     if n < 1:
         raise InputError(f"n must be positive, got {int_text(n)}")
-    candidates, holding, widest, sized = _candidates(n, smallest, largest, limit)
+    candidates, holding, widest, sized, full = _candidates(n, smallest, largest, limit)
     if not pattern.edges and pattern.n <= n:
         raise InputError(
             "pattern with no edges is contained in every host on this many "
             "vertices, the extremal value is undefined"
         )
     gain, rest = sized if mode == "weight" else _unit_gains(len(candidates))
-    index = _copy_index(_hyper_copies(holding, widest, pattern), len(candidates))
+    copies = _hyper_copies(holding, widest, pattern)
+    if not copies:
+        return _certify_hypergraph(rest[0], full, pattern, mode)
+    index = _copy_index(copies, len(candidates))
     value, chosen, _, _ = _branch_and_bound(gain, index, rest=rest)
     edges = frozenset(e for i, e in enumerate(candidates) if chosen >> i & 1)
     return _certify_hypergraph(value, OrderedHypergraph(n, edges), pattern, mode)
@@ -1033,7 +1068,7 @@ def count_avoiders(
     if n < 0:
         raise InputError(f"n must be nonnegative, got {int_text(n)}")
     cap = _size_cap(edge_size_cap, n)
-    candidates, holding, widest, _ = _candidates(n, 1, cap, MAX_HYPER_CANDIDATES)
+    candidates, holding, widest, _, _ = _candidates(n, 1, cap, MAX_HYPER_CANDIDATES)
     copies = _hyper_copies(holding, widest, pattern)
     if not copies:  # the walk gives the same, but a zero-copy row runs ~50% slower
         return 1 << len(candidates)

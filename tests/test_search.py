@@ -1260,7 +1260,7 @@ class TestCapacityRefusal:
 
     def test_each_range_is_listed_once_and_shared_read_only(self):
         tables = search._candidates(4, 1, 3, search.MAX_HYPER_CANDIDATES)
-        edges, holding, widest, (gain, rest) = tables
+        edges, holding, widest, (gain, rest), full = tables
         expected = sorted(e for size in (1, 2, 3) for e in combinations(range(1, 5), size))
         assert list(edges) == expected
         assert list(holding) == [
@@ -1269,10 +1269,12 @@ class TestCapacityRefusal:
         assert widest == 3
         assert list(gain) == [len(e) for e in expected]
         assert list(rest) == [sum(gain[i:]) for i in range(len(gain) + 1)]
+        assert full == make_hypergraph(4, expected)
         for table in (tables, edges, holding, gain, rest):
             assert isinstance(table, tuple)
         again = search._candidates(4, 1, 3, search.MAX_HYPER_CANDIDATES)
         assert again is tables and all(a is b for a, b in zip(again, tables))
+        assert again[4] is full
 
     def test_a_known_shape_is_neither_counted_nor_listed_again(self, monkeypatch):
         # every hypergraph row on [4] with edges of size 1..4 shares one
@@ -1308,6 +1310,86 @@ class TestCapacityRefusal:
         gain, rest = search._unit_gains(25)
         assert gain == (1,) * 25 and rest == tuple(range(25, -1, -1))
         assert search._unit_gains(25)[1] is rest
+
+
+class TestRowsWithNoCopy:
+    """A row whose pattern has no copy takes its shape's full host, made
+    once and shared by every such row, and still re-checks it."""
+
+    @pytest.mark.parametrize(
+        "solve, patterns, n, value",
+        [
+            (ex_matrix, [permutation_matrix((1, 2, 3)), permutation_matrix((3, 1, 2))], 2, 4),
+            (
+                lambda p, n: f_multi(p, 3, n),
+                [make_matrix([2, 2, 2], [(1, 1, 1), (2, 2, 2)]),
+                 make_matrix([1, 1, 2], [(1, 1, 1), (1, 1, 2)])],
+                1,
+                1,
+            ),
+        ],
+        ids=["ex", "f"],
+    )
+    def test_matrix_rows_that_never_fit_share_the_full_box(self, solve, patterns, n, value):
+        first, second = (solve(p, n) for p in patterns)
+        assert first.witness is second.witness
+        d = patterns[0].d
+        cells = frozenset(product(range(1, n + 1), repeat=d))
+        assert first.witness == BinaryMatrix((n,) * d, cells)
+        assert first.verified and second.verified
+        assert first.value == second.value == value == n**d
+
+    @pytest.mark.parametrize(
+        "solve, candidates, mode, value",
+        [
+            (gex_graph, list(combinations(range(1, 4), 2)), "edges", 3),
+            (exe_hyper, hyper_candidates(3, 4), "edges", 7),
+            (exi_hyper, hyper_candidates(3, 4), "weight", 12),
+        ],
+        ids=["gex", "exe", "exi"],
+    )
+    def test_hypergraph_rows_of_a_larger_pattern_share_every_candidate(
+        self, solve, candidates, mode, value
+    ):
+        # both patterns need 4 vertices, so on [3] neither has a copy
+        nesting = make_hypergraph(4, [(1, 4), (2, 3)])
+        first, second = solve(CROSSING, 3), solve(nesting, 3)
+        assert first.witness is second.witness
+        assert first.witness == make_hypergraph(3, candidates)
+        assert first.verified and second.verified
+        assert first.value == second.value == value
+        assert engine_max_hyper(3, candidates, CROSSING, mode)[0] == value
+
+    def test_the_full_box_table_is_bounded(self):
+        # n = 1 admits every d, so the rows of the one-cell cube of many
+        # dimensions must not grow the table past its bound
+        table = search._full_box
+        for d in range(2, table.cache_info().maxsize + 8):
+            pattern = make_matrix([2] + [1] * (d - 1), [(2,) + (1,) * (d - 1)])
+            cert = f_multi(pattern, d, 1)
+            assert cert.value == 1 and cert.witness == make_matrix([1] * d, [(1,) * d])
+            assert table.cache_info().currsize <= table.cache_info().maxsize
+
+    def test_a_row_planted_with_no_copy_fails_the_re_check(self, monkeypatch):
+        # {13,24} has copies at n = 4; told it has none, the row takes
+        # every candidate, and the witness re-check finds the copy
+        monkeypatch.setattr(search, "_hyper_copies", lambda holding, widest, pattern: set())
+        with pytest.raises(PostconditionError, match="avoidance re-check"):
+            exe_hyper(CROSSING, 4)
+
+    @pytest.mark.parametrize(
+        "slice_size, boxes", [(None, []), (3, [0, 3, 6, 9])], ids=["no-slices", "slices-of-3"]
+    )
+    def test_the_driver_still_answers_an_index_with_no_copy(self, slice_size, boxes):
+        # no solver sends it one under the cell limit; every decision is
+        # taken, with no call, and each box of k slices of 3 cells holds 3k
+        gain = [1] * 9
+        rest = search._rest(gain)
+        index = search._copy_index(set(), 9)
+        for most_calls in (None, 0, sys.maxsize):
+            assert search._branch_and_bound(
+                gain, index, most_calls, rest=rest, slice_size=slice_size
+            ) == (9, (1 << 9) - 1, 0, boxes)
 
 
 def _counted_binomials(monkeypatch) -> list:
