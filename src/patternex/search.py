@@ -110,14 +110,17 @@ and more than 60 s searched over the whole cube.
 
 A row whose pattern has no copy is answered without a copy index or a
 search: the whole host avoids it, so the value is every decision's gain
-and the witness is the shape's full host, made once and shared by every
-such row.  A matrix pattern has no copy exactly when an extent is above
-n, and a hypergraph pattern when :func:`_hyper_copies` lists none.  In
-the ``extremal_tables`` benchmark 97 of the 180 rows of each pass have
-no copy, the median row among them: 82 extremal rows, which take the
-full host, and 15 avoider counts, which ``count_avoiders`` answers as
-2^(candidates) before it indexes a copy.  The full host is still
-re-checked on each row like any other witness.
+and the witness is the shape's full host.  The row returns the shape's
+certificate of that host, made and weighed once and shared by every
+such row (one per scoring mode for the hypergraph kinds), so it builds
+no record and recounts no weight.  A matrix pattern has no copy exactly
+when an extent is above n, and a hypergraph pattern when
+:func:`_hyper_copies` lists none.  In the ``extremal_tables`` benchmark
+97 of the 180 rows of each pass have no copy, the median row among
+them: 82 extremal rows, which take the shared certificate, and 15
+avoider counts, which ``count_avoiders`` answers as 2^(candidates)
+before it indexes a copy.  The full host still passes the avoidance
+re-check on each row, like any other witness.
 
 Every matrix row takes one path: ``_solve_matrix_extremal`` takes the
 full box when the pattern does not fit, and ``_matrix_extremal`` drops
@@ -126,8 +129,13 @@ extent-1 axes and makes each search of the row through
 and, in 2-d, turns the side-(n - 1) boundary values into column caps.
 
 A returned :class:`SearchCertificate` is always re-checked through the
-public containment API, an engine the solvers do not run.  Counting uses
-exact integer arithmetic throughout.
+public containment API, an engine the solvers do not run.  The check has
+two steps: a certificate is weighed where it is made
+(:func:`_weighed_matrix`, :func:`_weighed_hypergraph`), and every
+certified row then makes exactly one avoidance re-check
+(:func:`_certify_matrix`, :func:`_certify_hypergraph`), which returns
+the certificate it is given.  Counting uses exact integer arithmetic
+throughout.
 
 Capacity limits are fixed module constants with hard errors, and
 nothing is silently truncated.  Every limit is checked on a count
@@ -143,22 +151,25 @@ on each row.  Uncaching each kept table alone, over 8 passes of the
   masks, largest size, gains and suffix sums: the median row 71% slower
   (10.9 to 18.7 µs) and the summed row time 10% more.  Its key carries
   the caller's size cap, which no limit bounds, so it keeps 256 entries.
-  A refused count raises and is never kept.  It also holds the range's
-  full host: built on each row instead, the median row was 68% slower
-  (5.6 to 9.4 µs) and the summed row time 2% more.
-- ``_full_box``, the side-n d-matrix of all 1-entries: the median row
-  76% slower (5.6 to 9.8 µs) and the summed row time 6% more.  At n = 1
-  every d has a key, so it keeps 32 entries; the cell limit admits only
-  13 keys with n ≥ 2.
+  A refused count raises and is never kept.  It also holds the
+  certificates of the range's full host, one per scoring mode.
+- ``_full_box``, the certificate of the side-n d-matrix of all
+  1-entries.  At n = 1 every d has a key, so it keeps 32 entries; the
+  cell limit admits only 13 keys with n ≥ 2.
 - ``_unit_gains``, the unit gains with their suffix sums per decision
   count: the median row 7% slower (10.9 to 11.6 µs).
 - ``_cell_order``, an image's cell order per dimension, side and
   symmetry: the 99th-percentile row 5% slower and the summed row time 3%
   more.
 
-The full-host figures are from an A/B after the rows with no copy took
-the full host, run as above.  The capacity limits bound the last two
-keys, so their caches take no size.  The tables are tuples or records,
+The shared certificates were measured together, on the speed clock of
+``perfbench/clock.py`` and two sets of 10 seeds, otherwise as above.
+With a new certificate made and the full host weighed on each row
+instead, the median row was 50-52% slower (7.5 to 11.2-11.5 µs) and the
+summed row time 6-8% more.  Pass 0, where each shape's certificate is
+made, moved less than its noise.  A certificate whose host fails its
+weighing raises and is never kept.  The capacity limits bound the last
+two keys, so their caches take no size.  The tables are tuples or records,
 shared read-only, and the search copies the suffix sums before it
 writes.  The ranking gate and the cube's cells are counted and listed on
 each row: cached, they moved no row.
@@ -192,8 +203,13 @@ RANKED_COPIES = 100
 class SearchCertificate(_Record):
     """An extremal value, a witness achieving it, and a re-check flag.
 
-    ``verified`` is set only after the witness has passed an independent
-    avoidance re-check and its weight has been compared to the value.
+    ``verified`` means that the witness's weight (or edge count) was
+    compared to the value when the certificate was made, and that a
+    solver returns the certificate only after the witness has passed an
+    independent avoidance re-check against the row's pattern.  The
+    solvers share one certificate among all the rows of a shape whose
+    pattern has no copy: it is weighed once, when it is made, and the
+    avoidance re-check runs on every row before it is returned.
     """
 
     __slots__ = ("value", "witness", "verified")
@@ -782,25 +798,34 @@ def _cheapest_image(
     return cheapest, turned, boxes
 
 
-def _certify_matrix(value: int, witness: BinaryMatrix, pattern: BinaryMatrix) -> SearchCertificate:
+def _weighed_matrix(value: int, witness: BinaryMatrix) -> SearchCertificate:
+    """The certificate of a value and its witness, made only once the
+    witness's weight equals the value."""
     if witness.weight != value:
         raise PostconditionError(
             f"witness weight {witness.weight} does not equal value {value}"
         )
-    if matrix_contains(witness, pattern) is not None:
-        raise PostconditionError("witness fails the avoidance re-check")
     return SearchCertificate(value, witness, True)
+
+
+def _certify_matrix(cert: SearchCertificate, pattern: BinaryMatrix) -> SearchCertificate:
+    """The certificate, once its witness has passed the avoidance re-check."""
+    if matrix_contains(cert.witness, pattern) is not None:
+        raise PostconditionError("witness fails the avoidance re-check")
+    return cert
 
 
 def _solve_matrix_extremal(pattern: BinaryMatrix, n: int) -> SearchCertificate:
     """The most 1-entries of a side-n host avoiding the pattern, with the
     first optimal host of the include-first order over the cells in
     lexicographic order as witness.  A pattern with an extent above n
-    never fits: every cell is taken, and the witness is the shared full
-    box of the shape (:func:`_full_box`), with no copy index and no
-    search.  A pattern with no 1-entry that fits is in every host, which
-    is invalid input.  Otherwise :func:`_matrix_extremal` solves the
-    row.  Every witness is re-checked by :func:`_certify_matrix`."""
+    never fits: every cell is taken, and the row returns its shape's
+    shared certificate of the full box (:func:`_full_box`), with no copy
+    index, no search and no new record.  A pattern with no 1-entry that
+    fits is in every host, which is invalid input.  Otherwise
+    :func:`_matrix_extremal` solves the row, and its witness is weighed
+    by :func:`_weighed_matrix`.  Every certificate is re-checked by
+    :func:`_certify_matrix`."""
     d = pattern.d
     if n < 1:
         raise InputError(f"n must be positive, got {int_text(n)}")
@@ -808,24 +833,27 @@ def _solve_matrix_extremal(pattern: BinaryMatrix, n: int) -> SearchCertificate:
         shape = "x".join([int_text(n)] * d)
         raise CapacityError(f"{shape} exceeds the cell limit {MAX_CELLS}")
     if max(pattern.extents) > n:  # never fits
-        return _certify_matrix(n**d, _full_box(n, d), pattern)
+        return _certify_matrix(_full_box(n, d), pattern)
     if not pattern.ones:
         raise InputError(
             "pattern weight 0: every matrix of this size contains it, "
             "the extremal value is undefined"
         )
     value, ones = _matrix_extremal(pattern, n)
-    return _certify_matrix(value, BinaryMatrix((n,) * d, ones), pattern)
+    cert = _weighed_matrix(value, BinaryMatrix((n,) * d, ones))
+    return _certify_matrix(cert, pattern)
 
 
 # keyed by (n, d): the cell limit admits 13 keys with n >= 2, but n = 1
 # admits every d, so it keeps 32 entries, those 13 and 19 at n = 1
 @lru_cache(maxsize=32)
-def _full_box(n: int, d: int) -> BinaryMatrix:
-    """The side-n d-matrix with every cell a 1-entry, the witness of every
-    row whose pattern does not fit, made once per shape and shared
-    read-only."""
-    return BinaryMatrix((n,) * d, frozenset(product(range(1, n + 1), repeat=d)))
+def _full_box(n: int, d: int) -> SearchCertificate:
+    """The certificate of every row whose pattern does not fit: the value
+    n^d and the side-n d-matrix with every cell a 1-entry, weighed and
+    made once per shape and shared read-only.  A failed weighing raises,
+    so nothing is kept."""
+    box = BinaryMatrix((n,) * d, frozenset(product(range(1, n + 1), repeat=d)))
+    return _weighed_matrix(n**d, box)
 
 
 def _matrix_extremal(pattern: BinaryMatrix, n: int) -> tuple[int, frozenset]:
@@ -881,15 +909,20 @@ def f_multi(pattern: BinaryMatrix, d: int, n: int) -> SearchCertificate:
 # graph and hypergraph solvers
 
 
-def _certify_hypergraph(
-    value: int, witness: OrderedHypergraph, pattern: OrderedHypergraph, mode: str
-) -> SearchCertificate:
+def _weighed_hypergraph(value: int, witness: OrderedHypergraph, mode: str) -> SearchCertificate:
+    """The certificate of a value and its witness, made only once the
+    witness's edge count (mode ``edges``) or weight equals the value."""
     achieved = witness.edge_count if mode == "edges" else witness.weight
     if achieved != value:
         raise PostconditionError(f"witness achieves {achieved}, value is {value}")
-    if hypergraph_contains(witness, pattern) is not None:
-        raise PostconditionError("witness fails the avoidance re-check")
     return SearchCertificate(value, witness, True)
+
+
+def _certify_hypergraph(cert: SearchCertificate, pattern: OrderedHypergraph) -> SearchCertificate:
+    """The certificate, once its witness has passed the avoidance re-check."""
+    if hypergraph_contains(cert.witness, pattern) is not None:
+        raise PostconditionError("witness fails the avoidance re-check")
+    return cert
 
 
 # keyed by the range and the limit: a raise keeps nothing, so each entry
@@ -897,14 +930,17 @@ def _certify_hypergraph(
 @lru_cache(maxsize=256)
 def _candidates(
     n: int, smallest: int, largest: int, limit: int
-) -> tuple[tuple[Edge, ...], tuple[int, ...], int, Gains, OrderedHypergraph]:
+) -> tuple[
+    tuple[Edge, ...], tuple[int, ...], int, Gains, tuple[SearchCertificate, SearchCertificate]
+]:
     """The tables of the edges on [n] of sizes ``smallest`` to
     ``largest``, the candidates of a hypergraph row: the edges in
     lexicographic order; ``holding[v - 1]``, the candidates holding vertex
     v, as a bitmask over the candidates; the largest candidate size, 0
     with none; the weight mode's gains, each candidate's size, with
-    their suffix sums; and the host of every candidate, the witness of
-    every row whose pattern has no copy.  They depend on the range only,
+    their suffix sums; and the certificates of every row whose pattern
+    has no copy, scored by edges and by weight: one host of every
+    candidate, weighed in each mode.  They depend on the range only,
     never on the pattern, so they are made once per process and shared
     read-only by every row with this range.
 
@@ -912,7 +948,8 @@ def _candidates(
     :func:`~patternex.structures.binomial_product`, and more than
     ``limit`` of them raise :class:`CapacityError` before any is listed.
     A raise is never cached, so a refused range is counted again on every
-    call, at most ``limit + 1`` small steps whatever n."""
+    call, at most ``limit + 1`` small steps whatever n, and a full host
+    that fails its weighing is built and weighed again."""
     sizes = range(smallest, min(largest, n) + 1)
     count = 0
     for size in sizes:
@@ -928,8 +965,11 @@ def _candidates(
         for v in edge:
             holding[v - 1] |= 1 << i
     gain = tuple(map(len, edges))
+    rest = _rest(gain)
     full = OrderedHypergraph(n, frozenset(edges))
-    return edges, tuple(holding), max(gain, default=0), (gain, _rest(gain)), full
+    by_edges = _weighed_hypergraph(len(edges), full, "edges")
+    by_weight = _weighed_hypergraph(rest[0], full, "weight")
+    return edges, tuple(holding), max(gain, default=0), (gain, rest), (by_edges, by_weight)
 
 
 def _hyper_copies(
@@ -994,9 +1034,12 @@ def _solve_hyper_extremal(
     pattern, its edges drawn from the candidates of sizes ``smallest`` to
     ``largest``, with the first optimal host of the include-first order as
     witness.  A pattern with no copy among the candidates takes every
-    candidate, the range's full host.  Otherwise the decisions of
+    candidate: the row returns the range's shared certificate of its
+    full host in this mode.  Otherwise the decisions of
     :func:`_branch_and_bound` are the candidates, each of gain 1 or its
-    size, and its copies are the pattern's copies."""
+    size, its copies are the pattern's copies, and its witness is weighed
+    by :func:`_weighed_hypergraph`.  Every certificate is re-checked by
+    :func:`_certify_hypergraph`."""
     if n < 1:
         raise InputError(f"n must be positive, got {int_text(n)}")
     candidates, holding, widest, sized, full = _candidates(n, smallest, largest, limit)
@@ -1005,14 +1048,15 @@ def _solve_hyper_extremal(
             "pattern with no edges is contained in every host on this many "
             "vertices, the extremal value is undefined"
         )
-    gain, rest = sized if mode == "weight" else _unit_gains(len(candidates))
     copies = _hyper_copies(holding, widest, pattern)
     if not copies:
-        return _certify_hypergraph(rest[0], full, pattern, mode)
+        return _certify_hypergraph(full[mode == "weight"], pattern)
+    gain, rest = sized if mode == "weight" else _unit_gains(len(candidates))
     index = _copy_index(copies, len(candidates))
     value, chosen, _, _ = _branch_and_bound(gain, index, rest=rest)
     edges = frozenset(e for i, e in enumerate(candidates) if chosen >> i & 1)
-    return _certify_hypergraph(value, OrderedHypergraph(n, edges), pattern, mode)
+    cert = _weighed_hypergraph(value, OrderedHypergraph(n, edges), mode)
+    return _certify_hypergraph(cert, pattern)
 
 
 def gex_graph(pattern: OrderedHypergraph, n: int) -> SearchCertificate:

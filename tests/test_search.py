@@ -16,7 +16,9 @@ from patternex import (
     CapacityError,
     ExtremalTable,
     InputError,
+    OrderedHypergraph,
     PostconditionError,
+    SearchCertificate,
     TableRow,
     corner_pad,
     count_avoiders,
@@ -845,7 +847,8 @@ class TestPlantedMatrixCopy:
     def test_the_certificate_re_check_accepts_it(self, pattern, n, value, truth):
         cert = ex_matrix(pattern, n)
         assert cert.verified and cert.value == value
-        assert search._certify_matrix(cert.value, cert.witness, pattern) == cert
+        weighed = search._weighed_matrix(cert.value, cert.witness)
+        assert search._certify_matrix(weighed, pattern) == cert
         assert transfer_max_weight(pattern, n, n) == truth
 
     def test_the_transfer_rejects_it(self):
@@ -1269,8 +1272,11 @@ class TestCapacityRefusal:
         assert widest == 3
         assert list(gain) == [len(e) for e in expected]
         assert list(rest) == [sum(gain[i:]) for i in range(len(gain) + 1)]
-        assert full == make_hypergraph(4, expected)
-        for table in (tables, edges, holding, gain, rest):
+        by_edges, by_weight = full
+        assert by_edges.witness == make_hypergraph(4, expected)
+        assert by_weight.witness is by_edges.witness
+        assert (by_edges.value, by_weight.value) == (len(expected), rest[0])
+        for table in (tables, edges, holding, gain, rest, full):
             assert isinstance(table, tuple)
         again = search._candidates(4, 1, 3, search.MAX_HYPER_CANDIDATES)
         assert again is tables and all(a is b for a, b in zip(again, tables))
@@ -1313,8 +1319,9 @@ class TestCapacityRefusal:
 
 
 class TestRowsWithNoCopy:
-    """A row whose pattern has no copy takes its shape's full host, made
-    once and shared by every such row, and still re-checks it."""
+    """A row whose pattern has no copy returns its shape's certificate of
+    the full host, weighed once when it is made and shared by every such
+    row, and still re-checks it for avoidance on each row."""
 
     @pytest.mark.parametrize(
         "solve, patterns, n, value",
@@ -1332,10 +1339,10 @@ class TestRowsWithNoCopy:
     )
     def test_matrix_rows_that_never_fit_share_the_full_box(self, solve, patterns, n, value):
         first, second = (solve(p, n) for p in patterns)
-        assert first.witness is second.witness
+        assert first is second
         d = patterns[0].d
         cells = frozenset(product(range(1, n + 1), repeat=d))
-        assert first.witness == BinaryMatrix((n,) * d, cells)
+        assert first == SearchCertificate(n**d, BinaryMatrix((n,) * d, cells), True)
         assert first.verified and second.verified
         assert first.value == second.value == value == n**d
 
@@ -1354,8 +1361,8 @@ class TestRowsWithNoCopy:
         # both patterns need 4 vertices, so on [3] neither has a copy
         nesting = make_hypergraph(4, [(1, 4), (2, 3)])
         first, second = solve(CROSSING, 3), solve(nesting, 3)
-        assert first.witness is second.witness
-        assert first.witness == make_hypergraph(3, candidates)
+        assert first is second
+        assert first == SearchCertificate(value, make_hypergraph(3, candidates), True)
         assert first.verified and second.verified
         assert first.value == second.value == value
         assert engine_max_hyper(3, candidates, CROSSING, mode)[0] == value
@@ -1369,6 +1376,51 @@ class TestRowsWithNoCopy:
             cert = f_multi(pattern, d, 1)
             assert cert.value == 1 and cert.witness == make_matrix([1] * d, [(1,) * d])
             assert table.cache_info().currsize <= table.cache_info().maxsize
+
+    def test_a_full_box_missing_a_cell_fails_its_weighing_each_time(self, monkeypatch):
+        # the box is weighed when it is made; a failed weighing keeps
+        # nothing, so the next row builds and weighs it again
+        made = []
+
+        def missing_a_cell(extents, ones):
+            made.append(extents)
+            return BinaryMatrix(extents, ones - {max(ones)})
+
+        search._full_box.cache_clear()
+        monkeypatch.setattr(search, "BinaryMatrix", missing_a_cell)
+        for calls in (1, 2):
+            with pytest.raises(PostconditionError, match="witness weight 3 does not equal value 4"):
+                ex_matrix(permutation_matrix((1, 2, 3)), 2)
+            assert len(made) == calls
+        assert search._full_box.cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "solve, message",
+        [
+            (gex_graph, "witness achieves 2, value is 3"),
+            (exe_hyper, "witness achieves 6, value is 7"),
+            (exi_hyper, "witness achieves 6, value is 7"),
+        ],
+        ids=["gex", "exe", "exi"],
+    )
+    def test_a_full_host_missing_an_edge_fails_its_weighing_each_time(
+        self, monkeypatch, solve, message
+    ):
+        # every candidate range on [3] is made again with its last edge
+        # missing: the edges weighing fails first, and nothing is kept
+        made = []
+
+        def missing_an_edge(n, edges):
+            made.append(n)
+            return OrderedHypergraph(n, edges - {max(edges)})
+
+        search._candidates.cache_clear()
+        monkeypatch.setattr(search, "OrderedHypergraph", missing_an_edge)
+        for calls in (1, 2):
+            with pytest.raises(PostconditionError, match=message):
+                solve(CROSSING, 3)
+            assert len(made) == calls
+        assert search._candidates.cache_info().currsize == 0
 
     def test_a_row_planted_with_no_copy_fails_the_re_check(self, monkeypatch):
         # {13,24} has copies at n = 4; told it has none, the row takes

@@ -2,8 +2,10 @@
 
 ``perfbench/tracing.py`` wraps boundary names of the library's modules,
 some of them imported only for it (``search._hyper_embedding_search``);
-deleting one breaks every traced benchmark run.  The tracer imports only
-the standard library, so it is loaded here by its file path.
+deleting one breaks every traced benchmark run.  A traced run must also
+pass the tracer's own consistency check, one certify call per certified
+row.  The tracer imports only the standard library, so it is loaded here
+by its file path.
 """
 
 import importlib.util
@@ -38,3 +40,28 @@ def test_every_name_the_tracer_rebinds_exists_and_is_restored():
         tracer.uninstall()
     for module, attr, original in installed:
         assert getattr(module, attr) is original, (module.__name__, attr)
+
+
+def test_a_traced_run_certifies_each_row_once_with_or_without_copies():
+    # P1342 has no copy at n = 2, 3, {12,23,34} none at n = 1..3 and the
+    # matching none at n = 1..5; the later rows search.  Each row, shared
+    # certificate or not, makes exactly one certify call.
+    p1342 = patternex.permutation_matrix((1, 3, 4, 2))
+    path = patternex.make_hypergraph(4, [(1, 2), (2, 3), (3, 4)])
+    matching = patternex.make_hypergraph(6, [(1, 2), (3, 5), (4, 6)])
+    rows = (
+        [("ex_matrix", p1342, n) for n in range(2, 6)]
+        + [("exi_hyper", path, n) for n in range(1, 5)]
+        + [("gex_graph", matching, n) for n in range(1, 8)]
+    )
+    tracer = _load_tracing().Tracer()
+    tracer.install(patternex)
+    try:
+        tracer.begin_unit("rows")
+        for solver, pattern, n in rows:  # through the rebound names
+            assert getattr(patternex.search, solver)(pattern, n).verified
+        tracer.end_unit()
+    finally:
+        tracer.uninstall()
+    assert tracer.consistency_problems() == []
+    assert tracer._sum("search.certify", "calls") == len(rows) == 15
